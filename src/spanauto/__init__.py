@@ -48,6 +48,7 @@ from .automata import (
     SpanAutomaton,
     Word,
     accepted,
+    accepted_counts,
     brute_force_paths,
     count_paths,
     enumerate_words,
@@ -61,7 +62,6 @@ from .automata import (
 from .determinize import (
     ClassicalNFA,
     ExpandedMachine,
-    SubsetState,
     classical_subset_construction,
     det,
     det_span,

@@ -14,6 +14,13 @@ endpoint fibers.  Three flavors share that shape:
 
 ``MDetMachine`` is the matrix form of a span automaton: one counting
 matrix per edge, run by vector-matrix products.
+
+``accepted_counts`` (and ``language`` on top of it) evaluates every word
+up to a length in one prefix-shared sweep over the word tree: each prefix
+carries its vector of exact run counts, and each child costs one sparse
+vector-row step.  ``count_paths``, ``accepted``, ``run_word_span`` and
+``brute_force_paths`` evaluate one word at a time and stay independent
+of the sweep, so tests can use them as its oracles.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ __all__ = [
     "run_word_span",
     "accepted",
     "language",
+    "accepted_counts",
     "count_paths",
     "brute_force_paths",
     "unique_lift_check",
@@ -412,7 +420,67 @@ def accepted(a: Automaton, w: Word) -> bool:
 
 def language(a: Automaton, max_len: int) -> list[Word]:
     """Accepted words up to a length, in enumeration order."""
-    return [w for w in enumerate_words(a.base, a.initial_node, max_len) if accepted(a, w)]
+    return [w for w, _ in accepted_counts(a, max_len)]
+
+
+def _successor_counts(a: Automaton) -> dict[str, dict[str, list[tuple[str, int]]]]:
+    """Per edge, each state's successors with their numbers of transitions.
+
+    Span automata count parallel tokens; relations and deterministic
+    tables count 1 per pair.
+    """
+    if not isinstance(a, (SpanAutomaton, RelAutomaton, DetAutomaton)):
+        raise TypeError(f"unsupported automaton type {type(a).__name__}")
+    tables = {}
+    for e in a.base.edges:
+        t = a.transitions[e.id]
+        if isinstance(a, SpanAutomaton):
+            pairs = [(tok.left, tok.right) for tok in t.apex]
+        else:
+            pairs = t.pairs if isinstance(a, RelAutomaton) else t.items()
+        counts: dict[tuple[str, str], int] = {}
+        for pair in pairs:
+            counts[pair] = counts.get(pair, 0) + 1
+        rows: dict[str, list[tuple[str, int]]] = {}
+        for (q, r), c in counts.items():
+            rows.setdefault(q, []).append((r, c))
+        tables[e.id] = rows
+    return tables
+
+
+def accepted_counts(a: Automaton, max_len: int) -> list[tuple[Word, int]]:
+    """Accepted words up to a length, each with its number of accepting runs.
+
+    Words come in ``enumerate_words`` order from the initial node.  One
+    sweep over the word tree, a layer at a time, carries each prefix's
+    vector of run counts; a child costs one sparse vector-row step.  A
+    prefix with no runs is dropped: none of its extensions has one.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    steps = _successor_counts(a)
+    start = a.initial_node
+    out_edges = {n: sorted(a.base.out_edges(n), key=lambda e: e.id) for n in a.base.nodes}
+    out: list[tuple[Word, int]] = []
+    layer = [((), start, {a.initial: 1})]
+    for depth in range(max_len + 1):
+        nxt = []
+        for edges, node, vec in layer:
+            count = sum(c for q, c in vec.items() if q in a.finals)
+            if count:
+                out.append((Word(start, edges), count))
+            if depth == max_len:
+                continue
+            for e in out_edges[node]:
+                rows = steps[e.id]
+                child: dict[str, int] = {}
+                for q, c in vec.items():
+                    for t, k in rows.get(q, ()):
+                        child[t] = child.get(t, 0) + c * k
+                if child:
+                    nxt.append((edges + (e.id,), e.dst, child))
+        layer = nxt
+    return out
 
 
 def count_paths(a: SpanAutomaton, w: Word) -> int:
@@ -433,20 +501,16 @@ def brute_force_paths(a: SpanAutomaton, w: Word) -> list[tuple[str, ...]]:
         raise ValueError(f"word of length {len(w)} exceeds the enumeration bound {ORACLE_MAX_LEN}")
     if w.start != a.initial_node:
         return []
-    path = w.path(a.base)
-    runs: list[tuple[str, tuple[str, ...]]] = [(a.initial, ())]
-    for e in path:
-        span = a.transitions[e.id]
-        runs = [(t.right, seq + (t.label,)) for (q, seq) in runs for t in span.apex if t.left == q]
-    return [tokens for (q, tokens) in runs if q in a.finals]
+    return [tokens for (q, tokens) in _lifts(a, a.initial, w.path(a.base)) if q in a.finals]
 
 
-def _lifts(a: SpanAutomaton, from_state: str, path: list[Edge]) -> list[tuple[str, ...]]:
+def _lifts(a: SpanAutomaton, from_state: str, path: list[Edge]) -> list[tuple[str, tuple[str, ...]]]:
+    """Runs from a state along a path, token by token: (end state, token labels)."""
     runs: list[tuple[str, tuple[str, ...]]] = [(from_state, ())]
     for e in path:
         span = a.transitions[e.id]
         runs = [(t.right, seq + (t.label,)) for (q, seq) in runs for t in span.apex if t.left == q]
-    return [seq for (_, seq) in runs]
+    return runs
 
 
 def unique_lift_check(a: DetAutomaton, max_len: int) -> bool:
@@ -482,25 +546,17 @@ def ulf_factorization_check(a: SpanAutomaton, max_len: int) -> bool:
         for w in enumerate_words(a.base, n, max_len):
             path = w.path(a.base)
             for q in a.fibers[n]:
-                for run in _lifts(a, q, path):
+                for _, run in _lifts(a, q, path):
                     for k in range(len(path) + 1):
                         u, v = path[:k], path[k:]
                         found = 0
-                        for beta in _lifts(a, q, u):
-                            mid = _end_state(a, q, u, beta)
-                            for gamma in _lifts(a, mid, v):
+                        for mid, beta in _lifts(a, q, u):
+                            for _, gamma in _lifts(a, mid, v):
                                 if beta + gamma == run:
                                     found += 1
                         if found != 1:
                             return False
     return True
-
-
-def _end_state(a: SpanAutomaton, start: str, path: list[Edge], tokens: tuple[str, ...]) -> str:
-    q = start
-    for e, label in zip(path, tokens):
-        q = a.transitions[e.id].token(label).right
-    return q
 
 
 def is_deterministic(a: RelAutomaton) -> bool:

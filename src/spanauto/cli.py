@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .automata import SpanAutomaton, RelAutomaton, DetAutomaton, validate, enumerate_words, accepted, count_paths
+from .automata import SpanAutomaton, RelAutomaton, DetAutomaton, validate, accepted_counts
 from .determinize import (
     ClassicalNFA,
     classical_subset_construction,
@@ -99,26 +99,19 @@ def cmd_classical(args) -> int:
 
 def cmd_lang(args) -> int:
     a = load_automaton(args.file)
-    fibered = a if not isinstance(a, ClassicalNFA) else span_automaton_of_classical(a)
-    span_aut = _as_span_automaton(a)
-    base = fibered.base
+    if isinstance(a, ClassicalNFA):
+        a = span_automaton_of_classical(a)
+    labels = {e.id: e.label for e in a.base.edges}
     # labels are unique per (src, dst) but may repeat across pairs; words
     # whose label string is shared by another word get their edge ids shown
-    words = [w for w in enumerate_words(base, fibered.initial_node, args.max_len) if accepted(fibered, w)]
-    rendered = {}
-    for w in words:
-        rendered[w] = "".join(w.labels(base)) if len(w) else ""
-    collisions = {}
-    for w, text in rendered.items():
-        collisions.setdefault(text, []).append(w)
-    for w in words:
-        text = rendered[w]
-        if len(collisions[text]) > 1:
+    words = [("".join(labels[e] for e in w.edges), w, n) for w, n in accepted_counts(a, args.max_len)]
+    shared: dict[str, int] = {}
+    for text, _, _ in words:
+        shared[text] = shared.get(text, 0) + 1
+    for text, w, n in words:
+        if shared[text] > 1:
             text = f"{text}({','.join(w.edges)})"
-        if args.count:
-            print(f"{text}\t{count_paths(span_aut, w)}")
-        else:
-            print(text)
+        print(f"{text}\t{n}" if args.count else text)
     return 0
 
 

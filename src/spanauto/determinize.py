@@ -44,7 +44,6 @@ from .automata import (
 )
 
 __all__ = [
-    "SubsetState",
     "ClassicalNFA",
     "ExpandedMachine",
     "DEFAULT_POWERSET_CAP",
@@ -66,18 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_POWERSET_CAP = 20
-
-
-@dataclass(frozen=True)
-class SubsetState:
-    """A determinized state: a subset of one node's fiber."""
-
-    node: str
-    members: frozenset[str]
-
-    @property
-    def label(self) -> str:
-        return subset_label(self.members)
 
 
 @dataclass(frozen=True)

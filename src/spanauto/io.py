@@ -131,7 +131,7 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
             if kind != "span":
                 if "count" in entry:
                     raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
-            elif not isinstance(count, int) or count < 1:
+            elif isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
             extra = set(entry) - {"from", "to", "count"}
             if extra:
@@ -423,7 +423,7 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
                 raise DocumentError(f"{at}[{i}].from", f"unknown target state {src!r}")
             if not isinstance(dst, str) or dst not in source.fibers[n]:
                 raise DocumentError(f"{at}[{i}].to", f"unknown source state {dst!r}")
-            if not isinstance(count, int) or count < 1:
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
             pairs.append((src, dst))
             for k in range(count):

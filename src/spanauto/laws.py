@@ -341,6 +341,8 @@ LAWS: dict[str, Callable] = {
 
 def run_law(name: str, seed: int, cases: int) -> Optional[LawFailure]:
     """Run one law suite; returns the first failure, if any."""
+    if cases < 0:
+        raise ValueError(f"cases must be nonnegative, got {cases}")
     law = LAWS[name]
     rng = random.Random(f"{name}:{seed}")
     for case in range(cases):

@@ -1,15 +1,19 @@
 """Tests for base graphs, words, runs and path counting."""
 
+import random
+
 import pytest
 
 from spanauto.spans import FinSet, Relation, Span, Token
 from spanauto.automata import (
+    ORACLE_MAX_LEN,
     BaseGraph,
     DetAutomaton,
     RelAutomaton,
     SpanAutomaton,
     Word,
     accepted,
+    accepted_counts,
     brute_force_paths,
     count_paths,
     enumerate_words,
@@ -23,7 +27,7 @@ from spanauto.automata import (
     unique_lift_check,
     validate,
 )
-from spanauto.determinize import det_span, rel_of
+from spanauto.determinize import det_span, rel_of, span_automaton_of_classical
 from spanauto.fixtures import two_phase_example, two_state_example
 
 
@@ -190,6 +194,65 @@ class TestPathCounting:
         a = two_state_example()
         with pytest.raises(ValueError):
             brute_force_paths(a, Word("s", ("a",) * 13))
+
+
+class TestAcceptedCounts:
+    """The prefix-shared sweep against per-word counting and token walks."""
+
+    @staticmethod
+    def per_word(a, span, max_len):
+        counts = [(w, count_paths(span, w)) for w in enumerate_words(a.base, a.initial_node, max_len)]
+        return [(w, n) for w, n in counts if n > 0]
+
+    def check(self, a, span, max_len):
+        got = accepted_counts(a, max_len)
+        assert got == self.per_word(a, span, max_len)
+        assert [w for w, _ in got] == [w for w in enumerate_words(a.base, a.initial_node, max_len) if accepted(a, w)]
+        if max_len <= ORACLE_MAX_LEN:
+            for w, n in got:
+                assert n == len(brute_force_paths(span, w))
+
+    def test_random_span_automata(self):
+        from genlib import random_span_automaton
+
+        rng = random.Random(2024)
+        for i in range(16):
+            a = random_span_automaton(rng, max_nodes=3, max_states=4, max_mult=2 + i % 2, probe_len=5)
+            self.check(a, a, 5)
+
+    def test_random_rel_and_det_documents(self):
+        from genlib import random_span_automaton
+
+        rng = random.Random(7)
+        for _ in range(10):
+            a = random_span_automaton(rng, max_nodes=2, max_states=4, probe_len=4)
+            r = rel_of(a)
+            self.check(r, span_automaton_of_rel(r), 4)
+            d = det_span(a)
+            self.check(d, span_automaton_of_rel(rel_automaton_of_det(d)), 4)
+
+    def test_random_classical_nfas(self):
+        from genlib import random_classical_nfa
+
+        rng = random.Random(11)
+        for _ in range(10):
+            a = span_automaton_of_classical(random_classical_nfa(rng))
+            self.check(a, a, 4)
+
+    def test_dead_prefix_keeps_later_order(self):
+        # "a" has no transitions at all, so every word through it is dead;
+        # "b" leaves the final state but "bb" comes back to it
+        base = BaseGraph(["n"], [("a", "a", "n", "n"), ("b", "b", "n", "n"), ("c", "c", "n", "n")])
+        q = FinSet("Q", ["1", "2"])
+        spans = {
+            "a": Span(q, q, []),
+            "b": Span(q, q, [Token("b12", "1", "2"), Token("b21", "2", "1")]),
+            "c": Span(q, q, [Token("c11", "1", "1"), Token("c11'", "1", "1"), Token("c22", "2", "2")]),
+        }
+        a = SpanAutomaton(base, {"n": q}, spans, "1", {"1"})
+        got = accepted_counts(a, 2)
+        assert [(w.edges, n) for w, n in got] == [((), 1), (("c",), 2), (("b", "b"), 1), (("c", "c"), 4)]
+        self.check(a, a, 4)
 
 
 class TestUniqueLift:

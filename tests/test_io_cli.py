@@ -354,6 +354,36 @@ class TestCli:
         assert code == 0
         assert "passed" in out
 
+    def test_laws_negative_cases_rejected(self, capsys):
+        code, out, err = self.run("laws", "--cases", "-3", capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("input-error:") and len(err.splitlines()) == 1
+
+    def test_lang_negative_length_rejected(self, fixtures_dir, capsys):
+        code, out, err = self.run("lang", str(fixtures_dir / "two_state.json"), "--max-len", "-1", capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("input-error:") and len(err.splitlines()) == 1
+
+    def test_boolean_counts_rejected(self, fixtures_dir, tmp_path, capsys):
+        span_doc = json.loads((fixtures_dir / "two_state.json").read_text())
+        bad_span = json.loads((fixtures_dir / "two_state.json").read_text())
+        bad_span["transitions"]["a"][0]["count"] = True
+        sim = {
+            "format_version": "1",
+            "kind": "simulation",
+            "source": span_doc,
+            "target": span_doc,
+            "strength": "pseudo",
+            "components": {"s": [{"from": "1", "to": "1", "count": True}, {"from": "2", "to": "2"}]},
+        }
+        span_path, sim_path = tmp_path / "span.json", tmp_path / "sim.json"
+        span_path.write_text(json.dumps(bad_span))
+        sim_path.write_text(json.dumps(sim))
+        for argv in (("lang", str(span_path), "--max-len", "1"), ("sim-check", str(sim_path), "--mode", "pseudo")):
+            code, _, err = self.run(*argv, capsys=capsys)
+            assert code == 2
+            assert err.startswith("input-error:") and "count must be a positive integer" in err
+
     def test_dot_cli(self, fixtures_dir, capsys):
         code, out, _ = self.run("dot", str(fixtures_dir / "two_phase.json"), capsys=capsys)
         assert code == 0
