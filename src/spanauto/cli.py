@@ -10,15 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .spans import POWERSET_CAP
 from .automata import SpanAutomaton, RelAutomaton, DetAutomaton, validate, accepted_counts
 from .determinize import (
     ClassicalNFA,
     classical_subset_construction,
     det,
-    det_span,
     mdet,
     mdet_expand,
-    prune_reachable,
+    rel_of,
     span_automaton_of_classical,
 )
 from .io import (
@@ -67,14 +67,10 @@ def cmd_validate(args) -> int:
 def cmd_det(args) -> int:
     a = load_automaton(args.file)
     if isinstance(a, SpanAutomaton):
-        d = det_span(a, args.powerset_cap)
-    elif isinstance(a, RelAutomaton):
-        d = det(a, args.powerset_cap)
-    else:
+        a = rel_of(a)
+    if not isinstance(a, RelAutomaton):
         raise DocumentError("kind", "det expects a span or rel document")
-    if args.prune:
-        d = prune_reachable(d)
-    sys.stdout.write(serialize_automaton(d))
+    sys.stdout.write(serialize_automaton(det(a, args.powerset_cap, prune=args.prune)))
     return 0
 
 
@@ -165,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det", help="powerset determinization of a span or rel document")
     p.add_argument("file")
     p.add_argument("--prune", action="store_true", help="keep only reachable states")
-    p.add_argument("--powerset-cap", type=int, default=20, metavar="N")
+    p.add_argument("--powerset-cap", type=int, default=POWERSET_CAP, metavar="N")
     p.set_defaults(fn=cmd_det)
 
     p = sub.add_parser("mdet", help="counting (multiset) determinization")

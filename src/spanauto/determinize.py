@@ -4,7 +4,9 @@ The powerset pipeline replaces each fiber by its full powerset and each
 transition by the direct-image function of its underlying relation.
 Because fibers are per node, subset states never mix states of different
 nodes, which already prunes everything a single global powerset would
-invent across nodes.
+invent across nodes.  Subsets are int bitmasks stepped by one worklist;
+the full machine seeds it with every subset, the pruned one only with
+``{initial}``, so the pruned machine costs what it reaches, not 2^n.
 
 The multiset pipeline keeps the path counts instead: each transition
 becomes its counting matrix and the machine runs on multisets of states.
@@ -24,12 +26,12 @@ from typing import Mapping, Optional
 
 from .spans import (
     FinSet,
+    POWERSET_CAP,
     Multiset,
     Span,
     Token,
     image,
     multiset_extend,
-    powerset_map,
     subset_label,
     subsets_of,
     to_matrix,
@@ -46,7 +48,6 @@ from .automata import (
 __all__ = [
     "ClassicalNFA",
     "ExpandedMachine",
-    "DEFAULT_POWERSET_CAP",
     "rel_of",
     "det",
     "det_span",
@@ -63,9 +64,6 @@ __all__ = [
     "multiset_state_label",
     "expansion_state_label",
 ]
-
-DEFAULT_POWERSET_CAP = 20
-
 
 @dataclass(frozen=True)
 class ClassicalNFA:
@@ -133,51 +131,88 @@ def subset_state_label(node: str, members, multi_node: bool) -> str:
     return f"{node}:{lbl}" if multi_node else lbl
 
 
-def det(a: RelAutomaton, powerset_cap: int = DEFAULT_POWERSET_CAP) -> DetAutomaton:
+def det(a: RelAutomaton, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomaton:
     """Powerset determinization, fiber by fiber.
 
-    Every subset of every fiber becomes a state, including the empty one;
-    use prune_reachable afterwards to keep only the reachable part.
+    Without ``prune`` every subset of every fiber becomes a state,
+    including the empty one.  With ``prune`` only the subsets reachable
+    from ``{initial}`` are built, so the cost follows the reachable part
+    rather than 2^n; the result equals ``prune_reachable(det(a))``.  The
+    cap bounds fiber size either way and is checked before any work.
     """
     for n in a.base.nodes:
         if len(a.fibers[n]) > powerset_cap:
             raise ValueError(
                 f"fiber of {n!r} has {len(a.fibers[n])} states; refusing powerset above {powerset_cap}"
             )
-    multi = len(a.base.nodes) > 1
-    fibers = {
-        n: FinSet(
-            f"P({a.fibers[n].name})",
-            [subset_state_label(n, s, multi) for s in subsets_of(a.fibers[n])],
-        )
-        for n in a.base.nodes
-    }
-    tables = {}
+    order = {n: sorted(a.fibers[n]) for n in a.base.nodes}
+    if prune:
+        start = a.initial_node
+        seeds = [(start, 1 << order[start].index(a.initial))]
+    else:
+        seeds = [(n, m) for n in a.base.nodes for m in range(1 << len(order[n]))]
+    return _subset_construction(a, order, seeds)
+
+
+def _subset_construction(a: RelAutomaton, order: Mapping[str, list[str]],
+                         seeds: list[tuple[str, int]]) -> DetAutomaton:
+    """Close the (distinct) seed subsets under every edge's direct image.
+
+    A subset of node n's fiber is an int whose bit i stands for
+    ``order[n][i]``, the fiber's states in string order.  Each edge keeps
+    one successor mask per source state, and a subset steps to the OR of
+    its members' masks.  Fibers list the reached subsets by size, then by
+    sorted members, which is the ``subsets_of`` order restricted to them.
+    """
+    pos = {n: {q: i for i, q in enumerate(order[n])} for n in a.base.nodes}
+    succ = {}
     for e in a.base.edges:
-        step = powerset_map(a.transitions[e.id])
-        tables[e.id] = {
-            subset_state_label(e.src, s, multi): subset_state_label(e.dst, step(s), multi)
-            for s in subsets_of(a.fibers[e.src])
-        }
+        masks = [0] * len(order[e.src])
+        for q, t in a.transitions[e.id].pairs:
+            masks[pos[e.src][q]] |= 1 << pos[e.dst][t]
+        succ[e.id] = masks
+    out_edges = {n: a.base.out_edges(n) for n in a.base.nodes}
+    reached: dict[str, set[int]] = {n: set() for n in a.base.nodes}
+    steps: dict[str, dict[int, int]] = {e.id: {} for e in a.base.edges}
+    work = list(seeds)
+    for n, m in work:
+        reached[n].add(m)
+    while work:
+        n, m = work.pop()
+        for e in out_edges[n]:
+            masks = succ[e.id]
+            t, rest = 0, m
+            while rest:
+                low = rest & -rest
+                t |= masks[low.bit_length() - 1]
+                rest ^= low
+            steps[e.id][m] = t
+            if t not in reached[e.dst]:
+                reached[e.dst].add(t)
+                work.append((e.dst, t))
+
+    multi = len(a.base.nodes) > 1
+    labels: dict[str, dict[int, str]] = {}
     finals = set()
     for n in a.base.nodes:
-        for s in subsets_of(a.fibers[n]):
-            if s & a.finals:
-                finals.add(subset_state_label(n, s, multi))
-    initial = subset_state_label(_node_of_state(a, a.initial), {a.initial}, multi)
+        members = {m: [i for i in range(len(order[n])) if m >> i & 1] for m in reached[n]}
+        ranked = sorted(reached[n], key=lambda m: (len(members[m]), members[m]))
+        labels[n] = {m: subset_state_label(n, [order[n][i] for i in members[m]], multi) for m in ranked}
+        final_mask = sum(1 << i for i, q in enumerate(order[n]) if q in a.finals)
+        finals.update(lbl for m, lbl in labels[n].items() if m & final_mask)
+    fibers = {n: FinSet(f"P({a.fibers[n].name})", labels[n].values()) for n in a.base.nodes}
+    tables = {
+        e.id: {lbl: labels[e.dst][steps[e.id][m]] for m, lbl in labels[e.src].items()}
+        for e in a.base.edges
+    }
+    start = a.initial_node
+    initial = labels[start][1 << pos[start][a.initial]]
     return DetAutomaton(a.base, fibers, tables, initial, finals)
 
 
-def _node_of_state(a, state: str) -> str:
-    for n in a.base.nodes:
-        if state in a.fibers[n]:
-            return n
-    raise ValueError(f"state {state!r} lies in no fiber")
-
-
-def det_span(a: SpanAutomaton, powerset_cap: int = DEFAULT_POWERSET_CAP) -> DetAutomaton:
+def det_span(a: SpanAutomaton, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomaton:
     """Full powerset pipeline for span automata: image first, then det."""
-    return det(rel_of(a), powerset_cap)
+    return det(rel_of(a), powerset_cap, prune)
 
 
 # ---------------------------------------------------------------------------

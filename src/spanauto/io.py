@@ -62,6 +62,12 @@ def _need(doc: dict, key: str, kind, where: str = ""):
     return value
 
 
+def _no_unknown_keys(doc: dict, known, at: str = "") -> None:
+    extra = set(doc) - set(known)
+    if extra:
+        raise DocumentError(at, f"unknown keys {sorted(extra)}")
+
+
 def _string_list(value, at: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise DocumentError(at, "expected a list of strings")
@@ -80,6 +86,7 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
         return _parse_classical(doc)
     if kind not in ("span", "rel", "det"):
         raise DocumentError("kind", f"unknown automaton kind {kind!r}")
+    _no_unknown_keys(doc, ("format_version", "kind", "base", "fibers", "transitions", "initial", "finals"))
     base = _parse_base(_need(doc, "base", dict))
     fibers_doc = _need(doc, "fibers", dict)
     fibers = {}
@@ -133,9 +140,7 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
                     raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
             elif isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
-            extra = set(entry) - {"from", "to", "count"}
-            if extra:
-                raise DocumentError(f"{at}[{i}]", f"unknown keys {sorted(extra)}")
+            _no_unknown_keys(entry, ("from", "to", "count"), f"{at}[{i}]")
             parsed.append((src, dst, count))
         transitions[e.id] = parsed
     for key in transitions_doc:
@@ -181,6 +186,8 @@ def _decode(text: Union[str, dict]) -> dict:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DocumentError("", f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise DocumentError("", "invalid JSON: nesting too deep") from None
     if not isinstance(doc, dict):
         raise DocumentError("", "document must be a JSON object")
     version = _need(doc, "format_version", str)
@@ -208,6 +215,7 @@ def _parse_base(base_doc: dict) -> BaseGraph:
 
 
 def _parse_classical(doc: dict) -> ClassicalNFA:
+    _no_unknown_keys(doc, ("format_version", "kind", "alphabet", "states", "delta", "initial", "finals"))
     alphabet = _string_list(_need(doc, "alphabet", list), "alphabet")
     states = _string_list(_need(doc, "states", list), "states")
     if len(set(states)) != len(states):
@@ -383,6 +391,7 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
     kind = _need(doc, "kind", str)
     if kind != "simulation":
         raise DocumentError("kind", f"expected 'simulation', got {kind!r}")
+    _no_unknown_keys(doc, ("format_version", "kind", "source", "target", "strength", "components"))
     strength = _need(doc, "strength", str)
     if strength not in ("strict", "pseudo", "lax"):
         raise DocumentError("strength", f"unknown strength {strength!r}")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .spans import (
+    POWERSET_CAP,
     FinSet,
     Multiset,
     Relation,
@@ -50,7 +51,6 @@ from .automata import (
     SpanAutomaton,
 )
 from .determinize import (
-    DEFAULT_POWERSET_CAP,
     ExpandedMachine,
     det,
     det_span,
@@ -335,7 +335,7 @@ def membership_span(power_fiber: FinSet, fiber: FinSet, node: str, multi_node: b
 
 
 def canonical_det_simulation(a: SpanAutomaton, d: Optional[DetAutomaton] = None,
-                             powerset_cap: int = DEFAULT_POWERSET_CAP) -> Simulation:
+                             powerset_cap: int = POWERSET_CAP) -> Simulation:
     """The membership simulation from an automaton to its powerset machine.
 
     Component at each node: the pairs (S, q) with q in S.  It always
@@ -379,7 +379,7 @@ def canonical_mdet_simulation(a: SpanAutomaton, max_len: int, max_states: int = 
 # universal-property factorizations
 
 
-def factor_det(alpha: Simulation, powerset_cap: int = DEFAULT_POWERSET_CAP,
+def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP,
                attempt_unique: Optional[bool] = None) -> FactorizationResult:
     """Split a simulation into a deterministic target through the powerset machine.
 

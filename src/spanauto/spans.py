@@ -59,8 +59,9 @@ __all__ = [
     "span_morphism_search",
 ]
 
-# Powerset tables above this many generators are refused rather than
-# materialized; callers that only need evaluation use PowersetMap lazily.
+# Powerset tables and determinized fibers above this many generators are
+# refused rather than materialized (also the CLI's --powerset-cap default);
+# callers that only need evaluation use PowersetMap lazily.
 POWERSET_CAP = 20
 
 
@@ -69,7 +70,8 @@ class FinSet:
     """An ordered finite set of distinct string labels.
 
     The order is the canonical presentation order (it fixes matrix row
-    and column order), but equality compares label sets only.
+    and column order), but equality compares label sets only.  Membership
+    and ``index`` look labels up in an element-to-position map.
     """
 
     name: str
@@ -78,14 +80,15 @@ class FinSet:
     def __init__(self, name: str, elements=()):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "elements", tuple(elements))
-        seen = set()
-        for x in self.elements:
-            if x in seen:
+        positions: dict[str, int] = {}
+        for i, x in enumerate(self.elements):
+            if x in positions:
                 raise ValueError(f"duplicate element {x!r} in finite set {name!r}")
-            seen.add(x)
+            positions[x] = i
+        object.__setattr__(self, "_positions", positions)
 
     def __contains__(self, x) -> bool:
-        return x in self.elements
+        return x in self._positions
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -102,7 +105,10 @@ class FinSet:
         return hash(frozenset(self.elements))
 
     def index(self, x: str) -> int:
-        return self.elements.index(x)
+        try:
+            return self._positions[x]
+        except KeyError:
+            raise ValueError(f"{x!r} is not in finite set {self.name!r}") from None
 
 
 class Token(NamedTuple):

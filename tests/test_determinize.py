@@ -2,10 +2,11 @@
 
 import pytest
 
-from spanauto.spans import FinSet, Span, Token
+from spanauto.spans import FinSet, Span, Token, powerset_map, subsets_of
 from spanauto.automata import (
     BaseGraph,
     DetAutomaton,
+    RelAutomaton,
     SpanAutomaton,
     Word,
     accepted,
@@ -17,6 +18,7 @@ from spanauto.automata import (
 from spanauto.determinize import (
     ClassicalNFA,
     classical_subset_construction,
+    det,
     det_span,
     mdet,
     mdet_accept_count,
@@ -26,6 +28,7 @@ from spanauto.determinize import (
     reachable_iso_check,
     rel_of,
     span_automaton_of_classical,
+    subset_state_label,
 )
 from spanauto.fixtures import two_phase_example, two_state_classical, two_state_example
 
@@ -91,8 +94,9 @@ class TestDet:
         big = FinSet("Q", [f"q{i}" for i in range(6)])
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         a = SpanAutomaton(base, {"n": big}, {"e": Span(big, big, [])}, "q0", set())
-        with pytest.raises(ValueError):
-            det_span(a, powerset_cap=5)
+        for prune in (False, True):
+            with pytest.raises(ValueError):
+                det_span(a, powerset_cap=5, prune=prune)
 
     def test_passes_unique_lift(self):
         assert unique_lift_check(det_span(two_state_example()), 4)
@@ -237,6 +241,132 @@ class TestClassical:
         d = classical_subset_construction(nfa)
         assert list(d.fibers["s"]) == ["{}", "{1}"]
         assert d.transitions["a"]["{1}"] == "{1}"
+
+
+def reachable_subsets_bfs(a: SpanAutomaton):
+    """Oracle for the pruned powerset machine: frozenset BFS from {initial}."""
+    r = rel_of(a)
+    steps = {e.id: powerset_map(r.transitions[e.id]) for e in a.base.edges}
+    start = (a.initial_node, frozenset([a.initial]))
+    reached = {start}
+    frontier = [start]
+    tables: dict[str, dict[frozenset, frozenset]] = {e.id: {} for e in a.base.edges}
+    while frontier:
+        node, s = frontier.pop()
+        for e in a.base.out_edges(node):
+            t = steps[e.id](s)
+            tables[e.id][s] = t
+            if (e.dst, t) not in reached:
+                reached.add((e.dst, t))
+                frontier.append((e.dst, t))
+    return reached, tables
+
+
+class TestPrunedDet:
+    def assert_matches_bfs(self, a: SpanAutomaton):
+        d = det_span(a, prune=True)
+        reached, tables = reachable_subsets_bfs(a)
+        multi = len(a.base.nodes) > 1
+
+        def label(node, s):
+            return subset_state_label(node, s, multi)
+
+        for n in a.base.nodes:
+            expected = [label(n, s) for s in subsets_of(a.fibers[n]) if (n, s) in reached]
+            assert list(d.fibers[n]) == expected
+        for e in a.base.edges:
+            assert d.transitions[e.id] == {label(e.src, s): label(e.dst, t) for s, t in tables[e.id].items()}
+        assert d.initial == label(a.initial_node, {a.initial})
+        assert d.finals == {label(n, s) for n, s in reached if s & a.finals}
+        return d
+
+    def test_single_node_matches_classical_oracle(self):
+        import random
+        from genlib import random_classical_nfa
+        from spanauto.io import serialize_automaton
+
+        rng = random.Random(31)
+        for _ in range(25):
+            nfa = random_classical_nfa(rng, max_states=12)
+            expected = prune_reachable(classical_subset_construction(nfa))
+            got = det_span(span_automaton_of_classical(nfa), prune=True)
+            assert serialize_automaton(got) == serialize_automaton(expected)
+
+    def test_multi_node_matches_bfs(self):
+        import random
+        from genlib import random_span_automaton
+
+        rng = random.Random(32)
+        for _ in range(40):
+            a = random_span_automaton(rng, max_nodes=3, max_states=12, max_mult=3, probe_len=0)
+            self.assert_matches_bfs(a)
+
+    def test_eleven_states_keep_string_order(self):
+        # a0 -> a1 -> ... -> a11 -> nothing, so {} is reachable at the end
+        q = FinSet("Q", [f"a{i}" for i in range(12)])
+        base = BaseGraph(["s"], [("e", "e", "s", "s")])
+        apex = [Token(f"t{i}", f"a{i}", f"a{i + 1}") for i in range(11)]
+        d = self.assert_matches_bfs(SpanAutomaton(base, {"s": q}, {"e": Span(q, q, apex)}, "a0", {"a11"}))
+        assert list(d.fibers["s"])[:5] == ["{}", "{a0}", "{a1}", "{a10}", "{a11}"]
+        assert d.transitions["e"]["{a11}"] == "{}"
+        assert d.transitions["e"]["{}"] == "{}"
+
+    def test_unreachable_node_gets_empty_fiber(self):
+        base = BaseGraph(["n", "m"], [("e", "e", "n", "n"), ("f", "f", "m", "n")])
+        q = FinSet("Q", ["1", "2"])
+        r = FinSet("R", ["3"])
+        a = SpanAutomaton(
+            base,
+            {"n": q, "m": r},
+            {"e": Span(q, q, [Token("u", "1", "2")]), "f": Span(r, q, [Token("v", "3", "1")])},
+            "1",
+            {"2", "3"},
+        )
+        d = self.assert_matches_bfs(a)
+        assert list(d.fibers["m"]) == []
+        assert d.transitions["f"] == {}
+        assert list(d.fibers["n"]) == ["n:{}", "n:{1}", "n:{2}"]
+
+    def test_parallel_counts_collapse(self):
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        q = FinSet("Q", ["1", "2"])
+        apex = [Token("u", "1", "2"), Token("v", "1", "2"), Token("w", "2", "1"), Token("x", "2", "2")]
+        a = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, apex)}, "1", {"2"})
+        d = self.assert_matches_bfs(a)
+        assert d.transitions["e"] == {"{1}": "{2}", "{2}": "{1,2}", "{1,2}": "{1,2}"}
+
+    def test_cli_prune_matches_library(self, tmp_path, capsys):
+        import json
+        import random
+        from genlib import random_span_automaton
+        from spanauto.cli import main
+        from spanauto.io import serialize_automaton
+
+        rng = random.Random(33)
+        for i in range(10):
+            a = random_span_automaton(rng, max_nodes=3, max_states=11, max_mult=3, probe_len=0)
+            path = tmp_path / f"a{i}.json"
+            path.write_text(serialize_automaton(a))
+            assert main(["det", str(path), "--prune"]) == 0
+            out, _ = capsys.readouterr()
+            assert out == serialize_automaton(prune_reachable(det_span(a)))
+            assert json.loads(out)["kind"] == "det"
+
+    def test_cap_checked_before_any_work(self):
+        big = FinSet("Q", [f"q{i}" for i in range(6)])
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        # no transition for "e": any work past the cap check would fail with KeyError
+        a = RelAutomaton(base, {"n": big}, {}, "q0", set())
+        with pytest.raises(ValueError, match="refusing powerset above 5"):
+            det(a, 5, prune=True)
+
+    def test_cli_prune_refuses_fiber_above_cap(self, fixtures_dir, capsys):
+        from spanauto.cli import main
+
+        code = main(["det", str(fixtures_dir / "two_phase.json"), "--prune", "--powerset-cap", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "input-error: fiber of 'd' has 3 states; refusing powerset above 2\n"
 
 
 class TestPrune:

@@ -384,6 +384,39 @@ class TestCli:
             assert code == 2
             assert err.startswith("input-error:") and "count must be a positive integer" in err
 
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = self.run("det", str(path), capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("input-error:") and len(err.splitlines()) == 1
+        assert "nesting too deep" in err
+
+    def test_unknown_top_level_keys_rejected(self, fixtures_dir, golden_dir, tmp_path, capsys):
+        span_doc = json.loads((fixtures_dir / "two_state.json").read_text())
+        docs = {
+            "span": span_doc,
+            "det": json.loads((golden_dir / "det_two_state.json").read_text()),
+            "classical": json.loads((fixtures_dir / "two_state_nfa.json").read_text()),
+            "sim": {
+                "format_version": "1",
+                "kind": "simulation",
+                "source": span_doc,
+                "target": span_doc,
+                "strength": "pseudo",
+                "components": {"s": [{"from": "1", "to": "1"}, {"from": "2", "to": "2"}]},
+            },
+        }
+        for name, doc in docs.items():
+            doc = dict(doc, bogus=1)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv = ("sim-check", str(path), "--mode", "pseudo") if name == "sim" else ("validate", str(path))
+            code, _, err = self.run(*argv, capsys=capsys)
+            assert code == 2
+            assert err.startswith("input-error:") and len(err.splitlines()) == 1
+            assert "'bogus'" in err
+
     def test_dot_cli(self, fixtures_dir, capsys):
         code, out, _ = self.run("dot", str(fixtures_dir / "two_phase.json"), capsys=capsys)
         assert code == 0
