@@ -116,7 +116,7 @@ def cmd_sim_check(args) -> int:
     if args.mode == "strict":
         result = check_rel_simulation(sim)
     else:
-        result = check_span_simulation(sim, args.mode)
+        result = check_span_simulation(sim, args.mode, witnesses=False)
     if not result.ok:
         print(result.detail, file=sys.stderr)
         raise CheckFailed(f"naturality fails at edge {result.failed_edge!r}")

@@ -49,7 +49,7 @@ class DocumentError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         self.message = message
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 def _need(doc: dict, key: str, kind, where: str = ""):

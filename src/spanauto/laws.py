@@ -8,9 +8,11 @@ the acceptance suite both run these.
 
 from __future__ import annotations
 
+import itertools
 import random
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .spans import (
     FinSet,
@@ -71,18 +73,19 @@ class LawFailure:
 # ---------------------------------------------------------------------------
 # random instances
 
-_COUNTER = 0
+# One name counter per generator, so generated names depend only on the
+# generator's seed and on the calls made with it, never on other runs.
+_NAME_COUNTERS: "weakref.WeakKeyDictionary[random.Random, Iterator[int]]" = weakref.WeakKeyDictionary()
 
 
-def _fresh(prefix: str) -> str:
-    global _COUNTER
-    _COUNTER += 1
-    return f"{prefix}{_COUNTER}"
+def _fresh(rng: random.Random, prefix: str) -> str:
+    counter = _NAME_COUNTERS.setdefault(rng, itertools.count(1))
+    return f"{prefix}{next(counter)}"
 
 
 def random_finset(rng: random.Random, max_size: int = MAX_SET_SIZE, min_size: int = 0) -> FinSet:
     size = rng.randint(min_size, max_size)
-    name = _fresh("S")
+    name = _fresh(rng, "S")
     return FinSet(name, [f"{name}.{i}" for i in range(size)])
 
 
@@ -306,8 +309,6 @@ def law_morphism_search(rng, size) -> Optional[str]:
 
 
 def _brute_force_morphism_exists(s: Span, t: Span) -> bool:
-    import itertools
-
     if not s.apex:
         return True
     if not t.apex:

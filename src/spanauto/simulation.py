@@ -13,6 +13,12 @@ Strength grades how strictly the squares must commute:
 * ``lax``: a feet-preserving apex map exists from the composite through
   the source's transition into the composite through the target's.
 
+Over fixed feet such a map exists exactly when the support of one
+counting matrix lies inside the other's, and it is an isomorphism exactly
+when the matrices are equal, so every span-level square is decided on
+sparse matrix products.  Token composites and their apex maps are built
+only as optional witnesses of squares that already passed.
+
 ``factor_det`` and ``factor_mdet`` split a simulation into a determinized
 target through the canonical simulation, reporting which of the expected
 properties of the factor actually hold on the given input.
@@ -28,13 +34,16 @@ from .spans import (
     POWERSET_CAP,
     FinSet,
     Multiset,
+    NatMatrix,
     Relation,
     Span,
+    SpanMorphism,
     Token,
     compose_relations,
     compose_spans,
     dagger_relation,
     dagger_span,
+    from_matrix,
     from_relation,
     identity_relation,
     identity_span,
@@ -46,6 +55,7 @@ from .spans import (
 )
 from .automata import (
     DetAutomaton,
+    Edge,
     MDetMachine,
     RelAutomaton,
     SpanAutomaton,
@@ -102,8 +112,6 @@ class Simulation:
     strength: str
 
     def __init__(self, source, target, components, strength):
-        from .spans import NatMatrix, from_matrix
-
         if strength not in STRENGTHS:
             raise ValueError(f"unknown strength {strength!r}")
         if source.base.nodes != target.base.nodes or source.base.edges != target.base.edges:
@@ -125,12 +133,18 @@ class Simulation:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a naturality check, with the first failing edge if any."""
+    """Outcome of a naturality check, with the first failing edge if any.
+
+    ``differences`` lists the failing square's differing entries as sorted
+    ``(row, col, lhs, rhs)`` tuples: multiplicities for span squares, 0/1
+    membership for relation squares.
+    """
 
     ok: bool
     failed_edge: Optional[str] = None
     detail: str = ""
     witnesses: Mapping[str, object] = None
+    differences: tuple[tuple[str, str, int, int], ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -155,8 +169,6 @@ def transition_span(a: AnyAutomaton, edge_id: str) -> Span:
     if isinstance(a, RelAutomaton):
         return from_relation(a.transitions[edge_id])
     if isinstance(a, MDetMachine):
-        from .spans import from_matrix
-
         return from_matrix(a.matrices[edge_id])
     e = a.base.edge(edge_id)
     table = a.transitions[edge_id]
@@ -165,6 +177,20 @@ def transition_span(a: AnyAutomaton, edge_id: str) -> Span:
         a.fibers[e.dst],
         [Token(f"({q}->{t})", q, t) for q, t in table.items()],
     )
+
+
+def _transition_matrix(a: AnyAutomaton, edge_id: str) -> NatMatrix:
+    """The counting matrix of an edge's transition, without building tokens."""
+    if isinstance(a, SpanAutomaton):
+        return to_matrix(a.transitions[edge_id])
+    if isinstance(a, MDetMachine):
+        return a.matrices[edge_id]
+    e = a.base.edge(edge_id)
+    if isinstance(a, RelAutomaton):
+        pairs = a.transitions[edge_id].pairs
+    else:
+        pairs = a.transitions[edge_id].items()
+    return NatMatrix(a.fibers[e.src], a.fibers[e.dst], {p: 1 for p in pairs})
 
 
 def transition_relation(a: AnyAutomaton, edge_id: str) -> Relation:
@@ -236,7 +262,9 @@ def check_rel_simulation(sim: Simulation) -> CheckResult:
         if lhs != rhs:
             only_l = sorted(lhs.pairs - rhs.pairs)
             only_r = sorted(rhs.pairs - lhs.pairs)
-            return CheckResult(False, e.id, f"square at edge {e.id!r} differs: lhs-only {only_l}, rhs-only {only_r}")
+            differences = sorted([(a, b, 1, 0) for a, b in only_l] + [(a, b, 0, 1) for a, b in only_r])
+            return CheckResult(False, e.id, f"square at edge {e.id!r} differs: lhs-only {only_l}, rhs-only {only_r}",
+                               differences=tuple(differences))
     return CheckResult(True)
 
 
@@ -247,53 +275,60 @@ def _edge_row_restriction(sim: Simulation) -> dict[str, Optional[set[str]]]:
     return {e.id: None for e in sim.source.base.edges}
 
 
-def _restrict_rows(s: Span, rows: Optional[set[str]]) -> Span:
+def _restrict_rows(m: NatMatrix, rows: Optional[set[str]]) -> NatMatrix:
     if rows is None:
-        return s
-    return Span(s.dom, s.cod, [t for t in s.apex if t.left in rows])
+        return m
+    return NatMatrix(m.dom, m.cod, {k: n for k, n in m.entries.items() if k[0] in rows})
 
 
 def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) -> CheckResult:
     """Span-level naturality: lax wants an apex map, pseudo wants matrix equality.
 
     The apex map runs from the composite through the source's transition
-    to the composite through the target's.  When the target is a bounded
-    expansion, rows without recorded transitions are left out of both
-    sides of each square.  With ``witnesses=False`` only the counting
-    matrices are compared, which decides existence without building the
-    apex maps.
+    to the composite through the target's.  Each square is decided on
+    counting matrices: pseudo asks for the two sparse products to be
+    equal, lax for the support of the first to lie inside the second's.
+    When the target is a bounded expansion, rows without recorded
+    transitions are left out of both sides of each square.  With
+    ``witnesses=True`` a passing check also builds, per edge, the token
+    composites and an apex map between them (an isomorphism in pseudo
+    mode); that is the only part whose cost follows the apex sizes.
     """
     if mode not in ("lax", "pseudo"):
         raise ValueError(f"span check mode must be 'lax' or 'pseudo', not {mode!r}")
     base = sim.source.base
     rows_by_edge = _edge_row_restriction(sim)
-    found = {}
+    components = {n: to_matrix(component_span(sim, n)) for n in base.nodes}
     for e in base.edges:
         rows = rows_by_edge[e.id]
-        lhs_comp = _restrict_rows(component_span(sim, e.src), rows)
-        src_tr = transition_span(sim.source, e.id)
-        tgt_tr = _restrict_rows(transition_span(sim.target, e.id), rows)
-        dst_comp = component_span(sim, e.dst)
-        if witnesses:
-            lhs = compose_spans(lhs_comp, src_tr)
-            rhs = compose_spans(tgt_tr, dst_comp)
-            morphism = span_morphism_search(lhs, rhs, iso_required=(mode == "pseudo"))
-            ok = morphism is not None
-            lm, rm = to_matrix(lhs), to_matrix(rhs)
-        else:
-            morphism = None
-            lm = matrix_compose(to_matrix(lhs_comp), to_matrix(src_tr))
-            rm = matrix_compose(to_matrix(tgt_tr), to_matrix(dst_comp))
-            ok = lm == rm if mode == "pseudo" else set(lm.entries) <= set(rm.entries)
+        lm = matrix_compose(_restrict_rows(components[e.src], rows), _transition_matrix(sim.source, e.id))
+        rm = matrix_compose(_restrict_rows(_transition_matrix(sim.target, e.id), rows), components[e.dst])
+        ok = lm == rm if mode == "pseudo" else set(lm.entries) <= set(rm.entries)
         if not ok:
-            diff = {
-                k: (lm[k], rm[k])
+            differences = tuple(sorted(
+                (*k, lm.entries.get(k, 0), rm.entries.get(k, 0))
                 for k in set(lm.entries) | set(rm.entries)
-                if lm[k] != rm[k]
-            }
-            return CheckResult(False, e.id, f"square at edge {e.id!r}: multiplicities differ at {sorted(diff)}")
-        found[e.id] = morphism
-    return CheckResult(True, witnesses=found if witnesses else None)
+                if lm.entries.get(k, 0) != rm.entries.get(k, 0)
+            ))
+            at = [(row, col) for row, col, _, _ in differences]
+            return CheckResult(False, e.id, f"square at edge {e.id!r}: multiplicities differ at {at}",
+                               differences=differences)
+    if not witnesses:
+        return CheckResult(True)
+    found = {e.id: _square_witness(sim, e, rows_by_edge[e.id], mode) for e in base.edges}
+    return CheckResult(True, witnesses=found)
+
+
+def _square_witness(sim: Simulation, e: Edge, rows: Optional[set[str]], mode: str) -> SpanMorphism:
+    """The apex map of a passing square, between its token composites."""
+    comp = component_span(sim, e.src)
+    tgt_tr = transition_span(sim.target, e.id)
+    if rows is not None:
+        comp = Span(comp.dom, comp.cod, [t for t in comp.apex if t.left in rows])
+        tgt_tr = Span(tgt_tr.dom, tgt_tr.cod, [t for t in tgt_tr.apex if t.left in rows])
+    lhs = compose_spans(comp, transition_span(sim.source, e.id))
+    rhs = compose_spans(tgt_tr, component_span(sim, e.dst))
+    return span_morphism_search(lhs, rhs, iso_required=(mode == "pseudo"))
 
 
 def check_simulation(sim: Simulation) -> CheckResult:
@@ -392,7 +427,7 @@ def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP,
     if not isinstance(g, DetAutomaton):
         raise ValueError("factorization target must be deterministic")
     if alpha.strength != "strict":
-        declared = check_span_simulation(alpha, alpha.strength)
+        declared = check_span_simulation(alpha, alpha.strength, witnesses=False)
         if not declared.ok:
             raise ValueError(f"alpha fails its declared {alpha.strength!r} check: {declared.detail}")
     rel_f = rel_of(f) if isinstance(f, SpanAutomaton) else f
@@ -490,15 +525,15 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096,
         raise ValueError("factorization target must be deterministic")
     if alpha.strength != "pseudo":
         raise ValueError("the counting factorization needs a forward-backward (pseudo) simulation")
-    declared = check_span_simulation(alpha, "pseudo")
+    declared = check_span_simulation(alpha, "pseudo", witnesses=False)
     if not declared.ok:
         raise ValueError(f"alpha fails the pseudo check: {declared.detail}")
 
     machine = mdet(f)
+    alpha_matrices = {n: to_matrix(component_span(alpha, n)) for n in f.base.nodes}
     mate_multisets: dict[str, dict[str, Multiset]] = {}
     for n in f.base.nodes:
-        matrix = to_matrix(component_span(alpha, n))
-        mate_multisets[n] = {x: matrix.row(x) for x in g.fibers[n]}
+        mate_multisets[n] = {x: alpha_matrices[n].row(x) for x in g.fibers[n]}
     seeds = {n: [v for v in mate_multisets[n].values()] for n in f.base.nodes}
     exp = mdet_expand(machine, max_states, max_len, extra_seeds=seeds)
 
@@ -512,13 +547,10 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096,
         mate_components[n] = Span(g.fibers[n], exp.fibers[n], apex)
     mate = Simulation(exp, g, mate_components, "pseudo")
 
-    composite_ok = True
-    for n in f.base.nodes:
-        eta = multiplicity_span(exp, n, f.fibers[n])
-        lhs = to_matrix(compose_spans(mate_components[n], eta))
-        if lhs != to_matrix(component_span(alpha, n)):
-            composite_ok = False
-            break
+    etas = {n: to_matrix(multiplicity_span(exp, n, f.fibers[n])) for n in f.base.nodes}
+    composite_ok = all(
+        matrix_compose(to_matrix(mate_components[n]), etas[n]) == alpha_matrices[n] for n in f.base.nodes
+    )
 
     bisim_ok = check_bisimulation(mate)
 
@@ -529,12 +561,12 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096,
     if attempt_unique is None:
         attempt_unique = total_functions <= 4096
     if attempt_unique:
-        unique_ok = _unique_mdet_factor(alpha, exp, g, mate_multisets) == 1
+        unique_ok = _unique_mdet_factor(alpha, exp, g, alpha_matrices, etas) == 1
     return FactorizationResult(mate, composite_ok, bisim_ok, unique_ok)
 
 
 def _unique_mdet_factor(alpha: Simulation, exp: ExpandedMachine, g: DetAutomaton,
-                        mate_multisets) -> int:
+                        alpha_matrices: Mapping[str, NatMatrix], etas: Mapping[str, NatMatrix]) -> int:
     """Count function-component bisimulations factoring alpha through the expansion."""
     f = alpha.source
     nodes = list(f.base.nodes)
@@ -548,12 +580,7 @@ def _unique_mdet_factor(alpha: Simulation, exp: ExpandedMachine, g: DetAutomaton
             apex = [Token(f"({x})", x, lbl) for x, lbl in zip(g.fibers[n].elements, choice)]
             components[n] = Span(g.fibers[n], exp.fibers[n], apex)
         candidate = Simulation(exp, g, components, "pseudo")
-        ok = True
-        for n in nodes:
-            eta = multiplicity_span(exp, n, f.fibers[n])
-            if to_matrix(compose_spans(components[n], eta)) != to_matrix(component_span(alpha, n)):
-                ok = False
-                break
+        ok = all(matrix_compose(to_matrix(components[n]), etas[n]) == alpha_matrices[n] for n in nodes)
         if ok and check_bisimulation(candidate):
             count += 1
     return count

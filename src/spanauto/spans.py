@@ -13,8 +13,9 @@ translations connecting them:
   on spans.
 
 All values are immutable after construction and all operations are pure,
-so everything here is safe to share across threads.  Counts use Python
-integers, which never overflow.
+so everything here is safe to share across threads (the row index of a
+relation or matrix is built on first use; two threads racing to build it
+build the same one).  Counts use Python integers, which never overflow.
 """
 
 from __future__ import annotations
@@ -167,10 +168,19 @@ class Relation:
                 raise ValueError(f"pair ({a!r}, {b!r}): {a!r} not in {dom.name!r}")
             if b not in cod:
                 raise ValueError(f"pair ({a!r}, {b!r}): {b!r} not in {cod.name!r}")
+        object.__setattr__(self, "_by_left", None)
 
     def __call__(self, a: str) -> frozenset[str]:
-        """Image of one element: all cod elements related to ``a``."""
-        return frozenset(b for (x, b) in self.pairs if x == a)
+        """Image of one element: all cod elements related to ``a``.
+
+        The images are indexed by left element on the first call.
+        """
+        if self._by_left is None:
+            by_left: dict[str, set[str]] = {}
+            for x, b in self.pairs:
+                by_left.setdefault(x, set()).add(b)
+            object.__setattr__(self, "_by_left", {x: frozenset(bs) for x, bs in by_left.items()})
+        return self._by_left.get(a, frozenset())
 
 
 @dataclass(frozen=True)
@@ -178,7 +188,8 @@ class NatMatrix:
     """A natural-number matrix, i.e. a map ``dom -> multisets over cod``.
 
     Entries are stored sparsely; absent entries are zero.  Arithmetic is
-    exact (Python integers).
+    exact (Python integers).  Rows are indexed by their domain element on
+    first use.
     """
 
     dom: FinSet
@@ -186,8 +197,6 @@ class NatMatrix:
     entries: Mapping[tuple[str, str], int] = field(compare=False)
 
     def __init__(self, dom: FinSet, cod: FinSet, entries: Mapping[tuple[str, str], int] = {}):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
         clean = {}
         for (a, b), n in entries.items():
             if a not in dom or b not in cod:
@@ -196,7 +205,29 @@ class NatMatrix:
                 raise ValueError(f"entry ({a!r}, {b!r}) = {n!r} is not a natural number")
             if n > 0:
                 clean[(a, b)] = n
-        object.__setattr__(self, "entries", clean)
+        self._set(dom, cod, clean)
+
+    def _set(self, dom: FinSet, cod: FinSet, entries: dict[tuple[str, str], int]) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_rows", None)
+
+    @classmethod
+    def _trusted(cls, dom: FinSet, cod: FinSet, entries: dict[tuple[str, str], int]) -> "NatMatrix":
+        """Internal constructor: keys already lie in ``dom x cod``, values are positive ints."""
+        m = object.__new__(cls)
+        m._set(dom, cod, entries)
+        return m
+
+    def _by_row(self) -> dict[str, dict[str, int]]:
+        """Domain element -> its nonzero entries by codomain element, built once."""
+        if self._rows is None:
+            rows: dict[str, dict[str, int]] = {}
+            for (a, b), n in self.entries.items():
+                rows.setdefault(a, {})[b] = n
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     def __getitem__(self, key: tuple[str, str]) -> int:
         a, b = key
@@ -213,7 +244,7 @@ class NatMatrix:
         """Row at ``a`` as a multiset over the codomain."""
         if a not in self.dom:
             raise KeyError(a)
-        return Multiset(self.cod, {b: n for (x, b), n in self.entries.items() if x == a})
+        return Multiset(self.cod, self._by_row().get(a, {}))
 
     def rows(self) -> list[list[int]]:
         """Dense row-major form, in canonical element order."""
@@ -302,15 +333,20 @@ def compose_spans(s: Span, t: Span) -> Span:
     """Compose two spans by matching middle feet (pullback of the legs).
 
     The composite has one token per pair (x, y) with the right foot of x
-    equal to the left foot of y, so multiplicities multiply.
+    equal to the left foot of y, so multiplicities multiply.  Tokens come
+    in the order of ``s``, then of ``t``; the tokens of ``t`` are grouped
+    by left foot once, so the cost follows the output, not |s| * |t|.
     """
     if s.cod != t.dom:
         raise ValueError(f"cannot compose spans: middle sets {s.cod.name!r} and {t.dom.name!r} differ")
-    apex = []
-    for x in s.apex:
-        for y in t.apex:
-            if x.right == y.left:
-                apex.append(Token(f"({x.label};{y.label})", x.left, y.right))
+    by_left: dict[str, list[Token]] = {}
+    for y in t.apex:
+        by_left.setdefault(y.left, []).append(y)
+    apex = [
+        Token(f"({x.label};{y.label})", x.left, y.right)
+        for x in s.apex
+        for y in by_left.get(x.right, ())
+    ]
     return Span(s.dom, t.cod, apex)
 
 
@@ -350,10 +386,7 @@ def compose_relations(r: Relation, q: Relation) -> Relation:
     """Standard relational composite, written left to right."""
     if r.cod != q.dom:
         raise ValueError(f"cannot compose relations: middle sets {r.cod.name!r} and {q.dom.name!r} differ")
-    by_left: dict[str, set[str]] = {}
-    for b, c in q.pairs:
-        by_left.setdefault(b, set()).add(c)
-    return Relation(r.dom, q.cod, {(a, c) for a, b in r.pairs for c in by_left.get(b, ())})
+    return Relation(r.dom, q.cod, {(a, c) for a, b in r.pairs for c in q(b)})
 
 
 def identity_relation(a: FinSet) -> Relation:
@@ -400,9 +433,6 @@ class PowersetMap:
 
     def __init__(self, r: Relation):
         self.relation = r
-        self._by_left: dict[str, frozenset[str]] = {}
-        for a, b in r.pairs:
-            self._by_left[a] = self._by_left.get(a, frozenset()) | {b}
 
     def __call__(self, subset) -> frozenset[str]:
         subset = frozenset(subset)
@@ -411,7 +441,7 @@ class PowersetMap:
                 raise ValueError(f"{x!r} not in {self.relation.dom.name!r}")
         out: set[str] = set()
         for x in subset:
-            out |= self._by_left.get(x, frozenset())
+            out |= self.relation(x)
         return frozenset(out)
 
     def table(self) -> dict[frozenset[str], frozenset[str]]:
@@ -448,7 +478,7 @@ def to_matrix(s: Span) -> NatMatrix:
     for t in s.apex:
         key = (t.left, t.right)
         entries[key] = entries.get(key, 0) + 1
-    return NatMatrix(s.dom, s.cod, entries)
+    return NatMatrix._trusted(s.dom, s.cod, entries)
 
 
 def from_matrix(m: NatMatrix) -> Span:
@@ -466,13 +496,11 @@ def matrix_compose(m: NatMatrix, n: NatMatrix) -> NatMatrix:
     if m.cod != n.dom:
         raise ValueError(f"cannot compose matrices: middle sets {m.cod.name!r} and {n.dom.name!r} differ")
     entries: dict[tuple[str, str], int] = {}
-    n_by_left: dict[str, list[tuple[str, int]]] = {}
-    for (b, c), v in n.entries.items():
-        n_by_left.setdefault(b, []).append((c, v))
+    n_rows = n._by_row()
     for (a, b), u in m.entries.items():
-        for c, v in n_by_left.get(b, ()):
+        for c, v in n_rows.get(b, {}).items():
             entries[(a, c)] = entries.get((a, c), 0) + u * v
-    return NatMatrix(m.dom, n.cod, entries)
+    return NatMatrix._trusted(m.dom, n.cod, entries)
 
 
 def identity_matrix(a: FinSet) -> NatMatrix:

@@ -354,6 +354,25 @@ class TestCli:
         assert code == 0
         assert "passed" in out
 
+    def test_law_instances_depend_only_on_their_arguments(self, monkeypatch):
+        import random
+
+        from spanauto.laws import LAWS, random_finset, run_law
+
+        drawn = []
+
+        def probe(rng, size):
+            drawn.append(random_finset(rng, size).elements)
+            return None
+
+        monkeypatch.setitem(LAWS, "probe", probe)
+        run_law("probe", seed=3, cases=4)
+        first, drawn[:] = list(drawn), []
+        random_finset(random.Random(0))
+        run_law("probe", seed=3, cases=4)
+        assert drawn == first
+        assert run_law("span-associativity", 3, 20) == run_law("span-associativity", 3, 20)
+
     def test_laws_negative_cases_rejected(self, capsys):
         code, out, err = self.run("laws", "--cases", "-3", capsys=capsys)
         assert code == 2 and out == ""
@@ -416,6 +435,17 @@ class TestCli:
             assert code == 2
             assert err.startswith("input-error:") and len(err.splitlines()) == 1
             assert "'bogus'" in err
+
+    def test_document_level_error_has_no_empty_path(self, fixtures_dir, tmp_path, capsys):
+        doc = dict(json.loads((fixtures_dir / "two_state.json").read_text()), bogus=1)
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = self.run("validate", str(path), capsys=capsys)
+        assert code == 2
+        assert err == "input-error: unknown keys ['bogus']\n"
+        path.write_text("{")
+        code, _, err = self.run("validate", str(path), capsys=capsys)
+        assert code == 2 and err.startswith("input-error: invalid JSON: ")
 
     def test_dot_cli(self, fixtures_dir, capsys):
         code, out, _ = self.run("dot", str(fixtures_dir / "two_phase.json"), capsys=capsys)

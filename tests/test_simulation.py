@@ -6,8 +6,10 @@ from spanauto.spans import (
     FinSet,
     Relation,
     Span,
+    SpanMorphism,
     Token,
     compose_relations,
+    identity_span,
     subset_label,
     subsets_of,
     to_matrix,
@@ -369,3 +371,214 @@ class TestComposeSimulations:
         lax = canonical_det_simulation(a)
         ident = identity_simulation(a, strength="pseudo")
         assert compose_simulations(ident, lax).strength == "lax"
+
+
+# ---------------------------------------------------------------------------
+# matrix-first squares against token witnesses and a dict-matrix oracle
+
+
+def _counts(x):
+    """Entry counts of a span, relation, det table or matrix, by plain loops."""
+    from spanauto.spans import NatMatrix
+
+    if isinstance(x, Span):
+        out = {}
+        for t in x.apex:
+            out[(t.left, t.right)] = out.get((t.left, t.right), 0) + 1
+        return out
+    if isinstance(x, Relation):
+        return {p: 1 for p in x.pairs}
+    if isinstance(x, NatMatrix):
+        return dict(x.entries)
+    return {(q, t): 1 for q, t in x.items()}
+
+
+def _edge_counts(a, edge_id):
+    from spanauto.automata import MDetMachine
+
+    if isinstance(a, MDetMachine):
+        return _counts(a.matrices[edge_id])
+    return _counts(a.transitions[edge_id])
+
+
+def _product(m, n):
+    out = {}
+    for (a, b), u in m.items():
+        for (b2, c), v in n.items():
+            if b == b2:
+                out[(a, c)] = out.get((a, c), 0) + u * v
+    return out
+
+
+def oracle_sides(sim, e):
+    """Both sides of the square at edge ``e`` as dicts, on the recorded rows."""
+    from spanauto.determinize import ExpandedMachine
+
+    rows = set(sim.target.transitions[e.id]) if isinstance(sim.target, ExpandedMachine) else None
+
+    def keep(m):
+        return {k: v for k, v in m.items() if rows is None or k[0] in rows}
+
+    lhs = _product(keep(_counts(sim.components[e.src])), _edge_counts(sim.source, e.id))
+    rhs = _product(keep(_edge_counts(sim.target, e.id)), _counts(sim.components[e.dst]))
+    return lhs, rhs
+
+
+def square_oracle(sim, mode):
+    """(ok, failed_edge, differences) from dict products over every edge."""
+    for e in sim.source.base.edges:
+        lhs, rhs = oracle_sides(sim, e)
+        ok = lhs == rhs if mode == "pseudo" else set(lhs) <= set(rhs)
+        if not ok:
+            keys = set(lhs) | set(rhs)
+            diffs = sorted((*k, lhs.get(k, 0), rhs.get(k, 0)) for k in keys if lhs.get(k, 0) != rhs.get(k, 0))
+            return False, e.id, tuple(diffs)
+    return True, None, ()
+
+
+def _drop_one(sim, rng):
+    """A copy with one component token (or pair) removed, usually unnatural."""
+    nodes = [n for n in sim.source.base.nodes if _counts(sim.components[n])]
+    if not nodes:
+        return sim
+    n = rng.choice(nodes)
+    c = sim.components[n]
+    if isinstance(c, Span):
+        drop = rng.randrange(len(c.apex))
+        c = Span(c.dom, c.cod, [t for i, t in enumerate(c.apex) if i != drop])
+    else:
+        pairs = sorted(c.pairs)
+        del pairs[rng.randrange(len(pairs))]
+        c = Relation(c.dom, c.cod, pairs)
+    return Simulation(sim.source, sim.target, {**sim.components, n: c}, sim.strength)
+
+
+def _random_component(rng, dom, cod, as_relation):
+    pairs = [(x, q) for x in dom for q in cod if rng.random() < 0.4]
+    if as_relation:
+        return Relation(dom, cod, pairs)
+    return Span(dom, cod, [Token(f"c{i}", x, q) for i, (x, q) in enumerate(pairs * rng.randint(1, 2))])
+
+
+def random_simulations(seed):
+    """Passing and failing simulations over one random base.
+
+    Even seeds draw one node with up to four states, odd seeds up to three
+    nodes with up to three states each.
+    """
+    import random
+
+    from genlib import random_span_automaton
+    from spanauto.automata import span_automaton_of_rel
+
+    rng = random.Random(seed)
+    shape = {"max_nodes": 3, "max_states": 3} if seed % 2 else {"max_nodes": 1, "max_states": 4}
+    a = random_span_automaton(rng, **shape)
+    while not a.base.edges:
+        a = random_span_automaton(rng, **shape)
+    r = rel_of(a)
+    sims = [
+        canonical_det_simulation(a),
+        identity_simulation(a, "pseudo"),
+        identity_simulation(r, "lax"),
+        Simulation(a, span_automaton_of_rel(r), {n: identity_span(a.fibers[n]) for n in a.base.nodes}, "lax"),
+        canonical_mdet_simulation(a, max_len=2, max_states=6),
+    ]
+    for target in (a, r, det_span(a)):
+        comps = {
+            n: _random_component(rng, target.fibers[n], a.fibers[n], rng.random() < 0.5) for n in a.base.nodes
+        }
+        sims.append(Simulation(a, target, comps, "lax"))
+    return sims + [_drop_one(sim, rng) for sim in sims]
+
+
+class TestMatrixFirstSquares:
+    SEEDS = range(12)
+
+    def test_witness_flag_changes_only_the_witnesses(self):
+        seen = set()
+        for seed in self.SEEDS:
+            for sim in random_simulations(seed):
+                for mode in ("lax", "pseudo"):
+                    with_w = check_span_simulation(sim, mode, witnesses=True)
+                    without = check_span_simulation(sim, mode, witnesses=False)
+                    verdict = (with_w.ok, with_w.failed_edge, with_w.detail, with_w.differences)
+                    assert verdict == (without.ok, without.failed_edge, without.detail, without.differences)
+                    assert without.witnesses is None
+                    seen.add((mode, with_w.ok, len(sim.source.base.nodes) > 1))
+                    if not with_w.ok:
+                        assert with_w.witnesses is None
+                        continue
+                    assert set(with_w.witnesses) == {e.id for e in sim.source.base.edges}
+                    for morphism in with_w.witnesses.values():
+                        assert isinstance(morphism, SpanMorphism)
+                        assert morphism.is_iso() or mode == "lax"
+        # both modes, both verdicts, on single- and multi-node bases
+        assert seen == {(m, ok, multi) for m in ("lax", "pseudo") for ok in (True, False) for multi in (True, False)}
+
+    def test_verdict_matches_dict_oracle(self):
+        for seed in self.SEEDS:
+            for sim in random_simulations(seed):
+                for mode in ("lax", "pseudo"):
+                    result = check_span_simulation(sim, mode, witnesses=False)
+                    assert (result.ok, result.failed_edge, result.differences) == square_oracle(sim, mode)
+                    if not result.ok:
+                        at = [(row, col) for row, col, _, _ in result.differences]
+                        assert result.detail == f"square at edge {result.failed_edge!r}: multiplicities differ at {at}"
+
+    def test_witnesses_run_between_the_oracle_squares(self):
+        for seed in self.SEEDS:
+            for sim in random_simulations(seed):
+                for mode in ("lax", "pseudo"):
+                    result = check_span_simulation(sim, mode)
+                    if not result.ok:
+                        continue
+                    for e in sim.source.base.edges:
+                        morphism = result.witnesses[e.id]
+                        assert (_counts(morphism.source), _counts(morphism.target)) == oracle_sides(sim, e)
+
+    def test_truncated_mdet_simulation(self):
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        q = FinSet("Q", ["1"])
+        growing = SpanAutomaton(
+            base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1"), Token("v", "1", "1")])}, "1", {"1"}
+        )
+        sim = canonical_mdet_simulation(growing, max_len=3, max_states=16)
+        assert sim.target.truncated
+        for mode in ("lax", "pseudo"):
+            result = check_span_simulation(sim, mode)
+            assert result.ok and square_oracle(sim, mode) == (True, None, ())
+        assert all(m.is_iso() for m in result.witnesses.values())
+
+    def test_failing_result_carries_differences(self):
+        sim = canonical_det_simulation(two_state_example())
+        result = check_span_simulation(sim, "pseudo", witnesses=False)
+        assert not result.ok and result.differences
+        assert all(lhs != rhs for _, _, lhs, rhs in result.differences)
+        assert list(result.differences) == sorted(result.differences)
+
+    def test_rel_check_differences(self):
+        r = rel_of(two_state_example())
+        q = r.fibers["s"]
+        sim = Simulation(r, r, {"s": Relation(q, q, {("1", "2"), ("2", "1")})}, "strict")
+        result = check_rel_simulation(sim)
+        assert not result.ok and result.differences
+        only_l = [(a, b) for a, b, lhs, rhs in result.differences if (lhs, rhs) == (1, 0)]
+        only_r = [(a, b) for a, b, lhs, rhs in result.differences if (lhs, rhs) == (0, 1)]
+        assert len(only_l) + len(only_r) == len(result.differences)
+        assert result.detail.endswith(f"lhs-only {only_l}, rhs-only {only_r}")
+        assert check_rel_simulation(identity_simulation(r)).differences == ()
+
+
+class TestTransitionMatrix:
+    def test_agrees_with_token_spans_for_every_kind(self):
+        import random
+
+        from genlib import random_span_automaton
+        from spanauto.simulation import _transition_matrix, transition_span
+
+        for seed in range(10):
+            a = random_span_automaton(random.Random(seed), max_nodes=3, max_states=3)
+            for kind in (a, rel_of(a), det_span(a), mdet(a), mdet_expand(mdet(a), 8, 2)):
+                for e in a.base.edges:
+                    assert _transition_matrix(kind, e.id) == to_matrix(transition_span(kind, e.id))

@@ -80,6 +80,26 @@ class TestComposeSpans:
         with pytest.raises(ValueError):
             compose_spans(s, s)
 
+    def test_same_apex_as_naive_double_loop(self):
+        import random
+
+        from spanauto.laws import random_span
+
+        rng = random.Random(7)
+        X, Y, Z = (FinSet(n, [f"{n}{i}" for i in range(k)]) for n, k in (("X", 3), ("Y", 4), ("Z", 3)))
+        for _ in range(200):
+            s = random_span(rng, X, Y, max_mult=3, max_tokens=14)
+            t = random_span(rng, Y, Z, max_mult=3, max_tokens=14)
+            naive = tuple(
+                Token(f"({x.label};{y.label})", x.left, y.right)
+                for x in s.apex
+                for y in t.apex
+                if x.right == y.left
+            )
+            composite = compose_spans(s, t)
+            assert composite.apex == naive
+            assert (composite.dom, composite.cod) == (X, Z)
+
 
 class TestIdentitySpan:
     def test_empty(self):
@@ -162,6 +182,15 @@ class TestImage:
             for n in _all_matrices(Y, Z):
                 t = from_matrix(n)
                 assert image(compose_spans(s, t)) == compose_relations(image(s), image(t))
+
+
+class TestRelationImage:
+    def test_matches_a_scan_of_the_pairs(self):
+        r = Relation(A, B, {("1", "2x"), ("1", "3x")})
+        for a in list(A) + ["zz"]:
+            assert r(a) == frozenset(b for x, b in r.pairs if x == a)
+        assert r == Relation(A, B, [("1", "3x"), ("1", "2x")])
+        assert hash(r) == hash(Relation(A, B, [("1", "3x"), ("1", "2x")]))
 
 
 class TestComposeRelations:
@@ -278,6 +307,28 @@ class TestMatrices:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             NatMatrix(A, B, {("1", "2x"): -1})
+
+    def test_outside_keys_rejected(self):
+        with pytest.raises(ValueError):
+            NatMatrix(A, B, {("1", "1"): 1})
+
+    def test_internal_results_equal_validated_matrices(self):
+        s = span(A, B, [("1", "2x"), ("1", "2x"), ("2", "3x")])
+        t = span(B, A, [("2x", "1"), ("3x", "1"), ("3x", "2")])
+        m = to_matrix(s)
+        assert m == NatMatrix(A, B, {("1", "2x"): 2, ("2", "3x"): 1})
+        product = matrix_compose(m, to_matrix(t))
+        assert dict(product.entries) == {("1", "1"): 2, ("2", "1"): 1, ("2", "2"): 1}
+        assert product == NatMatrix(A, A, product.entries)
+        assert hash(product) == hash(NatMatrix(A, A, product.entries))
+
+    def test_rows_match_a_scan_of_the_entries(self):
+        m = NatMatrix(A, B, {("1", "2x"): 2, ("1", "3x"): 1})
+        for a in A:
+            scanned = {b: n for (x, b), n in m.entries.items() if x == a}
+            assert m.row(a) == Multiset(B, scanned)
+        with pytest.raises(KeyError):
+            m.row("zz")
 
 
 class TestMultisets:
