@@ -254,6 +254,9 @@ class TestCanonicalMDetSimulation:
         sim = canonical_mdet_simulation(growing, max_len=3, max_states=16)
         assert sim.target.truncated
         assert check_span_simulation(sim, "pseudo").ok
+        result = check_span_simulation(sim, "pseudo", witnesses=True)
+        assert square_oracle(sim, "pseudo") == (True, None, ())
+        assert all(m.is_iso() for m in result.witnesses.values())
 
 
 class TestFactorDet:
@@ -536,19 +539,6 @@ class TestMatrixFirstSquares:
                     for e in sim.source.base.edges:
                         morphism = result.witnesses[e.id]
                         assert (_counts(morphism.source), _counts(morphism.target)) == oracle_sides(sim, e)
-
-    def test_truncated_mdet_simulation(self):
-        base = BaseGraph(["n"], [("e", "e", "n", "n")])
-        q = FinSet("Q", ["1"])
-        growing = SpanAutomaton(
-            base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1"), Token("v", "1", "1")])}, "1", {"1"}
-        )
-        sim = canonical_mdet_simulation(growing, max_len=3, max_states=16)
-        assert sim.target.truncated
-        for mode in ("lax", "pseudo"):
-            result = check_span_simulation(sim, mode)
-            assert result.ok and square_oracle(sim, mode) == (True, None, ())
-        assert all(m.is_iso() for m in result.witnesses.values())
 
     def test_failing_result_carries_differences(self):
         sim = canonical_det_simulation(two_state_example())
