@@ -12,7 +12,10 @@ The multiset pipeline keeps the path counts instead: each transition
 becomes its counting matrix and the machine runs on multisets of states.
 Its state space is infinite in general, so the machine is represented by
 its matrices, with a bounded breadth-first expansion available when the
-explicit shape is wanted.
+explicit shape is wanted.  The expansion runs on count vectors (tuples of
+ints in fiber order) stepped through sparse matrix rows, so a step costs
+the vector's support times its rows; ``mdet_run`` folds ``multiset_extend``
+word by word and stays the per-word oracle.
 
 ``classical_subset_construction`` is the textbook single-alphabet subset
 construction, implemented directly on the flat five-tuple so it can act
@@ -254,12 +257,16 @@ def mdet_accept_count(m: MDetMachine, w: Word) -> int:
 
 def multiset_state_label(v: Multiset) -> str:
     """Canonical label of a multiset state: counts in fiber order."""
-    return "(" + ",".join(str(n) for n in v.vector()) + ")"
+    return _count_vector_label("", v.vector(), False)
 
 
 def expansion_state_label(node: str, v: Multiset, multi_node: bool) -> str:
     """Label of an expanded machine state, node-qualified like subset states."""
-    lbl = multiset_state_label(v)
+    return _count_vector_label(node, v.vector(), multi_node)
+
+
+def _count_vector_label(node: str, vec: tuple[int, ...], multi_node: bool) -> str:
+    lbl = "(" + ",".join(map(str, vec)) + ")"
     return f"{node}:{lbl}" if multi_node else lbl
 
 
@@ -270,7 +277,9 @@ class ExpandedMachine:
     States are the multisets discovered breadth first from the start
     vector (plus any extra seeds); transitions are recorded only from
     states whose successors were all discovered, so when ``truncated``
-    is set the tables at the frontier are partial.
+    is set the tables at the frontier are partial.  ``truncated_by``
+    names the bounds that cut the expansion short: ``"max_states"``,
+    ``"max_len"``, both, or none.
     """
 
     base: BaseGraph
@@ -282,6 +291,7 @@ class ExpandedMachine:
     finals: frozenset[str]
     accept_counts: Mapping[str, int]
     truncated: bool
+    truncated_by: tuple[str, ...] = ()
 
     def as_det_automaton(self) -> DetAutomaton:
         """The expansion as a deterministic automaton; total only when closed."""
@@ -299,61 +309,97 @@ def mdet_expand(
     """Breadth-first closure of reachable multiset states, within bounds.
 
     Stops after ``max_len`` layers or once more than ``max_states`` states
-    appear; hitting either bound just sets the truncation flag.  Frontier
-    order is fixed by the canonical state labels, so the output is
-    deterministic.
+    appear; hitting either bound just sets the truncation flag (and names
+    the bound in ``truncated_by``).  Frontier order is fixed by the
+    canonical state labels, so the output is deterministic.
+
+    The closure runs on count vectors: a state is a tuple of ints in
+    fiber order, keyed with its node, and each edge matrix is read once
+    into sparse rows by source position.  A step walks only the nonzero
+    counts of the vector and their rows.  A state's label and accept count
+    are computed once, when it is first reached, and its ``Multiset`` is
+    built at the end.  Seeds must be multisets over their node's fiber.
     """
     if max_states <= 0 or max_len < 0:
         raise ValueError("expansion bounds must be positive")
-    accept = {}
-    node_of: dict[str, str] = {}
-    states: dict[str, Multiset] = {}
-    per_node: dict[str, list[str]] = {n: [] for n in m.base.nodes}
     multi_node = len(m.base.nodes) > 1
+    order = {n: m.fibers[n].elements for n in m.base.nodes}
+    final_pos = {n: [i for i, q in enumerate(order[n]) if q in m.finals] for n in m.base.nodes}
+    rows: dict[str, list[list[tuple[int, int]]]] = {}
+    for e in m.base.edges:
+        src_pos = {q: i for i, q in enumerate(order[e.src])}
+        dst_pos = {q: j for j, q in enumerate(order[e.dst])}
+        by_src: list[list[tuple[int, int]]] = [[] for _ in order[e.src]]
+        for (a, b), u in m.matrices[e.id].entries.items():
+            by_src[src_pos[a]].append((dst_pos[b], u))
+        rows[e.id] = by_src
+    out_edges = {n: [(e.id, e.dst, len(order[e.dst])) for e in m.base.out_edges(n)] for n in m.base.nodes}
 
-    def label_of(node: str, v: Multiset) -> str:
-        return expansion_state_label(node, v, multi_node)
+    label_of: dict[tuple[str, tuple[int, ...]], str] = {}
+    key_of: dict[str, tuple[str, tuple[int, ...]]] = {}
+    support: dict[str, list[tuple[int, int]]] = {}
+    accept: dict[str, int] = {}
 
-    def discover(node: str, v: Multiset) -> str:
-        lbl = label_of(node, v)
-        if lbl not in states:
-            states[lbl] = v
-            node_of[lbl] = node
-            per_node[node].append(lbl)
-            accept[lbl] = sum(v[q] for q in m.finals if q in v.base)
+    def discover(node: str, vec: tuple[int, ...]) -> str:
+        key = (node, vec)
+        lbl = label_of.get(key)
+        if lbl is None:
+            lbl = _count_vector_label(node, vec, multi_node)
+            label_of[key] = lbl
+            key_of[lbl] = key
+            support[lbl] = [(i, c) for i, c in enumerate(vec) if c]
+            accept[lbl] = sum(vec[i] for i in final_pos[node])
         return lbl
 
-    init_label = discover(m.initial_node, m.initial_vector)
+    def seed_vector(node: str, v: Multiset) -> tuple[int, ...]:
+        if v.base != m.fibers[node]:
+            raise ValueError(f"seed multiset over {v.base.name!r} is not over the fiber of {node!r}")
+        return tuple(v.counts.get(q, 0) for q in order[node])
+
+    start = m.initial_node
+    init_label = discover(start, seed_vector(start, m.initial_vector))
     frontier = [init_label]
     if extra_seeds:
         for node, vs in extra_seeds.items():
             for v in vs:
-                lbl = discover(node, v)
+                lbl = discover(node, seed_vector(node, v))
                 if lbl not in frontier:
                     frontier.append(lbl)
     tables: dict[str, dict[str, str]] = {e.id: {} for e in m.base.edges}
-    truncated = False
+    hit_states = False
     depth = 0
     while frontier and depth < max_len:
         next_frontier: list[str] = []
         for lbl in sorted(frontier):
-            node = node_of[lbl]
-            v = states[lbl]
-            for e in m.base.out_edges(node):
-                target = multiset_extend(m.matrices[e.id], v)
-                known = label_of(e.dst, target) in states
-                if not known and len(states) >= max_states:
-                    truncated = True
-                    continue
-                tgt_label = discover(e.dst, target)
-                tables[e.id][lbl] = tgt_label
-                if not known:
+            nonzero = support[lbl]
+            for edge_id, dst, width in out_edges[key_of[lbl][0]]:
+                by_src = rows[edge_id]
+                out = [0] * width
+                for i, c in nonzero:
+                    for j, u in by_src[i]:
+                        out[j] += c * u
+                key = (dst, tuple(out))
+                tgt_label = label_of.get(key)
+                if tgt_label is None:
+                    if len(label_of) >= max_states:
+                        hit_states = True
+                        continue
+                    tgt_label = discover(*key)
                     next_frontier.append(tgt_label)
+                tables[edge_id][lbl] = tgt_label
         frontier = next_frontier
         depth += 1
-    if any(m.base.out_edges(node_of[lbl]) for lbl in frontier):
-        # states at the depth bound still had unexplored transitions
-        truncated = True
+    # states left at the depth bound still had unexplored transitions
+    hit_len = any(out_edges[key_of[lbl][0]] for lbl in frontier)
+    truncated_by = ("max_states",) * hit_states + ("max_len",) * hit_len
+
+    states: dict[str, Multiset] = {}
+    node_of: dict[str, str] = {}
+    per_node: dict[str, list[str]] = {n: [] for n in m.base.nodes}
+    for lbl, (node, vec) in key_of.items():
+        states[lbl] = Multiset._trusted(m.fibers[node], {q: c for q, c in zip(order[node], vec) if c})
+        node_of[lbl] = node
+        per_node[node].append(lbl)
     fibers = {n: FinSet(f"M({m.fibers[n].name})", per_node[n]) for n in m.base.nodes}
     finals = frozenset(lbl for lbl, c in accept.items() if c > 0)
     return ExpandedMachine(
@@ -365,7 +411,8 @@ def mdet_expand(
         initial=init_label,
         finals=finals,
         accept_counts=accept,
-        truncated=truncated,
+        truncated=bool(truncated_by),
+        truncated_by=truncated_by,
     )
 
 

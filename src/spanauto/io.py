@@ -4,6 +4,10 @@ Serialization is canonical: keys come out in a fixed order, transition
 entries are sorted by fiber position, finals are sorted, and span counts
 are always explicit.  Parsing a canonical document and serializing it
 again reproduces the bytes, which is what the golden-file tests pin.
+The text is that of ``json.dumps(doc, indent=2)``, written by a small
+encoder of its own (``_dump``): with ``indent`` set, ``json`` falls back to
+its pure-Python encoder, while this one joins strings escaped by the C
+``encode_basestring_ascii``, a list of scalars in one call.
 """
 
 from __future__ import annotations
@@ -258,7 +262,48 @@ def load_automaton(path: Union[str, Path]) -> AnyDocumentAutomaton:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without its pure-Python encoder."""
+    return _encode(doc, "\n") + "\n"
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _encode(x, newline: str) -> str:
+    """JSON text of ``x``; ``newline`` is a line break plus the indent ``x`` sits at.
+
+    Containers open a line per item, two spaces deeper; dict keys must be
+    strings.  Items that are all strings or all ints are joined in one call.
+    """
+    if isinstance(x, str):
+        return _string(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        items = [_string(k) + ": " + (_string(v) if type(v) is str else _encode(v, inner)) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, x))
+        if kinds == {str}:
+            items = map(_string, x)
+        elif kinds == {int}:
+            items = map(int.__repr__, x)
+        else:
+            items = [_encode(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return json.dumps(x)
 
 
 def _base_doc(base: BaseGraph) -> dict:

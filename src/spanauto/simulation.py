@@ -190,15 +190,20 @@ def _transition_matrix(a: AnyAutomaton, edge_id: str) -> NatMatrix:
         pairs = a.transitions[edge_id].pairs
     else:
         pairs = a.transitions[edge_id].items()
-    return NatMatrix(a.fibers[e.src], a.fibers[e.dst], {p: 1 for p in pairs})
+    return NatMatrix._trusted(a.fibers[e.src], a.fibers[e.dst], {p: 1 for p in pairs})
 
 
 def transition_relation(a: AnyAutomaton, edge_id: str) -> Relation:
+    """The support of an edge's transition, without building tokens."""
     if isinstance(a, RelAutomaton):
         return a.transitions[edge_id]
     if isinstance(a, SpanAutomaton):
         return image(a.transitions[edge_id])
-    return image(transition_span(a, edge_id))
+    if isinstance(a, MDetMachine):
+        m = a.matrices[edge_id]
+        return Relation._trusted(m.dom, m.cod, frozenset(m.entries))
+    e = a.base.edge(edge_id)
+    return Relation._trusted(a.fibers[e.src], a.fibers[e.dst], frozenset(a.transitions[edge_id].items()))
 
 
 def component_span(sim: Simulation, node: str) -> Span:
@@ -278,7 +283,7 @@ def _edge_row_restriction(sim: Simulation) -> dict[str, Optional[set[str]]]:
 def _restrict_rows(m: NatMatrix, rows: Optional[set[str]]) -> NatMatrix:
     if rows is None:
         return m
-    return NatMatrix(m.dom, m.cod, {k: n for k, n in m.entries.items() if k[0] in rows})
+    return NatMatrix._trusted(m.dom, m.cod, {k: n for k, n in m.entries.items() if k[0] in rows})
 
 
 def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) -> CheckResult:

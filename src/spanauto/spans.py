@@ -160,15 +160,26 @@ class Relation:
     pairs: frozenset[tuple[str, str]]
 
     def __init__(self, dom: FinSet, cod: FinSet, pairs=()):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "pairs", frozenset(tuple(p) for p in pairs))
-        for a, b in self.pairs:
+        pairs = frozenset(tuple(p) for p in pairs)
+        for a, b in pairs:
             if a not in dom:
                 raise ValueError(f"pair ({a!r}, {b!r}): {a!r} not in {dom.name!r}")
             if b not in cod:
                 raise ValueError(f"pair ({a!r}, {b!r}): {b!r} not in {cod.name!r}")
+        self._set(dom, cod, pairs)
+
+    def _set(self, dom: FinSet, cod: FinSet, pairs: frozenset[tuple[str, str]]) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_by_left", None)
+
+    @classmethod
+    def _trusted(cls, dom: FinSet, cod: FinSet, pairs: frozenset[tuple[str, str]]) -> "Relation":
+        """Internal constructor: every pair already lies in ``dom x cod``."""
+        r = object.__new__(cls)
+        r._set(dom, cod, pairs)
+        return r
 
     def __call__(self, a: str) -> frozenset[str]:
         """Image of one element: all cod elements related to ``a``.
@@ -244,7 +255,7 @@ class NatMatrix:
         """Row at ``a`` as a multiset over the codomain."""
         if a not in self.dom:
             raise KeyError(a)
-        return Multiset(self.cod, self._by_row().get(a, {}))
+        return Multiset._trusted(self.cod, dict(self._by_row().get(a, {})))
 
     def rows(self) -> list[list[int]]:
         """Dense row-major form, in canonical element order."""
@@ -269,6 +280,14 @@ class Multiset:
             if n > 0:
                 clean[x] = n
         object.__setattr__(self, "counts", clean)
+
+    @classmethod
+    def _trusted(cls, base: FinSet, counts: dict[str, int]) -> "Multiset":
+        """Internal constructor: keys already lie in ``base``, values are positive ints."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "base", base)
+        object.__setattr__(v, "counts", counts)
+        return v
 
     def __getitem__(self, x: str) -> int:
         if x not in self.base:
@@ -297,7 +316,7 @@ class Multiset:
 
     def vector(self) -> tuple[int, ...]:
         """Counts in canonical base order."""
-        return tuple(self.counts.get(x, 0) for x in self.base)
+        return tuple([self.counts.get(x, 0) for x in self.base.elements])
 
 
 @dataclass(frozen=True)
@@ -373,7 +392,7 @@ def span_iso_eq(s: Span, t: Span) -> bool:
 
 def image(s: Span) -> Relation:
     """The relation a span generates: pairs of feet, multiplicities dropped."""
-    return Relation(s.dom, s.cod, {(t.left, t.right) for t in s.apex})
+    return Relation._trusted(s.dom, s.cod, frozenset((t.left, t.right) for t in s.apex))
 
 
 def from_relation(r: Relation) -> Span:
@@ -386,7 +405,7 @@ def compose_relations(r: Relation, q: Relation) -> Relation:
     """Standard relational composite, written left to right."""
     if r.cod != q.dom:
         raise ValueError(f"cannot compose relations: middle sets {r.cod.name!r} and {q.dom.name!r} differ")
-    return Relation(r.dom, q.cod, {(a, c) for a, b in r.pairs for c in q(b)})
+    return Relation._trusted(r.dom, q.cod, frozenset((a, c) for a, b in r.pairs for c in q(b)))
 
 
 def identity_relation(a: FinSet) -> Relation:
@@ -395,7 +414,7 @@ def identity_relation(a: FinSet) -> Relation:
 
 def dagger_relation(r: Relation) -> Relation:
     """The converse relation."""
-    return Relation(r.cod, r.dom, {(b, a) for a, b in r.pairs})
+    return Relation._trusted(r.cod, r.dom, frozenset((b, a) for a, b in r.pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +537,18 @@ def multiset_extend(m: NatMatrix, v: Multiset) -> Multiset:
     """Extension of a matrix along a multiset: b -> sum_a v(a) * m(a, b).
 
     This is vector-matrix multiplication, and the composition law of the
-    matrix calculus when matrices are read as multiset-valued maps.
+    matrix calculus when matrices are read as multiset-valued maps.  Only
+    the rows of ``v``'s support are read, so the cost follows the support
+    and its rows, not every entry of ``m``.
     """
     if v.base != m.dom:
         raise ValueError(f"multiset base {v.base.name!r} does not match matrix domain {m.dom.name!r}")
+    rows = m._by_row()
     counts: dict[str, int] = {}
-    for (a, b), u in m.entries.items():
-        c = v[a]
-        if c:
+    for a, c in v.counts.items():
+        for b, u in rows.get(a, {}).items():
             counts[b] = counts.get(b, 0) + c * u
-    return Multiset(m.cod, counts)
+    return Multiset._trusted(m.cod, counts)
 
 
 def multiset_flatten(outer: Mapping[Multiset, int], base: FinSet) -> Multiset:

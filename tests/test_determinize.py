@@ -2,7 +2,7 @@
 
 import pytest
 
-from spanauto.spans import FinSet, Span, Token, powerset_map, subsets_of
+from spanauto.spans import FinSet, Span, Token, multiset_extend, powerset_map, subsets_of
 from spanauto.automata import (
     BaseGraph,
     DetAutomaton,
@@ -26,6 +26,7 @@ from spanauto.determinize import (
     mdet_run,
     prune_reachable,
     reachable_iso_check,
+    expansion_state_label,
     rel_of,
     span_automaton_of_classical,
     subset_state_label,
@@ -199,6 +200,7 @@ class TestMDetExpand:
         )
         exp = mdet_expand(mdet(a), max_states=3, max_len=10)
         assert exp.truncated
+        assert exp.truncated_by == ("max_states",)
 
     def test_deterministic_input_matches_reachable_original(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n"), ("f", "f", "n", "n")])
@@ -219,6 +221,93 @@ class TestMDetExpand:
 
         original = to_det_automaton(rel_of(a))
         assert reachable_iso_check(exp.as_det_automaton(), original) is not None
+
+
+def expand_by_multisets(m, max_states, max_len, extra_seeds=None):
+    """Oracle for mdet_expand: label-keyed BFS over Multisets stepped by multiset_extend."""
+    multi = len(m.base.nodes) > 1
+    states, accept = {}, {}
+    per_node = {n: [] for n in m.base.nodes}
+
+    def discover(node, v):
+        lbl = expansion_state_label(node, v, multi)
+        if lbl not in states:
+            states[lbl] = (node, v)
+            per_node[node].append(lbl)
+            accept[lbl] = sum(v[q] for q in m.finals if q in v.base)
+        return lbl
+
+    frontier = [discover(m.initial_node, m.initial_vector)]
+    for node, vs in (extra_seeds or {}).items():
+        for v in vs:
+            lbl = discover(node, v)
+            if lbl not in frontier:
+                frontier.append(lbl)
+    tables = {e.id: {} for e in m.base.edges}
+    cut = set()
+    for _ in range(max_len):
+        next_frontier = []
+        for lbl in sorted(frontier):
+            node, v = states[lbl]
+            for e in m.base.out_edges(node):
+                t = multiset_extend(m.matrices[e.id], v)
+                t_lbl = expansion_state_label(e.dst, t, multi)
+                if t_lbl not in states:
+                    if len(states) >= max_states:
+                        cut.add("max_states")
+                        continue
+                    next_frontier.append(discover(e.dst, t))
+                tables[e.id][lbl] = t_lbl
+        frontier = next_frontier
+    if any(m.base.out_edges(states[lbl][0]) for lbl in frontier):
+        cut.add("max_len")
+    return states, per_node, tables, accept, tuple(b for b in ("max_states", "max_len") if b in cut)
+
+
+class TestMDetExpandOracle:
+    def assert_matches_oracle(self, m, max_states, max_len, seeds=None):
+        exp = mdet_expand(m, max_states, max_len, extra_seeds=seeds)
+        states, per_node, tables, accept, cut = expand_by_multisets(m, max_states, max_len, seeds)
+        assert list(exp.states) == list(states)
+        assert exp.states == {lbl: v for lbl, (_, v) in states.items()}
+        assert exp.nodes_of_states == {lbl: n for lbl, (n, _) in states.items()}
+        for n in m.base.nodes:
+            assert list(exp.fibers[n]) == per_node[n]
+        for e in m.base.edges:
+            assert list(exp.transitions[e.id].items()) == list(tables[e.id].items())
+        assert exp.accept_counts == accept
+        assert exp.finals == {lbl for lbl, c in accept.items() if c > 0}
+        assert exp.initial == next(iter(states))
+        assert exp.truncated == bool(cut) and exp.truncated_by == cut
+        return exp
+
+    def test_random_automata_match_oracle(self):
+        import random
+        from genlib import random_span_automaton
+        from spanauto.spans import Multiset
+
+        rng = random.Random(41)
+        seen = set()
+        bounds = [(1, 3), (1, 0), (200, 0), (3, 1), (4, 2), (12, 3), (4, 20), (500, 5)]
+        for _ in range(30):
+            a = random_span_automaton(rng, max_nodes=3, max_states=3, max_mult=rng.choice([2, 3]))
+            m = mdet(a)
+            seeds = {
+                n: [Multiset(a.fibers[n], {q: rng.randint(0, 3) for q in a.fibers[n]}) for _ in range(rng.randint(1, 2))]
+                for n in a.base.nodes
+                if rng.random() < 0.5
+            }
+            for max_states, max_len in bounds:
+                for extra in (None, seeds):
+                    seen.add(self.assert_matches_oracle(m, max_states, max_len, extra).truncated_by)
+        assert seen == {(), ("max_states",), ("max_len",), ("max_states", "max_len")}
+
+    def test_seed_over_another_set_rejected(self):
+        from spanauto.spans import Multiset
+
+        m = mdet(two_state_example())
+        with pytest.raises(ValueError):
+            mdet_expand(m, 8, 2, extra_seeds={"s": [Multiset(FinSet("X", ["x"]), {"x": 1})]})
 
 
 class TestClassical:

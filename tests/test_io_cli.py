@@ -2,7 +2,9 @@
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from spanauto.automata import SpanAutomaton
 from spanauto.cli import main
@@ -10,6 +12,7 @@ from spanauto.determinize import ClassicalNFA
 from spanauto.fixtures import two_state_example
 from spanauto.io import (
     DocumentError,
+    _dump,
     parse_automaton,
     parse_simulation,
     serialize_automaton,
@@ -56,6 +59,30 @@ class TestRoundTrips:
         }
         a = parse_automaton(json.dumps(doc))
         assert a.transitions["e"].apex == ()
+
+
+_json_scalars = (
+    st.text(alphabet=st.characters(max_codepoint=0x1F64F))
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+)
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestDump:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_json_docs)
+    def test_matches_indented_json_dumps(self, doc):
+        assert _dump(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_scalar_lists_and_tuples(self):
+        for doc in ({"a": [1, -2, 10**30], "b": ["x", "\u00e9\"\n"], "c": (1, True, None), "d": [[], {}]}, [], {}):
+            assert _dump(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestSchemaErrors:
@@ -224,6 +251,16 @@ class TestCli:
             code, out, _ = self.run("mdet", str(fixtures_dir / f"{name}.json"), capsys=capsys)
             assert code == 0
             assert out == (golden_dir / f"mdet_{name}.json").read_text()
+
+    def test_mdet_expand_golden(self, fixtures_dir, golden_dir, capsys):
+        # the bounds close two_state and truncate two_phase
+        for name in ("two_state", "two_phase"):
+            code, out, _ = self.run(
+                "mdet", str(fixtures_dir / f"{name}.json"), "--expand", "--max-states", "6", "--max-len", "3",
+                capsys=capsys,
+            )
+            assert code == 0
+            assert out == (golden_dir / f"mdet_expand_{name}.json").read_text()
 
     def test_lang_count_golden(self, fixtures_dir, golden_dir, capsys):
         for name in ("two_state", "two_phase"):

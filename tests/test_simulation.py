@@ -10,6 +10,7 @@ from spanauto.spans import (
     Token,
     compose_relations,
     identity_span,
+    image,
     subset_label,
     subsets_of,
     to_matrix,
@@ -565,10 +566,11 @@ class TestTransitionMatrix:
         import random
 
         from genlib import random_span_automaton
-        from spanauto.simulation import _transition_matrix, transition_span
+        from spanauto.simulation import _transition_matrix, transition_relation, transition_span
 
         for seed in range(10):
             a = random_span_automaton(random.Random(seed), max_nodes=3, max_states=3)
             for kind in (a, rel_of(a), det_span(a), mdet(a), mdet_expand(mdet(a), 8, 2)):
                 for e in a.base.edges:
                     assert _transition_matrix(kind, e.id) == to_matrix(transition_span(kind, e.id))
+                    assert transition_relation(kind, e.id) == image(transition_span(kind, e.id))

@@ -369,6 +369,39 @@ class TestMultisets:
         with pytest.raises(ValueError):
             multiset_extend(m, Multiset(B, {}))
 
+    def test_extend_matches_a_scan_of_every_entry(self):
+        import random
+
+        def extend_by_scan(m, v):
+            counts = {}
+            for (a, b), u in m.entries.items():
+                if v[a]:
+                    counts[b] = counts.get(b, 0) + v[a] * u
+            return Multiset(m.cod, counts)
+
+        rng = random.Random(5)
+        for _ in range(200):
+            dom = FinSet("D", [f"d{i}" for i in range(rng.randint(0, 5))])
+            cod = FinSet("C", [f"c{i}" for i in range(rng.randint(0, 5))])
+            m = NatMatrix(dom, cod, {(a, b): rng.choice([0, 0, 1, 2, 3]) for a in dom for b in cod})
+            v = Multiset(dom, {a: rng.choice([0, 1, 2, 7]) for a in dom})
+            got = multiset_extend(m, v)
+            assert got == extend_by_scan(m, v)
+            assert hash(got) == hash(extend_by_scan(m, v))
+            assert all(n > 0 for n in got.counts.values())
+            for a in dom:
+                assert m.row(a) == Multiset(cod, {b: n for (x, b), n in m.entries.items() if x == a})
+
+    def test_trusted_relations_equal_validated_ones(self):
+        r = Relation(A, B, {("1", "2x"), ("2", "3x"), ("2", "2x")})
+        q = Relation(B, A, {("2x", "1"), ("3x", "1")})
+        s = span(A, B, [("1", "2x"), ("1", "2x"), ("2", "3x")])
+        for got in (compose_relations(r, q), dagger_relation(r), image(s)):
+            validated = Relation(got.dom, got.cod, got.pairs)
+            assert got == validated and hash(got) == hash(validated)
+            for x in got.dom:
+                assert got(x) == validated(x)
+
 
 class TestFlatten:
     def test_unit_of_unit(self):
