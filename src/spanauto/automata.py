@@ -3,7 +3,8 @@
 The base graph generates a free category: its morphisms are composable
 edge sequences (``Word``).  An automaton lives over the base by giving
 each node a finite fiber of states and each edge a morphism between the
-endpoint fibers.  Three flavors share that shape:
+endpoint fibers.  Every kind has that one shape (``_FiberedAutomaton``)
+and differs only in how it stores a transition:
 
 * ``SpanAutomaton``: a span per edge; parallel tokens count distinct
   transitions, so a word has a number of accepting paths, not just a
@@ -11,21 +12,28 @@ endpoint fibers.  Three flavors share that shape:
 * ``RelAutomaton``: a relation per edge, the usual nondeterministic case.
 * ``DetAutomaton``: a total function per edge, so every word from any
   state lifts to exactly one run.
+* ``MDetMachine``: the matrix form of a span automaton, one counting
+  matrix per edge, run by vector-matrix products.
 
-``MDetMachine`` is the matrix form of a span automaton: one counting
-matrix per edge, run by vector-matrix products.
+Everything above the storage reads one view of it: ``rows(edge_id)``, the
+sparse count rows ``{src: ((dst, count), ...)}``.  A relation is the
+support of a span, and a function is a span whose rows each hold one
+entry of count 1, so the same rows serve every kind; ``matrix`` and
+``support`` are their matrix and relation forms.
 
 ``accepted_counts`` (and ``language`` on top of it) evaluates every word
 up to a length in one prefix-shared sweep over the word tree: each prefix
 carries its vector of exact run counts, and each child costs one sparse
-vector-row step.  ``count_paths``, ``accepted``, ``run_word_span`` and
-``brute_force_paths`` evaluate one word at a time and stay independent
-of the sweep, so tests can use them as its oracles.
+vector-row step.  ``count_paths``, ``accepted`` and ``run_word_span``
+evaluate one word at a time by matrix products, and ``brute_force_paths``
+walks tokens, so it is independent of the count rows as well; none of
+them uses the sweep, so tests can use them as its oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .spans import (
@@ -185,18 +193,49 @@ def _check_fibers(base: BaseGraph, fibers: Mapping[str, FinSet]) -> list[str]:
 
 
 class _FiberedAutomaton:
-    """Shared plumbing for the three fibered automaton flavors."""
+    """The one shape behind every automaton kind, and its count-row view.
+
+    An automaton gives each base node a fiber of states and each edge a
+    transition between the endpoint fibers.  Kinds differ only in how a
+    transition is stored; each kind's ``_count_matrix`` hook reads one as
+    its counting matrix, whose entries are the ``((src, dst), count)``
+    pairs.  That matrix, the count rows and the relation read from it, and
+    the state-to-node index are built on first use and kept outside the
+    dataclass fields, so equality and repr are per kind.
+    """
 
     base: BaseGraph
     fibers: Mapping[str, FinSet]
     initial: str
     finals: frozenset[str]
 
-    def node_of(self, state: str) -> Optional[str]:
+    def __init__(self, base, fibers, transitions, initial, finals):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "fibers", dict(fibers))
+        object.__setattr__(self, "transitions", dict(transitions))
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "finals", frozenset(finals))
+
+    def _count_matrix(self, edge_id: str) -> NatMatrix:
+        """A function table: each item is one transition."""
+        e = self.base.edge(edge_id)
+        pairs = self.transitions[edge_id].items()
+        return NatMatrix._trusted(self.fibers[e.src], self.fibers[e.dst], dict.fromkeys(pairs, 1))
+
+    @cached_property
+    def _state_nodes(self) -> dict[str, str]:
+        nodes: dict[str, str] = {}
         for n in self.base.nodes:
-            if state in self.fibers[n]:
-                return n
-        return None
+            for q in self.fibers.get(n, ()):
+                nodes.setdefault(q, n)
+        return nodes
+
+    @cached_property
+    def _views(self) -> dict[tuple[str, str], object]:
+        return {}
+
+    def node_of(self, state: str) -> Optional[str]:
+        return self._state_nodes.get(state)
 
     @property
     def initial_node(self) -> str:
@@ -205,45 +244,74 @@ class _FiberedAutomaton:
             raise ValueError(f"initial state {self.initial!r} lies in no fiber")
         return node
 
+    def rows(self, edge_id: str) -> dict[str, tuple[tuple[str, int], ...]]:
+        """Sparse count rows of an edge: ``{src: ((dst, count), ...)}``, built once.
 
-@dataclass(frozen=True)
+        A span counts parallel tokens; a relation or a function table holds
+        count 1 per pair.  States without successors have no row.
+        """
+        rows = self._views.get(("rows", edge_id))
+        if rows is None:
+            entries = self.matrix(edge_id).entries.items()
+            rows = {q: ((t, c),) for (q, t), c in entries}
+            if len(rows) < len(entries):  # some state has several successors
+                acc: dict[str, list[tuple[str, int]]] = {}
+                for (q, t), c in entries:
+                    acc.setdefault(q, []).append((t, c))
+                rows = {q: tuple(row) for q, row in acc.items()}
+            self._views["rows", edge_id] = rows
+        return rows
+
+    def matrix(self, edge_id: str) -> NatMatrix:
+        """The counting matrix of an edge, built once."""
+        m = self._views.get(("matrix", edge_id))
+        if m is None:
+            m = self._views["matrix", edge_id] = self._count_matrix(edge_id)
+        return m
+
+    def support(self, edge_id: str) -> Relation:
+        """The relation of an edge, the pairs with a nonzero count, built once."""
+        r = self._views.get(("support", edge_id))
+        if r is None:
+            m = self.matrix(edge_id)
+            r = self._views["support", edge_id] = Relation._trusted(m.dom, m.cod, frozenset(m.entries))
+        return r
+
+
+@dataclass(frozen=True, init=False)
 class SpanAutomaton(_FiberedAutomaton):
+    kind = "span"
+
     base: BaseGraph
     fibers: Mapping[str, FinSet]
     transitions: Mapping[str, Span]
     initial: str
     finals: frozenset[str]
 
-    def __init__(self, base, fibers, transitions, initial, finals):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fibers", dict(fibers))
-        object.__setattr__(self, "transitions", dict(transitions))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
-
-    def matrix(self, edge_id: str) -> NatMatrix:
+    def _count_matrix(self, edge_id: str) -> NatMatrix:
         return to_matrix(self.transitions[edge_id])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RelAutomaton(_FiberedAutomaton):
+    kind = "rel"
+
     base: BaseGraph
     fibers: Mapping[str, FinSet]
     transitions: Mapping[str, Relation]
     initial: str
     finals: frozenset[str]
 
-    def __init__(self, base, fibers, transitions, initial, finals):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fibers", dict(fibers))
-        object.__setattr__(self, "transitions", dict(transitions))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
+    def _count_matrix(self, edge_id: str) -> NatMatrix:
+        r = self.transitions[edge_id]
+        return NatMatrix._trusted(r.dom, r.cod, dict.fromkeys(r.pairs, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DetAutomaton(_FiberedAutomaton):
     """Deterministic flavor: transitions are total single-valued maps."""
+
+    kind = "det"
 
     base: BaseGraph
     fibers: Mapping[str, FinSet]
@@ -252,16 +320,17 @@ class DetAutomaton(_FiberedAutomaton):
     finals: frozenset[str]
 
     def __init__(self, base, fibers, transitions, initial, finals):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fibers", dict(fibers))
-        object.__setattr__(self, "transitions", {e: dict(m) for e, m in transitions.items()})
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
+        super().__init__(base, fibers, {e: dict(m) for e, m in transitions.items()}, initial, finals)
 
 
-@dataclass(frozen=True)
-class MDetMachine:
-    """Matrix form of a span automaton: counting matrices run on multisets."""
+@dataclass(frozen=True, init=False)
+class MDetMachine(_FiberedAutomaton):
+    """Matrix form of a span automaton: counting matrices run on multisets.
+
+    ``transitions`` is ``matrices`` under the name every kind uses.
+    """
+
+    kind = "mdet"
 
     base: BaseGraph
     fibers: Mapping[str, FinSet]
@@ -271,28 +340,14 @@ class MDetMachine:
     finals: frozenset[str]
 
     def __init__(self, base, fibers, matrices, initial, finals, initial_vector=None):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fibers", dict(fibers))
-        object.__setattr__(self, "matrices", dict(matrices))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
+        super().__init__(base, fibers, matrices, initial, finals)
+        object.__setattr__(self, "matrices", self.transitions)
         if initial_vector is None:
-            node = None
-            for n in base.nodes:
-                if initial in fibers[n]:
-                    node = n
-                    break
-            if node is None:
-                raise ValueError(f"initial state {initial!r} lies in no fiber")
-            initial_vector = multiset_unit(dict(fibers)[node], initial)
+            initial_vector = multiset_unit(self.fibers[self.initial_node], initial)
         object.__setattr__(self, "initial_vector", initial_vector)
 
-    @property
-    def initial_node(self) -> str:
-        for n in self.base.nodes:
-            if self.initial in self.fibers[n]:
-                return n
-        raise ValueError(f"initial state {self.initial!r} lies in no fiber")
+    def _count_matrix(self, edge_id: str) -> NatMatrix:
+        return self.matrices[edge_id]
 
 
 Automaton = Union[SpanAutomaton, RelAutomaton, DetAutomaton]
@@ -305,46 +360,36 @@ Automaton = Union[SpanAutomaton, RelAutomaton, DetAutomaton]
 def validate(a) -> list[str]:
     """Collect invariant violations; an empty list means well formed."""
     problems = _check_fibers(a.base, a.fibers)
-    state_nodes: dict[str, str] = {}
-    for n in a.base.nodes:
-        for q in a.fibers.get(n, ()):
-            state_nodes.setdefault(q, n)
-    if a.initial not in state_nodes:
+    if a.node_of(a.initial) is None:
         problems.append(f"initial state {a.initial!r} lies in no fiber")
     for q in sorted(a.finals):
-        if q not in state_nodes:
+        if a.node_of(q) is None:
             problems.append(f"final state {q!r} lies in no fiber")
 
-    trans = a.matrices if isinstance(a, MDetMachine) else a.transitions
     for e in a.base.edges:
-        if e.id not in trans:
+        if e.id not in a.transitions:
             problems.append(f"edge {e.id!r} has no transition")
             continue
-        t = trans[e.id]
         src_fiber = a.fibers.get(e.src)
         dst_fiber = a.fibers.get(e.dst)
         if src_fiber is None or dst_fiber is None:
             continue
-        if isinstance(a, SpanAutomaton):
-            if t.dom != src_fiber or t.cod != dst_fiber:
-                problems.append(f"transition span of edge {e.id!r} does not match the endpoint fibers")
-        elif isinstance(a, RelAutomaton):
-            if t.dom != src_fiber or t.cod != dst_fiber:
-                problems.append(f"transition relation of edge {e.id!r} does not match the endpoint fibers")
-        elif isinstance(a, MDetMachine):
-            if t.dom != src_fiber or t.cod != dst_fiber:
-                problems.append(f"transition matrix of edge {e.id!r} does not match the endpoint fibers")
-        else:
+        t = a.transitions[e.id]
+        if isinstance(t, Mapping):
+            rows = a.rows(e.id)
             for q in src_fiber:
-                if q not in t:
+                if q not in rows:
                     problems.append(f"transition of edge {e.id!r} is not total: missing {q!r}")
-            for q, target in t.items():
+            for q, ((target, _),) in rows.items():
                 if q not in src_fiber:
                     problems.append(f"transition of edge {e.id!r} maps foreign state {q!r}")
                 elif target not in dst_fiber:
                     problems.append(f"transition of edge {e.id!r} sends {q!r} outside the target fiber")
+        elif t.dom != src_fiber or t.cod != dst_fiber:
+            noun = {"span": "span", "rel": "relation", "mdet": "matrix"}[a.kind]
+            problems.append(f"transition {noun} of edge {e.id!r} does not match the endpoint fibers")
     if isinstance(a, MDetMachine):
-        node = state_nodes.get(a.initial)
+        node = a.node_of(a.initial)
         if node is not None and a.initial_vector != multiset_unit(a.fibers[node], a.initial):
             problems.append("initial vector is not the unit at the initial state")
     return problems
@@ -385,67 +430,17 @@ def run_word_span(a: SpanAutomaton, w: Word) -> NatMatrix:
     return m
 
 
-def _run_subset(a: RelAutomaton, w: Word) -> frozenset[str]:
-    path = w.path(a.base)
-    current = frozenset([a.initial])
-    for e in path:
-        rel = a.transitions[e.id]
-        current = frozenset(b for (x, b) in rel.pairs if x in current)
-    return current
-
-
-def _run_det(a: DetAutomaton, w: Word) -> str:
-    path = w.path(a.base)
-    q = a.initial
-    for e in path:
-        q = a.transitions[e.id][q]
-    return q
-
-
 def accepted(a: Automaton, w: Word) -> bool:
     """Whether a word is accepted: some run from the initial state ends final.
 
     Words based anywhere but the initial state's node are rejected.
     """
-    if w.start != a.initial_node:
-        return False
-    if isinstance(a, SpanAutomaton):
-        return count_paths(a, w) > 0
-    if isinstance(a, RelAutomaton):
-        return bool(_run_subset(a, w) & a.finals)
-    if isinstance(a, DetAutomaton):
-        return _run_det(a, w) in a.finals
-    raise TypeError(f"unsupported automaton type {type(a).__name__}")
+    return count_paths(a, w) > 0
 
 
 def language(a: Automaton, max_len: int) -> list[Word]:
     """Accepted words up to a length, in enumeration order."""
     return [w for w, _ in accepted_counts(a, max_len)]
-
-
-def _successor_counts(a: Automaton) -> dict[str, dict[str, list[tuple[str, int]]]]:
-    """Per edge, each state's successors with their numbers of transitions.
-
-    Span automata count parallel tokens; relations and deterministic
-    tables count 1 per pair.
-    """
-    if not isinstance(a, (SpanAutomaton, RelAutomaton, DetAutomaton)):
-        raise TypeError(f"unsupported automaton type {type(a).__name__}")
-    tables = {}
-    for e in a.base.edges:
-        t = a.transitions[e.id]
-        if isinstance(a, SpanAutomaton):
-            pairs = [(tok.left, tok.right) for tok in t.apex]
-        else:
-            pairs = t.pairs if isinstance(a, RelAutomaton) else t.items()
-        counts: dict[tuple[str, str], int] = {}
-        for pair in pairs:
-            counts[pair] = counts.get(pair, 0) + 1
-        rows: dict[str, list[tuple[str, int]]] = {}
-        for (q, r), c in counts.items():
-            rows.setdefault(q, []).append((r, c))
-        tables[e.id] = rows
-    return tables
 
 
 def accepted_counts(a: Automaton, max_len: int) -> list[tuple[Word, int]]:
@@ -458,9 +453,11 @@ def accepted_counts(a: Automaton, max_len: int) -> list[tuple[Word, int]]:
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    steps = _successor_counts(a)
     start = a.initial_node
-    out_edges = {n: sorted(a.base.out_edges(n), key=lambda e: e.id) for n in a.base.nodes}
+    out_edges = {
+        n: [(e.id, e.dst, a.rows(e.id)) for e in sorted(a.base.out_edges(n), key=lambda e: e.id)]
+        for n in a.base.nodes
+    }
     out: list[tuple[Word, int]] = []
     layer = [((), start, {a.initial: 1})]
     for depth in range(max_len + 1):
@@ -471,14 +468,13 @@ def accepted_counts(a: Automaton, max_len: int) -> list[tuple[Word, int]]:
                 out.append((Word(start, edges), count))
             if depth == max_len:
                 continue
-            for e in out_edges[node]:
-                rows = steps[e.id]
+            for edge_id, dst, rows in out_edges[node]:
                 child: dict[str, int] = {}
                 for q, c in vec.items():
                     for t, k in rows.get(q, ()):
                         child[t] = child.get(t, 0) + c * k
                 if child:
-                    nxt.append((edges + (e.id,), e.dst, child))
+                    nxt.append((edges + (edge_id,), dst, child))
         layer = nxt
     return out
 
@@ -513,60 +509,35 @@ def _lifts(a: SpanAutomaton, from_state: str, path: list[Edge]) -> list[tuple[st
     return runs
 
 
-def unique_lift_check(a: DetAutomaton, max_len: int) -> bool:
-    """Every word from every state lifts to exactly one run.
-
-    Holds by construction for total single-valued transitions; the check
-    walks the transition tables instead of trusting the type.
-    """
-    for n in a.base.nodes:
-        words = enumerate_words(a.base, n, max_len)
-        for q in a.fibers[n]:
-            for w in words:
-                at = q
-                lifts = 1
-                for e in w.path(a.base):
-                    table = a.transitions.get(e.id, {})
-                    if at not in table:
-                        lifts = 0
-                        break
-                    at = table[at]
-                if lifts != 1:
-                    return False
-    return True
-
-
-def ulf_factorization_check(a: SpanAutomaton, max_len: int) -> bool:
-    """Every run over w = u.v splits uniquely into runs over u and over v.
-
-    Verified by explicit enumeration of candidate splits rather than by
-    appeal to the fibered representation.
-    """
-    for n in a.base.nodes:
-        for w in enumerate_words(a.base, n, max_len):
-            path = w.path(a.base)
-            for q in a.fibers[n]:
-                for _, run in _lifts(a, q, path):
-                    for k in range(len(path) + 1):
-                        u, v = path[:k], path[k:]
-                        found = 0
-                        for mid, beta in _lifts(a, q, u):
-                            for _, gamma in _lifts(a, mid, v):
-                                if beta + gamma == run:
-                                    found += 1
-                        if found != 1:
-                            return False
-    return True
-
-
-def is_deterministic(a: RelAutomaton) -> bool:
-    """Whether every transition relation is a total single-valued function."""
+def is_deterministic(a) -> bool:
+    """Whether every transition is a total function: one successor per state, with count 1."""
     for e in a.base.edges:
-        rel = a.transitions[e.id]
+        rows = a.rows(e.id)
         for q in a.fibers[e.src]:
-            if len(rel(q)) != 1:
+            row = rows.get(q, ())
+            if len(row) != 1 or row[0][1] != 1:
                 return False
     return True
+
+
+def unique_lift_check(a) -> bool:
+    """Every word from every state lifts to exactly one run.
+
+    Over a free base category this is decided on generators: by induction
+    on the word's length it holds exactly when every edge sends each state
+    of its source fiber to one successor, with count 1.
+    """
+    return is_deterministic(a)
+
+
+def ulf_factorization_check(a) -> bool:
+    """Every run over w = u.v splits uniquely into runs over u and over v.
+
+    A run is a sequence of transitions, each of which fixes its endpoint
+    states, so the split after the k-th transition is the only split at
+    k: the property holds exactly when the automaton is well formed.
+    """
+    return not validate(a)
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +559,7 @@ def span_automaton_of_rel(a: RelAutomaton) -> SpanAutomaton:
 
 def rel_automaton_of_det(a: DetAutomaton) -> RelAutomaton:
     """View a deterministic automaton relationally (graphs of its functions)."""
-    return RelAutomaton(
-        a.base,
-        a.fibers,
-        {
-            e.id: Relation(a.fibers[e.src], a.fibers[e.dst], {(q, t) for q, t in a.transitions[e.id].items()})
-            for e in a.base.edges
-        },
-        a.initial,
-        a.finals,
-    )
+    return RelAutomaton(a.base, a.fibers, {e.id: a.support(e.id) for e in a.base.edges}, a.initial, a.finals)
 
 
 def to_det_automaton(a: RelAutomaton) -> DetAutomaton:

@@ -11,14 +11,13 @@ import argparse
 import sys
 
 from .spans import POWERSET_CAP
-from .automata import SpanAutomaton, RelAutomaton, DetAutomaton, validate, accepted_counts
+from .automata import validate, accepted_counts
 from .determinize import (
     ClassicalNFA,
     classical_subset_construction,
     det,
     mdet,
     mdet_expand,
-    rel_of,
     span_automaton_of_classical,
 )
 from .io import (
@@ -33,23 +32,15 @@ from .io import (
 )
 from .laws import run_all_laws
 from .simulation import check_rel_simulation, check_span_simulation, factor_det, factor_mdet
-from .automata import span_automaton_of_rel, rel_automaton_of_det
 
 
 class CheckFailed(Exception):
     pass
 
 
-def _as_span_automaton(a):
-    if isinstance(a, SpanAutomaton):
-        return a
-    if isinstance(a, RelAutomaton):
-        return span_automaton_of_rel(a)
-    if isinstance(a, DetAutomaton):
-        return span_automaton_of_rel(rel_automaton_of_det(a))
-    if isinstance(a, ClassicalNFA):
-        return span_automaton_of_classical(a)
-    raise DocumentError("kind", f"unsupported automaton type {type(a).__name__}")
+def _fibered(a):
+    """A document's automaton, with a classical NFA read over the one-node base."""
+    return span_automaton_of_classical(a) if isinstance(a, ClassicalNFA) else a
 
 
 def cmd_validate(args) -> int:
@@ -66,17 +57,14 @@ def cmd_validate(args) -> int:
 
 def cmd_det(args) -> int:
     a = load_automaton(args.file)
-    if isinstance(a, SpanAutomaton):
-        a = rel_of(a)
-    if not isinstance(a, RelAutomaton):
+    if a.kind not in ("span", "rel"):
         raise DocumentError("kind", "det expects a span or rel document")
     sys.stdout.write(serialize_automaton(det(a, args.powerset_cap, prune=args.prune)))
     return 0
 
 
 def cmd_mdet(args) -> int:
-    a = _as_span_automaton(load_automaton(args.file))
-    machine = mdet(a)
+    machine = mdet(_fibered(load_automaton(args.file)))
     if args.expand:
         expansion = mdet_expand(machine, args.max_states, args.max_len)
         sys.stdout.write(serialize_expanded(expansion))
@@ -94,9 +82,7 @@ def cmd_classical(args) -> int:
 
 
 def cmd_lang(args) -> int:
-    a = load_automaton(args.file)
-    if isinstance(a, ClassicalNFA):
-        a = span_automaton_of_classical(a)
+    a = _fibered(load_automaton(args.file))
     labels = {e.id: e.label for e in a.base.edges}
     # labels are unique per (src, dst) but may repeat across pairs; words
     # whose label string is shared by another word get their edge ids shown

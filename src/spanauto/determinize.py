@@ -33,11 +33,9 @@ from .spans import (
     Multiset,
     Span,
     Token,
-    image,
     multiset_extend,
     subset_label,
     subsets_of,
-    to_matrix,
 )
 from .automata import (
     BaseGraph,
@@ -46,6 +44,7 @@ from .automata import (
     RelAutomaton,
     SpanAutomaton,
     Word,
+    _FiberedAutomaton,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "prune_reachable",
     "reachable_iso_check",
     "subset_state_label",
-    "multiset_state_label",
     "expansion_state_label",
 ]
 
@@ -76,6 +74,8 @@ class ClassicalNFA:
     construction on this shape is the independent yardstick the
     categorical pipeline is compared against.
     """
+
+    kind = "classical-nfa"
 
     alphabet: tuple[str, ...]
     states: FinSet
@@ -113,15 +113,9 @@ class ClassicalNFA:
 # powerset pipeline
 
 
-def rel_of(a: SpanAutomaton) -> RelAutomaton:
-    """Forget multiplicities: replace every transition span by its image."""
-    return RelAutomaton(
-        a.base,
-        a.fibers,
-        {e.id: image(a.transitions[e.id]) for e in a.base.edges},
-        a.initial,
-        a.finals,
-    )
+def rel_of(a) -> RelAutomaton:
+    """Forget multiplicities: replace every transition by its support relation."""
+    return RelAutomaton(a.base, a.fibers, {e.id: a.support(e.id) for e in a.base.edges}, a.initial, a.finals)
 
 
 def subset_state_label(node: str, members, multi_node: bool) -> str:
@@ -134,8 +128,8 @@ def subset_state_label(node: str, members, multi_node: bool) -> str:
     return f"{node}:{lbl}" if multi_node else lbl
 
 
-def det(a: RelAutomaton, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomaton:
-    """Powerset determinization, fiber by fiber.
+def det(a, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomaton:
+    """Powerset determinization, fiber by fiber, of the transitions' supports.
 
     Without ``prune`` every subset of every fiber becomes a state,
     including the empty one.  With ``prune`` only the subsets reachable
@@ -157,21 +151,22 @@ def det(a: RelAutomaton, powerset_cap: int = POWERSET_CAP, prune: bool = False) 
     return _subset_construction(a, order, seeds)
 
 
-def _subset_construction(a: RelAutomaton, order: Mapping[str, list[str]],
+def _subset_construction(a, order: Mapping[str, list[str]],
                          seeds: list[tuple[str, int]]) -> DetAutomaton:
     """Close the (distinct) seed subsets under every edge's direct image.
 
     A subset of node n's fiber is an int whose bit i stands for
     ``order[n][i]``, the fiber's states in string order.  Each edge keeps
-    one successor mask per source state, and a subset steps to the OR of
-    its members' masks.  Fibers list the reached subsets by size, then by
-    sorted members, which is the ``subsets_of`` order restricted to them.
+    one successor mask per source state, read from the edge's support, and
+    a subset steps to the OR of its members' masks.  Fibers list the
+    reached subsets by size, then by sorted members, which is the
+    ``subsets_of`` order restricted to them.
     """
     pos = {n: {q: i for i, q in enumerate(order[n])} for n in a.base.nodes}
     succ = {}
     for e in a.base.edges:
         masks = [0] * len(order[e.src])
-        for q, t in a.transitions[e.id].pairs:
+        for q, t in a.support(e.id).pairs:
             masks[pos[e.src][q]] |= 1 << pos[e.dst][t]
         succ[e.id] = masks
     out_edges = {n: a.base.out_edges(n) for n in a.base.nodes}
@@ -214,23 +209,17 @@ def _subset_construction(a: RelAutomaton, order: Mapping[str, list[str]],
 
 
 def det_span(a: SpanAutomaton, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomaton:
-    """Full powerset pipeline for span automata: image first, then det."""
-    return det(rel_of(a), powerset_cap, prune)
+    """Full powerset pipeline for span automata: ``det`` of the image relations."""
+    return det(a, powerset_cap, prune)
 
 
 # ---------------------------------------------------------------------------
 # multiset pipeline
 
 
-def mdet(a: SpanAutomaton) -> MDetMachine:
+def mdet(a) -> MDetMachine:
     """Multiset determinization: transition matrices plus the unit start vector."""
-    return MDetMachine(
-        a.base,
-        a.fibers,
-        {e.id: to_matrix(a.transitions[e.id]) for e in a.base.edges},
-        a.initial,
-        a.finals,
-    )
+    return MDetMachine(a.base, a.fibers, {e.id: a.matrix(e.id) for e in a.base.edges}, a.initial, a.finals)
 
 
 def mdet_run(m: MDetMachine, w: Word) -> Multiset:
@@ -255,11 +244,6 @@ def mdet_accept_count(m: MDetMachine, w: Word) -> int:
     return sum(v[q] for q in m.finals if q in v.base)
 
 
-def multiset_state_label(v: Multiset) -> str:
-    """Canonical label of a multiset state: counts in fiber order."""
-    return _count_vector_label("", v.vector(), False)
-
-
 def expansion_state_label(node: str, v: Multiset, multi_node: bool) -> str:
     """Label of an expanded machine state, node-qualified like subset states."""
     return _count_vector_label(node, v.vector(), multi_node)
@@ -271,7 +255,7 @@ def _count_vector_label(node: str, vec: tuple[int, ...], multi_node: bool) -> st
 
 
 @dataclass(frozen=True)
-class ExpandedMachine:
+class ExpandedMachine(_FiberedAutomaton):
     """A bounded explicit view of a multiset machine.
 
     States are the multisets discovered breadth first from the start
@@ -281,6 +265,8 @@ class ExpandedMachine:
     names the bounds that cut the expansion short: ``"max_states"``,
     ``"max_len"``, both, or none.
     """
+
+    kind = "mdet-expanded"
 
     base: BaseGraph
     fibers: Mapping[str, FinSet]
@@ -314,8 +300,8 @@ def mdet_expand(
     canonical state labels, so the output is deterministic.
 
     The closure runs on count vectors: a state is a tuple of ints in
-    fiber order, keyed with its node, and each edge matrix is read once
-    into sparse rows by source position.  A step walks only the nonzero
+    fiber order, keyed with its node, and each edge's count rows are read
+    once into lists by source position.  A step walks only the nonzero
     counts of the vector and their rows.  A state's label and accept count
     are computed once, when it is first reached, and its ``Multiset`` is
     built at the end.  Seeds must be multisets over their node's fiber.
@@ -327,12 +313,9 @@ def mdet_expand(
     final_pos = {n: [i for i, q in enumerate(order[n]) if q in m.finals] for n in m.base.nodes}
     rows: dict[str, list[list[tuple[int, int]]]] = {}
     for e in m.base.edges:
-        src_pos = {q: i for i, q in enumerate(order[e.src])}
-        dst_pos = {q: j for j, q in enumerate(order[e.dst])}
-        by_src: list[list[tuple[int, int]]] = [[] for _ in order[e.src]]
-        for (a, b), u in m.matrices[e.id].entries.items():
-            by_src[src_pos[a]].append((dst_pos[b], u))
-        rows[e.id] = by_src
+        dst_pos = m.fibers[e.dst].index
+        view = m.rows(e.id)
+        rows[e.id] = [[(dst_pos(b), u) for b, u in view.get(a, ())] for a in order[e.src]]
     out_edges = {n: [(e.id, e.dst, len(order[e.dst])) for e in m.base.out_edges(n)] for n in m.base.nodes}
 
     label_of: dict[tuple[str, tuple[int, ...]], str] = {}
@@ -467,15 +450,11 @@ def classical_subset_construction(n: ClassicalNFA, node: str = "s") -> DetAutoma
 
 def prune_reachable(d: DetAutomaton) -> DetAutomaton:
     """Restrict to states reachable from the initial state by any word."""
-    node_of: dict[str, str] = {}
-    for n in d.base.nodes:
-        for q in d.fibers[n]:
-            node_of[q] = n
     reached = {d.initial}
     frontier = [d.initial]
     while frontier:
         q = frontier.pop()
-        for e in d.base.out_edges(node_of[q]):
+        for e in d.base.out_edges(d.node_of(q)):
             t = d.transitions[e.id][q]
             if t not in reached:
                 reached.add(t)
@@ -509,10 +488,6 @@ def reachable_iso_check(d1: DetAutomaton, d2: DetAutomaton) -> Optional[dict[str
     if {(e.src, e.dst, e.label) for e in d1.base.edges} != {(e.src, e.dst, e.label) for e in d2.base.edges}:
         return None
     p1, p2 = prune_reachable(d1), prune_reachable(d2)
-    node_of: dict[str, str] = {}
-    for n in p1.base.nodes:
-        for q in p1.fibers[n]:
-            node_of[q] = n
     mapping: dict[str, str] = {p1.initial: p2.initial}
     frontier = [p1.initial]
     while frontier:
@@ -520,7 +495,7 @@ def reachable_iso_check(d1: DetAutomaton, d2: DetAutomaton) -> Optional[dict[str
         r = mapping[q]
         if (q in p1.finals) != (r in p2.finals):
             return None
-        for e in p1.base.out_edges(node_of[q]):
+        for e in p1.base.out_edges(p1.node_of(q)):
             qt = p1.transitions[e.id][q]
             rt = p2.transitions[edge_match[e.id]][r]
             if qt in mapping:

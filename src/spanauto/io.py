@@ -322,6 +322,24 @@ def _sorted_finals(a) -> list[str]:
     return order
 
 
+def _transition_entries(a) -> dict[str, list[dict]]:
+    """Each edge's count rows as document entries, in fiber order; only spans write counts."""
+    counted = a.kind == "span"
+    transitions = {}
+    for e in a.base.edges:
+        rows = a.rows(e.id)
+        dst_order = a.fibers[e.dst].index
+        entries = []
+        for src in a.fibers[e.src]:
+            row = rows.get(src, ())
+            if len(row) > 1:
+                row = sorted(row, key=lambda p: dst_order(p[0]))
+            for dst, count in row:
+                entries.append({"from": src, "to": dst, "count": count} if counted else {"from": src, "to": dst})
+        transitions[e.id] = entries
+    return transitions
+
+
 def serialize_automaton(a: AnyDocumentAutomaton) -> str:
     """Canonical JSON text of an automaton."""
     if isinstance(a, ClassicalNFA):
@@ -342,44 +360,16 @@ def serialize_automaton(a: AnyDocumentAutomaton) -> str:
                 "finals": [q for q in a.states if q in a.finals],
             }
         )
-    if isinstance(a, SpanAutomaton):
-        kind = "span"
-    elif isinstance(a, RelAutomaton):
-        kind = "rel"
-    elif isinstance(a, DetAutomaton):
-        kind = "det"
-    else:
+    kind = getattr(a, "kind", None)
+    if kind not in ("span", "rel", "det"):
         raise TypeError(f"cannot serialize {type(a).__name__} as an automaton document")
-    transitions = {}
-    for e in a.base.edges:
-        src_order = a.fibers[e.src].index
-        dst_order = a.fibers[e.dst].index
-        if kind == "span":
-            counts: dict[tuple[str, str], int] = {}
-            for t in a.transitions[e.id].apex:
-                counts[(t.left, t.right)] = counts.get((t.left, t.right), 0) + 1
-            entries = [
-                {"from": src, "to": dst, "count": counts[(src, dst)]}
-                for src, dst in sorted(counts, key=lambda p: (src_order(p[0]), dst_order(p[1])))
-            ]
-        elif kind == "rel":
-            entries = [
-                {"from": src, "to": dst}
-                for src, dst in sorted(a.transitions[e.id].pairs, key=lambda p: (src_order(p[0]), dst_order(p[1])))
-            ]
-        else:
-            entries = [
-                {"from": q, "to": a.transitions[e.id][q]}
-                for q in a.fibers[e.src]
-            ]
-        transitions[e.id] = entries
     return _dump(
         {
             "format_version": FORMAT_VERSION,
             "kind": kind,
             "base": _base_doc(a.base),
             "fibers": {n: list(a.fibers[n].elements) for n in a.base.nodes},
-            "transitions": transitions,
+            "transitions": _transition_entries(a),
             "initial": a.initial,
             "finals": _sorted_finals(a),
         }
@@ -412,13 +402,7 @@ def serialize_expanded(x: ExpandedMachine) -> str:
             "kind": "mdet-expanded",
             "base": _base_doc(x.base),
             "states": states,
-            "transitions": {
-                e.id: [
-                    {"from": src, "to": dst}
-                    for src, dst in sorted(x.transitions[e.id].items(), key=lambda p: x.fibers[e.src].index(p[0]))
-                ]
-                for e in x.base.edges
-            },
+            "transitions": _transition_entries(x),
             "initial": x.initial,
             "finals": sorted(x.finals),
             "truncated": x.truncated,
@@ -511,23 +495,9 @@ def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,
 
     components = {}
     for n in sim.source.base.nodes:
-        comp = sim.components[n]
         src_order = sim.target.fibers[n].index
         dst_order = sim.source.fibers[n].index
-        if isinstance(comp, Span):
-            counts: dict[tuple[str, str], int] = {}
-            for t in comp.apex:
-                counts[(t.left, t.right)] = counts.get((t.left, t.right), 0) + 1
-            entries = [
-                {"from": src, "to": dst, "count": counts[(src, dst)]}
-                for src, dst in sorted(counts, key=lambda p: (src_order(p[0]), dst_order(p[1])))
-            ]
-        else:
-            entries = [
-                {"from": src, "to": dst}
-                for src, dst in sorted(comp.pairs, key=lambda p: (src_order(p[0]), dst_order(p[1])))
-            ]
-        components[n] = entries
+        components[n] = _component_entries(sim.components[n], lambda p: (src_order(p[0]), dst_order(p[1])))
     return _dump(
         {
             "format_version": FORMAT_VERSION,
@@ -540,22 +510,19 @@ def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,
     )
 
 
+def _component_entries(comp: Union[Relation, Span], key) -> list[dict]:
+    """Document entries of a simulation component in ``key`` order; spans carry counts."""
+    if isinstance(comp, Relation):
+        return [{"from": src, "to": dst} for src, dst in sorted(comp.pairs, key=key)]
+    counts: dict[tuple[str, str], int] = {}
+    for t in comp.apex:
+        counts[(t.left, t.right)] = counts.get((t.left, t.right), 0) + 1
+    return [{"from": src, "to": dst, "count": counts[(src, dst)]} for src, dst in sorted(counts, key=key)]
+
+
 def serialize_factorization(result) -> str:
     mate = result.mate
-    components = {}
-    for n in mate.source.base.nodes:
-        comp = mate.components[n]
-        if isinstance(comp, Span):
-            counts: dict[tuple[str, str], int] = {}
-            for t in comp.apex:
-                counts[(t.left, t.right)] = counts.get((t.left, t.right), 0) + 1
-            entries = [
-                {"from": src, "to": dst, "count": c}
-                for (src, dst), c in sorted(counts.items())
-            ]
-        else:
-            entries = [{"from": src, "to": dst} for src, dst in sorted(comp.pairs)]
-        components[n] = entries
+    components = {n: _component_entries(mate.components[n], None) for n in mate.source.base.nodes}
     return _dump(
         {
             "format_version": FORMAT_VERSION,

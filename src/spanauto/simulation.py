@@ -16,8 +16,9 @@ Strength grades how strictly the squares must commute:
 Over fixed feet such a map exists exactly when the support of one
 counting matrix lies inside the other's, and it is an isomorphism exactly
 when the matrices are equal, so every span-level square is decided on
-sparse matrix products.  Token composites and their apex maps are built
-only as optional witnesses of squares that already passed.
+sparse products of the automata's counting matrices.  Token composites
+and their apex maps are built only as optional witnesses of squares that
+already passed.
 
 ``factor_det`` and ``factor_mdet`` split a simulation into a determinized
 target through the canonical simulation, reporting which of the expected
@@ -160,50 +161,26 @@ class FactorizationResult:
 
 # ---------------------------------------------------------------------------
 # views of transitions and components
+#
+# The checks read every automaton kind through its count rows: a span
+# square through ``a.matrix(edge_id)``, a relation square through
+# ``a.support(edge_id)``.  Only witnesses need tokens.
 
 
 def transition_span(a: AnyAutomaton, edge_id: str) -> Span:
-    """The transition of an edge, viewed as a span."""
-    if isinstance(a, SpanAutomaton):
-        return a.transitions[edge_id]
-    if isinstance(a, RelAutomaton):
-        return from_relation(a.transitions[edge_id])
-    if isinstance(a, MDetMachine):
-        return from_matrix(a.matrices[edge_id])
+    """The transition of an edge as a token span, built from its own storage.
+
+    Witnesses use it, and tests use it as the oracle for the count rows.
+    """
+    t = a.transitions[edge_id]
+    if isinstance(t, Span):
+        return t
+    if isinstance(t, Relation):
+        return from_relation(t)
+    if isinstance(t, NatMatrix):
+        return from_matrix(t)
     e = a.base.edge(edge_id)
-    table = a.transitions[edge_id]
-    return Span(
-        a.fibers[e.src],
-        a.fibers[e.dst],
-        [Token(f"({q}->{t})", q, t) for q, t in table.items()],
-    )
-
-
-def _transition_matrix(a: AnyAutomaton, edge_id: str) -> NatMatrix:
-    """The counting matrix of an edge's transition, without building tokens."""
-    if isinstance(a, SpanAutomaton):
-        return to_matrix(a.transitions[edge_id])
-    if isinstance(a, MDetMachine):
-        return a.matrices[edge_id]
-    e = a.base.edge(edge_id)
-    if isinstance(a, RelAutomaton):
-        pairs = a.transitions[edge_id].pairs
-    else:
-        pairs = a.transitions[edge_id].items()
-    return NatMatrix._trusted(a.fibers[e.src], a.fibers[e.dst], {p: 1 for p in pairs})
-
-
-def transition_relation(a: AnyAutomaton, edge_id: str) -> Relation:
-    """The support of an edge's transition, without building tokens."""
-    if isinstance(a, RelAutomaton):
-        return a.transitions[edge_id]
-    if isinstance(a, SpanAutomaton):
-        return image(a.transitions[edge_id])
-    if isinstance(a, MDetMachine):
-        m = a.matrices[edge_id]
-        return Relation._trusted(m.dom, m.cod, frozenset(m.entries))
-    e = a.base.edge(edge_id)
-    return Relation._trusted(a.fibers[e.src], a.fibers[e.dst], frozenset(a.transitions[edge_id].items()))
+    return Span(a.fibers[e.src], a.fibers[e.dst], [Token(f"({q}->{r})", q, r) for q, r in t.items()])
 
 
 def component_span(sim: Simulation, node: str) -> Span:
@@ -262,8 +239,8 @@ def check_rel_simulation(sim: Simulation) -> CheckResult:
             raise ValueError("relation-level check requires relational or deterministic automata")
     base = sim.source.base
     for e in base.edges:
-        lhs = compose_relations(component_relation(sim, e.src), transition_relation(sim.source, e.id))
-        rhs = compose_relations(transition_relation(sim.target, e.id), component_relation(sim, e.dst))
+        lhs = compose_relations(component_relation(sim, e.src), sim.source.support(e.id))
+        rhs = compose_relations(sim.target.support(e.id), component_relation(sim, e.dst))
         if lhs != rhs:
             only_l = sorted(lhs.pairs - rhs.pairs)
             only_r = sorted(rhs.pairs - lhs.pairs)
@@ -273,16 +250,7 @@ def check_rel_simulation(sim: Simulation) -> CheckResult:
     return CheckResult(True)
 
 
-def _edge_row_restriction(sim: Simulation) -> dict[str, Optional[set[str]]]:
-    """Rows to keep per edge when the target is a truncated expansion."""
-    if isinstance(sim.target, ExpandedMachine):
-        return {e.id: set(sim.target.transitions[e.id].keys()) for e in sim.target.base.edges}
-    return {e.id: None for e in sim.source.base.edges}
-
-
-def _restrict_rows(m: NatMatrix, rows: Optional[set[str]]) -> NatMatrix:
-    if rows is None:
-        return m
+def _restrict_rows(m: NatMatrix, rows: Mapping[str, object]) -> NatMatrix:
     return NatMatrix._trusted(m.dom, m.cod, {k: n for k, n in m.entries.items() if k[0] in rows})
 
 
@@ -294,7 +262,9 @@ def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) ->
     counting matrices: pseudo asks for the two sparse products to be
     equal, lax for the support of the first to lie inside the second's.
     When the target is a bounded expansion, rows without recorded
-    transitions are left out of both sides of each square.  With
+    transitions are left out of both sides of each square: the target's
+    count rows hold only the recorded ones, so the component on the
+    source's side is restricted to them.  With
     ``witnesses=True`` a passing check also builds, per edge, the token
     composites and an apex map between them (an isomorphism in pseudo
     mode); that is the only part whose cost follows the apex sizes.
@@ -302,12 +272,12 @@ def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) ->
     if mode not in ("lax", "pseudo"):
         raise ValueError(f"span check mode must be 'lax' or 'pseudo', not {mode!r}")
     base = sim.source.base
-    rows_by_edge = _edge_row_restriction(sim)
+    partial = isinstance(sim.target, ExpandedMachine)
     components = {n: to_matrix(component_span(sim, n)) for n in base.nodes}
     for e in base.edges:
-        rows = rows_by_edge[e.id]
-        lm = matrix_compose(_restrict_rows(components[e.src], rows), _transition_matrix(sim.source, e.id))
-        rm = matrix_compose(_restrict_rows(_transition_matrix(sim.target, e.id), rows), components[e.dst])
+        comp = _restrict_rows(components[e.src], sim.target.rows(e.id)) if partial else components[e.src]
+        lm = matrix_compose(comp, sim.source.matrix(e.id))
+        rm = matrix_compose(sim.target.matrix(e.id), components[e.dst])
         ok = lm == rm if mode == "pseudo" else set(lm.entries) <= set(rm.entries)
         if not ok:
             differences = tuple(sorted(
@@ -320,19 +290,18 @@ def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) ->
                                differences=differences)
     if not witnesses:
         return CheckResult(True)
-    found = {e.id: _square_witness(sim, e, rows_by_edge[e.id], mode) for e in base.edges}
+    found = {e.id: _square_witness(sim, e, partial, mode) for e in base.edges}
     return CheckResult(True, witnesses=found)
 
 
-def _square_witness(sim: Simulation, e: Edge, rows: Optional[set[str]], mode: str) -> SpanMorphism:
+def _square_witness(sim: Simulation, e: Edge, partial: bool, mode: str) -> SpanMorphism:
     """The apex map of a passing square, between its token composites."""
     comp = component_span(sim, e.src)
-    tgt_tr = transition_span(sim.target, e.id)
-    if rows is not None:
-        comp = Span(comp.dom, comp.cod, [t for t in comp.apex if t.left in rows])
-        tgt_tr = Span(tgt_tr.dom, tgt_tr.cod, [t for t in tgt_tr.apex if t.left in rows])
+    if partial:
+        recorded = sim.target.rows(e.id)
+        comp = Span(comp.dom, comp.cod, [t for t in comp.apex if t.left in recorded])
     lhs = compose_spans(comp, transition_span(sim.source, e.id))
-    rhs = compose_spans(tgt_tr, component_span(sim, e.dst))
+    rhs = compose_spans(transition_span(sim.target, e.id), component_span(sim, e.dst))
     return span_morphism_search(lhs, rhs, iso_required=(mode == "pseudo"))
 
 
@@ -435,7 +404,7 @@ def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP,
         declared = check_span_simulation(alpha, alpha.strength, witnesses=False)
         if not declared.ok:
             raise ValueError(f"alpha fails its declared {alpha.strength!r} check: {declared.detail}")
-    rel_f = rel_of(f) if isinstance(f, SpanAutomaton) else f
+    rel_f = rel_of(f)
     rel_alpha = Simulation(
         rel_f,
         g,
@@ -446,7 +415,7 @@ def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP,
     if not natural.ok:
         raise ValueError(f"alpha is not natural at the relation level: {natural.detail}")
 
-    d = det_span(f, powerset_cap) if isinstance(f, SpanAutomaton) else det(f, powerset_cap)
+    d = det(f, powerset_cap)
     multi = len(f.base.nodes) > 1
     mate_components = {}
     for n in f.base.nodes:

@@ -60,9 +60,10 @@ __all__ = [
     "span_morphism_search",
 ]
 
-# Powerset tables and determinized fibers above this many generators are
-# refused rather than materialized (also the CLI's --powerset-cap default);
-# callers that only need evaluation use PowersetMap lazily.
+# Powersets (``powerset_finset``, ``PowersetMap.table``) and determinized
+# fibers above this many generators are refused rather than materialized
+# (also the CLI's --powerset-cap default); a PowersetMap evaluates one
+# subset at a time at any size.
 POWERSET_CAP = 20
 
 
@@ -307,12 +308,6 @@ class Multiset:
             raise ValueError("multiset sum over different base sets")
         keys = set(self.counts) | set(other.counts)
         return Multiset(self.base, {x: self[x] + other[x] for x in keys})
-
-    def scale(self, n: int) -> "Multiset":
-        return Multiset(self.base, {x: n * c for x, c in self.counts.items()})
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def vector(self) -> tuple[int, ...]:
         """Counts in canonical base order."""

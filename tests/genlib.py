@@ -1,14 +1,16 @@
-"""Seeded random automata for the acceptance suite.
+"""Seeded random automata for the acceptance suite, and enumerating oracles.
 
 The span-automaton generator rejects draws whose word or run counts up
 to the probe length would make exhaustive checking slow; everything else
-about the draw is uniform within the stated bounds.
+about the draw is uniform within the stated bounds.  The oracles decide
+unique lifting and unique factorization of runs by enumerating words up
+to a length, independently of the structural checks in ``automata``.
 """
 
 import random
 
 from spanauto.spans import FinSet, Span, Token
-from spanauto.automata import BaseGraph, SpanAutomaton
+from spanauto.automata import BaseGraph, SpanAutomaton, enumerate_words
 from spanauto.determinize import ClassicalNFA
 
 LETTERS = "abc"
@@ -94,3 +96,54 @@ def random_span_automaton(rng: random.Random, max_nodes: int = 3, max_states: in
         a = _draw_span_automaton(rng, max_nodes, max_states, max_edges_per_pair, max_mult)
         if _probe(a, probe_len, word_cap, path_cap) is not None:
             return a
+
+
+# ---------------------------------------------------------------------------
+# enumerating oracles for the structural lifting checks
+
+
+def _lifts(a, from_state, path):
+    """Runs from a state along a path, token by token: (end state, token labels)."""
+    runs = [(from_state, ())]
+    for e in path:
+        span = a.transitions[e.id]
+        runs = [(t.right, seq + (t.label,)) for (q, seq) in runs for t in span.apex if t.left == q]
+    return runs
+
+
+def enumerated_unique_lift(a, max_len: int) -> bool:
+    """Every word up to ``max_len`` from every state of a table automaton lifts to exactly one run."""
+    for n in a.base.nodes:
+        words = enumerate_words(a.base, n, max_len)
+        for q in a.fibers[n]:
+            for w in words:
+                at = q
+                lifts = 1
+                for e in w.path(a.base):
+                    table = a.transitions.get(e.id, {})
+                    if at not in table:
+                        lifts = 0
+                        break
+                    at = table[at]
+                if lifts != 1:
+                    return False
+    return True
+
+
+def enumerated_ulf_factorization(a, max_len: int) -> bool:
+    """Every run of a span automaton over w = u.v, |w| <= max_len, splits uniquely into runs over u and v."""
+    for n in a.base.nodes:
+        for w in enumerate_words(a.base, n, max_len):
+            path = w.path(a.base)
+            for q in a.fibers[n]:
+                for _, run in _lifts(a, q, path):
+                    for k in range(len(path) + 1):
+                        u, v = path[:k], path[k:]
+                        found = 0
+                        for mid, beta in _lifts(a, q, u):
+                            for _, gamma in _lifts(a, mid, v):
+                                if beta + gamma == run:
+                                    found += 1
+                        if found != 1:
+                            return False
+    return True

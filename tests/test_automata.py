@@ -30,6 +30,8 @@ from spanauto.automata import (
 from spanauto.determinize import det_span, rel_of, span_automaton_of_classical
 from spanauto.fixtures import two_phase_example, two_state_example
 
+from genlib import enumerated_ulf_factorization, enumerated_unique_lift
+
 
 def words_as_strings(ws, base):
     return ["".join(w.labels(base)) for w in ws]
@@ -62,6 +64,29 @@ class TestValidate:
         q = FinSet("Q", ["1"])
         bad = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [])}, "9", set())
         assert validate(bad) == ["initial state '9' lies in no fiber"]
+
+    def test_messages_per_kind(self):
+        from spanauto.automata import MDetMachine
+        from spanauto.spans import NatMatrix, multiset_unit
+
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        q = FinSet("Q", ["1", "2"])
+        other = FinSet("O", ["9"])
+        table = DetAutomaton(base, {"n": q}, {"e": {"1": "7", "8": "1"}}, "1", set())
+        assert validate(table) == [
+            "transition of edge 'e' is not total: missing '2'",
+            "transition of edge 'e' sends '1' outside the target fiber",
+            "transition of edge 'e' maps foreign state '8'",
+        ]
+        assert validate(RelAutomaton(base, {"n": q}, {"e": Relation(other, q)}, "1", set())) == [
+            "transition relation of edge 'e' does not match the endpoint fibers"
+        ]
+        assert validate(SpanAutomaton(base, {"n": q}, {}, "1", set())) == ["edge 'e' has no transition"]
+        machine = MDetMachine(base, {"n": q}, {"e": NatMatrix(q, other)}, "1", set(), multiset_unit(q, "2"))
+        assert validate(machine) == [
+            "transition matrix of edge 'e' does not match the endpoint fibers",
+            "initial vector is not the unit at the initial state",
+        ]
 
 
 class TestEnumerateWords:
@@ -258,28 +283,48 @@ class TestAcceptedCounts:
 class TestUniqueLift:
     def test_determinization_has_unique_lifts(self):
         d = det_span(two_state_example())
-        assert unique_lift_check(d, 4)
+        assert unique_lift_check(d)
+        assert enumerated_unique_lift(d, 4)
 
     def test_partial_table_reinterpreted_fails(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1", "2"])
         # state 2 has no image, as if a non-total relation were reread as a function
         broken = DetAutomaton(base, {"n": q}, {"e": {"1": "2"}}, "1", {"2"})
-        assert not unique_lift_check(broken, 2)
+        assert not unique_lift_check(broken)
+        assert not enumerated_unique_lift(broken, 2)
+
+    def test_parallel_transitions_fail(self):
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        q = FinSet("Q", ["1"])
+        single = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1")])}, "1", {"1"})
+        loop = Span(q, q, [Token("u", "1", "1"), Token("v", "1", "1")])
+        doubled = SpanAutomaton(base, {"n": q}, {"e": loop}, "1", {"1"})
+        assert unique_lift_check(single)
+        assert not unique_lift_check(doubled)
 
     def test_total_functions_pass(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1", "2"])
         d = DetAutomaton(base, {"n": q}, {"e": {"1": "2", "2": "2"}}, "1", {"2"})
-        assert unique_lift_check(d, 4)
+        assert unique_lift_check(d)
+        assert enumerated_unique_lift(d, 4)
 
 
 class TestUlfFactorization:
+    def test_malformed_automaton_fails(self):
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        q = FinSet("Q", ["1"])
+        other = FinSet("O", ["9"])
+        assert not ulf_factorization_check(SpanAutomaton(base, {"n": q}, {"e": Span(other, other, [])}, "1", set()))
+
     def test_fixture(self):
-        assert ulf_factorization_check(two_state_example(), 3)
+        assert ulf_factorization_check(two_state_example())
+        assert enumerated_ulf_factorization(two_state_example(), 3)
 
     def test_single_edge_words(self):
-        assert ulf_factorization_check(two_phase_example(), 1)
+        assert ulf_factorization_check(two_phase_example())
+        assert enumerated_ulf_factorization(two_phase_example(), 1)
 
     def test_multiplicity_two_span(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
@@ -291,7 +336,8 @@ class TestUlfFactorization:
             "1",
             {"1"},
         )
-        assert ulf_factorization_check(doubled, 3)
+        assert ulf_factorization_check(doubled)
+        assert enumerated_ulf_factorization(doubled, 3)
 
     def test_random_small_automata(self):
         import random
@@ -300,7 +346,8 @@ class TestUlfFactorization:
         rng = random.Random(77)
         for _ in range(10):
             a = random_span_automaton(rng, max_nodes=2, max_states=3, word_cap=150, path_cap=300)
-            assert ulf_factorization_check(a, 3)
+            assert ulf_factorization_check(a)
+            assert enumerated_ulf_factorization(a, 3)
 
 
 class TestIsDeterministic:

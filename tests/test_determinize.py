@@ -33,6 +33,8 @@ from spanauto.determinize import (
 )
 from spanauto.fixtures import two_phase_example, two_state_classical, two_state_example
 
+from genlib import enumerated_unique_lift
+
 
 class TestRelOf:
     def test_fixture_relations(self):
@@ -100,8 +102,9 @@ class TestDet:
                 det_span(a, powerset_cap=5, prune=prune)
 
     def test_passes_unique_lift(self):
-        assert unique_lift_check(det_span(two_state_example()), 4)
-        assert unique_lift_check(det_span(two_phase_example()), 3)
+        for a, max_len in ((two_state_example(), 4), (two_phase_example(), 3)):
+            assert unique_lift_check(det_span(a))
+            assert enumerated_unique_lift(det_span(a), max_len)
 
     def test_random_determinizations_pass_unique_lift(self):
         import random
@@ -110,7 +113,8 @@ class TestDet:
         rng = random.Random(78)
         for _ in range(10):
             a = random_span_automaton(rng, max_nodes=2, max_states=3, word_cap=150, path_cap=300)
-            assert unique_lift_check(det_span(a), 3)
+            assert unique_lift_check(det_span(a))
+            assert enumerated_unique_lift(det_span(a), 3)
 
 
 class TestMDet:
@@ -539,7 +543,8 @@ class TestEmptyFibers:
         # the empty fiber has exactly one subset, the empty one
         assert len(d.fibers["m"]) == 1
         assert [w.edges for w in language(d, 4)] == [()]
-        assert unique_lift_check(d, 3)
+        assert unique_lift_check(d)
+        assert enumerated_unique_lift(d, 3)
 
     def test_mdet_handles_empty_fiber(self):
         a = self.automaton()

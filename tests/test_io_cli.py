@@ -339,6 +339,29 @@ class TestCli:
         assert doc["truncated"] is False
         assert {s["label"] for s in doc["states"]} == {"(1,0)", "(1,1)", "(0,1)", "(0,0)", "(0,2)"}
 
+    def test_mdet_on_rel_and_det_documents_matches_span_embedding(self, tmp_path, capsys):
+        import random
+
+        from genlib import random_span_automaton
+        from spanauto.automata import rel_automaton_of_det, span_automaton_of_rel
+        from spanauto.determinize import det_span, rel_of
+        from spanauto.fixtures import two_phase_example
+
+        automata = [two_state_example(), two_phase_example(), random_span_automaton(random.Random(5), max_nodes=2)]
+        for i, a in enumerate(automata):
+            r, d = rel_of(a), det_span(a, prune=True)
+            for name, doc, embedding in (
+                ("rel", r, span_automaton_of_rel(r)),
+                ("det", d, span_automaton_of_rel(rel_automaton_of_det(d))),
+            ):
+                path, span_path = tmp_path / f"{i}_{name}.json", tmp_path / f"{i}_{name}_span.json"
+                path.write_text(serialize_automaton(doc))
+                span_path.write_text(serialize_automaton(embedding))
+                for flags in ((), ("--expand",), ("--expand", "--max-len", "3", "--max-states", "5")):
+                    got = self.run("mdet", str(path), *flags, capsys=capsys)
+                    want = self.run("mdet", str(span_path), *flags, capsys=capsys)
+                    assert got == want and got[0] == 0 and got[1]
+
     def test_sim_check_pass_and_fail(self, fixtures_dir, tmp_path, capsys):
         span_doc = json.loads((fixtures_dir / "two_state.json").read_text())
         good = {

@@ -562,15 +562,65 @@ class TestMatrixFirstSquares:
 
 
 class TestTransitionMatrix:
+    """The cached count-row view of every kind against the token form of its transitions."""
+
+    @staticmethod
+    def kinds(a):
+        d = det_span(a)
+        closed = mdet_expand(mdet(d), 4096, 200)
+        assert not closed.truncated
+        return (a, rel_of(a), d, mdet(a), closed, mdet_expand(mdet(a), 8, 2))
+
     def test_agrees_with_token_spans_for_every_kind(self):
         import random
 
         from genlib import random_span_automaton
-        from spanauto.simulation import _transition_matrix, transition_relation, transition_span
+        from spanauto.simulation import transition_span
 
+        truncated = 0
         for seed in range(10):
             a = random_span_automaton(random.Random(seed), max_nodes=3, max_states=3)
-            for kind in (a, rel_of(a), det_span(a), mdet(a), mdet_expand(mdet(a), 8, 2)):
+            for kind in self.kinds(a):
+                truncated += getattr(kind, "truncated", False)
                 for e in a.base.edges:
-                    assert _transition_matrix(kind, e.id) == to_matrix(transition_span(kind, e.id))
-                    assert transition_relation(kind, e.id) == image(transition_span(kind, e.id))
+                    tokens = transition_span(kind, e.id)
+                    rows = kind.rows(e.id)
+                    assert kind.rows(e.id) is rows
+                    counts = {(q, t): c for q, row in rows.items() for t, c in row}
+                    assert sum(len(row) for row in rows.values()) == len(counts)
+                    assert all(row and all(c > 0 for _, c in row) for row in rows.values())
+                    assert counts == to_matrix(tokens).entries
+                    assert kind.matrix(e.id) == to_matrix(tokens)
+                    assert kind.support(e.id) == image(tokens)
+        assert truncated > 0
+
+    def test_node_of_matches_fiber_scan(self):
+        import random
+
+        from genlib import random_span_automaton
+
+        for seed in range(5):
+            a = random_span_automaton(random.Random(seed), max_nodes=3, max_states=3)
+            for kind in self.kinds(a):
+                for n in kind.base.nodes:
+                    for q in kind.fibers[n]:
+                        scan = next(m for m in kind.base.nodes if q in kind.fibers[m])
+                        assert kind.node_of(q) == scan
+                assert kind.node_of("no such state") is None
+                assert kind.initial_node == kind.node_of(kind.initial)
+
+    def test_initial_node_error_unchanged(self):
+        a = two_state_example()
+        stray = SpanAutomaton(a.base, a.fibers, a.transitions, "zz", a.finals)
+        with pytest.raises(ValueError, match="^initial state 'zz' lies in no fiber$"):
+            stray.initial_node
+        with pytest.raises(ValueError, match="^initial state 'zz' lies in no fiber$"):
+            mdet(stray)
+
+    def test_caches_stay_out_of_equality_and_repr(self):
+        a, b = two_state_example(), two_state_example()
+        before = repr(a)
+        for e in a.base.edges:
+            a.rows(e.id)
+        a.node_of(a.initial)
+        assert a == b and repr(a) == before == repr(b)
