@@ -82,7 +82,6 @@ from .simulation import (
     check_bisimulation,
     check_rel_simulation,
     check_span_simulation,
-    check_simulation,
     compose_simulations,
     dagger_simulation,
     factor_det,

@@ -8,6 +8,7 @@ errors.  Failures print a single line to stderr starting with either
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .spans import POWERSET_CAP
@@ -136,7 +137,9 @@ def cmd_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="spanauto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

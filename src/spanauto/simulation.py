@@ -27,7 +27,6 @@ properties of the factor actually hold on the given input.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -82,7 +81,6 @@ __all__ = [
     "compose_simulations",
     "check_rel_simulation",
     "check_span_simulation",
-    "check_simulation",
     "check_bisimulation",
     "canonical_det_simulation",
     "canonical_mdet_simulation",
@@ -153,6 +151,17 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class FactorizationResult:
+    """A mate through a determinization, and which universal-property checks hold.
+
+    ``composite_ok``: the mate composed with the canonical simulation
+    gives back the input's components.  ``bisim_ok``: the mate and its
+    converse both pass at the mate's strength.  ``unique_ok``: the mate
+    is the one function-component bisimulation through which the input
+    factors; it is ``None`` outside the small-instance gate (at most two
+    states per fiber and two edges for ``factor_det``, at most 4096
+    functions from target states to expansion states for ``factor_mdet``).
+    """
+
     mate: Simulation
     composite_ok: bool
     bisim_ok: bool
@@ -305,13 +314,6 @@ def _square_witness(sim: Simulation, e: Edge, partial: bool, mode: str) -> SpanM
     return span_morphism_search(lhs, rhs, iso_required=(mode == "pseudo"))
 
 
-def check_simulation(sim: Simulation) -> CheckResult:
-    """Check a simulation at its declared strength."""
-    if sim.strength == "strict":
-        return check_rel_simulation(sim)
-    return check_span_simulation(sim, sim.strength)
-
-
 def check_bisimulation(sim: Simulation) -> bool:
     """Whether both the simulation and its converse pass at the declared strength."""
     forward = _bisim_leg(sim)
@@ -388,14 +390,18 @@ def canonical_mdet_simulation(a: SpanAutomaton, max_len: int, max_states: int = 
 # universal-property factorizations
 
 
-def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP,
-               attempt_unique: Optional[bool] = None) -> FactorizationResult:
+def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP) -> FactorizationResult:
     """Split a simulation into a deterministic target through the powerset machine.
 
     The mate sends each target state to the set of source states its
     component relates it to.  The composite against the membership
     simulation always recovers the input; whether the mate is a
     bisimulation is reported as data.
+
+    The mate is the only function-component candidate: composing a
+    candidate x -> S(x) with membership gives back ``{(x, q) : q in S(x)}``,
+    so the composite equation forces S(x) to be alpha's image of x.  Hence
+    the factorization is unique exactly when this mate passes both checks.
     """
     f, g = alpha.source, alpha.target
     if not isinstance(g, DetAutomaton):
@@ -437,13 +443,12 @@ def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP,
     bisim_ok = check_bisimulation(mate)
 
     unique_ok = None
-    if attempt_unique is None:
-        attempt_unique = (
-            all(len(f.fibers[n]) <= 2 and len(g.fibers[n]) <= 2 for n in f.base.nodes)
-            and len(f.base.edges) <= 2
-        )
-    if attempt_unique:
-        unique_ok = _unique_det_factor(rel_alpha, d, g) == 1
+    # the gate is kept only so that `factor` stdout and bench/ref.py do not change
+    if (
+        all(len(f.fibers[n]) <= 2 and len(g.fibers[n]) <= 2 for n in f.base.nodes)
+        and len(f.base.edges) <= 2
+    ):
+        unique_ok = composite_ok and bisim_ok
     return FactorizationResult(mate, composite_ok, bisim_ok, unique_ok)
 
 
@@ -455,42 +460,20 @@ def _membership_relation(power_fiber: FinSet, fiber: FinSet, node: str, multi: b
     )
 
 
-def _unique_det_factor(rel_alpha: Simulation, d: DetAutomaton, g: DetAutomaton) -> int:
-    """Count function-component bisimulations through which alpha factors."""
-    f = rel_alpha.source
-    nodes = list(f.base.nodes)
-    multi = len(nodes) > 1
-    per_node_choices = []
-    for n in nodes:
-        subsets = [subset_state_label(n, s, multi) for s in subsets_of(f.fibers[n])]
-        per_node_choices.append(list(itertools.product(subsets, repeat=len(g.fibers[n]))))
-    count = 0
-    for assignment in itertools.product(*per_node_choices):
-        components = {}
-        for n, choice in zip(nodes, assignment):
-            components[n] = Relation(
-                g.fibers[n], d.fibers[n], set(zip(g.fibers[n].elements, choice))
-            )
-        candidate = Simulation(d, g, components, "strict")
-        ok = True
-        for n in nodes:
-            eps = _membership_relation(d.fibers[n], f.fibers[n], n, multi)
-            if compose_relations(components[n], eps) != rel_alpha.components[n]:
-                ok = False
-                break
-        if ok and check_bisimulation(candidate):
-            count += 1
-    return count
-
-
-def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096,
-                attempt_unique: Optional[bool] = None) -> FactorizationResult:
+def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> FactorizationResult:
     """Split a forward-backward simulation through the counting machine.
 
     Requires pseudo strength: the mate reads each component's counting
     matrix row as a multiset state, and only equal-matrix squares make
     that assignment natural.  All checks run on a bounded expansion that
     is seeded with the mate's image states.
+
+    The mate is the only function-component candidate: composing with the
+    multiplicity map gives back each chosen state's count vector, and
+    distinct expansion states have distinct count vectors, so the
+    composite equation forces x to the state whose vector is alpha's row
+    at x.  Hence the factorization is unique exactly when this mate passes
+    both checks.
     """
     f, g = alpha.source, alpha.target
     if not isinstance(f, SpanAutomaton):
@@ -532,29 +515,7 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096,
     total_functions = 1
     for n in f.base.nodes:
         total_functions *= max(1, len(exp.fibers[n])) ** len(g.fibers[n])
-    if attempt_unique is None:
-        attempt_unique = total_functions <= 4096
-    if attempt_unique:
-        unique_ok = _unique_mdet_factor(alpha, exp, g, alpha_matrices, etas) == 1
+    # the gate is kept only so that `factor` stdout and bench/ref.py do not change
+    if total_functions <= 4096:
+        unique_ok = composite_ok and bisim_ok
     return FactorizationResult(mate, composite_ok, bisim_ok, unique_ok)
-
-
-def _unique_mdet_factor(alpha: Simulation, exp: ExpandedMachine, g: DetAutomaton,
-                        alpha_matrices: Mapping[str, NatMatrix], etas: Mapping[str, NatMatrix]) -> int:
-    """Count function-component bisimulations factoring alpha through the expansion."""
-    f = alpha.source
-    nodes = list(f.base.nodes)
-    per_node_choices = []
-    for n in nodes:
-        per_node_choices.append(list(itertools.product(exp.fibers[n].elements, repeat=len(g.fibers[n]))))
-    count = 0
-    for assignment in itertools.product(*per_node_choices):
-        components = {}
-        for n, choice in zip(nodes, assignment):
-            apex = [Token(f"({x})", x, lbl) for x, lbl in zip(g.fibers[n].elements, choice)]
-            components[n] = Span(g.fibers[n], exp.fibers[n], apex)
-        candidate = Simulation(exp, g, components, "pseudo")
-        ok = all(matrix_compose(to_matrix(components[n]), etas[n]) == alpha_matrices[n] for n in nodes)
-        if ok and check_bisimulation(candidate):
-            count += 1
-    return count

@@ -4,14 +4,30 @@ The span-automaton generator rejects draws whose word or run counts up
 to the probe length would make exhaustive checking slow; everything else
 about the draw is uniform within the stated bounds.  The oracles decide
 unique lifting and unique factorization of runs by enumerating words up
-to a length, independently of the structural checks in ``automata``.
+to a length, independently of the structural checks in ``automata``, and
+count the factorizations of a simulation by trying every function from
+target states to candidate states, independently of ``factor_det`` and
+``factor_mdet``.
 """
 
+import itertools
 import random
+from typing import Mapping
 
-from spanauto.spans import FinSet, Span, Token
-from spanauto.automata import BaseGraph, SpanAutomaton, enumerate_words
-from spanauto.determinize import ClassicalNFA
+from spanauto.spans import (
+    FinSet,
+    NatMatrix,
+    Relation,
+    Span,
+    Token,
+    compose_relations,
+    matrix_compose,
+    subsets_of,
+    to_matrix,
+)
+from spanauto.automata import BaseGraph, DetAutomaton, SpanAutomaton, enumerate_words
+from spanauto.determinize import ClassicalNFA, ExpandedMachine, subset_state_label
+from spanauto.simulation import Simulation, _membership_relation, check_bisimulation
 
 LETTERS = "abc"
 
@@ -147,3 +163,56 @@ def enumerated_ulf_factorization(a, max_len: int) -> bool:
                         if found != 1:
                             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# enumerating oracles for the uniqueness of a factorization
+
+
+def enumerated_unique_det_factor(rel_alpha: Simulation, d: DetAutomaton, g: DetAutomaton) -> int:
+    """Count function-component bisimulations through which alpha factors."""
+    f = rel_alpha.source
+    nodes = list(f.base.nodes)
+    multi = len(nodes) > 1
+    per_node_choices = []
+    for n in nodes:
+        subsets = [subset_state_label(n, s, multi) for s in subsets_of(f.fibers[n])]
+        per_node_choices.append(list(itertools.product(subsets, repeat=len(g.fibers[n]))))
+    count = 0
+    for assignment in itertools.product(*per_node_choices):
+        components = {}
+        for n, choice in zip(nodes, assignment):
+            components[n] = Relation(
+                g.fibers[n], d.fibers[n], set(zip(g.fibers[n].elements, choice))
+            )
+        candidate = Simulation(d, g, components, "strict")
+        ok = True
+        for n in nodes:
+            eps = _membership_relation(d.fibers[n], f.fibers[n], n, multi)
+            if compose_relations(components[n], eps) != rel_alpha.components[n]:
+                ok = False
+                break
+        if ok and check_bisimulation(candidate):
+            count += 1
+    return count
+
+
+def enumerated_unique_mdet_factor(alpha: Simulation, exp: ExpandedMachine, g: DetAutomaton,
+                                  alpha_matrices: Mapping[str, NatMatrix], etas: Mapping[str, NatMatrix]) -> int:
+    """Count function-component bisimulations factoring alpha through the expansion."""
+    f = alpha.source
+    nodes = list(f.base.nodes)
+    per_node_choices = []
+    for n in nodes:
+        per_node_choices.append(list(itertools.product(exp.fibers[n].elements, repeat=len(g.fibers[n]))))
+    count = 0
+    for assignment in itertools.product(*per_node_choices):
+        components = {}
+        for n, choice in zip(nodes, assignment):
+            apex = [Token(f"({x})", x, lbl) for x, lbl in zip(g.fibers[n].elements, choice)]
+            components[n] = Span(g.fibers[n], exp.fibers[n], apex)
+        candidate = Simulation(exp, g, components, "pseudo")
+        ok = all(matrix_compose(to_matrix(components[n]), etas[n]) == alpha_matrices[n] for n in nodes)
+        if ok and check_bisimulation(candidate):
+            count += 1
+    return count

@@ -409,6 +409,68 @@ class TestCli:
         doc = json.loads(out)
         assert doc["composite_ok"] and doc["bisim_ok"]
 
+    def test_factor_unique_ok_gate(self, tmp_path, capsys):
+        # one loop e: 1 -> 1, 1 -> 2, 2 -> 2; count vectors (1, k) grow with the word length
+        base = {"nodes": ["n"], "edges": [{"id": "e", "label": "e", "src": "n", "dst": "n"}]}
+        source = {
+            "format_version": "1", "kind": "span", "base": base, "fibers": {"n": ["1", "2"]},
+            "transitions": {"e": [{"from": "1", "to": "1"}, {"from": "1", "to": "2"}, {"from": "2", "to": "2"}]},
+            "initial": "1", "finals": ["2"],
+        }
+
+        def factor(states, components, strength, *flags):
+            target = {
+                "format_version": "1", "kind": "det", "base": base, "fibers": {"n": states},
+                "transitions": {"e": [{"from": x, "to": x} for x in states]},
+                "initial": states[0], "finals": [],
+            }
+            doc = {
+                "format_version": "1", "kind": "simulation", "source": source, "target": target,
+                "strength": strength, "components": {"n": components},
+            }
+            path = tmp_path / "sim.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = self.run("factor", str(path), *flags, capsys=capsys)
+            result = json.loads(out)
+            assert code == (0 if result["composite_ok"] and result["bisim_ok"] else 1)
+            return result["unique_ok"]
+
+        # det: at most two states per fiber and two edges
+        closed = [{"from": "x", "to": "2"}, {"from": "y", "to": "1"}, {"from": "y", "to": "2"}]
+        assert isinstance(factor(["x", "y"], closed, "strict", "--target", "det"), bool)
+        assert factor(["x", "y", "z"], closed, "strict", "--target", "det") is None
+        # mdet: at most 4096 functions; the expansion has max_len + 4 states and the target three
+        rows = [{"from": "x", "to": "2"}, {"from": "z", "to": "2", "count": 2}]
+        assert isinstance(factor(["x", "y", "z"], rows, "pseudo", "--target", "mdet", "--max-len", "12"), bool)
+        assert factor(["x", "y", "z"], rows, "pseudo", "--target", "mdet", "--max-len", "13") is None
+
+    def test_parser_reuse_matches_fresh_processes(self, fixtures_dir, capsys):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import spanauto
+
+        env = {**os.environ, "PYTHONPATH": str(Path(spanauto.__file__).parents[1])}
+        calls = [
+            ("lang", str(fixtures_dir / "two_state.json"), "--max-len", "-1x"),
+            ("lang", str(fixtures_dir / "two_state.json"), "--max-len", "3", "--count"),
+            ("det", str(fixtures_dir / "two_state.json"), "--prune"),
+        ]
+        codes = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, _ = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "spanauto.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert (code, out) == (fresh.returncode, fresh.stdout)
+            codes.append(code)
+        assert codes == [2, 0, 0]
+
     def test_laws_cli(self, capsys):
         code, out, _ = self.run("laws", "--seed", "0", "--cases", "10", capsys=capsys)
         assert code == 0

@@ -260,6 +260,49 @@ class TestCanonicalMDetSimulation:
         assert all(m.is_iso() for m in result.witnesses.values())
 
 
+def random_det_target(rng, f):
+    """A deterministic automaton on f's base with one or two states per fiber."""
+    fibers = {n: FinSet(f"G{i}", [f"g{i}.{j}" for j in range(rng.randint(1, 2))]) for i, n in enumerate(f.base.nodes)}
+    tables = {e.id: {x: rng.choice(fibers[e.dst].elements) for x in fibers[e.src]} for e in f.base.edges}
+    return DetAutomaton(f.base, fibers, tables, fibers[f.base.nodes[0]].elements[0], set())
+
+
+def random_factor_instance(rng, strength):
+    """A natural simulation with a nonzero component, inside the uniqueness gate of its factorization.
+
+    Strict draws relation components and keeps those natural at the
+    relation level; pseudo draws span components with multiplicities up
+    to two and keeps those whose counting matrices commute.
+    """
+    from genlib import random_span_automaton
+
+    while True:
+        f = random_span_automaton(rng, max_nodes=2, max_states=2)
+        if len(f.base.edges) > 2:
+            continue
+        g = random_det_target(rng, f)
+        for _ in range(50):
+            if strength == "strict":
+                comps = {
+                    n: Relation(g.fibers[n], f.fibers[n],
+                                [(x, q) for x in g.fibers[n] for q in f.fibers[n] if rng.random() < 0.5])
+                    for n in f.base.nodes
+                }
+                natural = check_rel_simulation(Simulation(rel_of(f), g, comps, "strict")).ok
+                nonzero = any(c.pairs for c in comps.values())
+            else:
+                comps = {
+                    n: Span(g.fibers[n], f.fibers[n],
+                            [Token(f"c:{x}>{q}#{k}", x, q)
+                             for x in g.fibers[n] for q in f.fibers[n] for k in range(rng.choice((0, 0, 1, 1, 2)))])
+                    for n in f.base.nodes
+                }
+                natural = check_span_simulation(Simulation(f, g, comps, "pseudo"), "pseudo", witnesses=False).ok
+                nonzero = any(c.apex for c in comps.values())
+            if natural and nonzero:
+                return Simulation(f, g, comps, strength)
+
+
 class TestFactorDet:
     def test_counit_gives_identity_mate(self):
         a = two_state_example()
@@ -300,6 +343,24 @@ class TestFactorDet:
         alpha = canonical_det_simulation(a)
         result = factor_det(alpha)
         assert result.composite_ok and result.bisim_ok
+
+    def test_unique_ok_agrees_with_enumeration(self):
+        import random
+
+        from genlib import enumerated_unique_det_factor
+        from spanauto.simulation import component_relation
+
+        rng = random.Random(1)
+        seen = {True: 0, False: 0}
+        for i in range(150):
+            alpha = random_factor_instance(rng, "strict")
+            result = factor_det(alpha)
+            f, g = alpha.source, alpha.target
+            rel_alpha = Simulation(rel_of(f), g, {n: component_relation(alpha, n) for n in f.base.nodes}, "strict")
+            assert result.unique_ok == (enumerated_unique_det_factor(rel_alpha, result.mate.source, g) == 1), i
+            seen[result.unique_ok] += 1
+        # some mates are not bisimulations, so the failing side is exercised too
+        assert seen[True] and seen[False]
 
 
 class TestFactorMDet:
@@ -350,6 +411,26 @@ class TestFactorMDet:
         assert result.composite_ok and result.bisim_ok
         mate_map = {t.left: t.right for t in result.mate.components["s"].apex}
         assert mate_map == {lbl: lbl for lbl in g.fibers["s"]}
+
+    def test_unique_ok_agrees_with_enumeration(self):
+        import random
+
+        from genlib import enumerated_unique_mdet_factor
+        from spanauto.simulation import component_span, multiplicity_span
+
+        rng = random.Random(1)
+        seen = {True: 0, False: 0}
+        for i in range(150):
+            alpha = random_factor_instance(rng, "pseudo")
+            result = factor_mdet(alpha, max_len=2)
+            f, g, exp = alpha.source, alpha.target, result.mate.source
+            alpha_matrices = {n: to_matrix(component_span(alpha, n)) for n in f.base.nodes}
+            etas = {n: to_matrix(multiplicity_span(exp, n, f.fibers[n])) for n in f.base.nodes}
+            count = enumerated_unique_mdet_factor(alpha, exp, g, alpha_matrices, etas)
+            assert result.unique_ok == (count == 1), i
+            seen[result.unique_ok] += 1
+        # some mates are not bisimulations, so the failing side is exercised too
+        assert seen[True] and seen[False]
 
 
 class TestMatrixComponents:
