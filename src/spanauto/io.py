@@ -7,16 +7,24 @@ again reproduces the bytes, which is what the golden-file tests pin.
 The text is that of ``json.dumps(doc, indent=2)``, written by a small
 encoder of its own (``_dump``): with ``indent`` set, ``json`` falls back to
 its pure-Python encoder, while this one joins strings escaped by the C
-``encode_basestring_ascii``, a list of scalars in one call.
+``encode_basestring_ascii``, a list of scalars in one call, and a list of
+records column by column through one template.  Writers hand states and
+entries over as ``_Records`` columns, read straight from count vectors
+and count rows.
+
+Parsing costs O(entries): each ``from``/``to``/``count`` entry becomes one
+count, and a span's tokens are built only when asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
-from typing import Any, Optional, Union
+from itertools import chain
+from typing import Optional, Union
 
-from .spans import FinSet, Relation, Span, Token
+from .spans import FinSet, Relation, Span
 from .automata import (
     BaseGraph,
     DetAutomaton,
@@ -120,58 +128,32 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
         if q not in state_node:
             raise DocumentError("finals", f"unknown state {q!r}")
 
-    transitions: dict[str, Any] = {}
+    counted = kind == "span"
+    transitions: dict[str, dict[tuple[str, str], int]] = {}
     for e in base.edges:
         at = f"transitions.{e.id}"
         if e.id not in transitions_doc:
             raise DocumentError(at, "missing transition list")
-        entries = transitions_doc[e.id]
-        if not isinstance(entries, list):
-            raise DocumentError(at, "expected a list of entries")
-        parsed = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise DocumentError(f"{at}[{i}]", "expected an object")
-            src = entry.get("from")
-            dst = entry.get("to")
-            if not isinstance(src, str) or src not in fibers[e.src]:
-                raise DocumentError(f"{at}[{i}].from", f"unknown state {src!r} in fiber {e.src!r}")
-            if not isinstance(dst, str) or dst not in fibers[e.dst]:
-                raise DocumentError(f"{at}[{i}].to", f"unknown state {dst!r} in fiber {e.dst!r}")
-            count = entry.get("count", 1)
-            if kind != "span":
-                if "count" in entry:
-                    raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
-            elif isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
-            _no_unknown_keys(entry, ("from", "to", "count"), f"{at}[{i}]")
-            parsed.append((src, dst, count))
-        transitions[e.id] = parsed
+        transitions[e.id] = _count_entries(transitions_doc[e.id], at, fibers[e.src], fibers[e.dst],
+                                           counted, "state", "state")
     for key in transitions_doc:
         if all(e.id != key for e in base.edges):
             raise DocumentError(f"transitions.{key}", "transition for unknown edge")
 
     if kind == "span":
-        spans = {}
-        for e in base.edges:
-            apex = []
-            for src, dst, count in transitions[e.id]:
-                for i in range(count):
-                    apex.append(Token(f"{e.id}:{src}>{dst}#{i + 1}", src, dst))
-            spans[e.id] = Span(fibers[e.src], fibers[e.dst], apex)
+        spans = {
+            e.id: Span._counted(fibers[e.src], fibers[e.dst], transitions[e.id], _entry_labels(e.id))
+            for e in base.edges
+        }
         return SpanAutomaton(base, fibers, spans, initial, finals)
     if kind == "rel":
-        rels = {}
-        for e in base.edges:
-            pairs = [(src, dst) for src, dst, _ in transitions[e.id]]
-            if len(set(pairs)) != len(pairs):
-                raise DocumentError(f"transitions.{e.id}", "duplicate pair in relation")
-            rels[e.id] = Relation(fibers[e.src], fibers[e.dst], pairs)
+        rels = {e.id: Relation._trusted(fibers[e.src], fibers[e.dst], frozenset(transitions[e.id]))
+                for e in base.edges}
         return RelAutomaton(base, fibers, rels, initial, finals)
     tables = {}
     for e in base.edges:
         table = {}
-        for src, dst, _ in transitions[e.id]:
+        for src, dst in transitions[e.id]:
             if src in table:
                 raise DocumentError(f"transitions.{e.id}", f"state {src!r} mapped twice")
             table[src] = dst
@@ -180,6 +162,49 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
                 raise DocumentError(f"transitions.{e.id}", f"missing image of state {q!r}")
         tables[e.id] = table
     return DetAutomaton(base, fibers, tables, initial, finals)
+
+
+_ENTRY_KEYS = frozenset(("from", "to", "count"))
+
+
+def _count_entries(entries, at: str, src_fiber: FinSet, dst_fiber: FinSet, counted: bool,
+                   src_noun: str, dst_noun: str) -> dict[tuple[str, str], int]:
+    """The ``from``/``to``/``count`` entries of a list as counts ``{(from, to): count}``, in list order.
+
+    A missing count is 1; a count is allowed only where ``counted`` is set.
+    Each pair may appear once.
+    """
+    if not isinstance(entries, list):
+        raise DocumentError(at, "expected a list of entries")
+    src_index, dst_index = src_fiber._positions, dst_fiber._positions
+    counts: dict[tuple[str, str], int] = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"{at}[{i}]", "expected an object")
+        src = entry.get("from")
+        dst = entry.get("to")
+        if not isinstance(src, str) or src not in src_index:
+            raise DocumentError(f"{at}[{i}].from", f"unknown {src_noun} {src!r} in fiber {src_fiber.name!r}")
+        if not isinstance(dst, str) or dst not in dst_index:
+            raise DocumentError(f"{at}[{i}].to", f"unknown {dst_noun} {dst!r} in fiber {dst_fiber.name!r}")
+        count = 1
+        if "count" in entry:
+            if not counted:
+                raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
+            count = entry["count"]
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
+        if not entry.keys() <= _ENTRY_KEYS:
+            raise DocumentError(f"{at}[{i}]", f"unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
+        if (src, dst) in counts:
+            raise DocumentError(f"{at}[{i}]", f"duplicate pair ({src!r}, {dst!r})")
+        counts[src, dst] = count
+    return counts
+
+
+def _entry_labels(prefix: str):
+    """Token labels ``{prefix}:{from}>{to}#{i}`` of a parsed span."""
+    return functools.partial("{}:{}>{}#{}".format, prefix)
 
 
 def _decode(text: Union[str, dict]) -> dict:
@@ -273,7 +298,7 @@ def _encode(x, newline: str) -> str:
     """JSON text of ``x``; ``newline`` is a line break plus the indent ``x`` sits at.
 
     Containers open a line per item, two spaces deeper; dict keys must be
-    strings.  Items that are all strings or all ints are joined in one call.
+    strings.  ``_items`` writes a list's items.
     """
     if isinstance(x, str):
         return _string(x)
@@ -283,18 +308,11 @@ def _encode(x, newline: str) -> str:
         inner = newline + "  "
         items = [_string(k) + ": " + (_string(v) if type(v) is str else _encode(v, inner)) for k, v in x.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
+    if isinstance(x, (list, tuple, _Records)):
+        if not len(x):
             return "[]"
         inner = newline + "  "
-        kinds = set(map(type, x))
-        if kinds == {str}:
-            items = map(_string, x)
-        elif kinds == {int}:
-            items = map(int.__repr__, x)
-        else:
-            items = [_encode(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return "[" + inner + ("," + inner).join(_items(x, inner)) + newline + "]"
     if x is None:
         return "null"
     if x is True:
@@ -304,6 +322,57 @@ def _encode(x, newline: str) -> str:
     if isinstance(x, int):
         return int.__repr__(x)
     return json.dumps(x)
+
+
+class _Records:
+    """A JSON list of objects that share one key tuple, given column by column.
+
+    Writers hand over many records this way, so that no dict is built per
+    record; the text is that of the list of dicts.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: tuple[str, ...], columns: tuple[list, ...]):
+        self.keys = keys
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+def _items(values, newline: str):
+    """JSON text of each item of a nonempty list, every item at indent ``newline``.
+
+    Items that are all strings, all ints or all lists of ints are written
+    in one pass each; dicts that share one key tuple are written as
+    records, column by column.
+    """
+    if isinstance(values, _Records):
+        return _record_items(values.keys, values.columns, newline)
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return map(_string, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {dict}:
+        keys = set(map(tuple, values))
+        if len(keys) == 1 and () not in keys:
+            return _record_items(keys.pop(), tuple(zip(*map(dict.values, values))), newline)
+    elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(values))) == {int}:
+        inner = newline + "  "
+        shapes = {n: "[" + inner + ("," + inner).join(["{}"] * n) + newline + "]" if n else "[]"
+                  for n in set(map(len, values))}
+        return [shapes[len(v)].format(*v) for v in values]
+    return [_encode(v, newline) for v in values]
+
+
+def _record_items(keys: tuple[str, ...], columns, newline: str):
+    """JSON text of each record, the i-th one holding ``columns[k][i]`` at ``keys[k]``."""
+    inner = newline + "  "
+    heads = ["{" + inner + _string(keys[0]) + ": "] + ["," + inner + _string(k) + ": " for k in keys[1:]]
+    template = "".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads) + newline + "}}"
+    return map(template.format, *(_items(c, inner) for c in columns))
 
 
 def _base_doc(base: BaseGraph) -> dict:
@@ -322,21 +391,26 @@ def _sorted_finals(a) -> list[str]:
     return order
 
 
-def _transition_entries(a) -> dict[str, list[dict]]:
+def _transition_entries(a) -> dict[str, _Records]:
     """Each edge's count rows as document entries, in fiber order; only spans write counts."""
     counted = a.kind == "span"
     transitions = {}
     for e in a.base.edges:
         rows = a.rows(e.id)
         dst_order = a.fibers[e.dst].index
-        entries = []
+        srcs, dsts, counts = [], [], []
         for src in a.fibers[e.src]:
-            row = rows.get(src, ())
+            row = rows.get(src)
+            if row is None:
+                continue
             if len(row) > 1:
                 row = sorted(row, key=lambda p: dst_order(p[0]))
             for dst, count in row:
-                entries.append({"from": src, "to": dst, "count": count} if counted else {"from": src, "to": dst})
-        transitions[e.id] = entries
+                srcs.append(src)
+                dsts.append(dst)
+                counts.append(count)
+        keys = ("from", "to", "count") if counted else ("from", "to")
+        transitions[e.id] = _Records(keys, (srcs, dsts, counts)[:len(keys)])
     return transitions
 
 
@@ -392,16 +466,15 @@ def serialize_mdet(m: MDetMachine) -> str:
 
 
 def serialize_expanded(x: ExpandedMachine) -> str:
-    states = []
-    for n in x.base.nodes:
-        for lbl in x.fibers[n]:
-            states.append({"label": lbl, "node": n, "counts": list(x.states[lbl].vector())})
+    labels = [lbl for n in x.base.nodes for lbl in x.fibers[n]]
+    nodes = [n for n in x.base.nodes for _ in x.fibers[n]]
+    vectors = [x.states[lbl].vector() for lbl in labels]
     return _dump(
         {
             "format_version": FORMAT_VERSION,
             "kind": "mdet-expanded",
             "base": _base_doc(x.base),
-            "states": states,
+            "states": _Records(("label", "node", "counts"), (labels, nodes, vectors)),
             "transitions": _transition_entries(x),
             "initial": x.initial,
             "finals": sorted(x.finals),
@@ -446,32 +519,14 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
         at = f"components.{n}"
         if n not in components_doc:
             raise DocumentError(at, "missing component")
-        entries = components_doc[n]
-        if not isinstance(entries, list):
-            raise DocumentError(at, "expected a list of entries")
-        tokens = []
-        pairs = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise DocumentError(f"{at}[{i}]", "expected an object")
-            src = entry.get("from")
-            dst = entry.get("to")
-            count = entry.get("count", 1)
-            if not isinstance(src, str) or src not in target.fibers[n]:
-                raise DocumentError(f"{at}[{i}].from", f"unknown target state {src!r}")
-            if not isinstance(dst, str) or dst not in source.fibers[n]:
-                raise DocumentError(f"{at}[{i}].to", f"unknown source state {dst!r}")
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
-            pairs.append((src, dst))
-            for k in range(count):
-                tokens.append(Token(f"{n}:{src}>{dst}#{k + 1}", src, dst))
+        counts = _count_entries(components_doc[n], at, target.fibers[n], source.fibers[n], True,
+                                "target state", "source state")
         if strength == "strict":
-            if len(set(pairs)) != len(tokens):
+            if any(c > 1 for c in counts.values()):
                 raise DocumentError(at, "strict components cannot carry counts above one")
-            components[n] = Relation(target.fibers[n], source.fibers[n], pairs)
+            components[n] = Relation._trusted(target.fibers[n], source.fibers[n], frozenset(counts))
         else:
-            components[n] = Span(target.fibers[n], source.fibers[n], tokens)
+            components[n] = Span._counted(target.fibers[n], source.fibers[n], counts, _entry_labels(n))
     try:
         return Simulation(source, target, components, strength)
     except ValueError as exc:
@@ -510,14 +565,13 @@ def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,
     )
 
 
-def _component_entries(comp: Union[Relation, Span], key) -> list[dict]:
+def _component_entries(comp: Union[Relation, Span], key) -> _Records:
     """Document entries of a simulation component in ``key`` order; spans carry counts."""
+    pairs = sorted(comp.pairs if isinstance(comp, Relation) else comp.counts, key=key)
+    columns = ([src for src, _ in pairs], [dst for _, dst in pairs])
     if isinstance(comp, Relation):
-        return [{"from": src, "to": dst} for src, dst in sorted(comp.pairs, key=key)]
-    counts: dict[tuple[str, str], int] = {}
-    for t in comp.apex:
-        counts[(t.left, t.right)] = counts.get((t.left, t.right), 0) + 1
-    return [{"from": src, "to": dst, "count": counts[(src, dst)]} for src, dst in sorted(counts, key=key)]
+        return _Records(("from", "to"), columns)
+    return _Records(("from", "to", "count"), (*columns, [comp.counts[p] for p in pairs]))
 
 
 def serialize_factorization(result) -> str:

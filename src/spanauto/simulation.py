@@ -39,6 +39,8 @@ from .spans import (
     Span,
     SpanMorphism,
     Token,
+    _counted_pair_label,
+    _pair_label,
     compose_relations,
     compose_spans,
     dagger_relation,
@@ -336,13 +338,18 @@ def _bisim_leg(sim: Simulation) -> CheckResult:
 
 
 def membership_span(power_fiber: FinSet, fiber: FinSet, node: str, multi_node: bool) -> Span:
-    """The membership relation from a powerset fiber, embedded as a span."""
-    apex = []
+    """The membership relation from a powerset fiber, embedded as a span.
+
+    Tokens are ``(S,q)``, by subset in ``subsets_of`` order, then by member.
+    """
+    counts = {}
     for s in subsets_of(fiber):
         lbl = subset_state_label(node, s, multi_node)
+        if lbl not in power_fiber:
+            raise ValueError(f"subset {lbl!r} is not in {power_fiber.name!r}")
         for q in sorted(s):
-            apex.append(Token(f"({lbl},{q})", lbl, q))
-    return Span(power_fiber, fiber, apex)
+            counts[lbl, q] = 1
+    return Span._counted(power_fiber, fiber, counts, _pair_label)
 
 
 def canonical_det_simulation(a: SpanAutomaton, d: Optional[DetAutomaton] = None,
@@ -363,14 +370,18 @@ def canonical_det_simulation(a: SpanAutomaton, d: Optional[DetAutomaton] = None,
 
 
 def multiplicity_span(exp: ExpandedMachine, node: str, fiber: FinSet) -> Span:
-    """Relates each discovered multiset state to base states, with multiplicity."""
-    apex = []
+    """Relates each discovered multiset state to base states, with multiplicity.
+
+    Tokens are ``(state,q)#i``, by state, then by ``fiber`` order.
+    """
+    counts = {}
     for lbl in exp.fibers[node]:
         v = exp.states[lbl]
         for q in fiber:
-            for i in range(v[q]):
-                apex.append(Token(f"({lbl},{q})#{i + 1}", lbl, q))
-    return Span(exp.fibers[node], fiber, apex)
+            c = v[q]
+            if c:
+                counts[lbl, q] = c
+    return Span._counted(exp.fibers[node], fiber, counts, _counted_pair_label)
 
 
 def canonical_mdet_simulation(a: SpanAutomaton, max_len: int, max_states: int = 4096) -> Simulation:
@@ -424,21 +435,17 @@ def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP) -> Factoriza
     d = det(f, powerset_cap)
     multi = len(f.base.nodes) > 1
     mate_components = {}
-    for n in f.base.nodes:
-        comp = component_relation(alpha, n)
-        mate_components[n] = Relation(
-            g.fibers[n],
-            d.fibers[n],
-            {(x, subset_state_label(n, comp(x), multi)) for x in g.fibers[n]},
-        )
-    mate = Simulation(d, g, mate_components, "strict")
-
     composite_ok = True
     for n in f.base.nodes:
-        eps = _membership_relation(d.fibers[n], rel_f.fibers[n], n, multi)
-        if compose_relations(mate_components[n], eps) != component_relation(alpha, n):
-            composite_ok = False
-            break
+        comp = component_relation(alpha, n)
+        images = {x: comp(x) for x in g.fibers[n]}
+        labels = {x: subset_state_label(n, s, multi) for x, s in images.items()}
+        mate_components[n] = Relation(g.fibers[n], d.fibers[n], labels.items())
+        # a safety check, true by construction; membership is built only at the
+        # subsets the mate hits, since the composite reads no other rows
+        eps = Relation(d.fibers[n], f.fibers[n], {(labels[x], q) for x, s in images.items() for q in s})
+        composite_ok = composite_ok and compose_relations(mate_components[n], eps) == comp
+    mate = Simulation(d, g, mate_components, "strict")
 
     bisim_ok = check_bisimulation(mate)
 
@@ -450,14 +457,6 @@ def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP) -> Factoriza
     ):
         unique_ok = composite_ok and bisim_ok
     return FactorizationResult(mate, composite_ok, bisim_ok, unique_ok)
-
-
-def _membership_relation(power_fiber: FinSet, fiber: FinSet, node: str, multi: bool) -> Relation:
-    return Relation(
-        power_fiber,
-        fiber,
-        {(subset_state_label(node, s, multi), q) for s in subsets_of(fiber) for q in s},
-    )
 
 
 def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> FactorizationResult:
@@ -504,6 +503,7 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> 
         mate_components[n] = Span(g.fibers[n], exp.fibers[n], apex)
     mate = Simulation(exp, g, mate_components, "pseudo")
 
+    # a safety check, true by construction
     etas = {n: to_matrix(multiplicity_span(exp, n, f.fibers[n])) for n in f.base.nodes}
     composite_ok = all(
         matrix_compose(to_matrix(mate_components[n]), etas[n]) == alpha_matrices[n] for n in f.base.nodes

@@ -4,7 +4,8 @@ Three kinds of morphism between finite sets live here, together with the
 translations connecting them:
 
 * ``Span``: a finite apex of tokens with a foot in each endpoint set.
-  Parallel tokens carry multiplicity, so spans count transitions.
+  Parallel tokens carry multiplicity, so spans count transitions.  A
+  span stores those counts; its tokens are built on first use.
 * ``Relation``: a plain set of pairs.  ``image`` collapses a span to the
   relation it generates, forgetting multiplicities.
 * ``NatMatrix``: a natural-number matrix, equivalently a map into finite
@@ -14,15 +15,15 @@ translations connecting them:
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share across threads (the row index of a
-relation or matrix is built on first use; two threads racing to build it
-build the same one).  Counts use Python integers, which never overflow.
+relation or matrix and the apex of a span are built on first use; two
+threads racing to build one build equal ones).  Counts use Python integers, which never overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator, Mapping, NamedTuple, Optional
+from itertools import combinations, repeat
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
     "FinSet",
@@ -121,24 +122,27 @@ class Token(NamedTuple):
     right: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Span:
     """A span between finite sets: ``dom <- apex -> cod``.
 
     Several tokens may share the same feet; that multiplicity is the
-    whole point of working with spans instead of relations.
+    whole point of working with spans instead of relations.  Over fixed
+    feet a span is, up to isomorphism, its counting matrix, so a span
+    stores its sparse counts ``{(left, right): n}`` (in the order the
+    feet pairs first occur) and builds its apex of tokens on first use.
+    Equality compares the apexes, labels and order included.
     """
 
     dom: FinSet
     cod: FinSet
-    apex: tuple[Token, ...]
+    counts: Mapping[tuple[str, str], int]
 
     def __init__(self, dom: FinSet, cod: FinSet, apex=()):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "apex", tuple(Token(*t) for t in apex))
+        apex = tuple(Token(*t) for t in apex)
         by_label = {}
-        for t in self.apex:
+        counts: dict[tuple[str, str], int] = {}
+        for t in apex:
             if t.label in by_label:
                 raise ValueError(f"duplicate token label {t.label!r}")
             by_label[t.label] = t
@@ -146,10 +150,57 @@ class Span:
                 raise ValueError(f"token {t.label!r}: left foot {t.left!r} not in {dom.name!r}")
             if t.right not in cod:
                 raise ValueError(f"token {t.label!r}: right foot {t.right!r} not in {cod.name!r}")
+            key = (t.left, t.right)
+            counts[key] = counts.get(key, 0) + 1
+        self._set(dom, cod, counts, None)
+        object.__setattr__(self, "_apex", apex)
         object.__setattr__(self, "_by_label", by_label)
 
+    def _set(self, dom: FinSet, cod: FinSet, counts: dict[tuple[str, str], int], label) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_label", label)
+        object.__setattr__(self, "_apex", None)
+        object.__setattr__(self, "_by_label", None)
+
+    @classmethod
+    def _counted(cls, dom: FinSet, cod: FinSet, counts: dict[tuple[str, str], int],
+                 label: Callable[[str, str, int], str]) -> "Span":
+        """Internal constructor: keys already lie in ``dom x cod``, values are positive ints.
+
+        The apex holds, for each key in order, the tokens
+        ``label(left, right, i)`` for i = 1..n; it is built on first use.
+        """
+        s = object.__new__(cls)
+        s._set(dom, cod, counts, label)
+        return s
+
+    @property
+    def apex(self) -> tuple[Token, ...]:
+        if self._apex is None:
+            label = self._label
+            apex = tuple(Token(label(a, b, i), a, b) for (a, b), n in self.counts.items() for i in range(1, n + 1))
+            by_label = {}
+            for t in apex:
+                if by_label.setdefault(t.label, t) is not t:
+                    raise ValueError(f"duplicate token label {t.label!r}")
+            object.__setattr__(self, "_apex", apex)
+            object.__setattr__(self, "_by_label", by_label)
+        return self._apex
+
     def token(self, label: str) -> Token:
+        if self._by_label is None:
+            self.apex  # builds the label index too
         return self._by_label[label]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self.dom == other.dom and self.cod == other.cod and self.apex == other.apex
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.apex))
 
 
 @dataclass(frozen=True)
@@ -311,7 +362,7 @@ class Multiset:
 
     def vector(self) -> tuple[int, ...]:
         """Counts in canonical base order."""
-        return tuple([self.counts.get(x, 0) for x in self.base.elements])
+        return tuple(map(self.counts.get, self.base.elements, repeat(0)))
 
 
 @dataclass(frozen=True)
@@ -387,13 +438,22 @@ def span_iso_eq(s: Span, t: Span) -> bool:
 
 def image(s: Span) -> Relation:
     """The relation a span generates: pairs of feet, multiplicities dropped."""
-    return Relation._trusted(s.dom, s.cod, frozenset((t.left, t.right) for t in s.apex))
+    return Relation._trusted(s.dom, s.cod, frozenset(s.counts))
+
+
+def _pair_label(a: str, b: str, i: int) -> str:
+    """Token label ``(a,b)``, for spans with at most one token per feet pair."""
+    return f"({a},{b})"
+
+
+def _counted_pair_label(a: str, b: str, i: int) -> str:
+    """Token label ``(a,b)#i``, numbering the parallel tokens over a feet pair from 1."""
+    return f"({a},{b})#{i}"
 
 
 def from_relation(r: Relation) -> Span:
-    """Embed a relation as a span with one token per pair."""
-    pairs = sorted(r.pairs)
-    return Span(r.dom, r.cod, [Token(f"({a},{b})", a, b) for a, b in pairs])
+    """Embed a relation as a span with one token per pair, in sorted pair order."""
+    return Span._counted(r.dom, r.cod, dict.fromkeys(sorted(r.pairs), 1), _pair_label)
 
 
 def compose_relations(r: Relation, q: Relation) -> Relation:
@@ -487,22 +547,27 @@ def rel_counit(a: FinSet) -> Relation:
 
 
 def to_matrix(s: Span) -> NatMatrix:
-    """Multiplicity matrix of a span: entry (a, b) counts tokens with those feet."""
-    entries: dict[tuple[str, str], int] = {}
-    for t in s.apex:
-        key = (t.left, t.right)
-        entries[key] = entries.get(key, 0) + 1
-    return NatMatrix._trusted(s.dom, s.cod, entries)
+    """Multiplicity matrix of a span: entry (a, b) counts tokens with those feet.
+
+    It shares the span's counts, which neither side changes.
+    """
+    return NatMatrix._trusted(s.dom, s.cod, s.counts)
 
 
 def from_matrix(m: NatMatrix) -> Span:
-    """Canonical span with m(a, b) parallel tokens over each pair of feet."""
-    apex = []
+    """Canonical span with m(a, b) parallel tokens ``(a,b)#i`` over each pair of feet.
+
+    Feet pairs come in row-major canonical order.
+    """
+    rows = m._by_row()
+    col = m.cod.index
+    counts = {}
     for a in m.dom:
-        for b in m.cod:
-            for i in range(m[a, b]):
-                apex.append(Token(f"({a},{b})#{i + 1}", a, b))
-    return Span(m.dom, m.cod, apex)
+        row = rows.get(a)
+        if row:
+            for b in sorted(row, key=col):
+                counts[a, b] = row[b]
+    return Span._counted(m.dom, m.cod, counts, _counted_pair_label)
 
 
 def matrix_compose(m: NatMatrix, n: NatMatrix) -> NatMatrix:

@@ -27,7 +27,7 @@ from spanauto.spans import (
 )
 from spanauto.automata import BaseGraph, DetAutomaton, SpanAutomaton, enumerate_words
 from spanauto.determinize import ClassicalNFA, ExpandedMachine, subset_state_label
-from spanauto.simulation import Simulation, _membership_relation, check_bisimulation
+from spanauto.simulation import Simulation, check_bisimulation
 
 LETTERS = "abc"
 
@@ -169,6 +169,15 @@ def enumerated_ulf_factorization(a, max_len: int) -> bool:
 # enumerating oracles for the uniqueness of a factorization
 
 
+def membership_relation(power_fiber: FinSet, fiber: FinSet, node: str, multi: bool) -> Relation:
+    """The full membership relation ``{(S, q) : q in S}`` over every subset of a fiber."""
+    return Relation(
+        power_fiber,
+        fiber,
+        {(subset_state_label(node, s, multi), q) for s in subsets_of(fiber) for q in s},
+    )
+
+
 def enumerated_unique_det_factor(rel_alpha: Simulation, d: DetAutomaton, g: DetAutomaton) -> int:
     """Count function-component bisimulations through which alpha factors."""
     f = rel_alpha.source
@@ -188,7 +197,7 @@ def enumerated_unique_det_factor(rel_alpha: Simulation, d: DetAutomaton, g: DetA
         candidate = Simulation(d, g, components, "strict")
         ok = True
         for n in nodes:
-            eps = _membership_relation(d.fibers[n], f.fibers[n], n, multi)
+            eps = membership_relation(d.fibers[n], f.fibers[n], n, multi)
             if compose_relations(components[n], eps) != rel_alpha.components[n]:
                 ok = False
                 break

@@ -1,23 +1,28 @@
 """Tests for document parsing, serialization, DOT output and the CLI."""
 
 import json
+import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from spanauto.automata import SpanAutomaton
+from genlib import random_span_automaton
+from spanauto.automata import SpanAutomaton, brute_force_paths, enumerate_words
 from spanauto.cli import main
 from spanauto.determinize import ClassicalNFA
 from spanauto.fixtures import two_state_example
 from spanauto.io import (
     DocumentError,
     _dump,
+    _Records,
     parse_automaton,
     parse_simulation,
     serialize_automaton,
     to_dot,
 )
+from spanauto.simulation import Simulation, check_span_simulation
+from spanauto.spans import Span, Token
 
 
 class TestRoundTrips:
@@ -60,6 +65,44 @@ class TestRoundTrips:
         a = parse_automaton(json.dumps(doc))
         assert a.transitions["e"].apex == ()
 
+    def test_parsed_apexes_list_document_tokens(self):
+        # a parsed span's apex lists, entry by entry in document order, the tokens
+        # `{edge}:{from}>{to}#{i}` (components: `{node}:{from}>{to}#{i}`); the
+        # oracles are built token by token through the validating constructor
+        def tokens(prefix, entries):
+            return [Token(f"{prefix}:{t['from']}>{t['to']}#{i}", t["from"], t["to"])
+                    for t in entries for i in range(1, t.get("count", 1) + 1)]
+
+        rng = random.Random(3)
+        for _ in range(40):
+            a = random_span_automaton(rng, max_mult=3)
+            doc = json.loads(serialize_automaton(a))
+            for entries in doc["transitions"].values():
+                rng.shuffle(entries)
+            parsed = parse_automaton(doc)
+            oracle = SpanAutomaton(a.base, a.fibers, {
+                e.id: Span(a.fibers[e.src], a.fibers[e.dst], tokens(e.id, doc["transitions"][e.id]))
+                for e in a.base.edges
+            }, a.initial, a.finals)
+            assert parsed == oracle
+            assert to_dot(parsed) == to_dot(oracle)
+            for w in enumerate_words(a.base, a.initial_node, 3):
+                assert brute_force_paths(parsed, w) == brute_force_paths(oracle, w)
+            # diagonal components with counts pass the lax check, so witnesses are built
+            components = {n: [{"from": q, "to": q, "count": rng.randint(1, 3)} for q in a.fibers[n]]
+                          for n in a.base.nodes}
+            for entries in components.values():
+                rng.shuffle(entries)
+            sim = parse_simulation({"format_version": "1", "kind": "simulation", "source": doc, "target": doc,
+                                    "strength": "lax", "components": components})
+            sim_oracle = Simulation(oracle, oracle, {
+                n: Span(a.fibers[n], a.fibers[n], tokens(n, components[n])) for n in a.base.nodes
+            }, "lax")
+            assert sim.components == sim_oracle.components
+            got, want = check_span_simulation(sim, "lax"), check_span_simulation(sim_oracle, "lax")
+            assert got.ok and want.ok
+            assert {e: w.mapping for e, w in got.witnesses.items()} == {e: w.mapping for e, w in want.witnesses.items()}
+
 
 _json_scalars = (
     st.text(alphabet=st.characters(max_codepoint=0x1F64F))
@@ -67,18 +110,39 @@ _json_scalars = (
     | st.booleans()
     | st.none()
 )
-_json_docs = st.recursive(
+# lists of dicts that share one key tuple, as documents hold them; a column
+# mostly keeps one kind of value, so its one-pass writers run
+_record_values = (
+    st.text(max_size=8),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(min_value=-3, max_value=10**20), max_size=4),
     _json_scalars,
+)
+_record_lists = st.lists(
+    st.tuples(st.text(max_size=6), st.sampled_from(_record_values)), min_size=1, max_size=4, unique_by=lambda c: c[0]
+).flatmap(lambda columns: st.lists(st.tuples(*(v for _, v in columns)), min_size=1, max_size=6).map(
+    lambda rows: [{k: v for (k, _), v in zip(columns, row)} for row in rows]))
+_json_docs = st.recursive(
+    _json_scalars | _record_lists,
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=5),
     max_leaves=30,
 )
 
 
 class TestDump:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(doc=_json_docs)
     def test_matches_indented_json_dumps(self, doc):
         assert _dump(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=_record_lists)
+    def test_records_match_their_dicts(self, records):
+        keys = tuple(records[0])
+        columns = tuple(map(list, zip(*map(dict.values, records))))
+        assert _dump({"r": _Records(keys, columns)}) == json.dumps({"r": records}, indent=2) + "\n"
 
     def test_scalar_lists_and_tuples(self):
         for doc in ({"a": [1, -2, 10**30], "b": ["x", "\u00e9\"\n"], "c": (1, True, None), "d": [[], {}]}, [], {}):
@@ -524,6 +588,60 @@ class TestCli:
             code, _, err = self.run(*argv, capsys=capsys)
             assert code == 2
             assert err.startswith("input-error:") and "count must be a positive integer" in err
+
+    def test_duplicate_pairs_rejected_at_their_entry(self, fixtures_dir, tmp_path, capsys):
+        span_doc = json.loads((fixtures_dir / "two_state.json").read_text())
+        doubled = json.loads((fixtures_dir / "two_state.json").read_text())
+        doubled["transitions"]["a"].append({"from": "1", "to": "2", "count": 2})
+        span_path = tmp_path / "span.json"
+        span_path.write_text(json.dumps(doubled))
+        code, out, err = self.run("validate", str(span_path), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "input-error: transitions.a[2]: duplicate pair ('1', '2')\n"
+        for strength in ("pseudo", "lax"):
+            sim = {
+                "format_version": "1", "kind": "simulation", "source": span_doc, "target": span_doc,
+                "strength": strength,
+                "components": {"s": [{"from": "1", "to": "1"}, {"from": "2", "to": "2"}, {"from": "1", "to": "1"}]},
+            }
+            sim_path = tmp_path / f"{strength}.json"
+            sim_path.write_text(json.dumps(sim))
+            code, out, err = self.run("sim-check", str(sim_path), "--mode", strength, capsys=capsys)
+            assert (code, out) == (2, "")
+            assert err == "input-error: components.s[2]: duplicate pair ('1', '1')\n"
+
+    def test_huge_counts_build_no_tokens(self, tmp_path, capsys, monkeypatch):
+        # a count costs O(1): no command here may build one token per unit of it
+        def no_tokens(cls, *args, **kwargs):
+            raise AssertionError("a token was built")
+
+        monkeypatch.setattr(Token, "__new__", no_tokens)
+        huge = 10**18
+        doc = {
+            "format_version": "1", "kind": "span",
+            "base": {"nodes": ["n"], "edges": [{"id": "e", "label": "e", "src": "n", "dst": "n"}]},
+            "fibers": {"n": ["1", "2"]},
+            "transitions": {"e": [{"from": "1", "to": "2", "count": huge}]},
+            "initial": "1", "finals": ["2"],
+        }
+        sim = {
+            "format_version": "1", "kind": "simulation", "source": doc, "target": doc, "strength": "pseudo",
+            "components": {"n": [{"from": "1", "to": "1", "count": huge}, {"from": "2", "to": "2", "count": huge}]},
+        }
+        path, sim_path = tmp_path / "huge.json", tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        sim_path.write_text(json.dumps(sim))
+        assert self.run("validate", str(path), capsys=capsys) == (0, "", "")
+        assert self.run("lang", str(path), "--max-len", "1", "--count", capsys=capsys) == (0, f"e\t{huge}\n", "")
+        code, out, _ = self.run("det", str(path), capsys=capsys)
+        assert code == 0 and json.loads(out)["transitions"]["e"][1] == {"from": "{1}", "to": "{2}"}
+        code, out, _ = self.run("mdet", str(path), capsys=capsys)
+        assert code == 0 and json.loads(out)["matrices"]["e"] == [[0, huge], [0, 0]]
+        code, out, _ = self.run("mdet", str(path), "--expand", capsys=capsys)
+        states = [s["counts"] for s in json.loads(out)["states"]]
+        assert code == 0 and states == [[1, 0], [0, huge], [0, 0]]
+        for mode in ("pseudo", "lax"):
+            assert self.run("sim-check", str(sim_path), "--mode", mode, capsys=capsys) == (0, "", "")
 
     def test_deeply_nested_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -12,7 +12,6 @@ from spanauto.spans import (
     identity_span,
     image,
     subset_label,
-    subsets_of,
     to_matrix,
 )
 from spanauto.automata import (
@@ -35,16 +34,7 @@ from spanauto.simulation import (
     factor_mdet,
     identity_simulation,
 )
-
-
-def membership_relation(power_fiber, fiber, node, multi):
-    from spanauto.determinize import subset_state_label
-
-    return Relation(
-        power_fiber,
-        fiber,
-        {(subset_state_label(node, s, multi), q) for s in subsets_of(fiber) for q in s},
-    )
+from genlib import membership_relation
 
 
 def counit_simulation(a):
@@ -361,6 +351,28 @@ class TestFactorDet:
             seen[result.unique_ok] += 1
         # some mates are not bisimulations, so the failing side is exercised too
         assert seen[True] and seen[False]
+
+
+    def test_composite_ok_agrees_with_full_membership(self):
+        # factor_det composes the mate with membership at the subsets the mate
+        # hits; the composite reads no other row of the full relation
+        import random
+
+        from spanauto.simulation import component_relation
+
+        rng = random.Random(2)
+        for strength in ("strict", "pseudo"):
+            for i in range(60):
+                alpha = random_factor_instance(rng, strength)
+                result = factor_det(alpha)
+                f, d = alpha.source, result.mate.source
+                multi = len(f.base.nodes) > 1
+                full = all(
+                    compose_relations(result.mate.components[n], membership_relation(d.fibers[n], f.fibers[n], n, multi))
+                    == component_relation(alpha, n)
+                    for n in f.base.nodes
+                )
+                assert result.composite_ok == full, (strength, i)
 
 
 class TestFactorMDet:
