@@ -327,7 +327,9 @@ class DetAutomaton(_FiberedAutomaton):
 class MDetMachine(_FiberedAutomaton):
     """Matrix form of a span automaton: counting matrices run on multisets.
 
-    ``transitions`` is ``matrices`` under the name every kind uses.
+    ``transitions`` is ``matrices`` under the name every kind uses.  The
+    start vector is the unit at ``initial``, so a stray initial state is
+    refused at construction.
     """
 
     kind = "mdet"
@@ -336,15 +338,16 @@ class MDetMachine(_FiberedAutomaton):
     fibers: Mapping[str, FinSet]
     matrices: Mapping[str, NatMatrix]
     initial: str
-    initial_vector: Multiset
     finals: frozenset[str]
 
-    def __init__(self, base, fibers, matrices, initial, finals, initial_vector=None):
+    def __init__(self, base, fibers, matrices, initial, finals):
         super().__init__(base, fibers, matrices, initial, finals)
         object.__setattr__(self, "matrices", self.transitions)
-        if initial_vector is None:
-            initial_vector = multiset_unit(self.fibers[self.initial_node], initial)
-        object.__setattr__(self, "initial_vector", initial_vector)
+        self.initial_node  # raises on a stray initial state
+
+    @property
+    def initial_vector(self) -> Multiset:
+        return multiset_unit(self.fibers[self.initial_node], self.initial)
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
         return self.matrices[edge_id]
@@ -388,10 +391,6 @@ def validate(a) -> list[str]:
         elif t.dom != src_fiber or t.cod != dst_fiber:
             noun = {"span": "span", "rel": "relation", "mdet": "matrix"}[a.kind]
             problems.append(f"transition {noun} of edge {e.id!r} does not match the endpoint fibers")
-    if isinstance(a, MDetMachine):
-        node = a.node_of(a.initial)
-        if node is not None and a.initial_vector != multiset_unit(a.fibers[node], a.initial):
-            problems.append("initial vector is not the unit at the initial state")
     return problems
 
 

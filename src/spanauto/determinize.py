@@ -244,12 +244,8 @@ def mdet_accept_count(m: MDetMachine, w: Word) -> int:
     return sum(v[q] for q in m.finals if q in v.base)
 
 
-def expansion_state_label(node: str, v: Multiset, multi_node: bool) -> str:
-    """Label of an expanded machine state, node-qualified like subset states."""
-    return _count_vector_label(node, v.vector(), multi_node)
-
-
-def _count_vector_label(node: str, vec: tuple[int, ...], multi_node: bool) -> str:
+def expansion_state_label(node: str, vec: tuple[int, ...], multi_node: bool) -> str:
+    """Label of an expanded machine state, its count vector, node-qualified like subset states."""
     lbl = "(" + ",".join(map(str, vec)) + ")"
     return f"{node}:{lbl}" if multi_node else lbl
 
@@ -259,25 +255,28 @@ class ExpandedMachine(_FiberedAutomaton):
     """A bounded explicit view of a multiset machine.
 
     States are the multisets discovered breadth first from the start
-    vector (plus any extra seeds); transitions are recorded only from
-    states whose successors were all discovered, so when ``truncated``
-    is set the tables at the frontier are partial.  ``truncated_by``
-    names the bounds that cut the expansion short: ``"max_states"``,
-    ``"max_len"``, both, or none.
+    vector (plus any extra seeds); ``states`` maps each label to its count
+    vector, a tuple of ints in the order of its node's fiber.  Transitions
+    are recorded only from states whose successors were all discovered,
+    so when ``truncated`` is set the tables at the frontier are partial.
+    ``truncated_by`` names the bounds that cut the expansion short:
+    ``"max_states"``, ``"max_len"``, both, or none.
     """
 
     kind = "mdet-expanded"
 
     base: BaseGraph
     fibers: Mapping[str, FinSet]
-    states: Mapping[str, Multiset]
-    nodes_of_states: Mapping[str, str]
+    states: Mapping[str, tuple[int, ...]]
     transitions: Mapping[str, Mapping[str, str]]
     initial: str
     finals: frozenset[str]
     accept_counts: Mapping[str, int]
-    truncated: bool
     truncated_by: tuple[str, ...] = ()
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
 
     def as_det_automaton(self) -> DetAutomaton:
         """The expansion as a deterministic automaton; total only when closed."""
@@ -290,7 +289,7 @@ def mdet_expand(
     m: MDetMachine,
     max_states: int,
     max_len: int,
-    extra_seeds: Mapping[str, list[Multiset]] | None = None,
+    extra_seeds: Mapping[str, list[tuple[int, ...]]] | None = None,
 ) -> ExpandedMachine:
     """Breadth-first closure of reachable multiset states, within bounds.
 
@@ -303,8 +302,8 @@ def mdet_expand(
     fiber order, keyed with its node, and each edge's count rows are read
     once into lists by source position.  A step walks only the nonzero
     counts of the vector and their rows.  A state's label and accept count
-    are computed once, when it is first reached, and its ``Multiset`` is
-    built at the end.  Seeds must be multisets over their node's fiber.
+    are computed once, when it is first reached.  Seeds are count vectors
+    over their node's fiber.
     """
     if max_states <= 0 or max_len < 0:
         raise ValueError("expansion bounds must be positive")
@@ -319,7 +318,9 @@ def mdet_expand(
     out_edges = {n: [(e.id, e.dst, len(order[e.dst])) for e in m.base.out_edges(n)] for n in m.base.nodes}
 
     label_of: dict[tuple[str, tuple[int, ...]], str] = {}
-    key_of: dict[str, tuple[str, tuple[int, ...]]] = {}
+    states: dict[str, tuple[int, ...]] = {}
+    per_node: dict[str, list[str]] = {n: [] for n in m.base.nodes}
+    moves: dict[str, list[tuple[str, str, int]]] = {}
     support: dict[str, list[tuple[int, int]]] = {}
     accept: dict[str, int] = {}
 
@@ -327,27 +328,25 @@ def mdet_expand(
         key = (node, vec)
         lbl = label_of.get(key)
         if lbl is None:
-            lbl = _count_vector_label(node, vec, multi_node)
-            label_of[key] = lbl
-            key_of[lbl] = key
+            lbl = label_of[key] = expansion_state_label(node, vec, multi_node)
+            states[lbl] = vec
+            per_node[node].append(lbl)
+            moves[lbl] = out_edges[node]
             support[lbl] = [(i, c) for i, c in enumerate(vec) if c]
             accept[lbl] = sum(vec[i] for i in final_pos[node])
         return lbl
 
-    def seed_vector(node: str, v: Multiset) -> tuple[int, ...]:
-        if v.base != m.fibers[node]:
-            raise ValueError(f"seed multiset over {v.base.name!r} is not over the fiber of {node!r}")
-        return tuple(v.counts.get(q, 0) for q in order[node])
-
     start = m.initial_node
-    init_label = discover(start, seed_vector(start, m.initial_vector))
+    init_label = discover(start, tuple(int(q == m.initial) for q in order[start]))
     frontier = [init_label]
-    if extra_seeds:
-        for node, vs in extra_seeds.items():
-            for v in vs:
-                lbl = discover(node, seed_vector(node, v))
-                if lbl not in frontier:
-                    frontier.append(lbl)
+    for node, vecs in (extra_seeds or {}).items():
+        for vec in vecs:
+            vec = tuple(vec)
+            if len(vec) != len(order[node]) or not all(type(c) is int and c >= 0 for c in vec):
+                raise ValueError(f"seed {vec!r} is not a count vector over the fiber of {node!r}")
+            lbl = discover(node, vec)
+            if lbl not in frontier:
+                frontier.append(lbl)
     tables: dict[str, dict[str, str]] = {e.id: {} for e in m.base.edges}
     hit_states = False
     depth = 0
@@ -355,7 +354,7 @@ def mdet_expand(
         next_frontier: list[str] = []
         for lbl in sorted(frontier):
             nonzero = support[lbl]
-            for edge_id, dst, width in out_edges[key_of[lbl][0]]:
+            for edge_id, dst, width in moves[lbl]:
                 by_src = rows[edge_id]
                 out = [0] * width
                 for i, c in nonzero:
@@ -373,29 +372,16 @@ def mdet_expand(
         frontier = next_frontier
         depth += 1
     # states left at the depth bound still had unexplored transitions
-    hit_len = any(out_edges[key_of[lbl][0]] for lbl in frontier)
-    truncated_by = ("max_states",) * hit_states + ("max_len",) * hit_len
-
-    states: dict[str, Multiset] = {}
-    node_of: dict[str, str] = {}
-    per_node: dict[str, list[str]] = {n: [] for n in m.base.nodes}
-    for lbl, (node, vec) in key_of.items():
-        states[lbl] = Multiset._trusted(m.fibers[node], {q: c for q, c in zip(order[node], vec) if c})
-        node_of[lbl] = node
-        per_node[node].append(lbl)
-    fibers = {n: FinSet(f"M({m.fibers[n].name})", per_node[n]) for n in m.base.nodes}
-    finals = frozenset(lbl for lbl, c in accept.items() if c > 0)
+    hit_len = any(moves[lbl] for lbl in frontier)
     return ExpandedMachine(
         base=m.base,
-        fibers=fibers,
+        fibers={n: FinSet(f"M({m.fibers[n].name})", per_node[n]) for n in m.base.nodes},
         states=states,
-        nodes_of_states=node_of,
         transitions=tables,
         initial=init_label,
-        finals=finals,
+        finals=frozenset(lbl for lbl, c in accept.items() if c > 0),
         accept_counts=accept,
-        truncated=bool(truncated_by),
-        truncated_by=truncated_by,
+        truncated_by=("max_states",) * hit_states + ("max_len",) * hit_len,
     )
 
 

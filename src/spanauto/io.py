@@ -468,7 +468,7 @@ def serialize_mdet(m: MDetMachine) -> str:
 def serialize_expanded(x: ExpandedMachine) -> str:
     labels = [lbl for n in x.base.nodes for lbl in x.fibers[n]]
     nodes = [n for n in x.base.nodes for _ in x.fibers[n]]
-    vectors = [x.states[lbl].vector() for lbl in labels]
+    vectors = [x.states[lbl] for lbl in labels]
     return _dump(
         {
             "format_version": FORMAT_VERSION,
@@ -513,6 +513,8 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
     target = endpoint("target")
     if isinstance(source, ClassicalNFA) or isinstance(target, ClassicalNFA):
         raise DocumentError("source", "simulation endpoints must be fibered automata")
+    if source.base != target.base:
+        raise DocumentError("target", "simulation endpoints must share the base graph")
     components_doc = _need(doc, "components", dict)
     components = {}
     for n in source.base.nodes:
@@ -595,7 +597,7 @@ def serialize_factorization(result) -> str:
 
 
 def to_dot(a: AnyDocumentAutomaton) -> str:
-    """Graphviz text: one node per state, one edge per token."""
+    """Graphviz text: one node per state, one edge per token, grouped by feet pair."""
     if isinstance(a, ClassicalNFA):
         from .determinize import span_automaton_of_classical
 
@@ -612,7 +614,7 @@ def to_dot(a: AnyDocumentAutomaton) -> str:
     for e in a.base.edges:
         t = a.transitions[e.id]
         if isinstance(a, SpanAutomaton):
-            steps = [(tok.left, tok.right) for tok in t.apex]
+            steps = [pair for pair, n in t.counts.items() for _ in range(n)]
         elif isinstance(a, RelAutomaton):
             steps = sorted(t.pairs)
         else:

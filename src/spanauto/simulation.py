@@ -31,9 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .spans import (
-    POWERSET_CAP,
     FinSet,
-    Multiset,
     NatMatrix,
     Relation,
     Span,
@@ -352,8 +350,7 @@ def membership_span(power_fiber: FinSet, fiber: FinSet, node: str, multi_node: b
     return Span._counted(power_fiber, fiber, counts, _pair_label)
 
 
-def canonical_det_simulation(a: SpanAutomaton, d: Optional[DetAutomaton] = None,
-                             powerset_cap: int = POWERSET_CAP) -> Simulation:
+def canonical_det_simulation(a: SpanAutomaton, d: Optional[DetAutomaton] = None) -> Simulation:
     """The membership simulation from an automaton to its powerset machine.
 
     Component at each node: the pairs (S, q) with q in S.  It always
@@ -361,7 +358,7 @@ def canonical_det_simulation(a: SpanAutomaton, d: Optional[DetAutomaton] = None,
     carries a multiplicity above one.
     """
     if d is None:
-        d = det_span(a, powerset_cap)
+        d = det_span(a)
     multi = len(a.base.nodes) > 1
     components = {
         n: membership_span(d.fibers[n], a.fibers[n], n, multi) for n in a.base.nodes
@@ -372,13 +369,12 @@ def canonical_det_simulation(a: SpanAutomaton, d: Optional[DetAutomaton] = None,
 def multiplicity_span(exp: ExpandedMachine, node: str, fiber: FinSet) -> Span:
     """Relates each discovered multiset state to base states, with multiplicity.
 
-    Tokens are ``(state,q)#i``, by state, then by ``fiber`` order.
+    ``fiber`` is the node's fiber, the order of the count vectors.  Tokens
+    are ``(state,q)#i``, by state, then by ``fiber`` order.
     """
     counts = {}
     for lbl in exp.fibers[node]:
-        v = exp.states[lbl]
-        for q in fiber:
-            c = v[q]
+        for q, c in zip(fiber.elements, exp.states[lbl]):
             if c:
                 counts[lbl, q] = c
     return Span._counted(exp.fibers[node], fiber, counts, _counted_pair_label)
@@ -401,7 +397,7 @@ def canonical_mdet_simulation(a: SpanAutomaton, max_len: int, max_states: int = 
 # universal-property factorizations
 
 
-def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP) -> FactorizationResult:
+def factor_det(alpha: Simulation) -> FactorizationResult:
     """Split a simulation into a deterministic target through the powerset machine.
 
     The mate sends each target state to the set of source states its
@@ -432,7 +428,7 @@ def factor_det(alpha: Simulation, powerset_cap: int = POWERSET_CAP) -> Factoriza
     if not natural.ok:
         raise ValueError(f"alpha is not natural at the relation level: {natural.detail}")
 
-    d = det(f, powerset_cap)
+    d = det(f)
     multi = len(f.base.nodes) > 1
     mate_components = {}
     composite_ok = True
@@ -485,22 +481,20 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> 
     if not declared.ok:
         raise ValueError(f"alpha fails the pseudo check: {declared.detail}")
 
-    machine = mdet(f)
     alpha_matrices = {n: to_matrix(component_span(alpha, n)) for n in f.base.nodes}
-    mate_multisets: dict[str, dict[str, Multiset]] = {}
-    for n in f.base.nodes:
-        mate_multisets[n] = {x: alpha_matrices[n].row(x) for x in g.fibers[n]}
-    seeds = {n: [v for v in mate_multisets[n].values()] for n in f.base.nodes}
-    exp = mdet_expand(machine, max_states, max_len, extra_seeds=seeds)
+    # the mate's image of x is alpha's row at x, as a count vector
+    mate_vectors = {n: {x: [0] * len(f.fibers[n]) for x in g.fibers[n]} for n in f.base.nodes}
+    for n, rows in mate_vectors.items():
+        for (x, q), c in alpha_matrices[n].entries.items():
+            rows[x][f.fibers[n].index(q)] = c
+    seeds = {n: list(rows.values()) for n, rows in mate_vectors.items()}
+    exp = mdet_expand(mdet(f), max_states, max_len, extra_seeds=seeds)
 
     multi_node = len(f.base.nodes) > 1
     mate_components = {}
-    for n in f.base.nodes:
-        apex = [
-            Token(f"({x})", x, expansion_state_label(n, v, multi_node))
-            for x, v in mate_multisets[n].items()
-        ]
-        mate_components[n] = Span(g.fibers[n], exp.fibers[n], apex)
+    for n, rows in mate_vectors.items():
+        picks = {(x, expansion_state_label(n, v, multi_node)): 1 for x, v in rows.items()}
+        mate_components[n] = Span._counted(g.fibers[n], exp.fibers[n], picks, lambda x, _, i: f"({x})")
     mate = Simulation(exp, g, mate_components, "pseudo")
 
     # a safety check, true by construction

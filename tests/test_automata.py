@@ -67,7 +67,7 @@ class TestValidate:
 
     def test_messages_per_kind(self):
         from spanauto.automata import MDetMachine
-        from spanauto.spans import NatMatrix, multiset_unit
+        from spanauto.spans import NatMatrix
 
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1", "2"])
@@ -82,10 +82,9 @@ class TestValidate:
             "transition relation of edge 'e' does not match the endpoint fibers"
         ]
         assert validate(SpanAutomaton(base, {"n": q}, {}, "1", set())) == ["edge 'e' has no transition"]
-        machine = MDetMachine(base, {"n": q}, {"e": NatMatrix(q, other)}, "1", set(), multiset_unit(q, "2"))
+        machine = MDetMachine(base, {"n": q}, {"e": NatMatrix(q, other)}, "1", set())
         assert validate(machine) == [
             "transition matrix of edge 'e' does not match the endpoint fibers",
-            "initial vector is not the unit at the initial state",
         ]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from spanauto.spans import FinSet, Span, Token, multiset_extend, powerset_map, subsets_of
+from spanauto.spans import FinSet, Multiset, Span, Token, multiset_extend, powerset_map, subsets_of
 from spanauto.automata import (
     BaseGraph,
     DetAutomaton,
@@ -234,7 +234,7 @@ def expand_by_multisets(m, max_states, max_len, extra_seeds=None):
     per_node = {n: [] for n in m.base.nodes}
 
     def discover(node, v):
-        lbl = expansion_state_label(node, v, multi)
+        lbl = expansion_state_label(node, v.vector(), multi)
         if lbl not in states:
             states[lbl] = (node, v)
             per_node[node].append(lbl)
@@ -255,7 +255,7 @@ def expand_by_multisets(m, max_states, max_len, extra_seeds=None):
             node, v = states[lbl]
             for e in m.base.out_edges(node):
                 t = multiset_extend(m.matrices[e.id], v)
-                t_lbl = expansion_state_label(e.dst, t, multi)
+                t_lbl = expansion_state_label(e.dst, t.vector(), multi)
                 if t_lbl not in states:
                     if len(states) >= max_states:
                         cut.add("max_states")
@@ -271,10 +271,14 @@ def expand_by_multisets(m, max_states, max_len, extra_seeds=None):
 class TestMDetExpandOracle:
     def assert_matches_oracle(self, m, max_states, max_len, seeds=None):
         exp = mdet_expand(m, max_states, max_len, extra_seeds=seeds)
-        states, per_node, tables, accept, cut = expand_by_multisets(m, max_states, max_len, seeds)
+        multisets = {
+            n: [Multiset(m.fibers[n], dict(zip(m.fibers[n], v))) for v in vs] for n, vs in (seeds or {}).items()
+        }
+        states, per_node, tables, accept, cut = expand_by_multisets(m, max_states, max_len, multisets)
         assert list(exp.states) == list(states)
-        assert exp.states == {lbl: v for lbl, (_, v) in states.items()}
-        assert exp.nodes_of_states == {lbl: n for lbl, (n, _) in states.items()}
+        assert exp.states == {lbl: v.vector() for lbl, (_, v) in states.items()}
+        assert all(type(v) is tuple for v in exp.states.values())
+        assert {lbl: exp.node_of(lbl) for lbl in exp.states} == {lbl: n for lbl, (n, _) in states.items()}
         for n in m.base.nodes:
             assert list(exp.fibers[n]) == per_node[n]
         for e in m.base.edges:
@@ -288,7 +292,6 @@ class TestMDetExpandOracle:
     def test_random_automata_match_oracle(self):
         import random
         from genlib import random_span_automaton
-        from spanauto.spans import Multiset
 
         rng = random.Random(41)
         seen = set()
@@ -297,7 +300,7 @@ class TestMDetExpandOracle:
             a = random_span_automaton(rng, max_nodes=3, max_states=3, max_mult=rng.choice([2, 3]))
             m = mdet(a)
             seeds = {
-                n: [Multiset(a.fibers[n], {q: rng.randint(0, 3) for q in a.fibers[n]}) for _ in range(rng.randint(1, 2))]
+                n: [tuple(rng.randint(0, 3) for _ in a.fibers[n]) for _ in range(rng.randint(1, 2))]
                 for n in a.base.nodes
                 if rng.random() < 0.5
             }
@@ -306,12 +309,11 @@ class TestMDetExpandOracle:
                     seen.add(self.assert_matches_oracle(m, max_states, max_len, extra).truncated_by)
         assert seen == {(), ("max_states",), ("max_len",), ("max_states", "max_len")}
 
-    def test_seed_over_another_set_rejected(self):
-        from spanauto.spans import Multiset
-
+    def test_seed_of_wrong_length_rejected(self):
         m = mdet(two_state_example())
-        with pytest.raises(ValueError):
-            mdet_expand(m, 8, 2, extra_seeds={"s": [Multiset(FinSet("X", ["x"]), {"x": 1})]})
+        for seed in ((1,), (1, 0, 0), (1, -1), (1, True)):
+            with pytest.raises(ValueError):
+                mdet_expand(m, 8, 2, extra_seeds={"s": [seed]})
 
 
 class TestClassical:

@@ -691,3 +691,64 @@ class TestCli:
         code, out, _ = self.run("dot", str(fixtures_dir / "two_phase.json"), capsys=capsys)
         assert code == 0
         assert out.startswith("digraph {")
+
+    def test_dot_with_colliding_token_labels(self, tmp_path, capsys):
+        # both entries would be token e:a>b>c#1; dot draws edges from the counts
+        doc = {
+            "format_version": "1", "kind": "span",
+            "base": {"nodes": ["n"], "edges": [{"id": "e", "label": "e", "src": "n", "dst": "n"}]},
+            "fibers": {"n": ["a>b", "c", "a", "b>c"]},
+            "transitions": {"e": [{"from": "a>b", "to": "c", "count": 2}, {"from": "a", "to": "b>c"}]},
+            "initial": "a", "finals": ["c"],
+        }
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.run("dot", str(path), capsys=capsys)
+        assert (code, err) == (0, "")
+        edges = [line for line in out.splitlines() if '[label="e"]' in line]
+        assert edges == ['  "a>b" -> "c" [label="e"];'] * 2 + ['  "a" -> "b>c" [label="e"];']
+
+    def test_endpoints_on_different_bases_rejected(self, fixtures_dir, tmp_path, capsys):
+        # the node sets differ, so no component can be read against the target's fibers
+        doc = {
+            "format_version": "1", "kind": "simulation",
+            "source": str(fixtures_dir / "two_state.json"), "target": str(fixtures_dir / "two_phase.json"),
+            "strength": "pseudo", "components": {"s": [{"from": "1", "to": "1"}]},
+        }
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        for argv in (("sim-check", "--mode", "pseudo"), ("factor", "--target", "det"), ("factor", "--target", "mdet")):
+            code, out, err = self.run(argv[0], str(path), *argv[1:], capsys=capsys)
+            assert (code, out) == (2, "")
+            assert err == "input-error: target: simulation endpoints must share the base graph\n"
+
+    def test_count_vector_commands_build_no_multisets(self, fixtures_dir, golden_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        # an expanded state is its count vector from mdet_expand to the written document
+        from spanauto.determinize import mdet, mdet_expand
+        from spanauto.io import serialize_simulation
+        from spanauto.simulation import multiplicity_span
+        from spanauto.spans import Multiset
+
+        sims = {}
+        for name in ("two_state", "two_phase"):
+            a = parse_automaton((fixtures_dir / f"{name}.json").read_text())
+            exp = mdet_expand(mdet(a), 64, 8)
+            components = {n: multiplicity_span(exp, n, a.fibers[n]) for n in a.base.nodes}
+            sims[name] = tmp_path / f"{name}_sim.json"
+            sims[name].write_text(serialize_simulation(Simulation(a, exp.as_det_automaton(), components, "pseudo")))
+
+        def no_multisets(*args, **kwargs):
+            raise AssertionError("a Multiset was built")
+
+        monkeypatch.setattr(Multiset, "__init__", no_multisets)
+        monkeypatch.setattr(Multiset, "_trusted", classmethod(no_multisets))
+        for name in ("two_state", "two_phase"):
+            code, out, _ = self.run(
+                "mdet", str(fixtures_dir / f"{name}.json"), "--expand", "--max-states", "6", "--max-len", "3",
+                capsys=capsys,
+            )
+            assert code == 0 and out == (golden_dir / f"mdet_expand_{name}.json").read_text()
+            code, out, err = self.run("factor", str(sims[name]), "--target", "mdet", capsys=capsys)
+            result = json.loads(out)
+            assert (code, err) == (0, "") and result["composite_ok"] and result["bisim_ok"]
