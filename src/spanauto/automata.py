@@ -23,11 +23,12 @@ entry of count 1, so the same rows serve every kind; ``matrix`` and
 
 ``accepted_counts`` (and ``language`` on top of it) evaluates every word
 up to a length in one prefix-shared sweep over the word tree: each prefix
-carries its vector of exact run counts, and each child costs one sparse
-vector-row step.  ``count_paths``, ``accepted`` and ``run_word_span``
-evaluate one word at a time by matrix products, and ``brute_force_paths``
-walks tokens, so it is independent of the count rows as well; none of
-them uses the sweep, so tests can use them as its oracles.
+carries its vector of exact run counts and its label text, and each child
+costs one sparse vector-row step and one string concatenation.
+``count_paths``, ``accepted`` and ``run_word_span`` evaluate one word at a
+time by matrix products, and ``brute_force_paths`` walks tokens, so it is
+independent of the count rows as well; none of them uses the sweep, so
+tests can use them as its oracles.
 """
 
 from __future__ import annotations
@@ -447,35 +448,46 @@ def accepted_counts(a: Automaton, max_len: int) -> list[tuple[Word, int]]:
 
     Words come in ``enumerate_words`` order from the initial node.  One
     sweep over the word tree, a layer at a time, carries each prefix's
-    vector of run counts; a child costs one sparse vector-row step.  A
-    prefix with no runs is dropped: none of its extensions has one.
+    vector of run counts and its label text; a child costs one sparse
+    vector-row step and one string concatenation.  A prefix with no runs
+    is dropped: none of its extensions has one.
+    """
+    start = a.initial_node
+    return [(Word(start, edges), count) for edges, _, count in _accepted_sweep(a, max_len)]
+
+
+def _accepted_sweep(a: Automaton, max_len: int):
+    """Yield ``(edge ids, label text, run count)`` for each accepted word, in enumeration order.
+
+    A child's text is its parent's plus one edge label, and its count
+    vector is its parent's times one edge's count rows.  Vectors hold
+    only positive counts, so a prefix is accepted exactly when some final
+    state is among its keys.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    start = a.initial_node
+    finals = a.finals
     out_edges = {
-        n: [(e.id, e.dst, a.rows(e.id)) for e in sorted(a.base.out_edges(n), key=lambda e: e.id)]
+        n: [(e.id, e.label, e.dst, a.rows(e.id)) for e in sorted(a.base.out_edges(n), key=lambda e: e.id)]
         for n in a.base.nodes
     }
-    out: list[tuple[Word, int]] = []
-    layer = [((), start, {a.initial: 1})]
+    layer = [((), "", a.initial_node, {a.initial: 1})]
     for depth in range(max_len + 1):
         nxt = []
-        for edges, node, vec in layer:
-            count = sum(c for q, c in vec.items() if q in a.finals)
-            if count:
-                out.append((Word(start, edges), count))
+        for edges, text, node, vec in layer:
+            hit = finals.intersection(vec)
+            if hit:
+                yield edges, text, sum(map(vec.__getitem__, hit))
             if depth == max_len:
                 continue
-            for edge_id, dst, rows in out_edges[node]:
+            for edge_id, label, dst, rows in out_edges[node]:
                 child: dict[str, int] = {}
                 for q, c in vec.items():
                     for t, k in rows.get(q, ()):
                         child[t] = child.get(t, 0) + c * k
                 if child:
-                    nxt.append((edges + (edge_id,), dst, child))
+                    nxt.append((edges + (edge_id,), text + label, dst, child))
         layer = nxt
-    return out
 
 
 def count_paths(a: SpanAutomaton, w: Word) -> int:

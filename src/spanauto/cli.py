@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 
 from .spans import POWERSET_CAP
-from .automata import validate, accepted_counts
+from .automata import _accepted_sweep, validate
 from .determinize import (
     ClassicalNFA,
     classical_subset_construction,
@@ -83,18 +84,16 @@ def cmd_classical(args) -> int:
 
 
 def cmd_lang(args) -> int:
-    a = _fibered(load_automaton(args.file))
-    labels = {e.id: e.label for e in a.base.edges}
+    words = list(_accepted_sweep(_fibered(load_automaton(args.file)), args.max_len))
     # labels are unique per (src, dst) but may repeat across pairs; words
     # whose label string is shared by another word get their edge ids shown
-    words = [("".join(labels[e] for e in w.edges), w, n) for w, n in accepted_counts(a, args.max_len)]
-    shared: dict[str, int] = {}
-    for text, _, _ in words:
-        shared[text] = shared.get(text, 0) + 1
-    for text, w, n in words:
+    shared = Counter(text for _, text, _ in words)
+    lines = []
+    for edges, text, n in words:
         if shared[text] > 1:
-            text = f"{text}({','.join(w.edges)})"
-        print(f"{text}\t{n}" if args.count else text)
+            text = f"{text}({','.join(edges)})"
+        lines.append(f"{text}\t{n}\n" if args.count else text + "\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 

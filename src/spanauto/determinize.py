@@ -257,8 +257,11 @@ class ExpandedMachine(_FiberedAutomaton):
     States are the multisets discovered breadth first from the start
     vector (plus any extra seeds); ``states`` maps each label to its count
     vector, a tuple of ints in the order of its node's fiber.  Transitions
-    are recorded only from states whose successors were all discovered,
-    so when ``truncated`` is set the tables at the frontier are partial.
+    are recorded edge by edge, one for each explored move whose target
+    was discovered: past ``max_states`` a move to a new state is left out
+    while the same state's other moves stay, and states reached at the
+    ``max_len`` layer have no moves.  So when ``truncated`` is set the
+    tables are partial, possibly within a single state's edges.
     ``truncated_by`` names the bounds that cut the expansion short:
     ``"max_states"``, ``"max_len"``, both, or none.
     """

@@ -596,12 +596,24 @@ def serialize_factorization(result) -> str:
 # DOT
 
 
+# a span's count is drawn as that many parallel edges, so dot output is bounded here
+_DOT_MAX_EDGE_LINES = 1_000_000
+
+
 def to_dot(a: AnyDocumentAutomaton) -> str:
-    """Graphviz text: one node per state, one edge per token, grouped by feet pair."""
+    """Graphviz text: one node per state, one edge per token, grouped by feet pair.
+
+    The edge lines of a span automaton are counted before any line is
+    built; more than ``_DOT_MAX_EDGE_LINES`` of them is a ``ValueError``.
+    """
     if isinstance(a, ClassicalNFA):
         from .determinize import span_automaton_of_classical
 
         a = span_automaton_of_classical(a)
+    if isinstance(a, SpanAutomaton):
+        edge_lines = sum(sum(a.transitions[e.id].counts.values()) for e in a.base.edges)
+        if edge_lines > _DOT_MAX_EDGE_LINES:
+            raise ValueError(f"dot would draw {edge_lines} edge lines, more than {_DOT_MAX_EDGE_LINES}")
     lines = ["digraph {", "  rankdir=LR;", '  "__start" [shape=point];']
     for n in a.base.nodes:
         lines.append(f"  subgraph cluster_{_dot_id(n)} {{")

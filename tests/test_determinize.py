@@ -206,6 +206,12 @@ class TestMDetExpand:
         assert exp.truncated
         assert exp.truncated_by == ("max_states",)
 
+    def test_state_bound_records_moves_edge_by_edge(self):
+        # both states keep their a-move; their b-targets did not fit under the bound
+        exp = mdet_expand(mdet(two_state_example()), max_states=2, max_len=6)
+        assert exp.truncated_by == ("max_states",)
+        assert exp.transitions == {"a": {"(1,0)": "(1,1)", "(1,1)": "(1,1)"}, "b": {}}
+
     def test_deterministic_input_matches_reachable_original(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n"), ("f", "f", "n", "n")])
         q = FinSet("Q", ["1", "2", "3"])

@@ -368,6 +368,70 @@ class TestCli:
         assert code == 0
         assert out.splitlines() == ["", "a(e1)", "a(e2)"]
 
+    def test_lang_matches_word_by_word_oracle(self, tmp_path, capsys):
+        # oracle: every word by enumerate_words, its runs by count_paths, its
+        # text by joining its labels; a text shared by two words shows edge ids
+        from spanauto.automata import BaseGraph, count_paths
+        from spanauto.spans import FinSet
+
+        def expected(a, max_len, count):
+            labels = {e.id: e.label for e in a.base.edges}
+            words = [(w, count_paths(a, w)) for w in enumerate_words(a.base, a.initial_node, max_len)]
+            words = [(w, n, "".join(labels[e] for e in w.edges)) for w, n in words if n]
+            texts = [text for _, _, text in words]
+            out = ""
+            for w, n, text in words:
+                if texts.count(text) > 1:
+                    text = f"{text}({','.join(w.edges)})"
+                out += f"{text}\t{n}\n" if count else f"{text}\n"
+            return out, words
+
+        def relabelled(a, rng):
+            # multi-character labels, distinct per node pair, and every state
+            # final, so that more words are accepted and their texts can collide
+            pairs: dict = {}
+            for e in a.base.edges:
+                pairs.setdefault((e.src, e.dst), []).append(e)
+            label = {e.id: lbl for group in pairs.values()
+                     for e, lbl in zip(group, rng.sample(["a", "aa", "ba"], len(group)))}
+            base = BaseGraph(a.base.nodes, [(e.id, label[e.id], e.src, e.dst) for e in a.base.edges])
+            return SpanAutomaton(base, a.fibers, a.transitions, a.initial,
+                                 {q for fiber in a.fibers.values() for q in fiber})
+
+        rng = random.Random(10)
+        cases = []
+        for i in range(40):
+            a = random_span_automaton(rng, max_nodes=3, max_states=3)
+            while len(a.base.nodes) < 2:
+                a = random_span_automaton(rng, max_nodes=3, max_states=3)
+            # genlib labels the k-th edge of every node pair alike, so labels repeat across pairs
+            cases.append((relabelled(a, rng), rng.randint(2, 4)) if i % 2 else (a, rng.randint(0, 4)))
+        a = cases[0][0]
+        cases.append((SpanAutomaton(a.base, a.fibers, a.transitions, a.initial, set()), 4))
+        # the words e1.e1 and e2 both read aa
+        q, r = FinSet("Q", ["1"]), FinSet("R", ["2"])
+        base = BaseGraph(["n", "m"], [("e1", "a", "n", "n"), ("e2", "aa", "n", "m")])
+        spans = {"e1": Span(q, q, [Token("u", "1", "1")]), "e2": Span(q, r, [Token("v", "1", "2"), Token("w", "1", "2")])}
+        cases.append((SpanAutomaton(base, {"n": q, "m": r}, spans, "1", {"1", "2"}), 3))
+
+        seen = set()
+        for i, (a, max_len) in enumerate(cases):
+            path = tmp_path / f"lang{i}.json"
+            path.write_text(serialize_automaton(a))
+            for flags in ((), ("--count",)):
+                want, words = expected(a, max_len, bool(flags))
+                got = self.run("lang", str(path), "--max-len", str(max_len), *flags, capsys=capsys)
+                assert got == (0, want, "")
+            if not words:
+                seen.add("none accepted")
+            for w, _, text in words:
+                if not w.edges:
+                    seen.add("empty word")
+                for v, _, other in words:
+                    if v != w and other == text:
+                        seen.add("concatenation" if len(v) != len(w) else "repeated label")
+        assert seen == {"none accepted", "empty word", "repeated label", "concatenation"}
+
     def test_det_then_lang_agrees(self, fixtures_dir, tmp_path, capsys):
         code, det_doc, _ = self.run("det", str(fixtures_dir / "two_phase.json"), capsys=capsys)
         assert code == 0
@@ -707,6 +771,21 @@ class TestCli:
         assert (code, err) == (0, "")
         edges = [line for line in out.splitlines() if '[label="e"]' in line]
         assert edges == ['  "a>b" -> "c" [label="e"];'] * 2 + ['  "a" -> "b>c" [label="e"];']
+
+    def test_dot_refuses_huge_counts_before_drawing(self, tmp_path, capsys):
+        # one edge line per unit of count would never finish at 10**18
+        doc = {
+            "format_version": "1", "kind": "span",
+            "base": {"nodes": ["n"], "edges": [{"id": "e", "label": "e", "src": "n", "dst": "n"}]},
+            "fibers": {"n": ["1"]},
+            "transitions": {"e": [{"from": "1", "to": "1", "count": 10**18}]},
+            "initial": "1", "finals": ["1"],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self.run("dot", str(path), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("input-error:") and len(err.splitlines()) == 1
 
     def test_endpoints_on_different_bases_rejected(self, fixtures_dir, tmp_path, capsys):
         # the node sets differ, so no component can be read against the target's fibers
