@@ -303,10 +303,10 @@ def mdet_expand(
 
     The closure runs on count vectors: a state is a tuple of ints in
     fiber order, keyed with its node, and each edge's count rows are read
-    once into lists by source position.  A step walks only the nonzero
-    counts of the vector and their rows.  A state's label and accept count
-    are computed once, when it is first reached.  Seeds are count vectors
-    over their node's fiber.
+    once into lists by source position.  A step walks the vector beside
+    those rows and skips the zero counts.  A state's label is computed
+    once, when it is first reached, and accept counts in one pass after
+    the closure.  Seeds are count vectors over their node's fiber.
     """
     if max_states <= 0 or max_len < 0:
         raise ValueError("expansion bounds must be positive")
@@ -324,8 +324,6 @@ def mdet_expand(
     states: dict[str, tuple[int, ...]] = {}
     per_node: dict[str, list[str]] = {n: [] for n in m.base.nodes}
     moves: dict[str, list[tuple[str, str, int]]] = {}
-    support: dict[str, list[tuple[int, int]]] = {}
-    accept: dict[str, int] = {}
 
     def discover(node: str, vec: tuple[int, ...]) -> str:
         key = (node, vec)
@@ -335,8 +333,6 @@ def mdet_expand(
             states[lbl] = vec
             per_node[node].append(lbl)
             moves[lbl] = out_edges[node]
-            support[lbl] = [(i, c) for i, c in enumerate(vec) if c]
-            accept[lbl] = sum(vec[i] for i in final_pos[node])
         return lbl
 
     start = m.initial_node
@@ -356,13 +352,13 @@ def mdet_expand(
     while frontier and depth < max_len:
         next_frontier: list[str] = []
         for lbl in sorted(frontier):
-            nonzero = support[lbl]
+            vec = states[lbl]
             for edge_id, dst, width in moves[lbl]:
-                by_src = rows[edge_id]
                 out = [0] * width
-                for i, c in nonzero:
-                    for j, u in by_src[i]:
-                        out[j] += c * u
+                for c, row in zip(vec, rows[edge_id]):
+                    if c:
+                        for j, u in row:
+                            out[j] += c * u
                 key = (dst, tuple(out))
                 tgt_label = label_of.get(key)
                 if tgt_label is None:
@@ -376,6 +372,7 @@ def mdet_expand(
         depth += 1
     # states left at the depth bound still had unexplored transitions
     hit_len = any(moves[lbl] for lbl in frontier)
+    accept = {lbl: sum([vec[i] for i in final_pos[node]]) for (node, vec), lbl in label_of.items()}
     return ExpandedMachine(
         base=m.base,
         fibers={n: FinSet(f"M({m.fibers[n].name})", per_node[n]) for n in m.base.nodes},

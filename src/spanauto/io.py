@@ -183,22 +183,26 @@ def _count_entries(entries, at: str, src_fiber: FinSet, dst_fiber: FinSet, count
             raise DocumentError(f"{at}[{i}]", "expected an object")
         src = entry.get("from")
         dst = entry.get("to")
-        if not isinstance(src, str) or src not in src_index:
+        if type(src) is not str or src not in src_index:
             raise DocumentError(f"{at}[{i}].from", f"unknown {src_noun} {src!r} in fiber {src_fiber.name!r}")
-        if not isinstance(dst, str) or dst not in dst_index:
+        if type(dst) is not str or dst not in dst_index:
             raise DocumentError(f"{at}[{i}].to", f"unknown {dst_noun} {dst!r} in fiber {dst_fiber.name!r}")
-        count = 1
-        if "count" in entry:
-            if not counted:
-                raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
-            count = entry["count"]
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
-        if not entry.keys() <= _ENTRY_KEYS:
-            raise DocumentError(f"{at}[{i}]", f"unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
-        if (src, dst) in counts:
+        # both keys were found, so the entry's size tells whether it has others
+        if len(entry) == 2:
+            counts[src, dst] = 1
+        else:
+            count = 1
+            if "count" in entry:
+                if not counted:
+                    raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
+                count = entry["count"]
+                if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                    raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
+            if len(entry) > 3 or "count" not in entry:
+                raise DocumentError(f"{at}[{i}]", f"unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
+            counts[src, dst] = count
+        if len(counts) <= i:  # the pair was already there, so the store added no key
             raise DocumentError(f"{at}[{i}]", f"duplicate pair ({src!r}, {dst!r})")
-        counts[src, dst] = count
     return counts
 
 

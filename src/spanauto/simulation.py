@@ -15,10 +15,12 @@ Strength grades how strictly the squares must commute:
 
 Over fixed feet such a map exists exactly when the support of one
 counting matrix lies inside the other's, and it is an isomorphism exactly
-when the matrices are equal, so every span-level square is decided on
-sparse products of the automata's counting matrices.  Token composites
-and their apex maps are built only as optional witnesses of squares that
-already passed.
+when the matrices are equal.  So every square, at every strength, is
+decided row by row on the automata's count rows and the components'
+rows, without building either composite, and a failing check lists the
+differing entries of its failing edge only.  Token composites and their
+apex maps are built only as optional witnesses of squares that already
+passed.
 
 ``factor_det`` and ``factor_mdet`` split a simulation into a determinized
 target through the canonical simulation, reporting which of the expected
@@ -27,8 +29,9 @@ properties of the factor actually hold on the given input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .spans import (
     FinSet,
@@ -67,7 +70,6 @@ from .determinize import (
     expansion_state_label,
     mdet,
     mdet_expand,
-    rel_of,
     subset_state_label,
 )
 
@@ -171,9 +173,8 @@ class FactorizationResult:
 # ---------------------------------------------------------------------------
 # views of transitions and components
 #
-# The checks read every automaton kind through its count rows: a span
-# square through ``a.matrix(edge_id)``, a relation square through
-# ``a.support(edge_id)``.  Only witnesses need tokens.
+# The checks read every automaton kind through its count rows,
+# ``a.rows(edge_id)``, at every strength.  Only witnesses need tokens.
 
 
 def transition_span(a: AnyAutomaton, edge_id: str) -> Span:
@@ -240,66 +241,126 @@ def compose_simulations(first: Simulation, second: Simulation) -> Simulation:
 # ---------------------------------------------------------------------------
 # naturality checks
 
+_Rows = Mapping[str, Mapping[str, int]]
 
-def check_rel_simulation(sim: Simulation) -> CheckResult:
-    """Strict naturality over every generating edge, at the relation level."""
-    for a in (sim.source, sim.target):
-        if isinstance(a, SpanAutomaton):
-            raise ValueError("relation-level check requires relational or deterministic automata")
+_NO_ROW: Mapping[str, int] = {}
+
+# The strength only picks how the two rows of a square are compared.  The
+# support of a product of count matrices is the relation composite of
+# their supports, so the strict (relation-level) check compares supports.
+_HOLDS = {
+    "strict": lambda left, right: left.keys() == right.keys(),
+    "pseudo": operator.eq,
+    "lax": lambda left, right: left.keys() <= right.keys(),
+}
+
+
+def _component_rows(c: Union[Relation, Span]) -> _Rows:
+    """A component's count rows ``{x: {q: n}}``; a relation counts each pair once."""
+    m = to_matrix(c) if isinstance(c, Span) else NatMatrix._trusted(c.dom, c.cod, dict.fromkeys(c.pairs, 1))
+    return m._by_row()
+
+
+def _square_rows(states: Iterable[str], src_rows: Mapping[str, tuple[tuple[str, int], ...]],
+                 tgt_rows: Mapping[str, tuple[tuple[str, int], ...]], comp_src: _Rows,
+                 comp_dst: _Rows) -> Iterator[tuple[str, Mapping[str, int], Mapping[str, int]]]:
+    """Both sides of one square as count rows, ``(x, left, right)`` per target state x.
+
+    At an edge e, ``left`` sums the source's rows of e over the component
+    row of x, and ``right`` sums the component rows over x's successors
+    along e; a single successor counted once gives its component row itself.
+    """
+    for x in states:
+        left: dict[str, int] = {}
+        for q, u in comp_src.get(x, _NO_ROW).items():
+            for r, c in src_rows.get(q, ()):
+                left[r] = left.get(r, 0) + u * c
+        step = tgt_rows.get(x, ())
+        if len(step) == 1 and step[0][1] == 1:
+            yield x, left, comp_dst.get(step[0][0], _NO_ROW)
+            continue
+        right: dict[str, int] = {}
+        for y, c in step:
+            for r, u in comp_dst.get(y, _NO_ROW).items():
+                right[r] = right.get(r, 0) + c * u
+        yield x, left, right
+
+
+def _check_squares(sim: Simulation, mode: str) -> CheckResult:
+    """Decide every square row by row; the first failing row ends the walk.
+
+    Rows are read from the automata's cached count rows and the
+    components' row indexes, and no composite is built.  When the target
+    is a bounded expansion only its recorded rows are compared.  A failing
+    edge alone is walked again in full, to list its differing entries.
+    """
     base = sim.source.base
+    partial = isinstance(sim.target, ExpandedMachine)
+    holds = _HOLDS[mode]
+    comps = {n: _component_rows(sim.components[n]) for n in base.nodes}
     for e in base.edges:
-        lhs = compose_relations(component_relation(sim, e.src), sim.source.support(e.id))
-        rhs = compose_relations(sim.target.support(e.id), component_relation(sim, e.dst))
-        if lhs != rhs:
-            only_l = sorted(lhs.pairs - rhs.pairs)
-            only_r = sorted(rhs.pairs - lhs.pairs)
-            differences = sorted([(a, b, 1, 0) for a, b in only_l] + [(a, b, 0, 1) for a, b in only_r])
-            return CheckResult(False, e.id, f"square at edge {e.id!r} differs: lhs-only {only_l}, rhs-only {only_r}",
-                               differences=tuple(differences))
+        tgt_rows = sim.target.rows(e.id)
+        states = tgt_rows if partial else sim.target.fibers[e.src].elements
+        square = (states, sim.source.rows(e.id), tgt_rows, comps[e.src], comps[e.dst])
+        for _, left, right in _square_rows(*square):
+            if not holds(left, right):
+                break
+        else:
+            continue
+        if mode == "strict":
+            differences = tuple(sorted(
+                (x, r, int(r in left), int(r in right))
+                for x, left, right in _square_rows(*square)
+                for r in left.keys() ^ right.keys()
+            ))
+            only_l = [(x, r) for x, r, lhs, _ in differences if lhs]
+            only_r = [(x, r) for x, r, lhs, _ in differences if not lhs]
+            detail = f"square at edge {e.id!r} differs: lhs-only {only_l}, rhs-only {only_r}"
+        else:
+            differences = tuple(sorted(
+                (x, r, left.get(r, 0), right.get(r, 0))
+                for x, left, right in _square_rows(*square)
+                for r in left.keys() | right.keys()
+                if left.get(r, 0) != right.get(r, 0)
+            ))
+            detail = f"square at edge {e.id!r}: multiplicities differ at {[(x, r) for x, r, _, _ in differences]}"
+        return CheckResult(False, e.id, detail, differences=differences)
     return CheckResult(True)
 
 
-def _restrict_rows(m: NatMatrix, rows: Mapping[str, object]) -> NatMatrix:
-    return NatMatrix._trusted(m.dom, m.cod, {k: n for k, n in m.entries.items() if k[0] in rows})
+def check_rel_simulation(sim: Simulation) -> CheckResult:
+    """Strict naturality over every generating edge, at the relation level.
+
+    As in the span checks, a bounded-expansion target is compared on its
+    recorded rows only.
+    """
+    for a in (sim.source, sim.target):
+        if isinstance(a, SpanAutomaton):
+            raise ValueError("relation-level check requires relational or deterministic automata")
+    return _check_squares(sim, "strict")
 
 
 def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) -> CheckResult:
     """Span-level naturality: lax wants an apex map, pseudo wants matrix equality.
 
     The apex map runs from the composite through the source's transition
-    to the composite through the target's.  Each square is decided on
-    counting matrices: pseudo asks for the two sparse products to be
-    equal, lax for the support of the first to lie inside the second's.
-    When the target is a bounded expansion, rows without recorded
-    transitions are left out of both sides of each square: the target's
-    count rows hold only the recorded ones, so the component on the
-    source's side is restricted to them.  With
-    ``witnesses=True`` a passing check also builds, per edge, the token
-    composites and an apex map between them (an isomorphism in pseudo
-    mode); that is the only part whose cost follows the apex sizes.
+    to the composite through the target's.  Over fixed feet it exists
+    exactly when the support of the first counting matrix lies inside the
+    second's, and it is an isomorphism exactly when the matrices are
+    equal; each square is decided on those matrices row by row.  When the
+    target is a bounded expansion, rows without recorded transitions are
+    left out of both sides of each square.  With ``witnesses=True`` a
+    passing check also builds, per edge, the token composites and an apex
+    map between them (an isomorphism in pseudo mode); that is the only
+    part whose cost follows the apex sizes.
     """
     if mode not in ("lax", "pseudo"):
         raise ValueError(f"span check mode must be 'lax' or 'pseudo', not {mode!r}")
-    base = sim.source.base
+    result = _check_squares(sim, mode)
+    if not result.ok or not witnesses:
+        return result
     partial = isinstance(sim.target, ExpandedMachine)
-    components = {n: to_matrix(component_span(sim, n)) for n in base.nodes}
-    for e in base.edges:
-        comp = _restrict_rows(components[e.src], sim.target.rows(e.id)) if partial else components[e.src]
-        lm = matrix_compose(comp, sim.source.matrix(e.id))
-        rm = matrix_compose(sim.target.matrix(e.id), components[e.dst])
-        ok = lm == rm if mode == "pseudo" else set(lm.entries) <= set(rm.entries)
-        if not ok:
-            differences = tuple(sorted(
-                (*k, lm.entries.get(k, 0), rm.entries.get(k, 0))
-                for k in set(lm.entries) | set(rm.entries)
-                if lm.entries.get(k, 0) != rm.entries.get(k, 0)
-            ))
-            at = [(row, col) for row, col, _, _ in differences]
-            return CheckResult(False, e.id, f"square at edge {e.id!r}: multiplicities differ at {at}",
-                               differences=differences)
-    if not witnesses:
-        return CheckResult(True)
-    found = {e.id: _square_witness(sim, e, partial, mode) for e in base.edges}
+    found = {e.id: _square_witness(sim, e, partial, mode) for e in sim.source.base.edges}
     return CheckResult(True, witnesses=found)
 
 
@@ -413,20 +474,16 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
     f, g = alpha.source, alpha.target
     if not isinstance(g, DetAutomaton):
         raise ValueError("factorization target must be deterministic")
-    if alpha.strength != "strict":
-        declared = check_span_simulation(alpha, alpha.strength, witnesses=False)
-        if not declared.ok:
-            raise ValueError(f"alpha fails its declared {alpha.strength!r} check: {declared.detail}")
-    rel_f = rel_of(f)
-    rel_alpha = Simulation(
-        rel_f,
-        g,
-        {n: component_relation(alpha, n) for n in f.base.nodes},
-        "strict",
-    )
-    natural = check_rel_simulation(rel_alpha)
-    if not natural.ok:
-        raise ValueError(f"alpha is not natural at the relation level: {natural.detail}")
+    # a pseudo square has equal supports and equal supports make a lax
+    # square, so alpha's squares are walked twice only when a lax alpha
+    # fails the strict comparison and the lax one must say which error wins
+    if alpha.strength == "pseudo":
+        _require(_check_squares(alpha, "pseudo"), "alpha fails its declared 'pseudo' check")
+    else:
+        natural = _check_squares(alpha, "strict")
+        if not natural.ok and alpha.strength == "lax":
+            _require(_check_squares(alpha, "lax"), "alpha fails its declared 'lax' check")
+        _require(natural, "alpha is not natural at the relation level")
 
     d = det(f)
     multi = len(f.base.nodes) > 1
@@ -455,6 +512,11 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
     return FactorizationResult(mate, composite_ok, bisim_ok, unique_ok)
 
 
+def _require(result: CheckResult, message: str) -> None:
+    if not result.ok:
+        raise ValueError(f"{message}: {result.detail}")
+
+
 def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> FactorizationResult:
     """Split a forward-backward simulation through the counting machine.
 
@@ -477,9 +539,7 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> 
         raise ValueError("factorization target must be deterministic")
     if alpha.strength != "pseudo":
         raise ValueError("the counting factorization needs a forward-backward (pseudo) simulation")
-    declared = check_span_simulation(alpha, "pseudo", witnesses=False)
-    if not declared.ok:
-        raise ValueError(f"alpha fails the pseudo check: {declared.detail}")
+    _require(_check_squares(alpha, "pseudo"), "alpha fails the pseudo check")
 
     alpha_matrices = {n: to_matrix(component_span(alpha, n)) for n in f.base.nodes}
     # the mate's image of x is alpha's row at x, as a count vector

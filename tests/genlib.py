@@ -114,6 +114,30 @@ def random_span_automaton(rng: random.Random, max_nodes: int = 3, max_states: in
             return a
 
 
+def random_live_span_automaton(rng: random.Random, **kwargs) -> SpanAutomaton:
+    """A ``random_span_automaton`` draw with runs, redrawn until one has them.
+
+    The initial state must step along some out-edge, and a final state
+    must be reachable from those steps.  Plain draws often accept no word
+    at all, which leaves a language oracle little to compare.
+    """
+    while True:
+        a = random_span_automaton(rng, **kwargs)
+        successors: dict[str, set[str]] = {}
+        for span in a.transitions.values():
+            for t in span.apex:
+                successors.setdefault(t.left, set()).add(t.right)
+        reached = set(successors.get(a.initial, ()))
+        frontier = list(reached)
+        while frontier:
+            for t in successors.get(frontier.pop(), ()):
+                if t not in reached:
+                    reached.add(t)
+                    frontier.append(t)
+        if reached & a.finals:
+            return a
+
+
 # ---------------------------------------------------------------------------
 # enumerating oracles for the structural lifting checks
 

@@ -237,23 +237,35 @@ class TestAcceptedCounts:
                 assert n == len(brute_force_paths(span, w))
 
     def test_random_span_automata(self):
-        from genlib import random_span_automaton
+        from genlib import random_live_span_automaton
 
         rng = random.Random(2024)
         for i in range(16):
-            a = random_span_automaton(rng, max_nodes=3, max_states=4, max_mult=2 + i % 2, probe_len=5)
+            a = random_live_span_automaton(rng, max_nodes=3, max_states=4, max_mult=2 + i % 2, probe_len=5)
             self.check(a, a, 5)
 
     def test_random_rel_and_det_documents(self):
-        from genlib import random_span_automaton
+        from genlib import random_live_span_automaton
 
         rng = random.Random(7)
         for _ in range(10):
-            a = random_span_automaton(rng, max_nodes=2, max_states=4, probe_len=4)
+            a = random_live_span_automaton(rng, max_nodes=2, max_states=4, probe_len=4)
             r = rel_of(a)
             self.check(r, span_automaton_of_rel(r), 4)
             d = det_span(a)
             self.check(d, span_automaton_of_rel(rel_automaton_of_det(d)), 4)
+
+    def test_live_draws_accept_words(self):
+        # the random language oracles above compare words, so their draws must accept some
+        from genlib import random_live_span_automaton
+
+        rng = random.Random(10)
+        accepting = 0
+        for _ in range(20):
+            a = random_live_span_automaton(rng, max_nodes=3, max_states=3)
+            words = enumerate_words(a.base, a.initial_node, 4)
+            accepting += any(count_paths(a, w) for w in words)
+        assert accepting >= 15
 
     def test_random_classical_nfas(self):
         from genlib import random_classical_nfa

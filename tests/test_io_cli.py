@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from genlib import random_span_automaton
+from genlib import random_live_span_automaton, random_span_automaton
 from spanauto.automata import SpanAutomaton, brute_force_paths, enumerate_words
 from spanauto.cli import main
 from spanauto.determinize import ClassicalNFA
@@ -401,9 +401,9 @@ class TestCli:
         rng = random.Random(10)
         cases = []
         for i in range(40):
-            a = random_span_automaton(rng, max_nodes=3, max_states=3)
+            a = random_live_span_automaton(rng, max_nodes=3, max_states=3)
             while len(a.base.nodes) < 2:
-                a = random_span_automaton(rng, max_nodes=3, max_states=3)
+                a = random_live_span_automaton(rng, max_nodes=3, max_states=3)
             # genlib labels the k-th edge of every node pair alike, so labels repeat across pairs
             cases.append((relabelled(a, rng), rng.randint(2, 4)) if i % 2 else (a, rng.randint(0, 4)))
         a = cases[0][0]
@@ -673,6 +673,40 @@ class TestCli:
             code, out, err = self.run("sim-check", str(sim_path), "--mode", strength, capsys=capsys)
             assert (code, out) == (2, "")
             assert err == "input-error: components.s[2]: duplicate pair ('1', '1')\n"
+
+    @staticmethod
+    def _to_rel(doc):
+        doc["kind"] = "rel"
+        for entries in doc["transitions"].values():
+            for entry in entries:
+                del entry["count"]
+
+    @pytest.mark.parametrize("change, line", [
+        (lambda d: d["transitions"]["a"].append(5),
+         "transitions.a[2]: expected an object"),
+        # an unhashable state is reported, not looked up
+        (lambda d: d["transitions"]["a"].append({"from": ["1"], "to": "2"}),
+         "transitions.a[2].from: unknown state ['1'] in fiber 's'"),
+        (lambda d: d["transitions"]["a"].append({"from": "2", "to": "9"}),
+         "transitions.a[2].to: unknown state '9' in fiber 's'"),
+        (lambda d: d["transitions"]["a"].append({"from": "2", "to": "1", "count": True}),
+         "transitions.a[2].count: count must be a positive integer, got True"),
+        (lambda d: (TestCli._to_rel(d), d["transitions"]["a"].append({"from": "2", "to": "1", "count": 1})),
+         "transitions.a[2].count: counts are only valid in span documents"),
+        (lambda d: d["transitions"]["a"].append({"from": "2", "to": "1", "weight": 2}),
+         "transitions.a[2]: unknown keys ['weight']"),
+        (lambda d: d["transitions"]["a"].append({"from": "2", "to": "1", "count": 1, "weight": 2}),
+         "transitions.a[2]: unknown keys ['weight']"),
+        # the first bad entry wins, even when a later one is malformed too
+        (lambda d: d["transitions"]["a"].extend([{"from": "1", "to": "1"}, {"from": "2", "to": "9"}]),
+         "transitions.a[2]: duplicate pair ('1', '1')"),
+    ])
+    def test_entry_errors_in_order(self, change, line, fixtures_dir, tmp_path, capsys):
+        doc = json.loads((fixtures_dir / "two_state.json").read_text())
+        change(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert self.run("validate", str(path), capsys=capsys) == (2, "", f"input-error: {line}\n")
 
     def test_huge_counts_build_no_tokens(self, tmp_path, capsys, monkeypatch):
         # a count costs O(1): no command here may build one token per unit of it

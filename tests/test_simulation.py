@@ -248,6 +248,9 @@ class TestCanonicalMDetSimulation:
         result = check_span_simulation(sim, "pseudo", witnesses=True)
         assert square_oracle(sim, "pseudo") == (True, None, ())
         assert all(m.is_iso() for m in result.witnesses.values())
+        # the strict check reads the same rows
+        strict = Simulation(rel_of(growing), sim.target, {"n": image(sim.components["n"])}, "strict")
+        assert check_rel_simulation(strict).ok
 
 
 def random_det_target(rng, f):
@@ -327,6 +330,32 @@ class TestFactorDet:
         broken = Simulation(f, g, {"n": Relation(gq, fq, {("x", "1")})}, "strict")
         with pytest.raises(ValueError):
             factor_det(broken)
+
+    @staticmethod
+    def one_loop(steps, component, strength):
+        """A simulation onto a one-state loop from a two-state span automaton."""
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        fq, gq = FinSet("F", ["1", "2"]), FinSet("G", ["x"])
+        f = SpanAutomaton(base, {"n": fq}, {"e": Span(fq, fq, [Token(f"t{i}", q, r) for i, (q, r) in enumerate(steps)])},
+                          "1", {"2"})
+        g = DetAutomaton(base, {"n": gq}, {"e": {"x": "x"}}, "x", {"x"})
+        return Simulation(f, g, {"n": Span(gq, fq, [Token(f"c{i}", "x", q) for i, q in enumerate(component)])}, strength)
+
+    @pytest.mark.parametrize("steps, component, strength, message", [
+        # x relates to 1 alone, but 1 steps to 2: lax fails, and its error wins
+        ([("1", "2")], ["1"], "lax",
+         "alpha fails its declared 'lax' check: square at edge 'e': multiplicities differ at [('x', '1'), ('x', '2')]"),
+        # 2 has no step, so lax holds and only the supports differ
+        ([("1", "1")], ["1", "2"], "lax",
+         "alpha is not natural at the relation level: square at edge 'e' differs: lhs-only [], rhs-only [('x', '2')]"),
+        # the supports agree, but 1 steps to itself twice
+        ([("1", "1"), ("1", "1")], ["1"], "pseudo",
+         "alpha fails its declared 'pseudo' check: square at edge 'e': multiplicities differ at [('x', '1')]"),
+    ])
+    def test_unnatural_alpha_error(self, steps, component, strength, message):
+        with pytest.raises(ValueError) as info:
+            factor_det(self.one_loop(steps, component, strength))
+        assert str(info.value) == message
 
     def test_span_level_alpha_accepted(self):
         a = two_state_example()
@@ -589,6 +618,39 @@ def random_simulations(seed):
     return sims + [_drop_one(sim, rng) for sim in sims]
 
 
+def rel_square_oracle(sim):
+    """(ok, failed_edge, detail, differences) from relation composites over every edge."""
+    def rel(a, e):
+        return Relation(a.fibers[e.src], a.fibers[e.dst], _edge_counts(a, e.id))
+
+    for e in sim.source.base.edges:
+        comp_src, comp_dst = sim.components[e.src], sim.components[e.dst]
+        lhs = compose_relations(Relation(comp_src.dom, comp_src.cod, _counts(comp_src)), rel(sim.source, e))
+        rhs = compose_relations(rel(sim.target, e), Relation(comp_dst.dom, comp_dst.cod, _counts(comp_dst)))
+        if lhs != rhs:
+            only_l, only_r = sorted(lhs.pairs - rhs.pairs), sorted(rhs.pairs - lhs.pairs)
+            diffs = sorted([(*p, 1, 0) for p in only_l] + [(*p, 0, 1) for p in only_r])
+            return False, e.id, f"square at edge {e.id!r} differs: lhs-only {only_l}, rhs-only {only_r}", tuple(diffs)
+    return True, None, "", ()
+
+
+def strict_simulations(seed):
+    """``random_simulations`` with relational or deterministic endpoints and relation components."""
+    from spanauto.automata import DetAutomaton, RelAutomaton
+    from spanauto.determinize import ExpandedMachine
+    from spanauto.simulation import component_relation
+
+    def relational(a):
+        return a if isinstance(a, (RelAutomaton, DetAutomaton)) else rel_of(a)
+
+    return [
+        Simulation(relational(sim.source), relational(sim.target),
+                   {n: component_relation(sim, n) for n in sim.source.base.nodes}, "strict")
+        for sim in random_simulations(seed)
+        if not isinstance(sim.target, ExpandedMachine)
+    ]
+
+
 class TestMatrixFirstSquares:
     SEEDS = range(12)
 
@@ -633,6 +695,41 @@ class TestMatrixFirstSquares:
                     for e in sim.source.base.edges:
                         morphism = result.witnesses[e.id]
                         assert (_counts(morphism.source), _counts(morphism.target)) == oracle_sides(sim, e)
+
+    def test_rel_verdict_matches_relation_oracle(self):
+        seen = set()
+        for seed in self.SEEDS:
+            for sim in strict_simulations(seed):
+                result = check_rel_simulation(sim)
+                assert (result.ok, result.failed_edge, result.detail, result.differences) == rel_square_oracle(sim)
+                seen.add((result.ok, len(sim.source.base.nodes) > 1))
+        # both verdicts, on single- and multi-node bases
+        assert seen == {(ok, multi) for ok in (True, False) for multi in (True, False)}
+
+    def test_passing_checks_build_no_composite(self, monkeypatch):
+        import sys
+
+        import spanauto.spans as spans
+
+        a = two_phase_example()
+        span_sim, rel_sim = canonical_det_simulation(a), counit_simulation(a)
+        calls = []
+        for name in ("matrix_compose", "compose_relations"):
+            original = getattr(spans, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("spanauto")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert check_span_simulation(span_sim, "lax", witnesses=False).ok
+        assert check_rel_simulation(rel_sim).ok
+        assert calls == []
+        # the wrappers do count: factor_det's composite check composes relations
+        factor_det(rel_sim)
+        assert "compose_relations" in calls
 
     def test_failing_result_carries_differences(self):
         sim = canonical_det_simulation(two_state_example())
