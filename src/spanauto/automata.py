@@ -22,13 +22,17 @@ entry of count 1, so the same rows serve every kind; ``matrix`` and
 ``support`` are their matrix and relation forms.
 
 ``accepted_counts`` (and ``language`` on top of it) evaluates every word
-up to a length in one prefix-shared sweep over the word tree: each prefix
-carries its vector of exact run counts and its label text, and each child
-costs one sparse vector-row step and one string concatenation.
-``count_paths``, ``accepted`` and ``run_word_span`` evaluate one word at a
-time by matrix products, and ``brute_force_paths`` walks tokens, so it is
-independent of the count rows as well; none of them uses the sweep, so
-tests can use them as its oracles.
+up to a length L in one sweep that shares prefixes and suffixes.  Down to
+depth L - 2 each prefix carries its forward vector of exact run counts and
+its label text, and each child costs one sparse vector-row step and one
+string concatenation.  A table built once per call holds, for each node,
+the suffixes of length at most 2 with their acceptance vectors (accepting
+runs of the suffix from each state), so each word of the last two lengths
+costs one sparse dot product of a live depth-(L - 2) prefix's vector with
+a suffix's.  ``count_paths``, ``accepted`` and ``run_word_span`` evaluate
+one word at a time by matrix products, and ``brute_force_paths`` walks
+tokens, so it is independent of the count rows as well; none of them uses
+the sweep or its suffix table, so tests can use them as its oracles.
 """
 
 from __future__ import annotations
@@ -447,22 +451,35 @@ def accepted_counts(a: Automaton, max_len: int) -> list[tuple[Word, int]]:
     """Accepted words up to a length, each with its number of accepting runs.
 
     Words come in ``enumerate_words`` order from the initial node.  One
-    sweep over the word tree, a layer at a time, carries each prefix's
-    vector of run counts and its label text; a child costs one sparse
-    vector-row step and one string concatenation.  A prefix with no runs
-    is dropped: none of its extensions has one.
+    sweep over the word tree, a layer at a time down to depth
+    ``max_len - 2``, carries each prefix's forward vector of run counts
+    and its label text; a child costs one sparse vector-row step and one
+    string concatenation, and a prefix with no runs is dropped.  Each word
+    of the last two lengths is a live prefix of that depth followed by a
+    suffix of length 1 or 2 from a table built once, and costs one sparse
+    dot product of the prefix's vector with the suffix's acceptance vector.
     """
     start = a.initial_node
     return [(Word(start, edges), count) for edges, _, count in _accepted_sweep(a, max_len)]
 
 
+# the sweep finishes every word from a table of suffixes up to this length
+_SUFFIX_LEN = 2
+
+
 def _accepted_sweep(a: Automaton, max_len: int):
     """Yield ``(edge ids, label text, run count)`` for each accepted word, in enumeration order.
 
-    A child's text is its parent's plus one edge label, and its count
-    vector is its parent's times one edge's count rows.  Vectors hold
-    only positive counts, so a prefix is accepted exactly when some final
-    state is among its keys.
+    With h = min(2, max_len), prefixes carry forward count vectors down to
+    depth max_len - h: a child's text is its parent's plus one edge label,
+    and its vector is its parent's times one edge's count rows.  Vectors
+    hold only positive counts, so a prefix is accepted exactly when some
+    final state is among its keys, and a prefix with no runs is dropped.
+    A table built once lists, per node and per length r <= h, the
+    suffixes in edge-id order, each with its acceptance vector
+    ``{q: accepting runs of the suffix from q}``; a word of length
+    max_len - h + r is a live depth-(max_len - h) prefix and a length-r
+    suffix from its end node, counted by one sparse dot product.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -471,14 +488,17 @@ def _accepted_sweep(a: Automaton, max_len: int):
         n: [(e.id, e.label, e.dst, a.rows(e.id)) for e in sorted(a.base.out_edges(n), key=lambda e: e.id)]
         for n in a.base.nodes
     }
+    h = min(_SUFFIX_LEN, max_len)
+    tails = _suffix_table(out_edges, finals, h)
+    cut = max_len - h
     layer = [((), "", a.initial_node, {a.initial: 1})]
-    for depth in range(max_len + 1):
+    for depth in range(cut + 1):
         nxt = []
         for edges, text, node, vec in layer:
             hit = finals.intersection(vec)
             if hit:
                 yield edges, text, sum(map(vec.__getitem__, hit))
-            if depth == max_len:
+            if depth == cut:
                 continue
             for edge_id, label, dst, rows in out_edges[node]:
                 child: dict[str, int] = {}
@@ -487,7 +507,50 @@ def _accepted_sweep(a: Automaton, max_len: int):
                         child[t] = child.get(t, 0) + c * k
                 if child:
                     nxt.append((edges + (edge_id,), text + label, dst, child))
-        layer = nxt
+        if depth < cut:
+            layer = nxt
+    for table in tails[1:]:
+        for edges, text, node, vec in layer:
+            for suffix, suffix_text, acc in table[node]:
+                n = 0
+                for q, c in vec.items():
+                    k = acc.get(q)
+                    if k:
+                        n += c * k
+                if n:
+                    yield edges + suffix, text + suffix_text, n
+
+
+def _suffix_table(out_edges, finals, h: int) -> list[dict[str, list]]:
+    """Entry r <= h maps each node to its length-r suffixes ``(edge ids, text, acceptance vector)``.
+
+    A suffix's acceptance vector maps each state to its accepting runs over
+    the suffix; it is its first edge's count rows times the rest's vector,
+    and the empty suffix's is 1 at every final state.  Suffixes come in
+    edge-id order.  One with no accepting run is left out, and so are all
+    the longer suffixes that end with it, which have none either.
+    """
+    tails = [{n: [((), "", dict.fromkeys(finals, 1))] for n in out_edges}]
+    for _ in range(h):
+        shorter = tails[-1]
+        table = {}
+        for n, edges in out_edges.items():
+            live = []
+            for edge_id, label, dst, rows in edges:
+                for suffix, text, after in shorter[dst]:
+                    acc = {}
+                    for q, row in rows.items():
+                        k = 0
+                        for t, c in row:
+                            if t in after:
+                                k += c * after[t]
+                        if k:
+                            acc[q] = k
+                    if acc:
+                        live.append(((edge_id,) + suffix, label + text, acc))
+            table[n] = live
+        tails.append(table)
+    return tails
 
 
 def count_paths(a: SpanAutomaton, w: Word) -> int:

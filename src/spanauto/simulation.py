@@ -352,7 +352,9 @@ def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) ->
     left out of both sides of each square.  With ``witnesses=True`` a
     passing check also builds, per edge, the token composites and an apex
     map between them (an isomorphism in pseudo mode); that is the only
-    part whose cost follows the apex sizes.
+    part whose cost follows the apex sizes, so when some edge's witness
+    would build more than 1,000,000 tokens the check raises ``ValueError``
+    before it builds any.
     """
     if mode not in ("lax", "pseudo"):
         raise ValueError(f"span check mode must be 'lax' or 'pseudo', not {mode!r}")
@@ -360,8 +362,38 @@ def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) ->
     if not result.ok or not witnesses:
         return result
     partial = isinstance(sim.target, ExpandedMachine)
+    for e in sim.source.base.edges:
+        tokens = _witness_tokens(sim, e, partial)
+        if tokens > _WITNESS_MAX_TOKENS:
+            raise ValueError(f"witness at edge {e.id!r} would build {tokens} tokens, more than {_WITNESS_MAX_TOKENS}")
     found = {e.id: _square_witness(sim, e, partial, mode) for e in sim.source.base.edges}
     return CheckResult(True, witnesses=found)
+
+
+# a witness builds one token per unit of count, so its size is bounded here, as dot's is
+_WITNESS_MAX_TOKENS = 1_000_000
+
+
+def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
+    """The tokens ``_square_witness`` would build at an edge, counted from count rows.
+
+    That is both components' apexes, both transitions' apexes and the two
+    composites, the left one over the recorded rows only when ``partial``.
+    """
+    comp_src = _component_rows(sim.components[e.src])
+    comp_dst = _component_rows(sim.components[e.dst])
+    src_rows = sim.source.rows(e.id)
+    tgt_rows = sim.target.rows(e.id)
+    src_out = {q: sum(c for _, c in row) for q, row in src_rows.items()}
+    dst_out = {y: sum(row.values()) for y, row in comp_dst.items()}
+    tokens = sum(src_out.values()) + sum(dst_out.values()) + sum(c for row in tgt_rows.values() for _, c in row)
+    for x, row in comp_src.items():
+        tokens += sum(row.values())
+        if not partial or x in tgt_rows:
+            tokens += sum(u * src_out.get(q, 0) for q, u in row.items())
+    for row in tgt_rows.values():
+        tokens += sum(c * dst_out.get(y, 0) for y, c in row)
+    return tokens
 
 
 def _square_witness(sim: Simulation, e: Edge, partial: bool, mode: str) -> SpanMorphism:

@@ -290,6 +290,90 @@ class TestAcceptedCounts:
         assert [(w.edges, n) for w, n in got] == [((), 1), (("c",), 2), (("b", "b"), 1), (("c", "c"), 4)]
         self.check(a, a, 4)
 
+    def test_split_sweep_at_every_length(self):
+        # lengths below, at and above the suffix length, on colliding labels,
+        # parallel counts up to 3, and relational and deterministic documents
+        from genlib import random_live_span_automaton
+
+        rng = random.Random(12)
+        colliding = 0
+        for _ in range(6):
+            a = random_live_span_automaton(rng, max_nodes=3, max_states=3, max_mult=3, probe_len=6)
+            colliding += len({e.label for e in a.base.edges}) < len(a.base.edges)
+            r = rel_of(a)
+            d = det_span(a)
+            for max_len in range(7):
+                self.check(a, a, max_len)
+                self.check(r, span_automaton_of_rel(r), max_len)
+                self.check(d, span_automaton_of_rel(rel_automaton_of_det(d)), max_len)
+        assert colliding >= 2
+
+    @staticmethod
+    def chain(finals):
+        """One node; "a" walks 1 -> 2 -> 3 -> 4 and "b" loops on 2 twice."""
+        base = BaseGraph(["n"], [("a", "a", "n", "n"), ("b", "b", "n", "n")])
+        q = FinSet("Q", ["1", "2", "3", "4"])
+        spans = {
+            "a": Span(q, q, [Token("a12", "1", "2"), Token("a23", "2", "3"), Token("a34", "3", "4")]),
+            "b": Span(q, q, [Token("b22", "2", "2"), Token("b22'", "2", "2")]),
+        }
+        return SpanAutomaton(base, {"n": q}, spans, "1", finals)
+
+    def test_prefixes_dying_in_the_last_two_layers(self):
+        # at max_len 4 both depth-2 prefixes are live ("aa" at 3, "ab" at 2),
+        # while "aab" dies at depth 3 and "aaaa", "aaab", "abab" at depth 4
+        a = self.chain({"2", "4"})
+        got = accepted_counts(a, 4)
+        assert [(w.edges, n) for w, n in got] == [
+            (("a",), 1), (("a", "b"), 2), (("a", "a", "a"), 1), (("a", "b", "b"), 4),
+            (("a", "b", "a", "a"), 2), (("a", "b", "b", "b"), 8),
+        ]
+        for max_len in range(7):
+            self.check(a, a, max_len)
+
+    def test_suffixes_live_only_off_the_reached_states(self):
+        # prefixes only loop on 1 along "c"; the live suffixes "d" (from 3)
+        # and "cd" (from 2) start elsewhere, so every candidate counts 0
+        from spanauto.automata import _suffix_table
+
+        base = BaseGraph(["n"], [("c", "c", "n", "n"), ("d", "d", "n", "n")])
+        q = FinSet("Q", ["1", "2", "3", "4"])
+        spans = {
+            "c": Span(q, q, [Token("c11", "1", "1"), Token("c23", "2", "3")]),
+            "d": Span(q, q, [Token("d34", "3", "4")]),
+        }
+        a = SpanAutomaton(base, {"n": q}, spans, "1", {"4"})
+        out_edges = {"n": [(e, e, "n", a.rows(e)) for e in ("c", "d")]}
+        tails = _suffix_table(out_edges, a.finals, 2)
+        assert [[s for s, _, _ in table["n"]] for table in tails[1:]] == [[("d",)], [("c", "d")]]
+        for max_len in range(7):
+            assert accepted_counts(a, max_len) == []
+            self.check(a, a, max_len)
+
+    def test_no_final_states(self):
+        from spanauto.automata import _suffix_table
+
+        a = self.chain(set())
+        out_edges = {"n": [(e, e, "n", a.rows(e)) for e in ("a", "b")]}
+        assert _suffix_table(out_edges, a.finals, 2)[1:] == [{"n": []}, {"n": []}]
+        for max_len in range(7):
+            assert accepted_counts(a, max_len) == []
+            self.check(a, a, max_len)
+
+    def test_final_initial_state_at_short_lengths(self):
+        base = BaseGraph(["n"], [("a", "a", "n", "n"), ("b", "b", "n", "n")])
+        q = FinSet("Q", ["1", "2"])
+        spans = {
+            "a": Span(q, q, [Token("a11", "1", "1"), Token("a11'", "1", "1")]),
+            "b": Span(q, q, [Token("b12", "1", "2")]),
+        }
+        a = SpanAutomaton(base, {"n": q}, spans, "1", {"1"})
+        want = [((), 1), (("a",), 2), (("a", "a"), 4)]
+        for max_len in (0, 1, 2):
+            got = accepted_counts(a, max_len)
+            assert [(w.edges, n) for w, n in got] == want[: max_len + 1]
+            self.check(a, a, max_len)
+
 
 class TestUniqueLift:
     def test_determinization_has_unique_lifts(self):

@@ -696,6 +696,42 @@ class TestMatrixFirstSquares:
                         morphism = result.witnesses[e.id]
                         assert (_counts(morphism.source), _counts(morphism.target)) == oracle_sides(sim, e)
 
+    def test_witness_token_count_matches_the_built_witness(self):
+        from spanauto.determinize import ExpandedMachine
+        from spanauto.simulation import _witness_tokens, component_span, transition_span
+
+        for seed in self.SEEDS:
+            for sim in random_simulations(seed):
+                result = check_span_simulation(sim, "lax")
+                if not result.ok:
+                    continue
+                partial = isinstance(sim.target, ExpandedMachine)
+                for e in sim.source.base.edges:
+                    morphism = result.witnesses[e.id]
+                    read = [component_span(sim, e.src), component_span(sim, e.dst),
+                            transition_span(sim.source, e.id), transition_span(sim.target, e.id)]
+                    built = [morphism.source, morphism.target]
+                    assert _witness_tokens(sim, e, partial) == sum(len(s.apex) for s in read + built)
+
+    def test_huge_witness_is_refused_before_any_token(self, monkeypatch):
+        import spanauto.simulation as simulation
+        from spanauto.spans import from_matrix, NatMatrix
+
+        def unreachable(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(simulation, "_square_witness", unreachable)
+
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        q = FinSet("Q", ["1"])
+        a = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1")])}, "1", {"1"})
+        comp = from_matrix(NatMatrix(q, q, {("1", "1"): 10**18}))
+        sim = Simulation(a, a, {"n": comp}, "pseudo")
+        assert check_span_simulation(sim, "pseudo", witnesses=False).ok
+        # both components, both transitions and both composites: 4 * 10**18 + 2 tokens
+        with pytest.raises(ValueError, match=f"witness at edge 'e' would build {4 * 10**18 + 2} tokens"):
+            check_span_simulation(sim, "pseudo")
+
     def test_rel_verdict_matches_relation_oracle(self):
         seen = set()
         for seed in self.SEEDS:
