@@ -76,7 +76,6 @@ __all__ = [
     "is_deterministic",
     "to_det_automaton",
     "span_automaton_of_rel",
-    "rel_automaton_of_det",
 ]
 
 # Path enumeration refuses words longer than this; matrix semantics has no bound.
@@ -629,11 +628,6 @@ def span_automaton_of_rel(a: RelAutomaton) -> SpanAutomaton:
         a.initial,
         a.finals,
     )
-
-
-def rel_automaton_of_det(a: DetAutomaton) -> RelAutomaton:
-    """View a deterministic automaton relationally (graphs of its functions)."""
-    return RelAutomaton(a.base, a.fibers, {e.id: a.support(e.id) for e in a.base.edges}, a.initial, a.finals)
 
 
 def to_det_automaton(a: RelAutomaton) -> DetAutomaton:

@@ -200,10 +200,8 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print(f"check-failed: {exc}", file=sys.stderr)
         return 1
-    except (DocumentError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"input-error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        # a DocumentError is a ValueError
         print(f"input-error: {exc}", file=sys.stderr)
         return 2
 

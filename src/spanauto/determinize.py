@@ -389,14 +389,17 @@ def mdet_expand(
 # classical oracle
 
 
-def classical_base(alphabet, node: str = "s") -> BaseGraph:
+_CLASSICAL_NODE = "s"
+
+
+def classical_base(alphabet) -> BaseGraph:
     """Single-node base with one loop per letter."""
-    return BaseGraph([node], [(a, a, node, node) for a in alphabet])
+    return BaseGraph([_CLASSICAL_NODE], [(a, a, _CLASSICAL_NODE, _CLASSICAL_NODE) for a in alphabet])
 
 
-def span_automaton_of_classical(n: ClassicalNFA, node: str = "s") -> SpanAutomaton:
+def span_automaton_of_classical(n: ClassicalNFA) -> SpanAutomaton:
     """Read a flat NFA as a span automaton over the single-node base."""
-    base = classical_base(n.alphabet, node)
+    base = classical_base(n.alphabet)
     spans = {}
     for a in n.alphabet:
         apex = [
@@ -405,16 +408,16 @@ def span_automaton_of_classical(n: ClassicalNFA, node: str = "s") -> SpanAutomat
             for t in sorted(n.step(q, a))
         ]
         spans[a] = Span(n.states, n.states, apex)
-    return SpanAutomaton(base, {node: n.states}, spans, n.initial, n.finals)
+    return SpanAutomaton(base, {_CLASSICAL_NODE: n.states}, spans, n.initial, n.finals)
 
 
-def classical_subset_construction(n: ClassicalNFA, node: str = "s") -> DetAutomaton:
+def classical_subset_construction(n: ClassicalNFA) -> DetAutomaton:
     """Textbook subset construction: powerset states, direct-image steps.
 
     Built directly from the five-tuple, without the span machinery, over
     the same single-node base shape as the categorical pipeline.
     """
-    base = classical_base(n.alphabet, node)
+    base = classical_base(n.alphabet)
     subsets = subsets_of(n.states)
     fiber = FinSet(f"P({n.states.name})", [subset_label(s) for s in subsets])
     tables = {}
@@ -427,7 +430,7 @@ def classical_subset_construction(n: ClassicalNFA, node: str = "s") -> DetAutoma
             table[subset_label(s)] = subset_label(targets)
         tables[a] = table
     finals = {subset_label(s) for s in subsets if s & n.finals}
-    return DetAutomaton(base, {node: fiber}, tables, subset_label({n.initial}), finals)
+    return DetAutomaton(base, {_CLASSICAL_NODE: fiber}, tables, subset_label({n.initial}), finals)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +464,9 @@ def reachable_iso_check(d1: DetAutomaton, d2: DetAutomaton) -> Optional[dict[str
 
     Returns the unique state bijection that respects edges (matched by
     source, target and label), the initial states and the final sets, or
-    None when the machines differ.  Both inputs are pruned first.
+    None when the machines differ.  The joint walk from the initial states
+    meets only reachable states, and every reachable state of ``d2``, so an
+    injective match is a bijection of the reachable parts.
     """
     if set(d1.base.nodes) != set(d2.base.nodes):
         return None
@@ -473,25 +478,24 @@ def reachable_iso_check(d1: DetAutomaton, d2: DetAutomaton) -> Optional[dict[str
         edge_match[e1.id] = candidates[0].id
     if {(e.src, e.dst, e.label) for e in d1.base.edges} != {(e.src, e.dst, e.label) for e in d2.base.edges}:
         return None
-    p1, p2 = prune_reachable(d1), prune_reachable(d2)
-    mapping: dict[str, str] = {p1.initial: p2.initial}
-    frontier = [p1.initial]
+    if d1.initial_node != d2.initial_node:
+        return None
+    mapping: dict[str, str] = {d1.initial: d2.initial}
+    frontier = [d1.initial]
     while frontier:
         q = frontier.pop()
         r = mapping[q]
-        if (q in p1.finals) != (r in p2.finals):
+        if (q in d1.finals) != (r in d2.finals):
             return None
-        for e in p1.base.out_edges(p1.node_of(q)):
-            qt = p1.transitions[e.id][q]
-            rt = p2.transitions[edge_match[e.id]][r]
+        for e in d1.base.out_edges(d1.node_of(q)):
+            qt = d1.transitions[e.id][q]
+            rt = d2.transitions[edge_match[e.id]][r]
             if qt in mapping:
                 if mapping[qt] != rt:
                     return None
             else:
                 mapping[qt] = rt
                 frontier.append(qt)
-    size1 = sum(len(p1.fibers[n]) for n in p1.base.nodes)
-    size2 = sum(len(p2.fibers[n]) for n in p2.base.nodes)
-    if size1 != size2 or len(set(mapping.values())) != len(mapping):
+    if len(set(mapping.values())) != len(mapping):
         return None
     return mapping

@@ -286,6 +286,13 @@ def _square_rows(states: Iterable[str], src_rows: Mapping[str, tuple[tuple[str, 
         yield x, left, right
 
 
+def _square(sim: Simulation, e: Edge, comps: Mapping[str, _Rows], partial: bool) -> tuple:
+    """The ``_square_rows`` arguments at an edge; a ``partial`` target compares its recorded rows only."""
+    tgt_rows = sim.target.rows(e.id)
+    states = tgt_rows if partial else sim.target.fibers[e.src].elements
+    return states, sim.source.rows(e.id), tgt_rows, comps[e.src], comps[e.dst]
+
+
 def _check_squares(sim: Simulation, mode: str) -> CheckResult:
     """Decide every square row by row; the first failing row ends the walk.
 
@@ -299,9 +306,7 @@ def _check_squares(sim: Simulation, mode: str) -> CheckResult:
     holds = _HOLDS[mode]
     comps = {n: _component_rows(sim.components[n]) for n in base.nodes}
     for e in base.edges:
-        tgt_rows = sim.target.rows(e.id)
-        states = tgt_rows if partial else sim.target.fibers[e.src].elements
-        square = (states, sim.source.rows(e.id), tgt_rows, comps[e.src], comps[e.dst])
+        square = _square(sim, e, comps, partial)
         for _, left, right in _square_rows(*square):
             if not holds(left, right):
                 break
@@ -331,12 +336,11 @@ def _check_squares(sim: Simulation, mode: str) -> CheckResult:
 def check_rel_simulation(sim: Simulation) -> CheckResult:
     """Strict naturality over every generating edge, at the relation level.
 
-    As in the span checks, a bounded-expansion target is compared on its
-    recorded rows only.
+    Each square's two sides are compared by support, so the check takes
+    automata of every kind, span automata and counting machines included,
+    and ignores multiplicities.  As in the span checks, a bounded-expansion
+    target is compared on its recorded rows only.
     """
-    for a in (sim.source, sim.target):
-        if isinstance(a, SpanAutomaton):
-            raise ValueError("relation-level check requires relational or deterministic automata")
     return _check_squares(sim, "strict")
 
 
@@ -378,22 +382,13 @@ def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
     """The tokens ``_square_witness`` would build at an edge, counted from count rows.
 
     That is both components' apexes, both transitions' apexes and the two
-    composites, the left one over the recorded rows only when ``partial``.
+    composites, whose tokens are the entries of the square's two sides.
     """
-    comp_src = _component_rows(sim.components[e.src])
-    comp_dst = _component_rows(sim.components[e.dst])
-    src_rows = sim.source.rows(e.id)
-    tgt_rows = sim.target.rows(e.id)
-    src_out = {q: sum(c for _, c in row) for q, row in src_rows.items()}
-    dst_out = {y: sum(row.values()) for y, row in comp_dst.items()}
-    tokens = sum(src_out.values()) + sum(dst_out.values()) + sum(c for row in tgt_rows.values() for _, c in row)
-    for x, row in comp_src.items():
-        tokens += sum(row.values())
-        if not partial or x in tgt_rows:
-            tokens += sum(u * src_out.get(q, 0) for q, u in row.items())
-    for row in tgt_rows.values():
-        tokens += sum(c * dst_out.get(y, 0) for y, c in row)
-    return tokens
+    square = _square(sim, e, {n: _component_rows(sim.components[n]) for n in (e.src, e.dst)}, partial)
+    _, src_rows, tgt_rows, comp_src, comp_dst = square
+    tokens = sum(sum(row.values()) for comp in (comp_src, comp_dst) for row in comp.values())
+    tokens += sum(c for rows in (src_rows, tgt_rows) for row in rows.values() for _, c in row)
+    return tokens + sum(sum(left.values()) + sum(right.values()) for _, left, right in _square_rows(*square))
 
 
 def _square_witness(sim: Simulation, e: Edge, partial: bool, mode: str) -> SpanMorphism:
@@ -408,20 +403,11 @@ def _square_witness(sim: Simulation, e: Edge, partial: bool, mode: str) -> SpanM
 
 
 def check_bisimulation(sim: Simulation) -> bool:
-    """Whether both the simulation and its converse pass at the declared strength."""
-    forward = _bisim_leg(sim)
-    if not forward.ok:
-        return False
-    return _bisim_leg(dagger_simulation(sim)).ok
-
-
-def _bisim_leg(sim: Simulation) -> CheckResult:
-    if sim.strength == "strict" and not any(
-        isinstance(a, (SpanAutomaton, MDetMachine, ExpandedMachine)) for a in (sim.source, sim.target)
-    ):
-        return check_rel_simulation(sim)
-    mode = "lax" if sim.strength == "lax" else "pseudo"
-    return check_span_simulation(sim, mode, witnesses=False)
+    """Whether both the simulation and its converse pass at the declared strength, for every kind."""
+    if sim.strength == "strict":
+        return check_rel_simulation(sim).ok and check_rel_simulation(dagger_simulation(sim)).ok
+    return (check_span_simulation(sim, sim.strength, witnesses=False).ok
+            and check_span_simulation(dagger_simulation(sim), sim.strength, witnesses=False).ok)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +429,14 @@ def membership_span(power_fiber: FinSet, fiber: FinSet, node: str, multi_node: b
     return Span._counted(power_fiber, fiber, counts, _pair_label)
 
 
-def canonical_det_simulation(a: SpanAutomaton, d: Optional[DetAutomaton] = None) -> Simulation:
+def canonical_det_simulation(a: SpanAutomaton) -> Simulation:
     """The membership simulation from an automaton to its powerset machine.
 
     Component at each node: the pairs (S, q) with q in S.  It always
     passes the lax check; it is pseudo only when no square composite
     carries a multiplicity above one.
     """
-    if d is None:
-        d = det_span(a)
+    d = det_span(a)
     multi = len(a.base.nodes) > 1
     components = {
         n: membership_span(d.fibers[n], a.fibers[n], n, multi) for n in a.base.nodes

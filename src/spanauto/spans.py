@@ -421,7 +421,16 @@ def identity_span(a: FinSet) -> Span:
 
 
 def dagger_span(s: Span) -> Span:
-    """The converse span: same apex, feet swapped."""
+    """The converse span: same apex, feet swapped.
+
+    A span whose apex is not built yet stays counted: its converse swaps
+    the count keys and labels each token as the original's, so labels and
+    apex order match the token converse, and no token is built.
+    """
+    if s._apex is None:
+        label = s._label
+        counts = {(b, a): n for (a, b), n in s.counts.items()}
+        return Span._counted(s.cod, s.dom, counts, lambda b, a, i: label(a, b, i))
     return Span(s.cod, s.dom, [Token(t.label, t.right, t.left) for t in s.apex])
 
 

@@ -25,7 +25,7 @@ from spanauto.spans import (
     subsets_of,
     to_matrix,
 )
-from spanauto.automata import BaseGraph, DetAutomaton, SpanAutomaton, enumerate_words
+from spanauto.automata import BaseGraph, DetAutomaton, SpanAutomaton, _lifts, enumerate_words
 from spanauto.determinize import ClassicalNFA, ExpandedMachine, subset_state_label
 from spanauto.simulation import Simulation, check_bisimulation
 
@@ -140,15 +140,6 @@ def random_live_span_automaton(rng: random.Random, **kwargs) -> SpanAutomaton:
 
 # ---------------------------------------------------------------------------
 # enumerating oracles for the structural lifting checks
-
-
-def _lifts(a, from_state, path):
-    """Runs from a state along a path, token by token: (end state, token labels)."""
-    runs = [(from_state, ())]
-    for e in path:
-        span = a.transitions[e.id]
-        runs = [(t.right, seq + (t.label,)) for (q, seq) in runs for t in span.apex if t.left == q]
-    return runs
 
 
 def enumerated_unique_lift(a, max_len: int) -> bool:

@@ -19,7 +19,6 @@ from spanauto.automata import (
     enumerate_words,
     is_deterministic,
     language,
-    rel_automaton_of_det,
     run_word_span,
     span_automaton_of_rel,
     to_det_automaton,
@@ -253,7 +252,7 @@ class TestAcceptedCounts:
             r = rel_of(a)
             self.check(r, span_automaton_of_rel(r), 4)
             d = det_span(a)
-            self.check(d, span_automaton_of_rel(rel_automaton_of_det(d)), 4)
+            self.check(d, span_automaton_of_rel(rel_of(d)), 4)
 
     def test_live_draws_accept_words(self):
         # the random language oracles above compare words, so their draws must accept some
@@ -305,7 +304,7 @@ class TestAcceptedCounts:
             for max_len in range(7):
                 self.check(a, a, max_len)
                 self.check(r, span_automaton_of_rel(r), max_len)
-                self.check(d, span_automaton_of_rel(rel_automaton_of_det(d)), max_len)
+                self.check(d, span_automaton_of_rel(rel_of(d)), max_len)
         assert colliding >= 2
 
     @staticmethod
@@ -451,7 +450,7 @@ class TestIsDeterministic:
 
     def test_determinization_is(self):
         d = det_span(two_state_example())
-        assert is_deterministic(rel_automaton_of_det(d))
+        assert is_deterministic(rel_of(d))
 
     def test_empty_fiber_vacuous(self):
         base = BaseGraph(["n", "m"], [("e", "e", "n", "m")])
@@ -466,7 +465,7 @@ class TestIsDeterministic:
 class TestConversions:
     def test_rel_roundtrip_through_det(self):
         d = det_span(two_state_example())
-        again = to_det_automaton(rel_automaton_of_det(d))
+        again = to_det_automaton(rel_of(d))
         assert again.transitions == d.transitions
 
     def test_span_embedding_preserves_language(self):

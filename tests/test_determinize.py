@@ -518,6 +518,39 @@ class TestReachableIso:
         mapping = reachable_iso_check(d1, d2)
         assert mapping == {"p": "u", "q": "v"}
 
+    def test_unreachable_states_are_ignored(self):
+        base = BaseGraph(["n"], [("a", "a", "n", "n")])
+        d = DetAutomaton(base, {"n": FinSet("Q", ["p", "q"])}, {"a": {"p": "q", "q": "p"}}, "p", {"q"})
+        # the same machine plus two unreachable states, one of them final
+        extra = DetAutomaton(
+            base, {"n": FinSet("Q", ["p", "q", "y", "z"])}, {"a": {"p": "q", "q": "p", "y": "z", "z": "p"}},
+            "p", {"q", "z"},
+        )
+        for d1, d2 in ((d, extra), (extra, d), (extra, extra)):
+            assert reachable_iso_check(d1, d2) == {"p": "p", "q": "q"}
+        fixture = det_span(two_phase_example())
+        pruned = prune_reachable(fixture)
+        assert sum(map(len, pruned.fibers.values())) < sum(map(len, fixture.fibers.values()))
+        reached = {q: q for f in pruned.fibers.values() for q in f}
+        assert reachable_iso_check(fixture, pruned) == reachable_iso_check(pruned, fixture) == reached
+
+    def test_initial_states_on_different_nodes(self):
+        base = BaseGraph(["n", "m"], [("e", "e", "n", "m"), ("f", "f", "m", "n")])
+        fibers = {"n": FinSet("N", ["x"]), "m": FinSet("M", ["y"])}
+        tables = {"e": {"x": "y"}, "f": {"y": "x"}}
+        d1 = DetAutomaton(base, fibers, tables, "x", set())
+        d2 = DetAutomaton(base, fibers, tables, "y", set())
+        assert reachable_iso_check(d1, d2) is None
+        assert reachable_iso_check(d2, d1) is None
+
+    def test_reachable_parts_of_different_sizes(self):
+        # both accept every word, with two reachable states and with one
+        base = BaseGraph(["n"], [("a", "a", "n", "n")])
+        two = DetAutomaton(base, {"n": FinSet("Q", ["p", "q"])}, {"a": {"p": "q", "q": "q"}}, "p", {"p", "q"})
+        one = DetAutomaton(base, {"n": FinSet("Q", ["u", "v"])}, {"a": {"u": "v", "v": "v"}}, "v", {"v"})
+        assert reachable_iso_check(two, one) is None
+        assert reachable_iso_check(one, two) is None
+
 
 class TestLanguagePreservation:
     def test_two_phase_language_up_to_six(self):

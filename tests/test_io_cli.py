@@ -471,7 +471,7 @@ class TestCli:
         import random
 
         from genlib import random_span_automaton
-        from spanauto.automata import rel_automaton_of_det, span_automaton_of_rel
+        from spanauto.automata import span_automaton_of_rel
         from spanauto.determinize import det_span, rel_of
         from spanauto.fixtures import two_phase_example
 
@@ -480,7 +480,7 @@ class TestCli:
             r, d = rel_of(a), det_span(a, prune=True)
             for name, doc, embedding in (
                 ("rel", r, span_automaton_of_rel(r)),
-                ("det", d, span_automaton_of_rel(rel_automaton_of_det(d))),
+                ("det", d, span_automaton_of_rel(rel_of(d))),
             ):
                 path, span_path = tmp_path / f"{i}_{name}.json", tmp_path / f"{i}_{name}_span.json"
                 path.write_text(serialize_automaton(doc))
@@ -511,6 +511,46 @@ class TestCli:
         assert code == 1
         assert err.splitlines()[-1].startswith("check-failed:")
         assert "'a'" in err
+
+    def test_sim_check_strict_on_span_endpoints(self, fixtures_dir, tmp_path, capsys):
+        from spanauto.io import serialize_simulation
+        from spanauto.simulation import canonical_det_simulation
+
+        # the membership simulation is natural at the relation level, not with counts
+        path = tmp_path / "membership.json"
+        path.write_text(serialize_simulation(canonical_det_simulation(two_state_example())))
+        assert self.run("sim-check", str(path), "--mode", "strict", capsys=capsys) == (0, "", "")
+        code, _, err = self.run("sim-check", str(path), "--mode", "pseudo", capsys=capsys)
+        assert code == 1 and err.splitlines()[-1].startswith("check-failed:")
+        span_doc = json.loads((fixtures_dir / "two_state.json").read_text())
+        swapped = {
+            "format_version": "1", "kind": "simulation", "source": span_doc, "target": span_doc,
+            "strength": "strict", "components": {"s": [{"from": "1", "to": "2"}, {"from": "2", "to": "1"}]},
+        }
+        path.write_text(json.dumps(swapped))
+        code, _, err = self.run("sim-check", str(path), "--mode", "strict", capsys=capsys)
+        assert code == 1
+        assert err.splitlines() == [
+            "square at edge 'a' differs: lhs-only [('2', '1'), ('2', '2')], rhs-only [('1', '1'), ('1', '2')]",
+            "check-failed: naturality fails at edge 'a'",
+        ]
+
+    def test_relative_endpoints_resolve_against_the_document(self, fixtures_dir, tmp_path, capsys,
+                                                              monkeypatch):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "two_state.json").write_text((fixtures_dir / "two_state.json").read_text())
+        sim_doc = {
+            "format_version": "1", "kind": "simulation", "source": "two_state.json", "target": "two_state.json",
+            "strength": "pseudo", "components": {"s": [{"from": "1", "to": "1"}, {"from": "2", "to": "2"}]},
+        }
+        (docs / "sim.json").write_text(json.dumps(sim_doc))
+        # from another directory, where a path read against the working directory is missing
+        monkeypatch.chdir(tmp_path)
+        assert self.run("sim-check", "docs/sim.json", "--mode", "pseudo", capsys=capsys) == (0, "", "")
+        (docs / "two_state.json").unlink()
+        code, out, err = self.run("sim-check", "docs/sim.json", "--mode", "pseudo", capsys=capsys)
+        assert (code, out) == (2, "") and err.startswith("input-error:") and "two_state.json" in err
 
     def test_factor(self, fixtures_dir, tmp_path, capsys):
         span_doc = json.loads((fixtures_dir / "two_state.json").read_text())
@@ -789,6 +829,27 @@ class TestCli:
         code, out, _ = self.run("dot", str(fixtures_dir / "two_phase.json"), capsys=capsys)
         assert code == 0
         assert out.startswith("digraph {")
+
+    def test_dot_on_rel_det_and_classical_documents(self, fixtures_dir, tmp_path, capsys):
+        from spanauto.determinize import det_span, rel_of
+
+        a = two_state_example()
+        span_dot = self.run("dot", str(fixtures_dir / "two_state.json"), capsys=capsys)
+        assert span_dot[0] == 0 and span_dot[1].startswith("digraph {")
+        # the NFA fixture is the span fixture read over the one-node base; it has
+        # one token per pair, which the relation draws in sorted pair order
+        assert self.run("dot", str(fixtures_dir / "two_state_nfa.json"), capsys=capsys) == span_dot
+        rel_path, det_path = tmp_path / "rel.json", tmp_path / "det.json"
+        rel_path.write_text(serialize_automaton(rel_of(a)))
+        assert self.run("dot", str(rel_path), capsys=capsys) == span_dot
+        d = det_span(a)
+        det_path.write_text(serialize_automaton(d))
+        code, out, err = self.run("dot", str(det_path), capsys=capsys)
+        assert (code, err) == (0, "")
+        edges = [line for line in out.splitlines() if "[label=" in line]
+        assert edges == [
+            f'  "{q}" -> "{d.transitions[e.id][q]}" [label="{e.label}"];' for e in d.base.edges for q in d.fibers[e.src]
+        ]
 
     def test_dot_with_colliding_token_labels(self, tmp_path, capsys):
         # both entries would be token e:a>b>c#1; dot draws edges from the counts

@@ -86,10 +86,21 @@ class TestRelCheck:
             comp = sim.components["s"]
             assert compose_relations(comp, rel_run) == compose_relations(det_run, comp)
 
-    def test_span_automata_rejected(self):
-        sim = identity_simulation(two_state_example(), strength="pseudo")
-        with pytest.raises(ValueError):
-            check_rel_simulation(sim)
+    def test_span_endpoints_decided_on_their_supports(self):
+        from spanauto.determinize import ExpandedMachine
+
+        seen = set()
+        for seed in range(12):
+            for sim in random_simulations(seed):
+                if isinstance(sim.target, ExpandedMachine):
+                    continue
+                strict = Simulation(sim.source, sim.target, sim.components, "strict")
+                images = Simulation(rel_of(sim.source), rel_of(sim.target), sim.components, "strict")
+                result, expected = check_rel_simulation(strict), check_rel_simulation(images)
+                assert (result.ok, result.failed_edge, result.detail, result.differences) == (
+                    expected.ok, expected.failed_edge, expected.detail, expected.differences)
+                seen.add(result.ok)
+        assert seen == {True, False}
 
 
 class TestSpanCheck:
@@ -168,6 +179,32 @@ class TestBisimulation:
     def test_mate_of_counit_is_bisimulation(self):
         result = factor_det(counit_simulation(two_state_example()))
         assert check_bisimulation(result.mate)
+
+    def test_strict_span_bisimulation_ignores_counts(self):
+        # equal supports, different counts: strict by its declared strength, not pseudo
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        q = FinSet("Q", ["1"])
+        doubled = SpanAutomaton(
+            base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1"), Token("v", "1", "1")])}, "1", {"1"}
+        )
+        flat = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [Token("w", "1", "1")])}, "1", {"1"})
+        comps = {"n": Span(q, q, [Token("i", "1", "1")])}
+        assert check_bisimulation(Simulation(doubled, flat, comps, "strict"))
+        assert not check_bisimulation(Simulation(doubled, flat, comps, "pseudo"))
+
+    def test_huge_converse_builds_no_token(self, monkeypatch):
+        from spanauto.spans import NatMatrix, from_matrix
+
+        base = BaseGraph(["n"], [("e", "e", "n", "n")])
+        q = FinSet("Q", ["1"])
+        a = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1")])}, "1", {"1"})
+        sim = Simulation(a, a, {"n": from_matrix(NatMatrix(q, q, {("1", "1"): 10**18}))}, "pseudo")
+
+        def no_token(*args):
+            raise AssertionError("a token was built")
+
+        monkeypatch.setattr(Token, "__new__", no_token)
+        assert check_bisimulation(sim)
 
     def test_symmetry_under_dagger(self):
         for sim in (

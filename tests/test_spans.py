@@ -126,6 +126,35 @@ class TestDaggerSpan:
         d = dagger_span(s)
         assert [(t.left, t.right) for t in d.apex] == [("2", "1")]
 
+    def test_counted_converse_matches_the_token_converse(self):
+        import random
+
+        from spanauto.io import parse_automaton
+
+        doc = {
+            "format_version": "1", "kind": "span",
+            "base": {"nodes": ["n", "m"], "edges": [{"id": "e", "label": "e", "src": "n", "dst": "m"},
+                                                    {"id": "f", "label": "f", "src": "m", "dst": "m"}]},
+            "fibers": {"n": ["1", "2"], "m": ["x", "y", "z"]},
+            "transitions": {
+                "e": [{"from": "2", "to": "y", "count": 3}, {"from": "1", "to": "z"}, {"from": "2", "to": "x"}],
+                "f": [{"from": "z", "to": "x", "count": 2}, {"from": "x", "to": "z", "count": 2}],
+            },
+            "initial": "1", "finals": ["x"],
+        }
+        spans = list(parse_automaton(doc).transitions.values())
+        rng = random.Random(0)
+        for _ in range(20):
+            entries = {(a, b): rng.randint(0, 3) for a in A for b in B}
+            spans.append(from_matrix(NatMatrix(A, B, {k: v for k, v in entries.items() if v})))
+        for s in spans:
+            counted = dagger_span(s)
+            assert counted._apex is None  # no token built yet, on either side
+            tokens = Span(s.cod, s.dom, [Token(t.label, t.right, t.left) for t in s.apex])
+            assert counted == tokens == dagger_span(s)
+            assert list(counted.counts.items()) == list(tokens.counts.items())
+            assert dagger_span(counted) == s
+
 
 class TestSpanIsoEq:
     def test_relabeled_copy(self):
