@@ -13,8 +13,9 @@ becomes its counting matrix and the machine runs on multisets of states.
 Its state space is infinite in general, so the machine is represented by
 its matrices, with a bounded breadth-first expansion available when the
 explicit shape is wanted.  The expansion runs on count vectors (tuples of
-ints in fiber order) stepped through sparse matrix rows, so a step costs
-the vector's support times its rows; ``mdet_run`` folds ``multiset_extend``
+ints in fiber order), a layer at a time: each node's block of vectors is
+stepped as count columns, so an edge costs its matrix entries times the
+block's size in C-level passes; ``mdet_run`` folds ``multiset_extend``
 word by word and stays the per-word oracle.
 
 ``classical_subset_construction`` is the textbook single-alphabet subset
@@ -25,6 +26,8 @@ as an independent oracle for the categorical pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 from typing import Mapping, Optional
 
 from .spans import (
@@ -40,6 +43,7 @@ from .spans import (
 from .automata import (
     BaseGraph,
     DetAutomaton,
+    Edge,
     MDetMachine,
     RelAutomaton,
     SpanAutomaton,
@@ -135,7 +139,10 @@ def det(a, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomato
     including the empty one.  With ``prune`` only the subsets reachable
     from ``{initial}`` are built, so the cost follows the reachable part
     rather than 2^n; the result equals ``prune_reachable(det(a))``.  The
-    cap bounds fiber size either way and is checked before any work.
+    cap bounds fiber size either way and is checked before any work.  The
+    full machine is also refused, before any subset is listed, when its
+    steps, the sum over nodes of 2^|fiber| times the node's out-degree (at
+    least 1), exceed ``_DET_MAX_STEPS``.
     """
     for n in a.base.nodes:
         if len(a.fibers[n]) > powerset_cap:
@@ -147,8 +154,33 @@ def det(a, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomato
         start = a.initial_node
         seeds = [(start, 1 << order[start].index(a.initial))]
     else:
+        steps = sum((1 << len(order[n])) * max(1, len(a.base.out_edges(n))) for n in a.base.nodes)
+        if steps > _DET_MAX_STEPS:
+            raise ValueError(f"full det would take {steps} subset steps, more than {_DET_MAX_STEPS}")
         seeds = [(n, m) for n in a.base.nodes for m in range(1 << len(order[n]))]
     return _subset_construction(a, order, seeds)
+
+
+# the full powerset machine lists every subset up front, so its size is bounded here, as dot's is
+_DET_MAX_STEPS = 1_000_000
+
+
+def _state_bits(a) -> dict[str, dict[str, int]]:
+    """Each state's bit in a subset mask of its fiber: its position in the fiber's sorted order."""
+    return {n: {q: i for i, q in enumerate(sorted(a.fibers[n]))} for n in a.base.nodes}
+
+
+def _successor_masks(a, e: Edge, bits: Mapping[str, Mapping[str, int]]) -> list[int]:
+    """An edge's support as one mask per source state, indexed by the state's bit.
+
+    ``bits`` is ``_state_bits(a)``; the mask of q holds the bits of q's
+    successors along e.
+    """
+    src_bits, dst_bits = bits[e.src], bits[e.dst]
+    masks = [0] * len(src_bits)
+    for q, t in a.matrix(e.id).entries:
+        masks[src_bits[q]] |= 1 << dst_bits[t]
+    return masks
 
 
 def _subset_construction(a, order: Mapping[str, list[str]],
@@ -156,19 +188,14 @@ def _subset_construction(a, order: Mapping[str, list[str]],
     """Close the (distinct) seed subsets under every edge's direct image.
 
     A subset of node n's fiber is an int whose bit i stands for
-    ``order[n][i]``, the fiber's states in string order.  Each edge keeps
-    one successor mask per source state, read from the edge's support, and
-    a subset steps to the OR of its members' masks.  Fibers list the
-    reached subsets by size, then by sorted members, which is the
-    ``subsets_of`` order restricted to them.
+    ``order[n][i]``, the fiber's states in string order (``_state_bits``).
+    Each edge keeps one successor mask per source state
+    (``_successor_masks``), and a subset steps to the OR of its members'
+    masks.  Fibers list the reached subsets by size, then by sorted
+    members, which is the ``subsets_of`` order restricted to them.
     """
-    pos = {n: {q: i for i, q in enumerate(order[n])} for n in a.base.nodes}
-    succ = {}
-    for e in a.base.edges:
-        masks = [0] * len(order[e.src])
-        for q, t in a.support(e.id).pairs:
-            masks[pos[e.src][q]] |= 1 << pos[e.dst][t]
-        succ[e.id] = masks
+    pos = _state_bits(a)
+    succ = {e.id: _successor_masks(a, e, pos) for e in a.base.edges}
     out_edges = {n: a.base.out_edges(n) for n in a.base.nodes}
     reached: dict[str, set[int]] = {n: set() for n in a.base.nodes}
     steps: dict[str, dict[int, int]] = {e.id: {} for e in a.base.edges}
@@ -302,76 +329,89 @@ def mdet_expand(
     canonical state labels, so the output is deterministic.
 
     The closure runs on count vectors: a state is a tuple of ints in
-    fiber order, keyed with its node, and each edge's count rows are read
-    once into lists by source position.  A step walks the vector beside
-    those rows and skips the zero counts.  A state's label is computed
-    once, when it is first reached, and accept counts in one pass after
-    the closure.  Seeds are count vectors over their node's fiber.
+    fiber order, keyed with its node.  Each layer is stepped in blocks, one
+    per node: the layer's vectors at that node are transposed into count
+    columns, and every entry (i, j, u) of an edge's matrix adds u times
+    column i into output column j, one C-level pass over the layer each.
+    So an edge costs its entries times the block's size in such passes,
+    and the counts stay Python ints.  The output columns are zipped back
+    into vectors, and discovery then walks the layer in label order, state
+    by state and edge by edge.  A state's label is computed once, when it
+    is first reached, and accept counts in one pass after the closure.
+    Seeds are count vectors over their node's fiber.
     """
     if max_states <= 0 or max_len < 0:
         raise ValueError("expansion bounds must be positive")
     multi_node = len(m.base.nodes) > 1
     order = {n: m.fibers[n].elements for n in m.base.nodes}
     final_pos = {n: [i for i, q in enumerate(order[n]) if q in m.finals] for n in m.base.nodes}
-    rows: dict[str, list[list[tuple[int, int]]]] = {}
+    entries: dict[str, list[tuple[int, int, int]]] = {}
     for e in m.base.edges:
         dst_pos = m.fibers[e.dst].index
         view = m.rows(e.id)
-        rows[e.id] = [[(dst_pos(b), u) for b, u in view.get(a, ())] for a in order[e.src]]
+        entries[e.id] = [(i, dst_pos(b), u) for i, a in enumerate(order[e.src]) for b, u in view.get(a, ())]
     out_edges = {n: [(e.id, e.dst, len(order[e.dst])) for e in m.base.out_edges(n)] for n in m.base.nodes}
 
     label_of: dict[tuple[str, tuple[int, ...]], str] = {}
     states: dict[str, tuple[int, ...]] = {}
     per_node: dict[str, list[str]] = {n: [] for n in m.base.nodes}
-    moves: dict[str, list[tuple[str, str, int]]] = {}
+    node_at: dict[str, str] = {}
 
-    def discover(node: str, vec: tuple[int, ...]) -> str:
-        key = (node, vec)
-        lbl = label_of.get(key)
-        if lbl is None:
-            lbl = label_of[key] = expansion_state_label(node, vec, multi_node)
-            states[lbl] = vec
-            per_node[node].append(lbl)
-            moves[lbl] = out_edges[node]
+    def discover(key: tuple[str, tuple[int, ...]]) -> str:
+        """Record a state ``(node, vec)`` not seen before, and return its label."""
+        node, vec = key
+        lbl = label_of[key] = expansion_state_label(node, vec, multi_node)
+        states[lbl] = vec
+        per_node[node].append(lbl)
+        node_at[lbl] = node
         return lbl
 
     start = m.initial_node
-    init_label = discover(start, tuple(int(q == m.initial) for q in order[start]))
+    init_label = discover((start, tuple(int(q == m.initial) for q in order[start])))
     frontier = [init_label]
     for node, vecs in (extra_seeds or {}).items():
         for vec in vecs:
             vec = tuple(vec)
             if len(vec) != len(order[node]) or not all(type(c) is int and c >= 0 for c in vec):
                 raise ValueError(f"seed {vec!r} is not a count vector over the fiber of {node!r}")
-            lbl = discover(node, vec)
+            lbl = label_of.get((node, vec)) or discover((node, vec))
             if lbl not in frontier:
                 frontier.append(lbl)
     tables: dict[str, dict[str, str]] = {e.id: {} for e in m.base.edges}
     hit_states = False
     depth = 0
     while frontier and depth < max_len:
+        layer = sorted(frontier)
+        if multi_node:
+            blocks: dict[str, list[str]] = {}
+            at = []  # each state's place in its node's block
+            for lbl in layer:
+                block = blocks.setdefault(node_at[lbl], [])
+                at.append(len(block))
+                block.append(lbl)
+        else:
+            blocks, at = {start: layer}, range(len(layer))
+        moves = {}  # per node: each out-edge's target node, table and stepped block
+        for node, block in blocks.items():
+            columns = list(zip(*map(states.__getitem__, block)))
+            moves[node] = [(dst, tables[edge_id], _block_step(columns, entries[edge_id], width, len(block)))
+                           for edge_id, dst, width in out_edges[node]]
         next_frontier: list[str] = []
-        for lbl in sorted(frontier):
-            vec = states[lbl]
-            for edge_id, dst, width in moves[lbl]:
-                out = [0] * width
-                for c, row in zip(vec, rows[edge_id]):
-                    if c:
-                        for j, u in row:
-                            out[j] += c * u
-                key = (dst, tuple(out))
+        for lbl, k in zip(layer, at):
+            for dst, table, stepped in moves[node_at[lbl]]:
+                key = (dst, stepped[k])
                 tgt_label = label_of.get(key)
                 if tgt_label is None:
                     if len(label_of) >= max_states:
                         hit_states = True
                         continue
-                    tgt_label = discover(*key)
+                    tgt_label = discover(key)
                     next_frontier.append(tgt_label)
-                tables[edge_id][lbl] = tgt_label
+                table[lbl] = tgt_label
         frontier = next_frontier
         depth += 1
     # states left at the depth bound still had unexplored transitions
-    hit_len = any(moves[lbl] for lbl in frontier)
+    hit_len = any(out_edges[node_at[lbl]] for lbl in frontier)
     accept = {lbl: sum([vec[i] for i in final_pos[node]]) for (node, vec), lbl in label_of.items()}
     return ExpandedMachine(
         base=m.base,
@@ -383,6 +423,23 @@ def mdet_expand(
         accept_counts=accept,
         truncated_by=("max_states",) * hit_states + ("max_len",) * hit_len,
     )
+
+
+def _block_step(columns: list[tuple[int, ...]], entries: list[tuple[int, int, int]], width: int,
+                size: int) -> list[tuple[int, ...]]:
+    """One edge's step of a block of ``size`` vectors, given as count columns.
+
+    Returns the stepped vectors in block order; ``entries`` are the edge's
+    matrix entries (i, j, u) by fiber position, ``width`` its target's.
+    """
+    out: list = [None] * width
+    for i, j, u in entries:
+        col = columns[i] if u == 1 else map(mul, columns[i], repeat(u))
+        out[j] = col if out[j] is None else list(map(add, out[j], col))
+    if not width:
+        return [()] * size
+    zero = (0,) * size
+    return list(zip(*[zero if col is None else col for col in out]))
 
 
 # ---------------------------------------------------------------------------

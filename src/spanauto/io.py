@@ -396,10 +396,21 @@ def _sorted_finals(a) -> list[str]:
 
 
 def _transition_entries(a) -> dict[str, _Records]:
-    """Each edge's count rows as document entries, in fiber order; only spans write counts."""
+    """Each edge's transitions as document entries, in fiber order; only spans write counts.
+
+    Function tables (``det``, ``mdet-expanded``) are written straight from
+    the table, skipping sources without a recorded move; the other kinds
+    from their count rows.
+    """
+    tabled = a.kind in ("det", "mdet-expanded")
     counted = a.kind == "span"
     transitions = {}
     for e in a.base.edges:
+        if tabled:
+            table = a.transitions[e.id]
+            srcs = list(filter(table.__contains__, a.fibers[e.src]))
+            transitions[e.id] = _Records(("from", "to"), (srcs, list(map(table.__getitem__, srcs))))
+            continue
         rows = a.rows(e.id)
         dst_order = a.fibers[e.dst].index
         srcs, dsts, counts = [], [], []

@@ -15,12 +15,12 @@ Strength grades how strictly the squares must commute:
 
 Over fixed feet such a map exists exactly when the support of one
 counting matrix lies inside the other's, and it is an isomorphism exactly
-when the matrices are equal.  So every square, at every strength, is
-decided row by row on the automata's count rows and the components'
-rows, without building either composite, and a failing check lists the
-differing entries of its failing edge only.  Token composites and their
-apex maps are built only as optional witnesses of squares that already
-passed.
+when the matrices are equal.  So strict and lax squares are decided on
+supports, as int bitmasks over the source's fibers, and pseudo squares
+row by row on the automata's count rows and the components' rows; no
+square builds either composite, and a failing check lists the differing
+entries of its failing edge only.  Token composites and their apex maps
+are built only as optional witnesses of squares that already passed.
 
 ``factor_det`` and ``factor_mdet`` split a simulation into a determinized
 target through the canonical simulation, reporting which of the expected
@@ -29,7 +29,6 @@ properties of the factor actually hold on the given input.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -65,6 +64,8 @@ from .automata import (
 )
 from .determinize import (
     ExpandedMachine,
+    _state_bits,
+    _successor_masks,
     det,
     det_span,
     expansion_state_label,
@@ -245,15 +246,6 @@ _Rows = Mapping[str, Mapping[str, int]]
 
 _NO_ROW: Mapping[str, int] = {}
 
-# The strength only picks how the two rows of a square are compared.  The
-# support of a product of count matrices is the relation composite of
-# their supports, so the strict (relation-level) check compares supports.
-_HOLDS = {
-    "strict": lambda left, right: left.keys() == right.keys(),
-    "pseudo": operator.eq,
-    "lax": lambda left, right: left.keys() <= right.keys(),
-}
-
 
 def _component_rows(c: Union[Relation, Span]) -> _Rows:
     """A component's count rows ``{x: {q: n}}``; a relation counts each pair once."""
@@ -293,44 +285,91 @@ def _square(sim: Simulation, e: Edge, comps: Mapping[str, _Rows], partial: bool)
     return states, sim.source.rows(e.id), tgt_rows, comps[e.src], comps[e.dst]
 
 
-def _check_squares(sim: Simulation, mode: str) -> CheckResult:
-    """Decide every square row by row; the first failing row ends the walk.
+def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[Edge]:
+    """The first edge whose square fails on supports, or None.
 
-    Rows are read from the automata's cached count rows and the
-    components' row indexes, and no composite is built.  When the target
-    is a bounded expansion only its recorded rows are compared.  A failing
-    edge alone is walked again in full, to list its differing entries.
+    Supports are int masks over the source's fibers, in ``_state_bits``
+    order.  At an edge e and a target state x, ``left`` is the OR of the
+    source's successor masks of e over x's component row, and ``right``
+    the OR of the component masks of x's successors along e.  The support
+    of a product of count matrices is the relation composite of their
+    supports, so these are the supports of the square's two rows at x.  A
+    strict square wants them equal, a lax one wants ``left`` inside
+    ``right``.
+    """
+    src, tgt = sim.source, sim.target
+    bits = _state_bits(src)
+    comp_bits: dict[str, dict[str, list[int]]] = {}
+    comp_masks: dict[str, dict[str, int]] = {}
+    for n in src.base.nodes:
+        c, bit = sim.components[n], bits[n]
+        row_bits: dict[str, list[int]] = {}
+        masks: dict[str, int] = {}
+        for x, q in (c.counts if isinstance(c, Span) else c.pairs):
+            row_bits.setdefault(x, []).append(bit[q])
+            masks[x] = masks.get(x, 0) | 1 << bit[q]
+        comp_bits[n], comp_masks[n] = row_bits, masks
+    for e in src.base.edges:
+        succ = _successor_masks(src, e, bits)
+        row_bits, masks = comp_bits[e.src], comp_masks[e.dst]
+        steps = tgt.rows(e.id)
+        for x in steps if partial else tgt.fibers[e.src].elements:
+            left = 0
+            for i in row_bits.get(x, ()):
+                left |= succ[i]
+            right = 0
+            for y, _ in steps.get(x, ()):
+                right |= masks.get(y, 0)
+            if left != right if strict else left & ~right:
+                return e
+    return None
+
+
+def _check_squares(sim: Simulation, mode: str) -> CheckResult:
+    """Decide every square; the first failing edge ends the walk.
+
+    ``strict`` and ``lax`` squares are decided on supports, as int masks
+    (``_support_failure``).  ``pseudo`` squares compare count rows, read
+    from the automata's cached rows and the components' row indexes, and
+    stop at the first differing row; no composite is built.  When the
+    target is a bounded expansion only its recorded rows are compared.  A
+    failing edge alone is walked again by ``_square_rows`` in full, to list
+    its differing entries.
     """
     base = sim.source.base
     partial = isinstance(sim.target, ExpandedMachine)
-    holds = _HOLDS[mode]
-    comps = {n: _component_rows(sim.components[n]) for n in base.nodes}
-    for e in base.edges:
-        square = _square(sim, e, comps, partial)
-        for _, left, right in _square_rows(*square):
-            if not holds(left, right):
+    if mode == "pseudo":
+        comps = {n: _component_rows(sim.components[n]) for n in base.nodes}
+        failed = None
+        for e in base.edges:
+            if any(left != right for _, left, right in _square_rows(*_square(sim, e, comps, partial))):
+                failed = e
                 break
-        else:
-            continue
-        if mode == "strict":
-            differences = tuple(sorted(
-                (x, r, int(r in left), int(r in right))
-                for x, left, right in _square_rows(*square)
-                for r in left.keys() ^ right.keys()
-            ))
-            only_l = [(x, r) for x, r, lhs, _ in differences if lhs]
-            only_r = [(x, r) for x, r, lhs, _ in differences if not lhs]
-            detail = f"square at edge {e.id!r} differs: lhs-only {only_l}, rhs-only {only_r}"
-        else:
-            differences = tuple(sorted(
-                (x, r, left.get(r, 0), right.get(r, 0))
-                for x, left, right in _square_rows(*square)
-                for r in left.keys() | right.keys()
-                if left.get(r, 0) != right.get(r, 0)
-            ))
-            detail = f"square at edge {e.id!r}: multiplicities differ at {[(x, r) for x, r, _, _ in differences]}"
-        return CheckResult(False, e.id, detail, differences=differences)
-    return CheckResult(True)
+    else:
+        failed = _support_failure(sim, mode == "strict", partial)
+        if failed is not None:
+            comps = {n: _component_rows(sim.components[n]) for n in (failed.src, failed.dst)}
+    if failed is None:
+        return CheckResult(True)
+    square = _square(sim, failed, comps, partial)
+    if mode == "strict":
+        differences = tuple(sorted(
+            (x, r, int(r in left), int(r in right))
+            for x, left, right in _square_rows(*square)
+            for r in left.keys() ^ right.keys()
+        ))
+        only_l = [(x, r) for x, r, lhs, _ in differences if lhs]
+        only_r = [(x, r) for x, r, lhs, _ in differences if not lhs]
+        detail = f"square at edge {failed.id!r} differs: lhs-only {only_l}, rhs-only {only_r}"
+    else:
+        differences = tuple(sorted(
+            (x, r, left.get(r, 0), right.get(r, 0))
+            for x, left, right in _square_rows(*square)
+            for r in left.keys() | right.keys()
+            if left.get(r, 0) != right.get(r, 0)
+        ))
+        detail = f"square at edge {failed.id!r}: multiplicities differ at {[(x, r) for x, r, _, _ in differences]}"
+    return CheckResult(False, failed.id, detail, differences=differences)
 
 
 def check_rel_simulation(sim: Simulation) -> CheckResult:

@@ -7,7 +7,9 @@ unique lifting and unique factorization of runs by enumerating words up
 to a length, independently of the structural checks in ``automata``, and
 count the factorizations of a simulation by trying every function from
 target states to candidate states, independently of ``factor_det`` and
-``factor_mdet``.
+``factor_mdet``.  ``row_walk_verdict`` decides naturality squares from
+count rows at every strength, the yardstick for the support masks that
+decide strict and lax squares.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from spanauto.spans import (
 )
 from spanauto.automata import BaseGraph, DetAutomaton, SpanAutomaton, _lifts, enumerate_words
 from spanauto.determinize import ClassicalNFA, ExpandedMachine, subset_state_label
-from spanauto.simulation import Simulation, check_bisimulation
+from spanauto.simulation import CheckResult, Simulation, check_bisimulation
 
 LETTERS = "abc"
 
@@ -240,3 +242,53 @@ def enumerated_unique_mdet_factor(alpha: Simulation, exp: ExpandedMachine, g: De
         if ok and check_bisimulation(candidate):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# row-walk oracle for the naturality squares
+
+
+_ROW_HOLDS = {
+    "strict": lambda left, right: left.keys() == right.keys(),
+    "pseudo": lambda left, right: left == right,
+    "lax": lambda left, right: left.keys() <= right.keys(),
+}
+
+
+def row_walk_verdict(sim: Simulation, mode: str) -> CheckResult:
+    """The naturality verdict from count rows alone, at every strength.
+
+    Each square is walked row by row as ``simulation._square_rows`` gives
+    it, and the strength only picks how two rows compare: strict wants
+    equal key sets, lax wants the left keys inside the right ones, pseudo
+    equal rows.  The first failing edge is reported with its differing
+    entries, as the kernel reports them.
+    """
+    from spanauto.simulation import _component_rows, _square, _square_rows
+
+    partial = isinstance(sim.target, ExpandedMachine)
+    holds = _ROW_HOLDS[mode]
+    comps = {n: _component_rows(sim.components[n]) for n in sim.source.base.nodes}
+    for e in sim.source.base.edges:
+        square = _square(sim, e, comps, partial)
+        if all(holds(left, right) for _, left, right in _square_rows(*square)):
+            continue
+        if mode == "strict":
+            differences = tuple(sorted(
+                (x, r, int(r in left), int(r in right))
+                for x, left, right in _square_rows(*square)
+                for r in left.keys() ^ right.keys()
+            ))
+            only_l = [(x, r) for x, r, lhs, _ in differences if lhs]
+            only_r = [(x, r) for x, r, lhs, _ in differences if not lhs]
+            detail = f"square at edge {e.id!r} differs: lhs-only {only_l}, rhs-only {only_r}"
+        else:
+            differences = tuple(sorted(
+                (x, r, left.get(r, 0), right.get(r, 0))
+                for x, left, right in _square_rows(*square)
+                for r in left.keys() | right.keys()
+                if left.get(r, 0) != right.get(r, 0)
+            ))
+            detail = f"square at edge {e.id!r}: multiplicities differ at {[(x, r) for x, r, _, _ in differences]}"
+        return CheckResult(False, e.id, detail, differences=differences)
+    return CheckResult(True)

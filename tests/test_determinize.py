@@ -315,6 +315,45 @@ class TestMDetExpandOracle:
                     seen.add(self.assert_matches_oracle(m, max_states, max_len, extra).truncated_by)
         assert seen == {(), ("max_states",), ("max_len",), ("max_states", "max_len")}
 
+    @staticmethod
+    def block_machine():
+        """Fibers of widths 3, 1 and 0, an edge with no entries, and a count of 10**18."""
+        from spanauto.automata import MDetMachine
+        from spanauto.spans import NatMatrix
+
+        fibers = {"n0": FinSet("A", ["a", "b", "c"]), "n1": FinSet("X", ["x"]), "n2": FinSet("E", [])}
+        base = BaseGraph(["n0", "n1", "n2"], [
+            ("e0", "a", "n0", "n0"), ("e1", "b", "n0", "n1"), ("e2", "a", "n1", "n0"),
+            ("e3", "b", "n1", "n1"), ("e4", "c", "n0", "n2"), ("e5", "a", "n2", "n0"),
+        ])
+        entries = {
+            "e0": {("a", "b"): 1, ("a", "c"): 2, ("b", "a"): 1, ("c", "c"): 10**18},
+            "e1": {("a", "x"): 1, ("c", "x"): 3},
+            "e2": {("x", "a"): 1, ("x", "b"): 1},
+            "e3": {}, "e4": {}, "e5": {},
+        }
+        matrices = {e.id: NatMatrix(fibers[e.src], fibers[e.dst], entries[e.id]) for e in base.edges}
+        return MDetMachine(base, fibers, matrices, "a", {"c", "x"})
+
+    def test_block_step_cases(self):
+        m = self.block_machine()
+        seeds = {"n1": [(5,), (0,)], "n0": [(0, 1, 1), (2**70, 0, 3)], "n2": [()]}
+        for max_states, max_len in ((10**6, 0), (10**6, 1), (10**6, 5), (3, 4), (40, 6)):
+            for extra in (None, seeds):
+                self.assert_matches_oracle(m, max_states, max_len, extra)
+        exp = self.assert_matches_oracle(m, 10**6, 5)
+        assert max(c for v in exp.states.values() for c in v) > 2**64
+        # the empty fiber's one state, and the edge without entries stepping to zero
+        assert exp.states["n2:()"] == () and set(exp.transitions["e3"].values()) == {"n1:(0)"}
+
+    def test_block_step_cut_inside_a_layer(self):
+        m = self.block_machine()
+        # one layer reaches fewer than six states, two layers more than six,
+        # so a bound of six cuts the second layer after some of its states
+        assert len(mdet_expand(m, 10**6, 1).states) < 6 < len(mdet_expand(m, 10**6, 2).states)
+        exp = self.assert_matches_oracle(m, 6, 2)
+        assert len(exp.states) == 6 and exp.truncated_by == ("max_states", "max_len")
+
     def test_seed_of_wrong_length_rejected(self):
         m = mdet(two_state_example())
         for seed in ((1,), (1, 0, 0), (1, -1), (1, True)):

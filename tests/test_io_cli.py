@@ -148,6 +148,56 @@ class TestDump:
         for doc in ({"a": [1, -2, 10**30], "b": ["x", "\u00e9\"\n"], "c": (1, True, None), "d": [[], {}]}, [], {}):
             assert _dump(doc) == json.dumps(doc, indent=2) + "\n"
 
+    @staticmethod
+    def table_doc(a) -> dict:
+        """The document of a function-table automaton, one dict per record, sources in fiber order."""
+        nodes = a.base.nodes
+        return {
+            "format_version": "1",
+            "kind": a.kind,
+            "base": {"nodes": list(nodes),
+                     "edges": [{"id": e.id, "label": e.label, "src": e.src, "dst": e.dst} for e in a.base.edges]},
+            "fibers": {n: list(a.fibers[n]) for n in nodes},
+            "transitions": {
+                e.id: [{"from": q, "to": a.transitions[e.id][q]} for q in a.fibers[e.src] if q in a.transitions[e.id]]
+                for e in a.base.edges
+            },
+            "initial": a.initial,
+            "finals": [q for n in nodes for q in a.fibers[n] if q in a.finals],
+        }
+
+    def test_function_tables_match_their_dicts(self):
+        from genlib import random_classical_nfa
+        from spanauto.determinize import classical_subset_construction, det
+
+        rng = random.Random(23)
+        for _ in range(20):
+            a = random_span_automaton(rng, max_nodes=3, max_states=3)
+            for d in (det(a), det(a, prune=True), classical_subset_construction(random_classical_nfa(rng))):
+                assert serialize_automaton(d) == json.dumps(self.table_doc(d), indent=2) + "\n"
+
+    def test_partial_expansion_matches_its_dict(self):
+        from spanauto.determinize import mdet, mdet_expand
+        from spanauto.fixtures import two_phase_example
+        from spanauto.io import serialize_expanded
+
+        # the state bound cuts the last layer, so some states have no recorded moves
+        x = mdet_expand(mdet(two_phase_example()), 7, 3)
+        assert x.truncated
+        assert any(all(q not in t for t in x.transitions.values()) for q in x.states)
+        tables = self.table_doc(x)
+        doc = {
+            "format_version": "1",
+            "kind": "mdet-expanded",
+            "base": tables["base"],
+            "states": [{"label": q, "node": n, "counts": list(x.states[q])} for n in x.base.nodes for q in x.fibers[n]],
+            "transitions": tables["transitions"],
+            "initial": x.initial,
+            "finals": sorted(x.finals),
+            "truncated": True,
+        }
+        assert serialize_expanded(x) == json.dumps(doc, indent=2) + "\n"
+
 
 class TestSchemaErrors:
     def base_doc(self):
@@ -881,6 +931,28 @@ class TestCli:
         code, out, err = self.run("dot", str(path), capsys=capsys)
         assert (code, out) == (2, "")
         assert err.startswith("input-error:") and len(err.splitlines()) == 1
+
+    def test_full_det_refused_before_listing_subsets(self, tmp_path, capsys):
+        # 2**20 subsets of the one fiber times one out-edge is past the bound of 1,000,000
+        import time
+
+        states = [f"q{i:02d}" for i in range(20)]
+        doc = {
+            "format_version": "1", "kind": "span",
+            "base": {"nodes": ["n"], "edges": [{"id": "e", "label": "e", "src": "n", "dst": "n"}]},
+            "fibers": {"n": states},
+            "transitions": {"e": [{"from": q, "to": t} for q, t in zip(states, states[1:])]},
+            "initial": "q00", "finals": ["q19"],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = self.run("det", str(path), capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"input-error: full det would take {2**20} subset steps, more than 1000000\n"
+        code, out, err = self.run("det", str(path), "--prune", capsys=capsys)
+        assert (code, err) == (0, "") and len(json.loads(out)["fibers"]["n"]) == 21
 
     def test_endpoints_on_different_bases_rejected(self, fixtures_dir, tmp_path, capsys):
         # the node sets differ, so no component can be read against the target's fibers

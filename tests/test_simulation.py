@@ -887,3 +887,61 @@ class TestTransitionMatrix:
             a.rows(e.id)
         a.node_of(a.initial)
         assert a == b and repr(a) == before == repr(b)
+
+
+def wide_simulations(rng):
+    """Simulations whose source has a fiber of more than 64 states, so masks pass one machine word.
+
+    A 70-state automaton read against itself, and the dagger of the membership
+    simulation of a 7-state automaton, whose source is its 128-subset machine.
+    """
+    from genlib import LETTERS
+
+    def automaton(size):
+        fiber = FinSet("Q", [f"q{i}" for i in range(size)])
+        base = BaseGraph(["n"], [(f"e{j}", LETTERS[j], "n", "n") for j in range(2)])
+        spans = {
+            e.id: Span(fiber, fiber, [Token(f"{q}{t}", q, t) for q in fiber for t in fiber if rng.random() < 3 / size])
+            for e in base.edges
+        }
+        return SpanAutomaton(base, {"n": fiber}, spans, "q0", {"q1"})
+
+    wide = automaton(70)
+    sims = [
+        identity_simulation(wide, "lax"),
+        Simulation(wide, wide, {"n": _random_component(rng, wide.fibers["n"], wide.fibers["n"], True)}, "lax"),
+        dagger_simulation(canonical_det_simulation(automaton(7))),
+    ]
+    return sims + [_drop_one(sim, rng) for sim in sims]
+
+
+class TestSupportSquares:
+    def test_support_verdicts_match_the_row_walk(self):
+        import random
+
+        from genlib import row_walk_verdict
+        from spanauto.determinize import ExpandedMachine
+        from spanauto.simulation import _check_squares
+
+        seen = set()
+        for seed in range(24):
+            sims = random_simulations(seed)
+            sims += [dagger_simulation(sim) for sim in sims]
+            if seed % 8 == 0:
+                sims += wide_simulations(random.Random(seed))
+            for sim in sims:
+                wide = max(len(f) for f in sim.source.fibers.values()) > 64
+                partial = isinstance(sim.target, ExpandedMachine)
+                for mode in ("strict", "lax"):
+                    got, want = _check_squares(sim, mode), row_walk_verdict(sim, mode)
+                    assert (got.ok, got.failed_edge, got.detail, got.differences) == (
+                        want.ok, want.failed_edge, want.detail, want.differences)
+                    first = got.failed_edge == sim.source.base.edges[0].id
+                    seen.add((mode, got.ok, first if not got.ok else None))
+                    if wide:
+                        seen.add(("wide", got.ok))
+                    if partial:
+                        seen.add(("partial", got.ok))
+        for mode in ("strict", "lax"):
+            assert {(mode, True, None), (mode, False, True), (mode, False, False)} <= seen
+        assert {("wide", True), ("wide", False), ("partial", True), ("partial", False)} <= seen
