@@ -36,6 +36,7 @@ from .spans import (
     Multiset,
     Span,
     Token,
+    _WORK_BOUND,
     multiset_extend,
     subset_label,
     subsets_of,
@@ -142,27 +143,23 @@ def det(a, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomato
     cap bounds fiber size either way and is checked before any work.  The
     full machine is also refused, before any subset is listed, when its
     steps, the sum over nodes of 2^|fiber| times the node's out-degree (at
-    least 1), exceed ``_DET_MAX_STEPS``.
+    least 1), exceed ``_WORK_BOUND``.
     """
     for n in a.base.nodes:
         if len(a.fibers[n]) > powerset_cap:
             raise ValueError(
                 f"fiber of {n!r} has {len(a.fibers[n])} states; refusing powerset above {powerset_cap}"
             )
-    order = {n: sorted(a.fibers[n]) for n in a.base.nodes}
+    bits = _state_bits(a)
     if prune:
         start = a.initial_node
-        seeds = [(start, 1 << order[start].index(a.initial))]
+        seeds = [(start, 1 << bits[start][a.initial])]
     else:
-        steps = sum((1 << len(order[n])) * max(1, len(a.base.out_edges(n))) for n in a.base.nodes)
-        if steps > _DET_MAX_STEPS:
-            raise ValueError(f"full det would take {steps} subset steps, more than {_DET_MAX_STEPS}")
-        seeds = [(n, m) for n in a.base.nodes for m in range(1 << len(order[n]))]
-    return _subset_construction(a, order, seeds)
-
-
-# the full powerset machine lists every subset up front, so its size is bounded here, as dot's is
-_DET_MAX_STEPS = 1_000_000
+        steps = sum((1 << len(bits[n])) * max(1, len(a.base.out_edges(n))) for n in a.base.nodes)
+        if steps > _WORK_BOUND:
+            raise ValueError(f"full det would take {steps} subset steps, more than {_WORK_BOUND}")
+        seeds = [(n, m) for n in a.base.nodes for m in range(1 << len(bits[n]))]
+    return _subset_construction(a, bits, seeds)
 
 
 def _state_bits(a) -> dict[str, dict[str, int]]:
@@ -183,18 +180,18 @@ def _successor_masks(a, e: Edge, bits: Mapping[str, Mapping[str, int]]) -> list[
     return masks
 
 
-def _subset_construction(a, order: Mapping[str, list[str]],
+def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
                          seeds: list[tuple[str, int]]) -> DetAutomaton:
     """Close the (distinct) seed subsets under every edge's direct image.
 
-    A subset of node n's fiber is an int whose bit i stands for
-    ``order[n][i]``, the fiber's states in string order (``_state_bits``).
-    Each edge keeps one successor mask per source state
-    (``_successor_masks``), and a subset steps to the OR of its members'
-    masks.  Fibers list the reached subsets by size, then by sorted
-    members, which is the ``subsets_of`` order restricted to them.
+    ``pos`` is ``_state_bits(a)``: a subset of node n's fiber is an int
+    whose bit i stands for the fiber's i-th state in string order.  Each
+    edge keeps one successor mask per source state (``_successor_masks``),
+    and a subset steps to the OR of its members' masks.  Fibers list the
+    reached subsets by size, then by sorted members, which is the
+    ``subsets_of`` order restricted to them.
     """
-    pos = _state_bits(a)
+    order = {n: list(pos[n]) for n in a.base.nodes}
     succ = {e.id: _successor_masks(a, e, pos) for e in a.base.edges}
     out_edges = {n: a.base.out_edges(n) for n in a.base.nodes}
     reached: dict[str, set[int]] = {n: set() for n in a.base.nodes}
@@ -382,15 +379,12 @@ def mdet_expand(
     depth = 0
     while frontier and depth < max_len:
         layer = sorted(frontier)
-        if multi_node:
-            blocks: dict[str, list[str]] = {}
-            at = []  # each state's place in its node's block
-            for lbl in layer:
-                block = blocks.setdefault(node_at[lbl], [])
-                at.append(len(block))
-                block.append(lbl)
-        else:
-            blocks, at = {start: layer}, range(len(layer))
+        blocks: dict[str, list[str]] = {}
+        at = []  # each state's place in its node's block
+        for lbl in layer:
+            block = blocks.setdefault(node_at[lbl], [])
+            at.append(len(block))
+            block.append(lbl)
         moves = {}  # per node: each out-edge's target node, table and stepped block
         for node, block in blocks.items():
             columns = list(zip(*map(states.__getitem__, block)))

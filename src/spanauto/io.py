@@ -24,7 +24,7 @@ from pathlib import Path
 from itertools import chain
 from typing import Optional, Union
 
-from .spans import FinSet, Relation, Span
+from .spans import _WORK_BOUND, FinSet, Relation, Span
 from .automata import (
     BaseGraph,
     DetAutomaton,
@@ -396,21 +396,10 @@ def _sorted_finals(a) -> list[str]:
 
 
 def _transition_entries(a) -> dict[str, _Records]:
-    """Each edge's transitions as document entries, in fiber order; only spans write counts.
-
-    Function tables (``det``, ``mdet-expanded``) are written straight from
-    the table, skipping sources without a recorded move; the other kinds
-    from their count rows.
-    """
-    tabled = a.kind in ("det", "mdet-expanded")
+    """Each edge's count rows as document entries, in fiber order; only spans write counts."""
     counted = a.kind == "span"
     transitions = {}
     for e in a.base.edges:
-        if tabled:
-            table = a.transitions[e.id]
-            srcs = list(filter(table.__contains__, a.fibers[e.src]))
-            transitions[e.id] = _Records(("from", "to"), (srcs, list(map(table.__getitem__, srcs))))
-            continue
         rows = a.rows(e.id)
         dst_order = a.fibers[e.dst].index
         srcs, dsts, counts = [], [], []
@@ -611,15 +600,11 @@ def serialize_factorization(result) -> str:
 # DOT
 
 
-# a span's count is drawn as that many parallel edges, so dot output is bounded here
-_DOT_MAX_EDGE_LINES = 1_000_000
-
-
 def to_dot(a: AnyDocumentAutomaton) -> str:
     """Graphviz text: one node per state, one edge per token, grouped by feet pair.
 
     The edge lines of a span automaton are counted before any line is
-    built; more than ``_DOT_MAX_EDGE_LINES`` of them is a ``ValueError``.
+    built; more than ``_WORK_BOUND`` of them is a ``ValueError``.
     """
     if isinstance(a, ClassicalNFA):
         from .determinize import span_automaton_of_classical
@@ -627,8 +612,8 @@ def to_dot(a: AnyDocumentAutomaton) -> str:
         a = span_automaton_of_classical(a)
     if isinstance(a, SpanAutomaton):
         edge_lines = sum(sum(a.transitions[e.id].counts.values()) for e in a.base.edges)
-        if edge_lines > _DOT_MAX_EDGE_LINES:
-            raise ValueError(f"dot would draw {edge_lines} edge lines, more than {_DOT_MAX_EDGE_LINES}")
+        if edge_lines > _WORK_BOUND:
+            raise ValueError(f"dot would draw {edge_lines} edge lines, more than {_WORK_BOUND}")
     lines = ["digraph {", "  rankdir=LR;", '  "__start" [shape=point];']
     for n in a.base.nodes:
         lines.append(f"  subgraph cluster_{_dot_id(n)} {{")

@@ -16,11 +16,12 @@ Strength grades how strictly the squares must commute:
 Over fixed feet such a map exists exactly when the support of one
 counting matrix lies inside the other's, and it is an isomorphism exactly
 when the matrices are equal.  So strict and lax squares are decided on
-supports, as int bitmasks over the source's fibers, and pseudo squares
-row by row on the automata's count rows and the components' rows; no
-square builds either composite, and a failing check lists the differing
-entries of its failing edge only.  Token composites and their apex maps
-are built only as optional witnesses of squares that already passed.
+supports, as int bitmasks over the source's fibers while those are
+narrow, and every other square row by row on the automata's count rows
+and the components' rows; no square builds either composite, and a
+failing check lists the differing entries of its failing edge only.
+Token composites and their apex maps are built only as optional
+witnesses of squares that already passed.
 
 ``factor_det`` and ``factor_mdet`` split a simulation into a determinized
 target through the canonical simulation, reporting which of the expected
@@ -29,10 +30,12 @@ properties of the factor actually hold on the given input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .spans import (
+    POWERSET_CAP,
     FinSet,
     NatMatrix,
     Relation,
@@ -41,6 +44,7 @@ from .spans import (
     Token,
     _counted_pair_label,
     _pair_label,
+    _WORK_BOUND,
     compose_relations,
     compose_spans,
     dagger_relation,
@@ -246,6 +250,15 @@ _Rows = Mapping[str, Mapping[str, int]]
 
 _NO_ROW: Mapping[str, int] = {}
 
+# The strength only picks how the two rows of a square are compared.  The
+# support of a product of count matrices is the relation composite of
+# their supports, so the strict (relation-level) check compares supports.
+_HOLDS = {
+    "strict": lambda left, right: left.keys() == right.keys(),
+    "pseudo": operator.eq,
+    "lax": lambda left, right: left.keys() <= right.keys(),
+}
+
 
 def _component_rows(c: Union[Relation, Span]) -> _Rows:
     """A component's count rows ``{x: {q: n}}``; a relation counts each pair once."""
@@ -295,7 +308,8 @@ def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[E
     of a product of count matrices is the relation composite of their
     supports, so these are the supports of the square's two rows at x.  A
     strict square wants them equal, a lax one wants ``left`` inside
-    ``right``.
+    ``right``.  A mask is as wide as its fiber, so the caller keeps this
+    to sources whose fibers have at most ``POWERSET_CAP`` states.
     """
     src, tgt = sim.source, sim.target
     bits = _state_bits(src)
@@ -328,27 +342,30 @@ def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[E
 def _check_squares(sim: Simulation, mode: str) -> CheckResult:
     """Decide every square; the first failing edge ends the walk.
 
-    ``strict`` and ``lax`` squares are decided on supports, as int masks
-    (``_support_failure``).  ``pseudo`` squares compare count rows, read
-    from the automata's cached rows and the components' row indexes, and
-    stop at the first differing row; no composite is built.  When the
-    target is a bounded expansion only its recorded rows are compared.  A
-    failing edge alone is walked again by ``_square_rows`` in full, to list
-    its differing entries.
+    ``strict`` and ``lax`` squares over a source whose fibers have at most
+    ``POWERSET_CAP`` states are decided on supports, as int masks
+    (``_support_failure``).  Every other square is walked row by row, the
+    rows read from the automata's cached count rows and the components'
+    row indexes, and the strength picks how two rows compare (``_HOLDS``);
+    no composite is built.  When the target is a bounded expansion only
+    its recorded rows are compared.  A failing edge alone is walked again
+    by ``_square_rows`` in full, to list its differing entries.
     """
     base = sim.source.base
     partial = isinstance(sim.target, ExpandedMachine)
-    if mode == "pseudo":
-        comps = {n: _component_rows(sim.components[n]) for n in base.nodes}
-        failed = None
-        for e in base.edges:
-            if any(left != right for _, left, right in _square_rows(*_square(sim, e, comps, partial))):
-                failed = e
-                break
-    else:
+    narrow = all(len(sim.source.fibers[n]) <= POWERSET_CAP for n in base.nodes)
+    if mode != "pseudo" and narrow:
         failed = _support_failure(sim, mode == "strict", partial)
         if failed is not None:
             comps = {n: _component_rows(sim.components[n]) for n in (failed.src, failed.dst)}
+    else:
+        holds = _HOLDS[mode]
+        comps = {n: _component_rows(sim.components[n]) for n in base.nodes}
+        failed = None
+        for e in base.edges:
+            if not all(holds(left, right) for _, left, right in _square_rows(*_square(sim, e, comps, partial))):
+                failed = e
+                break
     if failed is None:
         return CheckResult(True)
     square = _square(sim, failed, comps, partial)
@@ -407,14 +424,10 @@ def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) ->
     partial = isinstance(sim.target, ExpandedMachine)
     for e in sim.source.base.edges:
         tokens = _witness_tokens(sim, e, partial)
-        if tokens > _WITNESS_MAX_TOKENS:
-            raise ValueError(f"witness at edge {e.id!r} would build {tokens} tokens, more than {_WITNESS_MAX_TOKENS}")
+        if tokens > _WORK_BOUND:
+            raise ValueError(f"witness at edge {e.id!r} would build {tokens} tokens, more than {_WORK_BOUND}")
     found = {e.id: _square_witness(sim, e, partial, mode) for e in sim.source.base.edges}
     return CheckResult(True, witnesses=found)
-
-
-# a witness builds one token per unit of count, so its size is bounded here, as dot's is
-_WITNESS_MAX_TOKENS = 1_000_000
 
 
 def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:

@@ -67,6 +67,11 @@ __all__ = [
 # subset at a time at any size.
 POWERSET_CAP = 20
 
+# Work whose size is counted before it starts (dot's edge lines, a
+# witness's tokens, the full powerset machine's subset steps) is refused
+# above this many units rather than built.
+_WORK_BOUND = 1_000_000
+
 
 @dataclass(frozen=True)
 class FinSet:

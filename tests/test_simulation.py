@@ -3,6 +3,7 @@
 import pytest
 
 from spanauto.spans import (
+    POWERSET_CAP,
     FinSet,
     Relation,
     Span,
@@ -890,10 +891,11 @@ class TestTransitionMatrix:
 
 
 def wide_simulations(rng):
-    """Simulations whose source has a fiber of more than 64 states, so masks pass one machine word.
+    """Simulations whose source fibers reach the mask width ``POWERSET_CAP`` or pass it.
 
-    A 70-state automaton read against itself, and the dagger of the membership
-    simulation of a 7-state automaton, whose source is its 128-subset machine.
+    A 20-state and a 21-state automaton, each read against itself, and the
+    dagger of the membership simulation of a 7-state automaton, whose
+    source is its 128-subset machine.
     """
     from genlib import LETTERS
 
@@ -906,12 +908,11 @@ def wide_simulations(rng):
         }
         return SpanAutomaton(base, {"n": fiber}, spans, "q0", {"q1"})
 
-    wide = automaton(70)
-    sims = [
-        identity_simulation(wide, "lax"),
-        Simulation(wide, wide, {"n": _random_component(rng, wide.fibers["n"], wide.fibers["n"], True)}, "lax"),
-        dagger_simulation(canonical_det_simulation(automaton(7))),
-    ]
+    sims = [dagger_simulation(canonical_det_simulation(automaton(7)))]
+    for size in (POWERSET_CAP, POWERSET_CAP + 1):
+        wide = automaton(size)
+        sims.append(identity_simulation(wide, "lax"))
+        sims.append(Simulation(wide, wide, {"n": _random_component(rng, wide.fibers["n"], wide.fibers["n"], True)}, "lax"))
     return sims + [_drop_one(sim, rng) for sim in sims]
 
 
@@ -930,7 +931,7 @@ class TestSupportSquares:
             if seed % 8 == 0:
                 sims += wide_simulations(random.Random(seed))
             for sim in sims:
-                wide = max(len(f) for f in sim.source.fibers.values()) > 64
+                width = max(len(f) for f in sim.source.fibers.values())
                 partial = isinstance(sim.target, ExpandedMachine)
                 for mode in ("strict", "lax"):
                     got, want = _check_squares(sim, mode), row_walk_verdict(sim, mode)
@@ -938,10 +939,33 @@ class TestSupportSquares:
                         want.ok, want.failed_edge, want.detail, want.differences)
                     first = got.failed_edge == sim.source.base.edges[0].id
                     seen.add((mode, got.ok, first if not got.ok else None))
-                    if wide:
-                        seen.add(("wide", got.ok))
+                    if width >= POWERSET_CAP:
+                        seen.add(("widest masks" if width == POWERSET_CAP else "row walk", got.ok))
                     if partial:
                         seen.add(("partial", got.ok))
         for mode in ("strict", "lax"):
             assert {(mode, True, None), (mode, False, True), (mode, False, False)} <= seen
-        assert {("wide", True), ("wide", False), ("partial", True), ("partial", False)} <= seen
+        for kind in ("widest masks", "row walk", "partial"):
+            assert {(kind, True), (kind, False)} <= seen
+
+    def test_wide_source_decided_in_linear_memory(self):
+        # one fiber of 2**16 states stepped round a ring: masks as wide as the
+        # fiber would hold about 2**33 bits, the row walk a few MB
+        import time
+        import tracemalloc
+
+        fiber = FinSet("Q", [f"q{i:05d}" for i in range(2**16)])
+        states = fiber.elements
+        base = BaseGraph(["n"], [("e", "a", "n", "n")])
+        d = DetAutomaton(base, {"n": fiber}, {"e": dict(zip(states, states[1:] + states[:1]))}, states[0], {states[-1]})
+        strict, lax = identity_simulation(d, "strict"), identity_simulation(d, "lax")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert check_rel_simulation(strict).ok
+            assert check_span_simulation(lax, "lax", witnesses=False).ok
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20 and elapsed < 30
