@@ -15,11 +15,12 @@ and differs only in how it stores a transition:
 * ``MDetMachine``: the matrix form of a span automaton, one counting
   matrix per edge, run by vector-matrix products.
 
-Everything above the storage reads one view of it: ``rows(edge_id)``, the
-sparse count rows ``{src: ((dst, count), ...)}``.  A relation is the
-support of a span, and a function is a span whose rows each hold one
-entry of count 1, so the same rows serve every kind; ``matrix`` and
-``support`` are their matrix and relation forms.
+The five fields (``base``, ``fibers``, ``transitions``, ``initial`` and
+``finals``) are declared once, on ``_FiberedAutomaton``.  Everything
+above the storage reads one view of it: ``rows(edge_id)``, the sparse
+count rows ``{src: ((dst, count), ...)}``.  A relation is the support of
+a span, and a function is a span whose rows each hold one entry of count
+1, so the same rows serve every kind; ``matrix`` is their matrix form.
 
 ``accepted_counts`` (and ``language`` on top of it) evaluates every word
 up to a length L in one sweep that shares prefixes and suffixes.  Down to
@@ -39,14 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional
 
 from .spans import (
     FinSet,
     Multiset,
     NatMatrix,
-    Relation,
-    Span,
     identity_matrix,
     matrix_compose,
     multiset_unit,
@@ -61,7 +60,6 @@ __all__ = [
     "RelAutomaton",
     "DetAutomaton",
     "MDetMachine",
-    "Automaton",
     "ORACLE_MAX_LEN",
     "validate",
     "enumerate_words",
@@ -82,27 +80,13 @@ __all__ = [
 ORACLE_MAX_LEN = 12
 
 
-class Edge:
+class Edge(NamedTuple):
     """A labeled directed edge of the base graph."""
 
-    __slots__ = ("id", "label", "src", "dst")
-
-    def __init__(self, id: str, label: str, src: str, dst: str):
-        self.id = id
-        self.label = label
-        self.src = src
-        self.dst = dst
-
-    def __repr__(self):
-        return f"Edge({self.id!r}, {self.label!r}, {self.src!r} -> {self.dst!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Edge):
-            return NotImplemented
-        return (self.id, self.label, self.src, self.dst) == (other.id, other.label, other.src, other.dst)
-
-    def __hash__(self):
-        return hash((self.id, self.label, self.src, self.dst))
+    id: str
+    label: str
+    src: str
+    dst: str
 
 
 @dataclass(frozen=True)
@@ -114,7 +98,7 @@ class BaseGraph:
 
     def __init__(self, nodes, edges):
         object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "edges", tuple(Edge(*e) if not isinstance(e, Edge) else e for e in edges))
+        object.__setattr__(self, "edges", tuple(Edge(*e) for e in edges))
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node ids")
         ids = set()
@@ -196,6 +180,7 @@ def _check_fibers(base: BaseGraph, fibers: Mapping[str, FinSet]) -> list[str]:
     return problems
 
 
+@dataclass(frozen=True, init=False)
 class _FiberedAutomaton:
     """The one shape behind every automaton kind, and its count-row view.
 
@@ -203,13 +188,16 @@ class _FiberedAutomaton:
     transition between the endpoint fibers.  Kinds differ only in how a
     transition is stored; each kind's ``_count_matrix`` hook reads one as
     its counting matrix, whose entries are the ``((src, dst), count)``
-    pairs.  That matrix, the count rows and the relation read from it, and
-    the state-to-node index are built on first use and kept outside the
-    dataclass fields, so equality and repr are per kind.
+    pairs.  The base reads a function table, each item one transition.
+    That matrix, the count rows read from it and the state-to-node index
+    are built on first use and are not dataclass fields, so equality and
+    repr see the five fields only.  Equality holds only between automata
+    of the same kind, and repr names the kind's class.
     """
 
     base: BaseGraph
     fibers: Mapping[str, FinSet]
+    transitions: Mapping[str, object]
     initial: str
     finals: frozenset[str]
 
@@ -221,7 +209,6 @@ class _FiberedAutomaton:
         object.__setattr__(self, "finals", frozenset(finals))
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
-        """A function table: each item is one transition."""
         e = self.base.edge(edge_id)
         pairs = self.transitions[edge_id].items()
         return NatMatrix._trusted(self.fibers[e.src], self.fibers[e.dst], dict.fromkeys(pairs, 1))
@@ -273,91 +260,59 @@ class _FiberedAutomaton:
             m = self._views["matrix", edge_id] = self._count_matrix(edge_id)
         return m
 
-    def support(self, edge_id: str) -> Relation:
-        """The relation of an edge, the pairs with a nonzero count, built once."""
-        r = self._views.get(("support", edge_id))
-        if r is None:
-            m = self.matrix(edge_id)
-            r = self._views["support", edge_id] = Relation._trusted(m.dom, m.cod, frozenset(m.entries))
-        return r
 
-
-@dataclass(frozen=True, init=False)
 class SpanAutomaton(_FiberedAutomaton):
-    kind = "span"
+    """Transitions are spans; parallel tokens count distinct transitions."""
 
-    base: BaseGraph
-    fibers: Mapping[str, FinSet]
-    transitions: Mapping[str, Span]
-    initial: str
-    finals: frozenset[str]
+    kind = "span"
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
         return to_matrix(self.transitions[edge_id])
 
 
-@dataclass(frozen=True, init=False)
 class RelAutomaton(_FiberedAutomaton):
-    kind = "rel"
+    """Transitions are relations."""
 
-    base: BaseGraph
-    fibers: Mapping[str, FinSet]
-    transitions: Mapping[str, Relation]
-    initial: str
-    finals: frozenset[str]
+    kind = "rel"
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
         r = self.transitions[edge_id]
         return NatMatrix._trusted(r.dom, r.cod, dict.fromkeys(r.pairs, 1))
 
 
-@dataclass(frozen=True, init=False)
 class DetAutomaton(_FiberedAutomaton):
-    """Deterministic flavor: transitions are total single-valued maps."""
+    """Transitions are total single-valued maps ``{src: dst}``."""
 
     kind = "det"
-
-    base: BaseGraph
-    fibers: Mapping[str, FinSet]
-    transitions: Mapping[str, Mapping[str, str]]
-    initial: str
-    finals: frozenset[str]
 
     def __init__(self, base, fibers, transitions, initial, finals):
         super().__init__(base, fibers, {e: dict(m) for e, m in transitions.items()}, initial, finals)
 
 
-@dataclass(frozen=True, init=False)
 class MDetMachine(_FiberedAutomaton):
     """Matrix form of a span automaton: counting matrices run on multisets.
 
-    ``transitions`` is ``matrices`` under the name every kind uses.  The
+    Transitions are counting matrices, which ``matrices`` also names.  The
     start vector is the unit at ``initial``, so a stray initial state is
     refused at construction.
     """
 
     kind = "mdet"
 
-    base: BaseGraph
-    fibers: Mapping[str, FinSet]
-    matrices: Mapping[str, NatMatrix]
-    initial: str
-    finals: frozenset[str]
-
     def __init__(self, base, fibers, matrices, initial, finals):
         super().__init__(base, fibers, matrices, initial, finals)
-        object.__setattr__(self, "matrices", self.transitions)
         self.initial_node  # raises on a stray initial state
+
+    @property
+    def matrices(self) -> Mapping[str, NatMatrix]:
+        return self.transitions
 
     @property
     def initial_vector(self) -> Multiset:
         return multiset_unit(self.fibers[self.initial_node], self.initial)
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
-        return self.matrices[edge_id]
-
-
-Automaton = Union[SpanAutomaton, RelAutomaton, DetAutomaton]
+        return self.transitions[edge_id]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +388,7 @@ def run_word_span(a: SpanAutomaton, w: Word) -> NatMatrix:
     return m
 
 
-def accepted(a: Automaton, w: Word) -> bool:
+def accepted(a: _FiberedAutomaton, w: Word) -> bool:
     """Whether a word is accepted: some run from the initial state ends final.
 
     Words based anywhere but the initial state's node are rejected.
@@ -441,12 +396,12 @@ def accepted(a: Automaton, w: Word) -> bool:
     return count_paths(a, w) > 0
 
 
-def language(a: Automaton, max_len: int) -> list[Word]:
+def language(a: _FiberedAutomaton, max_len: int) -> list[Word]:
     """Accepted words up to a length, in enumeration order."""
     return [w for w, _ in accepted_counts(a, max_len)]
 
 
-def accepted_counts(a: Automaton, max_len: int) -> list[tuple[Word, int]]:
+def accepted_counts(a: _FiberedAutomaton, max_len: int) -> list[tuple[Word, int]]:
     """Accepted words up to a length, each with its number of accepting runs.
 
     Words come in ``enumerate_words`` order from the initial node.  One
@@ -466,7 +421,7 @@ def accepted_counts(a: Automaton, max_len: int) -> list[tuple[Word, int]]:
 _SUFFIX_LEN = 2
 
 
-def _accepted_sweep(a: Automaton, max_len: int):
+def _accepted_sweep(a: _FiberedAutomaton, max_len: int):
     """Yield ``(edge ids, label text, run count)`` for each accepted word, in enumeration order.
 
     With h = min(2, max_len), prefixes carry forward count vectors down to

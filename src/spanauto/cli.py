@@ -33,7 +33,7 @@ from .io import (
     to_dot,
 )
 from .laws import run_all_laws
-from .simulation import check_rel_simulation, check_span_simulation, factor_det, factor_mdet
+from .simulation import STRENGTHS, check_rel_simulation, check_span_simulation, factor_det, factor_mdet
 
 
 class CheckFailed(Exception):
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim-check", help="check a simulation document for naturality")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["strict", "pseudo", "lax"], required=True)
+    p.add_argument("--mode", choices=STRENGTHS, required=True)
     p.set_defaults(fn=cmd_sim_check)
 
     p = sub.add_parser("factor", help="factor a simulation through a determinization")

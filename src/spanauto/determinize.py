@@ -34,6 +34,7 @@ from .spans import (
     FinSet,
     POWERSET_CAP,
     Multiset,
+    Relation,
     Span,
     Token,
     _WORK_BOUND,
@@ -120,7 +121,9 @@ class ClassicalNFA:
 
 def rel_of(a) -> RelAutomaton:
     """Forget multiplicities: replace every transition by its support relation."""
-    return RelAutomaton(a.base, a.fibers, {e.id: a.support(e.id) for e in a.base.edges}, a.initial, a.finals)
+    matrices = {e.id: a.matrix(e.id) for e in a.base.edges}
+    supports = {i: Relation._trusted(m.dom, m.cod, frozenset(m.entries)) for i, m in matrices.items()}
+    return RelAutomaton(a.base, a.fibers, supports, a.initial, a.finals)
 
 
 def subset_state_label(node: str, members, multi_node: bool) -> str:
@@ -192,26 +195,26 @@ def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
     ``subsets_of`` order restricted to them.
     """
     order = {n: list(pos[n]) for n in a.base.nodes}
-    succ = {e.id: _successor_masks(a, e, pos) for e in a.base.edges}
-    out_edges = {n: a.base.out_edges(n) for n in a.base.nodes}
     reached: dict[str, set[int]] = {n: set() for n in a.base.nodes}
     steps: dict[str, dict[int, int]] = {e.id: {} for e in a.base.edges}
+    # per node, each out-edge's successor masks, step table, target node and reached set
+    moves = {n: [(_successor_masks(a, e, pos), steps[e.id], e.dst, reached[e.dst]) for e in a.base.out_edges(n)]
+             for n in a.base.nodes}
     work = list(seeds)
     for n, m in work:
         reached[n].add(m)
     while work:
         n, m = work.pop()
-        for e in out_edges[n]:
-            masks = succ[e.id]
+        for masks, step, dst, seen in moves[n]:
             t, rest = 0, m
             while rest:
                 low = rest & -rest
                 t |= masks[low.bit_length() - 1]
                 rest ^= low
-            steps[e.id][m] = t
-            if t not in reached[e.dst]:
-                reached[e.dst].add(t)
-                work.append((e.dst, t))
+            step[m] = t
+            if t not in seen:
+                seen.add(t)
+                work.append((dst, t))
 
     multi = len(a.base.nodes) > 1
     labels: dict[str, dict[int, str]] = {}
@@ -292,12 +295,7 @@ class ExpandedMachine(_FiberedAutomaton):
 
     kind = "mdet-expanded"
 
-    base: BaseGraph
-    fibers: Mapping[str, FinSet]
     states: Mapping[str, tuple[int, ...]]
-    transitions: Mapping[str, Mapping[str, str]]
-    initial: str
-    finals: frozenset[str]
     accept_counts: Mapping[str, int]
     truncated_by: tuple[str, ...] = ()
 
@@ -367,6 +365,8 @@ def mdet_expand(
     init_label = discover((start, tuple(int(q == m.initial) for q in order[start])))
     frontier = [init_label]
     for node, vecs in (extra_seeds or {}).items():
+        if node not in order:
+            raise ValueError(f"seed node {node!r} is not a node of the base")
         for vec in vecs:
             vec = tuple(vec)
             if len(vec) != len(order[node]) or not all(type(c) is int and c >= 0 for c in vec):

@@ -33,7 +33,7 @@ from .automata import (
     SpanAutomaton,
 )
 from .determinize import ClassicalNFA, ExpandedMachine
-from .simulation import Simulation
+from .simulation import STRENGTHS, Simulation
 
 __all__ = [
     "DocumentError",
@@ -499,7 +499,7 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
         raise DocumentError("kind", f"expected 'simulation', got {kind!r}")
     _no_unknown_keys(doc, ("format_version", "kind", "source", "target", "strength", "components"))
     strength = _need(doc, "strength", str)
-    if strength not in ("strict", "pseudo", "lax"):
+    if strength not in STRENGTHS:
         raise DocumentError("strength", f"unknown strength {strength!r}")
 
     def endpoint(key: str):

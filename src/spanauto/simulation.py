@@ -62,9 +62,8 @@ from .spans import (
 from .automata import (
     DetAutomaton,
     Edge,
-    MDetMachine,
-    RelAutomaton,
     SpanAutomaton,
+    _FiberedAutomaton,
 )
 from .determinize import (
     ExpandedMachine,
@@ -101,8 +100,6 @@ __all__ = [
 
 STRENGTHS = ("strict", "pseudo", "lax")
 
-AnyAutomaton = Union[SpanAutomaton, RelAutomaton, DetAutomaton, MDetMachine, ExpandedMachine]
-
 
 @dataclass(frozen=True)
 class Simulation:
@@ -112,8 +109,8 @@ class Simulation:
     matrices are stored as their canonical spans.
     """
 
-    source: AnyAutomaton
-    target: AnyAutomaton
+    source: _FiberedAutomaton
+    target: _FiberedAutomaton
     components: Mapping[str, Union[Relation, Span]]
     strength: str
 
@@ -182,7 +179,7 @@ class FactorizationResult:
 # ``a.rows(edge_id)``, at every strength.  Only witnesses need tokens.
 
 
-def transition_span(a: AnyAutomaton, edge_id: str) -> Span:
+def transition_span(a: _FiberedAutomaton, edge_id: str) -> Span:
     """The transition of an edge as a token span, built from its own storage.
 
     Witnesses use it, and tests use it as the oracle for the count rows.
@@ -208,7 +205,7 @@ def component_relation(sim: Simulation, node: str) -> Relation:
     return image(c) if isinstance(c, Span) else c
 
 
-def identity_simulation(a: AnyAutomaton, strength: str = "strict") -> Simulation:
+def identity_simulation(a: _FiberedAutomaton, strength: str = "strict") -> Simulation:
     components = {}
     for n in a.base.nodes:
         if strength == "strict":

@@ -9,6 +9,8 @@ from spanauto.automata import (
     ORACLE_MAX_LEN,
     BaseGraph,
     DetAutomaton,
+    Edge,
+    MDetMachine,
     RelAutomaton,
     SpanAutomaton,
     Word,
@@ -26,7 +28,7 @@ from spanauto.automata import (
     unique_lift_check,
     validate,
 )
-from spanauto.determinize import det_span, rel_of, span_automaton_of_classical
+from spanauto.determinize import ExpandedMachine, det_span, mdet, mdet_expand, rel_of, span_automaton_of_classical
 from spanauto.fixtures import two_phase_example, two_state_example
 
 from genlib import enumerated_ulf_factorization, enumerated_unique_lift
@@ -41,9 +43,52 @@ class TestBaseGraph:
         with pytest.raises(ValueError):
             BaseGraph(["n"], [("e1", "a", "n", "n"), ("e2", "a", "n", "n")])
 
+    def test_tuples_become_edges(self):
+        g = BaseGraph(["n", "m"], [("e", "x", "n", "m"), Edge("f", "x", "m", "n")])
+        assert all(type(e) is Edge for e in g.edges)
+        assert g.edges[0] == Edge("e", "x", "n", "m") and g.edge("f").dst == "n"
+        assert repr(g.edges[0]) == "Edge(id='e', label='x', src='n', dst='m')"
+        same = BaseGraph(["n", "m"], [Edge("e", "x", "n", "m"), ("f", "x", "m", "n")])
+        assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+        assert g != BaseGraph(["n", "m"], [("e", "y", "n", "m"), ("f", "x", "m", "n")])
+
     def test_labels_may_repeat_across_pairs(self):
         g = BaseGraph(["n", "m"], [("e1", "a", "n", "n"), ("e2", "a", "n", "m")])
         assert len(g.edges) == 2
+
+
+class TestKinds:
+    """Every kind shares the five fields of ``_FiberedAutomaton``; equality and repr stay per kind."""
+
+    @staticmethod
+    def fields(a):
+        return (a.base, a.fibers, a.transitions, a.initial, a.finals)
+
+    def test_copies_equal_and_other_kinds_differ(self):
+        a = two_state_example()
+        for k in (a, rel_of(a), det_span(a), mdet(a)):
+            assert type(k)(*self.fields(k)) == k
+            assert repr(k).startswith(type(k).__name__ + "(base=")
+            other = (RelAutomaton if k is a else SpanAutomaton)(*self.fields(k))
+            assert self.fields(other) == self.fields(k)
+            assert other != k and k != other
+        x = mdet_expand(mdet(a), 64, 8)
+        assert repr(x).startswith("ExpandedMachine(base=")
+        d = x.as_det_automaton()
+        assert self.fields(d) == self.fields(x) and d != x and x != d
+
+    def test_mdet_matrices_are_its_transitions(self):
+        m = mdet(two_state_example())
+        assert m.matrices is m.transitions
+        with pytest.raises(ValueError, match="initial state"):
+            MDetMachine(m.base, m.fibers, m.transitions, "nowhere", m.finals)
+
+    def test_expansion_built_by_keyword(self):
+        x = mdet_expand(mdet(two_phase_example()), 6, 3)
+        built = ExpandedMachine(base=x.base, fibers=x.fibers, states=x.states, transitions=x.transitions,
+                                initial=x.initial, finals=x.finals, accept_counts=x.accept_counts,
+                                truncated_by=x.truncated_by)
+        assert built == x and built.truncated
 
 
 class TestValidate:

@@ -360,6 +360,10 @@ class TestMDetExpandOracle:
             with pytest.raises(ValueError):
                 mdet_expand(m, 8, 2, extra_seeds={"s": [seed]})
 
+    def test_seed_at_unknown_node_rejected(self):
+        with pytest.raises(ValueError, match="'zz'"):
+            mdet_expand(mdet(two_state_example()), 10, 2, extra_seeds={"zz": [(1,)]})
+
 
 class TestClassical:
     def test_agrees_with_categorical_on_fixture(self):

@@ -384,6 +384,20 @@ class TestCli:
             assert code == 0
             assert out == (golden_dir / f"lang_count_{name}.txt").read_text()
 
+    @pytest.mark.parametrize("argv, golden, expected_code", [
+        (["dot", "two_state.json"], "dot_two_state.dot", 0),
+        (["dot", "two_phase.json"], "dot_two_phase.dot", 0),
+        (["classical", "two_state_nfa.json"], "classical_two_state_nfa.json", 0),
+        # the composite holds but the mate is no bisimulation, so factor exits 1
+        (["factor", "sim_identity_det.json", "--target", "det"], "factor_det_identity.json", 1),
+        (["factor", "sim_canonical_mdet.json", "--target", "mdet", "--max-len", "8"],
+         "factor_mdet_canonical.json", 0),
+    ])
+    def test_more_goldens(self, argv, golden, expected_code, fixtures_dir, golden_dir, capsys):
+        code, out, _ = self.run(argv[0], str(fixtures_dir / argv[1]), *argv[2:], capsys=capsys)
+        assert code == expected_code
+        assert out == (golden_dir / golden).read_text()
+
     def test_lang_matches_expected_counts(self, fixtures_dir, capsys):
         code, out, _ = self.run(
             "lang", str(fixtures_dir / "two_state.json"), "--max-len", "2", "--count", capsys=capsys

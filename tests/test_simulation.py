@@ -855,7 +855,7 @@ class TestTransitionMatrix:
                     assert all(row and all(c > 0 for _, c in row) for row in rows.values())
                     assert counts == to_matrix(tokens).entries
                     assert kind.matrix(e.id) == to_matrix(tokens)
-                    assert kind.support(e.id) == image(tokens)
+                    assert rel_of(kind).transitions[e.id] == image(tokens)
         assert truncated > 0
 
     def test_node_of_matches_fiber_scan(self):
