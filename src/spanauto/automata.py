@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .spans import (
     FinSet,
@@ -188,11 +188,14 @@ class _FiberedAutomaton:
     transition between the endpoint fibers.  Kinds differ only in how a
     transition is stored; each kind's ``_count_matrix`` hook reads one as
     its counting matrix, whose entries are the ``((src, dst), count)``
-    pairs.  The base reads a function table, each item one transition.
-    That matrix, the count rows read from it and the state-to-node index
-    are built on first use and are not dataclass fields, so equality and
-    repr see the five fields only.  Equality holds only between automata
-    of the same kind, and repr names the kind's class.
+    pairs.  The base stores function tables, each item one transition,
+    and reads count rows and support straight from the table; kinds that
+    store spans, relations or matrices derive from ``_MatrixAutomaton``
+    and read theirs from the counting matrix.  Matrices, rows and the
+    state-to-node index are built on first use and are not dataclass
+    fields, so equality and repr see the five fields only.  Equality holds
+    only between automata of the same kind, and repr names the kind's
+    class.
     """
 
     base: BaseGraph
@@ -212,6 +215,13 @@ class _FiberedAutomaton:
         e = self.base.edge(edge_id)
         pairs = self.transitions[edge_id].items()
         return NatMatrix._trusted(self.fibers[e.src], self.fibers[e.dst], dict.fromkeys(pairs, 1))
+
+    def _count_rows(self, edge_id: str) -> dict[str, tuple[tuple[str, int], ...]]:
+        return {q: ((t, 1),) for q, t in self.transitions[edge_id].items()}
+
+    def support(self, edge_id: str) -> Iterable[tuple[str, str]]:
+        """The ``(src, dst)`` pairs of an edge's transitions, each once."""
+        return self.transitions[edge_id].items()
 
     @cached_property
     def _state_nodes(self) -> dict[str, str]:
@@ -243,14 +253,7 @@ class _FiberedAutomaton:
         """
         rows = self._views.get(("rows", edge_id))
         if rows is None:
-            entries = self.matrix(edge_id).entries.items()
-            rows = {q: ((t, c),) for (q, t), c in entries}
-            if len(rows) < len(entries):  # some state has several successors
-                acc: dict[str, list[tuple[str, int]]] = {}
-                for (q, t), c in entries:
-                    acc.setdefault(q, []).append((t, c))
-                rows = {q: tuple(row) for q, row in acc.items()}
-            self._views["rows", edge_id] = rows
+            rows = self._views["rows", edge_id] = self._count_rows(edge_id)
         return rows
 
     def matrix(self, edge_id: str) -> NatMatrix:
@@ -261,7 +264,24 @@ class _FiberedAutomaton:
         return m
 
 
-class SpanAutomaton(_FiberedAutomaton):
+class _MatrixAutomaton(_FiberedAutomaton):
+    """A kind whose transitions are not function tables: rows and support are read from ``matrix``."""
+
+    def _count_rows(self, edge_id: str) -> dict[str, tuple[tuple[str, int], ...]]:
+        entries = self.matrix(edge_id).entries.items()
+        rows = {q: ((t, c),) for (q, t), c in entries}
+        if len(rows) < len(entries):  # some state has several successors
+            acc: dict[str, list[tuple[str, int]]] = {}
+            for (q, t), c in entries:
+                acc.setdefault(q, []).append((t, c))
+            rows = {q: tuple(row) for q, row in acc.items()}
+        return rows
+
+    def support(self, edge_id: str) -> Iterable[tuple[str, str]]:
+        return self.matrix(edge_id).entries.keys()
+
+
+class SpanAutomaton(_MatrixAutomaton):
     """Transitions are spans; parallel tokens count distinct transitions."""
 
     kind = "span"
@@ -270,7 +290,7 @@ class SpanAutomaton(_FiberedAutomaton):
         return to_matrix(self.transitions[edge_id])
 
 
-class RelAutomaton(_FiberedAutomaton):
+class RelAutomaton(_MatrixAutomaton):
     """Transitions are relations."""
 
     kind = "rel"
@@ -289,7 +309,7 @@ class DetAutomaton(_FiberedAutomaton):
         super().__init__(base, fibers, {e: dict(m) for e, m in transitions.items()}, initial, finals)
 
 
-class MDetMachine(_FiberedAutomaton):
+class MDetMachine(_MatrixAutomaton):
     """Matrix form of a span automaton: counting matrices run on multisets.
 
     Transitions are counting matrices, which ``matrices`` also names.  The

@@ -26,9 +26,10 @@ as an independent oracle for the categorical pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from operator import add, mul
-from typing import Mapping, Optional
+from operator import add, itemgetter, mul
+from typing import Mapping, Optional, Sequence
 
 from .spans import (
     FinSet,
@@ -174,11 +175,11 @@ def _successor_masks(a, e: Edge, bits: Mapping[str, Mapping[str, int]]) -> list[
     """An edge's support as one mask per source state, indexed by the state's bit.
 
     ``bits`` is ``_state_bits(a)``; the mask of q holds the bits of q's
-    successors along e.
+    successors along e, read from ``a.support``.
     """
     src_bits, dst_bits = bits[e.src], bits[e.dst]
     masks = [0] * len(src_bits)
-    for q, t in a.matrix(e.id).entries:
+    for q, t in a.support(e.id):
         masks[src_bits[q]] |= 1 << dst_bits[t]
     return masks
 
@@ -271,10 +272,15 @@ def mdet_accept_count(m: MDetMachine, w: Word) -> int:
     return sum(v[q] for q in m.finals if q in v.base)
 
 
-def expansion_state_label(node: str, vec: tuple[int, ...], multi_node: bool) -> str:
-    """Label of an expanded machine state, its count vector, node-qualified like subset states."""
-    lbl = "(" + ",".join(map(str, vec)) + ")"
-    return f"{node}:{lbl}" if multi_node else lbl
+def count_vector_text(vec: Sequence[int]) -> str:
+    """A count vector as the text ``(c1,c2,...)``: the tuple's repr without spaces, ``(c)`` at width 1."""
+    return f"({vec[0]})" if len(vec) == 1 else repr(tuple(vec)).replace(" ", "")
+
+
+def expansion_state_label(node: str, vec: Sequence[int], multi_node: bool) -> str:
+    """Label of an expanded machine state, its ``count_vector_text``, node-qualified like subset states."""
+    text = count_vector_text(vec)
+    return f"{node}:{text}" if multi_node else text
 
 
 @dataclass(frozen=True)
@@ -290,7 +296,9 @@ class ExpandedMachine(_FiberedAutomaton):
     ``max_len`` layer have no moves.  So when ``truncated`` is set the
     tables are partial, possibly within a single state's edges.
     ``truncated_by`` names the bounds that cut the expansion short:
-    ``"max_states"``, ``"max_len"``, both, or none.
+    ``"max_states"``, ``"max_len"``, both, or none.  ``count_texts`` holds
+    each state's ``count_vector_text``, which the writer puts out as its
+    counts; it is read from ``states``, so labels may be any strings.
     """
 
     kind = "mdet-expanded"
@@ -302,6 +310,11 @@ class ExpandedMachine(_FiberedAutomaton):
     @property
     def truncated(self) -> bool:
         return bool(self.truncated_by)
+
+    @cached_property
+    def count_texts(self) -> dict[str, str]:
+        """Each state's ``count_vector_text``, built once (``mdet_expand`` keeps those of its labels)."""
+        return {lbl: count_vector_text(vec) for lbl, vec in self.states.items()}
 
     def as_det_automaton(self) -> DetAutomaton:
         """The expansion as a deterministic automaton; total only when closed."""
@@ -331,9 +344,11 @@ def mdet_expand(
     So an edge costs its entries times the block's size in such passes,
     and the counts stay Python ints.  The output columns are zipped back
     into vectors, and discovery then walks the layer in label order, state
-    by state and edge by edge.  A state's label is computed once, when it
-    is first reached, and accept counts in one pass after the closure.
-    Seeds are count vectors over their node's fiber.
+    by state and edge by edge.  A state's count text is built once, when
+    it is first reached: its label is made from it, and the machine keeps
+    it as ``count_texts`` for the writer.  Accept counts are summed in one
+    pass after the closure.  Seeds are count vectors over their node's
+    fiber.
     """
     if max_states <= 0 or max_len < 0:
         raise ValueError("expansion bounds must be positive")
@@ -348,22 +363,21 @@ def mdet_expand(
     out_edges = {n: [(e.id, e.dst, len(order[e.dst])) for e in m.base.out_edges(n)] for n in m.base.nodes}
 
     label_of: dict[tuple[str, tuple[int, ...]], str] = {}
-    states: dict[str, tuple[int, ...]] = {}
+    texts: dict[str, str] = {}
     per_node: dict[str, list[str]] = {n: [] for n in m.base.nodes}
-    node_at: dict[str, str] = {}
+    frontier: list[tuple[str, str, tuple[int, ...]]] = []  # (label, node, vector) of each new state
 
-    def discover(key: tuple[str, tuple[int, ...]]) -> str:
+    def discover(node: str, vec: tuple[int, ...]) -> str:
         """Record a state ``(node, vec)`` not seen before, and return its label."""
-        node, vec = key
-        lbl = label_of[key] = expansion_state_label(node, vec, multi_node)
-        states[lbl] = vec
+        text = count_vector_text(vec)
+        lbl = label_of[node, vec] = f"{node}:{text}" if multi_node else text
+        texts[lbl] = text
         per_node[node].append(lbl)
-        node_at[lbl] = node
+        frontier.append((lbl, node, vec))
         return lbl
 
     start = m.initial_node
-    init_label = discover((start, tuple(int(q == m.initial) for q in order[start])))
-    frontier = [init_label]
+    seeds = [(start, tuple(int(q == m.initial) for q in order[start]))]
     for node, vecs in (extra_seeds or {}).items():
         if node not in order:
             raise ValueError(f"seed node {node!r} is not a node of the base")
@@ -371,52 +385,53 @@ def mdet_expand(
             vec = tuple(vec)
             if len(vec) != len(order[node]) or not all(type(c) is int and c >= 0 for c in vec):
                 raise ValueError(f"seed {vec!r} is not a count vector over the fiber of {node!r}")
-            lbl = label_of.get((node, vec)) or discover((node, vec))
-            if lbl not in frontier:
-                frontier.append(lbl)
+            seeds.append((node, vec))
+    for node, vec in seeds:
+        if (node, vec) not in label_of:
+            discover(node, vec)
     tables: dict[str, dict[str, str]] = {e.id: {} for e in m.base.edges}
     hit_states = False
     depth = 0
     while frontier and depth < max_len:
-        layer = sorted(frontier)
-        blocks: dict[str, list[str]] = {}
+        layer = sorted(frontier, key=itemgetter(0))
+        blocks: dict[str, list[tuple[int, ...]]] = {}
         at = []  # each state's place in its node's block
-        for lbl in layer:
-            block = blocks.setdefault(node_at[lbl], [])
+        for _, node, vec in layer:
+            block = blocks.setdefault(node, [])
             at.append(len(block))
-            block.append(lbl)
+            block.append(vec)
         moves = {}  # per node: each out-edge's target node, table and stepped block
         for node, block in blocks.items():
-            columns = list(zip(*map(states.__getitem__, block)))
+            columns = list(zip(*block))
             moves[node] = [(dst, tables[edge_id], _block_step(columns, entries[edge_id], width, len(block)))
                            for edge_id, dst, width in out_edges[node]]
-        next_frontier: list[str] = []
-        for lbl, k in zip(layer, at):
-            for dst, table, stepped in moves[node_at[lbl]]:
+        frontier.clear()
+        for (lbl, node, _), k in zip(layer, at):
+            for dst, table, stepped in moves[node]:
                 key = (dst, stepped[k])
-                tgt_label = label_of.get(key)
-                if tgt_label is None:
+                tgt = label_of.get(key)
+                if tgt is None:
                     if len(label_of) >= max_states:
                         hit_states = True
                         continue
-                    tgt_label = discover(key)
-                    next_frontier.append(tgt_label)
-                table[lbl] = tgt_label
-        frontier = next_frontier
+                    tgt = discover(*key)
+                table[lbl] = tgt
         depth += 1
     # states left at the depth bound still had unexplored transitions
-    hit_len = any(out_edges[node_at[lbl]] for lbl in frontier)
+    hit_len = any(out_edges[node] for _, node, _ in frontier)
     accept = {lbl: sum([vec[i] for i in final_pos[node]]) for (node, vec), lbl in label_of.items()}
-    return ExpandedMachine(
+    x = ExpandedMachine(
         base=m.base,
         fibers={n: FinSet(f"M({m.fibers[n].name})", per_node[n]) for n in m.base.nodes},
-        states=states,
+        states={lbl: vec for (_, vec), lbl in label_of.items()},
         transitions=tables,
-        initial=init_label,
+        initial=label_of[seeds[0]],
         finals=frozenset(lbl for lbl, c in accept.items() if c > 0),
         accept_counts=accept,
         truncated_by=("max_states",) * hit_states + ("max_len",) * hit_len,
     )
+    vars(x)["count_texts"] = texts  # the texts its labels were built from
+    return x
 
 
 def _block_step(columns: list[tuple[int, ...]], entries: list[tuple[int, int, int]], width: int,

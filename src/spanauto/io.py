@@ -9,11 +9,14 @@ encoder of its own (``_dump``): with ``indent`` set, ``json`` falls back to
 its pure-Python encoder, while this one joins strings escaped by the C
 ``encode_basestring_ascii``, a list of scalars in one call, and a list of
 records column by column through one template.  Writers hand states and
-entries over as ``_Records`` columns, read straight from count vectors
-and count rows.
+entries over as ``_Records`` columns, read straight from count rows; an
+expansion's counts are written from the text its labels were built
+from, so a count becomes text once.
 
 Parsing costs O(entries): each ``from``/``to``/``count`` entry becomes one
-count, and a span's tokens are built only when asked for.
+count, and a span's tokens are built only when asked for.  A ``det``
+document's entries become its function tables by one ``dict`` build per
+edge, read by the checks as tables, with no counting matrix.
 """
 
 from __future__ import annotations
@@ -152,15 +155,16 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
         return RelAutomaton(base, fibers, rels, initial, finals)
     tables = {}
     for e in base.edges:
-        table = {}
-        for src, dst in transitions[e.id]:
-            if src in table:
-                raise DocumentError(f"transitions.{e.id}", f"state {src!r} mapped twice")
-            table[src] = dst
-        for q in fibers[e.src]:
-            if q not in table:
-                raise DocumentError(f"transitions.{e.id}", f"missing image of state {q!r}")
-        tables[e.id] = table
+        pairs = transitions[e.id]
+        table = tables[e.id] = dict(pairs.keys())
+        if not len(table) == len(pairs) == len(fibers[e.src]):  # word the first fault
+            seen = set()
+            for src, _ in pairs:
+                if src in seen:
+                    raise DocumentError(f"transitions.{e.id}", f"state {src!r} mapped twice")
+                seen.add(src)
+            q = next(q for q in fibers[e.src] if q not in table)
+            raise DocumentError(f"transitions.{e.id}", f"missing image of state {q!r}")
     return DetAutomaton(base, fibers, tables, initial, finals)
 
 
@@ -191,14 +195,13 @@ def _count_entries(entries, at: str, src_fiber: FinSet, dst_fiber: FinSet, count
         if len(entry) == 2:
             counts[src, dst] = 1
         else:
-            count = 1
-            if "count" in entry:
-                if not counted:
-                    raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
-                count = entry["count"]
-                if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                    raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
-            if len(entry) > 3 or "count" not in entry:
+            count = entry.get("count")
+            if not (counted and len(entry) == 3 and type(count) is int and count >= 1):
+                if "count" in entry:
+                    if not counted:
+                        raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
+                    if type(count) is not int or count < 1:
+                        raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
                 raise DocumentError(f"{at}[{i}]", f"unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
             counts[src, dst] = count
         if len(counts) <= i:  # the pair was already there, so the store added no key
@@ -345,15 +348,26 @@ class _Records:
         return len(self.columns[0])
 
 
+class _CountTexts(list):
+    """Count vectors given as their ``count_vector_text`` ``(c1,c2,...)``; each is written as a list of ints."""
+
+    __slots__ = ()
+
+
 def _items(values, newline: str):
     """JSON text of each item of a nonempty list, every item at indent ``newline``.
 
     Items that are all strings, all ints or all lists of ints are written
-    in one pass each; dicts that share one key tuple are written as
-    records, column by column.
+    in one pass each, and ``_CountTexts`` by one ``str.replace`` each;
+    dicts that share one key tuple are written as records, column by
+    column.
     """
     if isinstance(values, _Records):
         return _record_items(values.keys, values.columns, newline)
+    if isinstance(values, _CountTexts):
+        inner = newline + "  "
+        sep, close = "," + inner, newline + "]"
+        return ["[" + inner + t[1:-1].replace(",", sep) + close if len(t) > 2 else "[]" for t in values]
     kinds = set(map(type, values))
     if kinds == {str}:
         return map(_string, values)
@@ -470,15 +484,20 @@ def serialize_mdet(m: MDetMachine) -> str:
 
 
 def serialize_expanded(x: ExpandedMachine) -> str:
+    """Canonical JSON text of an expansion.
+
+    Each state's ``counts`` are written from its ``count_texts``, so a count
+    becomes text once, for the label and the record alike.
+    """
     labels = [lbl for n in x.base.nodes for lbl in x.fibers[n]]
     nodes = [n for n in x.base.nodes for _ in x.fibers[n]]
-    vectors = [x.states[lbl] for lbl in labels]
+    counts = _CountTexts(map(x.count_texts.__getitem__, labels))
     return _dump(
         {
             "format_version": FORMAT_VERSION,
             "kind": "mdet-expanded",
             "base": _base_doc(x.base),
-            "states": _Records(("label", "node", "counts"), (labels, nodes, vectors)),
+            "states": _Records(("label", "node", "counts"), (labels, nodes, counts)),
             "transitions": _transition_entries(x),
             "initial": x.initial,
             "finals": sorted(x.finals),

@@ -9,7 +9,8 @@ count the factorizations of a simulation by trying every function from
 target states to candidate states, independently of ``factor_det`` and
 ``factor_mdet``.  ``row_walk_verdict`` decides naturality squares from
 count rows at every strength, the yardstick for the support masks that
-decide strict and lax squares.
+decide strict and lax squares.  ``odd_names_example`` is a fixed
+automaton whose node names hold the characters of expansion labels.
 """
 
 import itertools
@@ -114,6 +115,20 @@ def random_span_automaton(rng: random.Random, max_nodes: int = 3, max_states: in
         a = _draw_span_automaton(rng, max_nodes, max_states, max_edges_per_pair, max_mult)
         if _probe(a, probe_len, word_cap, path_cap) is not None:
             return a
+
+
+def odd_names_example() -> SpanAutomaton:
+    """Three nodes whose names hold ``:``, ``(`` and ``,``; fibers of widths 2, 1 and 0."""
+    u, v, w = "u:(0,1)", "v(", "w:"
+    base = BaseGraph([u, v, w], [("a", "a", u, v), ("b", "b", v, u), ("c", "c", v, v), ("d", "d", u, w)])
+    fu, fv, fw = FinSet(u, ["1", "2"]), FinSet(v, ["3"]), FinSet(w, [])
+    spans = {
+        "a": Span(fu, fv, [Token("a1", "1", "3"), Token("a2", "1", "3"), Token("a3", "2", "3")]),
+        "b": Span(fv, fu, [Token("b1", "3", "1")] + [Token(f"b{i}", "3", "2") for i in (2, 3, 4)]),
+        "c": Span(fv, fv, [Token("c1", "3", "3")]),
+        "d": Span(fu, fw, []),
+    }
+    return SpanAutomaton(base, {u: fu, v: fv, w: fw}, spans, "1", {"2", "3"})
 
 
 def random_live_span_automaton(rng: random.Random, **kwargs) -> SpanAutomaton:

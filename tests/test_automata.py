@@ -28,10 +28,10 @@ from spanauto.automata import (
     unique_lift_check,
     validate,
 )
-from spanauto.determinize import ExpandedMachine, det_span, mdet, mdet_expand, rel_of, span_automaton_of_classical
+from spanauto.determinize import ExpandedMachine, det, det_span, mdet, mdet_expand, rel_of, span_automaton_of_classical
 from spanauto.fixtures import two_phase_example, two_state_example
 
-from genlib import enumerated_ulf_factorization, enumerated_unique_lift
+from genlib import enumerated_ulf_factorization, enumerated_unique_lift, random_span_automaton
 
 
 def words_as_strings(ws, base):
@@ -89,6 +89,18 @@ class TestKinds:
                                 initial=x.initial, finals=x.finals, accept_counts=x.accept_counts,
                                 truncated_by=x.truncated_by)
         assert built == x and built.truncated
+        assert built.count_texts == x.count_texts
+
+    def test_support_is_the_matrix_support(self):
+        # function tables give their items, every other kind its counting matrix's nonzero pairs
+        rng = random.Random(16)
+        for _ in range(20):
+            a = random_span_automaton(rng, max_nodes=3, max_states=3)
+            for k in (a, rel_of(a), det_span(a), mdet(a), det(a), mdet_expand(mdet(a), 6, 3)):
+                for e in k.base.edges:
+                    pairs = list(k.support(e.id))
+                    assert len(pairs) == len(set(pairs))
+                    assert set(pairs) == set(k.matrix(e.id).entries)
 
 
 class TestValidate:

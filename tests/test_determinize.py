@@ -26,6 +26,7 @@ from spanauto.determinize import (
     mdet_run,
     prune_reachable,
     reachable_iso_check,
+    count_vector_text,
     expansion_state_label,
     rel_of,
     span_automaton_of_classical,
@@ -33,7 +34,7 @@ from spanauto.determinize import (
 )
 from spanauto.fixtures import two_phase_example, two_state_classical, two_state_example
 
-from genlib import enumerated_unique_lift
+from genlib import enumerated_unique_lift, odd_names_example
 
 
 class TestRelOf:
@@ -115,6 +116,29 @@ class TestDet:
             a = random_span_automaton(rng, max_nodes=2, max_states=3, word_cap=150, path_cap=300)
             assert unique_lift_check(det_span(a))
             assert enumerated_unique_lift(det_span(a), 3)
+
+
+    def test_table_rows_and_masks_match_the_matrix(self):
+        # a function table is read as rows and successor masks directly; no count matrix is built for them
+        import random
+        from genlib import random_span_automaton
+        from spanauto.determinize import _state_bits, _successor_masks
+
+        rng = random.Random(16)
+        for _ in range(30):
+            a = random_span_automaton(rng, max_nodes=3, max_states=3)
+            for d in (det(a), det(a, prune=True), mdet_expand(mdet(a), 6, 3)):
+                bits = _state_bits(d)
+                rows = {e.id: d.rows(e.id) for e in d.base.edges}
+                masks = {e.id: _successor_masks(d, e, bits) for e in d.base.edges}
+                assert not any(key[0] == "matrix" for key in d._views)
+                for e in d.base.edges:
+                    entries = d.matrix(e.id).entries
+                    assert rows[e.id] == {q: ((t, c),) for (q, t), c in entries.items()}
+                    want = [0] * len(bits[e.src])
+                    for q, t in entries:
+                        want[bits[e.src][q]] |= 1 << bits[e.dst][t]
+                    assert masks[e.id] == want
 
 
 class TestMDet:
@@ -272,6 +296,38 @@ def expand_by_multisets(m, max_states, max_len, extra_seeds=None):
     if any(m.base.out_edges(states[lbl][0]) for lbl in frontier):
         cut.add("max_len")
     return states, per_node, tables, accept, tuple(b for b in ("max_states", "max_len") if b in cut)
+
+
+class TestExpansionLabels:
+    @staticmethod
+    def joined(vec) -> str:
+        return "(" + ",".join(map(str, vec)) + ")"
+
+    def test_vector_text(self):
+        for vec in ((), (0,), (7,), (10**20,), (1, 0), (0, 12, 3, 10**30)):
+            assert count_vector_text(vec) == self.joined(vec)
+            assert expansion_state_label("n", vec, False) == self.joined(vec)
+            assert expansion_state_label("n", vec, True) == "n:" + self.joined(vec)
+        assert expansion_state_label("n", (), False) == "()"
+        assert expansion_state_label("n", (3,), False) == "(3)"
+
+    def test_list_argument(self):
+        # the counting factorization labels its mate's images from lists
+        for vec in ([], [4], [1, 0, 2]):
+            assert expansion_state_label("n", vec, True) == expansion_state_label("n", tuple(vec), True)
+            assert expansion_state_label("n", vec, False) == self.joined(vec)
+            assert count_vector_text(vec) == self.joined(vec)
+
+    def test_node_names_with_colons_and_brackets(self):
+        x = mdet_expand(mdet(odd_names_example()), 12, 6)
+        assert x.truncated
+        assert {len(x.states[q]) for q in x.states} == {0, 1, 2}
+        for n in x.base.nodes:
+            for q in x.fibers[n]:
+                assert q == f"{n}:{self.joined(x.states[q])}"
+                assert x.count_texts[q] == self.joined(x.states[q])
+        # the texts kept from the labels are the ones read from the vectors
+        assert x.count_texts == {q: count_vector_text(vec) for q, vec in x.states.items()}
 
 
 class TestMDetExpandOracle:

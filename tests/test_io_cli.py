@@ -176,6 +176,21 @@ class TestDump:
             for d in (det(a), det(a, prune=True), classical_subset_construction(random_classical_nfa(rng))):
                 assert serialize_automaton(d) == json.dumps(self.table_doc(d), indent=2) + "\n"
 
+    @classmethod
+    def expanded_doc(cls, x) -> dict:
+        """The document of an expansion, one dict per record, counts read from ``states``."""
+        tables = cls.table_doc(x)
+        return {
+            "format_version": "1",
+            "kind": "mdet-expanded",
+            "base": tables["base"],
+            "states": [{"label": q, "node": n, "counts": list(x.states[q])} for n in x.base.nodes for q in x.fibers[n]],
+            "transitions": tables["transitions"],
+            "initial": x.initial,
+            "finals": sorted(x.finals),
+            "truncated": x.truncated,
+        }
+
     def test_partial_expansion_matches_its_dict(self):
         from spanauto.determinize import mdet, mdet_expand
         from spanauto.fixtures import two_phase_example
@@ -185,18 +200,40 @@ class TestDump:
         x = mdet_expand(mdet(two_phase_example()), 7, 3)
         assert x.truncated
         assert any(all(q not in t for t in x.transitions.values()) for q in x.states)
-        tables = self.table_doc(x)
-        doc = {
-            "format_version": "1",
-            "kind": "mdet-expanded",
-            "base": tables["base"],
-            "states": [{"label": q, "node": n, "counts": list(x.states[q])} for n in x.base.nodes for q in x.fibers[n]],
-            "transitions": tables["transitions"],
-            "initial": x.initial,
-            "finals": sorted(x.finals),
-            "truncated": True,
-        }
-        assert serialize_expanded(x) == json.dumps(doc, indent=2) + "\n"
+        assert serialize_expanded(x) == json.dumps(self.expanded_doc(x), indent=2) + "\n"
+
+    def test_expansion_with_odd_node_names_matches_its_dict(self):
+        # counts are written from the labels, which hold node names with ':' and '(' and vectors of widths 0-2
+        from genlib import odd_names_example
+        from spanauto.determinize import mdet, mdet_expand
+        from spanauto.io import serialize_expanded
+
+        for max_states, max_len in ((12, 6), (200, 4), (1, 1)):
+            x = mdet_expand(mdet(odd_names_example()), max_states, max_len)
+            assert serialize_expanded(x) == json.dumps(self.expanded_doc(x), indent=2) + "\n"
+
+    def test_expansion_built_with_other_labels_writes_its_states(self):
+        # counts come from the state vectors, not from the text of the labels
+        from genlib import odd_names_example
+        from spanauto.determinize import ExpandedMachine, mdet, mdet_expand
+        from spanauto.io import serialize_expanded
+        from spanauto.spans import FinSet
+
+        x = mdet_expand(mdet(odd_names_example()), 12, 6)
+        new = {q: f"q{i}" for i, q in enumerate(x.states)}
+        y = ExpandedMachine(
+            base=x.base,
+            fibers={n: FinSet(f.name, [new[q] for q in f]) for n, f in x.fibers.items()},
+            states={new[q]: list(vec) for q, vec in x.states.items()},
+            transitions={e: {new[q]: new[t] for q, t in table.items()} for e, table in x.transitions.items()},
+            initial=new[x.initial],
+            finals={new[q] for q in x.finals},
+            accept_counts={new[q]: c for q, c in x.accept_counts.items()},
+            truncated_by=x.truncated_by,
+        )
+        doc = self.expanded_doc(y)
+        assert [s["counts"] for s in doc["states"]] == [list(x.states[q]) for n in x.base.nodes for q in x.fibers[n]]
+        assert serialize_expanded(y) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestSchemaErrors:
@@ -239,6 +276,35 @@ class TestSchemaErrors:
         with pytest.raises(DocumentError) as err:
             parse_automaton(json.dumps(doc))
         assert "missing image" in str(err.value)
+
+    @pytest.mark.parametrize("entries, line", [
+        ([{"from": "1", "to": "2"}, {"from": "1", "to": "1"}, {"from": "2", "to": "2"}],
+         "transitions.e: state '1' mapped twice"),
+        ([{"from": "2", "to": "1"}], "transitions.e: missing image of state '1'"),
+        # a state mapped twice is named before a missing image
+        ([{"from": "1", "to": "2"}, {"from": "1", "to": "1"}], "transitions.e: state '1' mapped twice"),
+        # every entry is read before the table is: an unknown state after a state mapped twice wins
+        ([{"from": "1", "to": "2"}, {"from": "1", "to": "1"}, {"from": "9", "to": "1"}],
+         "transitions.e[2].from: unknown state '9' in fiber 'n'"),
+        ([{"from": "1", "to": "2", "count": 1}, {"from": "2", "to": "2"}],
+         "transitions.e[0].count: counts are only valid in span documents"),
+    ])
+    def test_det_table_errors(self, entries, line):
+        doc = self.base_doc()
+        doc["kind"] = "det"
+        doc["transitions"]["e"] = entries
+        with pytest.raises(DocumentError) as err:
+            parse_automaton(json.dumps(doc))
+        assert str(err.value) == line
+
+    def test_det_table_read_in_fiber_order(self):
+        doc = self.base_doc()
+        doc["kind"] = "det"
+        doc["transitions"]["e"] = [{"from": "2", "to": "1"}, {"from": "1", "to": "2"}]
+        d = parse_automaton(json.dumps(doc))
+        assert d.transitions["e"] == {"1": "2", "2": "1"}
+        assert d.rows("e") == {"1": (("2", 1),), "2": (("1", 1),)}
+        assert json.loads(serialize_automaton(d))["transitions"]["e"] == [{"from": "1", "to": "2"}, {"from": "2", "to": "1"}]
 
     def test_bad_json(self):
         with pytest.raises(DocumentError):
@@ -801,6 +867,14 @@ class TestCli:
          "transitions.a[2]: unknown keys ['weight']"),
         (lambda d: d["transitions"]["a"].append({"from": "2", "to": "1", "count": 1, "weight": 2}),
          "transitions.a[2]: unknown keys ['weight']"),
+        (lambda d: d["transitions"]["a"].append({"from": "2", "to": "1", "count": 0, "weight": 2}),
+         "transitions.a[2].count: count must be a positive integer, got 0"),
+        (lambda d: d["transitions"]["a"].append({"from": "2", "to": "1", "count": None}),
+         "transitions.a[2].count: count must be a positive integer, got None"),
+        (lambda d: d["transitions"]["a"].append({"from": "2", "to": "1", "count": 2.0}),
+         "transitions.a[2].count: count must be a positive integer, got 2.0"),
+        (lambda d: (TestCli._to_rel(d), d["transitions"]["a"].append({"from": "2", "to": "1", "count": None})),
+         "transitions.a[2].count: counts are only valid in span documents"),
         # the first bad entry wins, even when a later one is malformed too
         (lambda d: d["transitions"]["a"].extend([{"from": "1", "to": "1"}, {"from": "2", "to": "9"}]),
          "transitions.a[2]: duplicate pair ('1', '1')"),
