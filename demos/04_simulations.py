@@ -36,12 +36,12 @@ print("  its forward direction alone was fine; the dagger is what fails.")
 
 print("\nFactoring the membership simulation through the powerset machine")
 print("returns the identity bisimulation (the triangle identity):")
-from spanauto.determinize import det_span, rel_of, subset_state_label
+from spanauto.determinize import det, rel_of, subset_state_label
 from spanauto.spans import Relation, subsets_of
 from spanauto import Simulation
 
 r = rel_of(a)
-d = det_span(a)
+d = det(a)
 comps = {
     "s": Relation(
         d.fibers["s"],

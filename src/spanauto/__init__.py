@@ -64,7 +64,6 @@ from .determinize import (
     ExpandedMachine,
     classical_subset_construction,
     det,
-    det_span,
     mdet,
     mdet_accept_count,
     mdet_expand,

@@ -12,7 +12,6 @@ import functools
 import sys
 from collections import Counter
 
-from .spans import POWERSET_CAP
 from .automata import _accepted_sweep, validate
 from .determinize import (
     ClassicalNFA,
@@ -61,7 +60,7 @@ def cmd_det(args) -> int:
     a = load_automaton(args.file)
     if a.kind not in ("span", "rel"):
         raise DocumentError("kind", "det expects a span or rel document")
-    sys.stdout.write(serialize_automaton(det(a, args.powerset_cap, prune=args.prune)))
+    sys.stdout.write(serialize_automaton(det(a, prune=args.prune)))
     return 0
 
 
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det", help="powerset determinization of a span or rel document")
     p.add_argument("file")
     p.add_argument("--prune", action="store_true", help="keep only reachable states")
-    p.add_argument("--powerset-cap", type=int, default=POWERSET_CAP, metavar="N")
     p.set_defaults(fn=cmd_det)
 
     p = sub.add_parser("mdet", help="counting (multiset) determinization")
@@ -200,8 +198,8 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print(f"check-failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        # a DocumentError is a ValueError
+    except (ValueError, OSError) as exc:
+        # a DocumentError is a ValueError; a file that cannot be opened is an OSError
         print(f"input-error: {exc}", file=sys.stderr)
         return 2
 

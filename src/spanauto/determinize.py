@@ -59,7 +59,6 @@ __all__ = [
     "ExpandedMachine",
     "rel_of",
     "det",
-    "det_span",
     "mdet",
     "mdet_run",
     "mdet_accept_count",
@@ -137,23 +136,22 @@ def subset_state_label(node: str, members, multi_node: bool) -> str:
     return f"{node}:{lbl}" if multi_node else lbl
 
 
-def det(a, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomaton:
+def det(a, *, prune: bool = False) -> DetAutomaton:
     """Powerset determinization, fiber by fiber, of the transitions' supports.
 
     Without ``prune`` every subset of every fiber becomes a state,
     including the empty one.  With ``prune`` only the subsets reachable
     from ``{initial}`` are built, so the cost follows the reachable part
-    rather than 2^n; the result equals ``prune_reachable(det(a))``.  The
-    cap bounds fiber size either way and is checked before any work.  The
-    full machine is also refused, before any subset is listed, when its
-    steps, the sum over nodes of 2^|fiber| times the node's out-degree (at
-    least 1), exceed ``_WORK_BOUND``.
+    rather than 2^n; the result equals ``prune_reachable(det(a))``.  A
+    fiber wider than ``POWERSET_CAP`` is refused before any work.  A
+    subset at node n costs max(1, out-degree of n) steps, and more than
+    ``_WORK_BOUND`` steps is a ``ValueError``: the full machine's are
+    counted before any subset is listed, the pruned one's as its subsets
+    are reached.
     """
     for n in a.base.nodes:
-        if len(a.fibers[n]) > powerset_cap:
-            raise ValueError(
-                f"fiber of {n!r} has {len(a.fibers[n])} states; refusing powerset above {powerset_cap}"
-            )
+        if len(a.fibers[n]) > POWERSET_CAP:
+            raise ValueError(f"fiber of {n!r} has {len(a.fibers[n])} states; refusing powerset above {POWERSET_CAP}")
     bits = _state_bits(a)
     if prune:
         start = a.initial_node
@@ -191,22 +189,28 @@ def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
     ``pos`` is ``_state_bits(a)``: a subset of node n's fiber is an int
     whose bit i stands for the fiber's i-th state in string order.  Each
     edge keeps one successor mask per source state (``_successor_masks``),
-    and a subset steps to the OR of its members' masks.  Fibers list the
-    reached subsets by size, then by sorted members, which is the
-    ``subsets_of`` order restricted to them.
+    and a subset steps to the OR of its members' masks.  A subset is
+    charged max(1, out-degree) steps when first reached, and more than
+    ``_WORK_BOUND`` in all is a ``ValueError``.  Fibers list the reached
+    subsets by size, then by sorted members (``subsets_of`` order).
     """
     order = {n: list(pos[n]) for n in a.base.nodes}
+    cost = {n: max(1, len(a.base.out_edges(n))) for n in a.base.nodes}
     reached: dict[str, set[int]] = {n: set() for n in a.base.nodes}
     steps: dict[str, dict[int, int]] = {e.id: {} for e in a.base.edges}
-    # per node, each out-edge's successor masks, step table, target node and reached set
-    moves = {n: [(_successor_masks(a, e, pos), steps[e.id], e.dst, reached[e.dst]) for e in a.base.out_edges(n)]
-             for n in a.base.nodes}
+    # per node, each out-edge's successor masks, step table, and target node's name, reached set and cost
+    moves = {n: [(_successor_masks(a, e, pos), steps[e.id], e.dst, reached[e.dst], cost[e.dst])
+                 for e in a.base.out_edges(n)] for n in a.base.nodes}
     work = list(seeds)
+    budget = _WORK_BOUND
     for n, m in work:
         reached[n].add(m)
+        budget -= cost[n]
     while work:
+        if budget < 0:
+            raise ValueError(f"det would take more than {_WORK_BOUND} subset steps")
         n, m = work.pop()
-        for masks, step, dst, seen in moves[n]:
+        for masks, step, dst, seen, charge in moves[n]:
             t, rest = 0, m
             while rest:
                 low = rest & -rest
@@ -216,6 +220,7 @@ def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
             if t not in seen:
                 seen.add(t)
                 work.append((dst, t))
+                budget -= charge
 
     multi = len(a.base.nodes) > 1
     labels: dict[str, dict[int, str]] = {}
@@ -234,11 +239,6 @@ def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
     start = a.initial_node
     initial = labels[start][1 << pos[start][a.initial]]
     return DetAutomaton(a.base, fibers, tables, initial, finals)
-
-
-def det_span(a: SpanAutomaton, powerset_cap: int = POWERSET_CAP, prune: bool = False) -> DetAutomaton:
-    """Full powerset pipeline for span automata: ``det`` of the image relations."""
-    return det(a, powerset_cap, prune)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +481,13 @@ def classical_subset_construction(n: ClassicalNFA) -> DetAutomaton:
     """Textbook subset construction: powerset states, direct-image steps.
 
     Built directly from the five-tuple, without the span machinery, over
-    the same single-node base shape as the categorical pipeline.
+    the same single-node base shape as the categorical pipeline.  Its
+    2^|Q| subsets cost max(1, letters) steps each; more than
+    ``_WORK_BOUND`` is refused before any subset is listed.
     """
+    steps = (1 << len(n.states)) * max(1, len(n.alphabet))
+    if steps > _WORK_BOUND:
+        raise ValueError(f"classical subset construction would take {steps} subset steps, more than {_WORK_BOUND}")
     base = classical_base(n.alphabet)
     subsets = subsets_of(n.states)
     fiber = FinSet(f"P({n.states.name})", [subset_label(s) for s in subsets])

@@ -70,7 +70,6 @@ from .determinize import (
     _state_bits,
     _successor_masks,
     det,
-    det_span,
     expansion_state_label,
     mdet,
     mdet_expand,
@@ -485,7 +484,7 @@ def canonical_det_simulation(a: SpanAutomaton) -> Simulation:
     passes the lax check; it is pseudo only when no square composite
     carries a multiplicity above one.
     """
-    d = det_span(a)
+    d = det(a)
     multi = len(a.base.nodes) > 1
     components = {
         n: membership_span(d.fibers[n], a.fibers[n], n, multi) for n in a.base.nodes

@@ -61,15 +61,15 @@ __all__ = [
     "span_morphism_search",
 ]
 
-# Powersets (``powerset_finset``, ``PowersetMap.table``) and determinized
-# fibers above this many generators are refused rather than materialized
-# (also the CLI's --powerset-cap default); a PowersetMap evaluates one
-# subset at a time at any size.
+# The widest fiber an int subset mask covers: ``det`` refuses wider
+# fibers, the square checks use masks only up to it, and so do
+# ``powerset_finset`` and ``PowersetMap.table`` (a PowersetMap evaluates
+# one subset at a time at any size).
 POWERSET_CAP = 20
 
-# Work whose size is counted before it starts (dot's edge lines, a
-# witness's tokens, the full powerset machine's subset steps) is refused
-# above this many units rather than built.
+# The most work one construction may do: dot's edge lines, a witness's
+# tokens and any powerset construction's subset steps past it are refused,
+# counted up front where the size is known, as the pruned det runs if not.
 _WORK_BOUND = 1_000_000
 
 
@@ -523,12 +523,10 @@ class PowersetMap:
         self.relation = r
 
     def __call__(self, subset) -> frozenset[str]:
-        subset = frozenset(subset)
-        for x in subset:
+        out: set[str] = set()
+        for x in frozenset(subset):
             if x not in self.relation.dom:
                 raise ValueError(f"{x!r} not in {self.relation.dom.name!r}")
-        out: set[str] = set()
-        for x in subset:
             out |= self.relation(x)
         return frozenset(out)
 

@@ -25,7 +25,7 @@ from spanauto.automata import (
 )
 from spanauto.determinize import (
     classical_subset_construction,
-    det_span,
+    det,
     mdet,
     mdet_accept_count,
     mdet_expand,
@@ -75,7 +75,7 @@ def generated_automata():
 
 def test_criterion_1_two_state_reproduction():
     with Budget("criterion 1 (two-state powerset machine, exact)", 1.0):
-        d = det_span(two_state_example())
+        d = det(two_state_example())
         assert list(d.fibers["s"]) == ["{}", "{1}", "{2}", "{1,2}"]
         assert d.transitions["a"] == {
             "{1}": "{1,2}",
@@ -96,7 +96,7 @@ def test_criterion_1_two_state_reproduction():
 def test_criterion_2_two_phase_fiber_separation():
     with Budget("criterion 2 (two-phase fibers and language)", 5.0):
         a = two_phase_example()
-        d = det_span(a)
+        d = det(a)
         for node in a.base.nodes:
             original = set(a.fibers[node].elements)
             for lbl in d.fibers[node]:
@@ -112,7 +112,7 @@ def test_criterion_3_classical_agreement():
         rng = random.Random(20240903)
         for _ in range(200):
             nfa = random_classical_nfa(rng)
-            categorical = det_span(span_automaton_of_classical(nfa))
+            categorical = det(span_automaton_of_classical(nfa))
             classical = classical_subset_construction(nfa)
             assert reachable_iso_check(
                 prune_reachable(categorical), prune_reachable(classical)
@@ -120,7 +120,7 @@ def test_criterion_3_classical_agreement():
 
 
 def _check_preservation(a, sample_rng, max_len=6):
-    d = det_span(a)
+    d = det(a)
     machine = mdet(a)
     node = a.initial_node
     sampled = []
@@ -175,7 +175,7 @@ def test_criterion_6_canonical_simulations(generated_automata):
 
 def _relabeled_det_instance(rng, f):
     """A deterministic target: the powerset machine with renamed states."""
-    d = det_span(f)
+    d = det(f)
     multi = len(f.base.nodes) > 1
     mapping = {}
     fibers = {}

@@ -28,7 +28,7 @@ from spanauto.automata import (
     unique_lift_check,
     validate,
 )
-from spanauto.determinize import ExpandedMachine, det, det_span, mdet, mdet_expand, rel_of, span_automaton_of_classical
+from spanauto.determinize import ExpandedMachine, det, mdet, mdet_expand, rel_of, span_automaton_of_classical
 from spanauto.fixtures import two_phase_example, two_state_example
 
 from genlib import enumerated_ulf_factorization, enumerated_unique_lift, random_span_automaton
@@ -66,7 +66,7 @@ class TestKinds:
 
     def test_copies_equal_and_other_kinds_differ(self):
         a = two_state_example()
-        for k in (a, rel_of(a), det_span(a), mdet(a)):
+        for k in (a, rel_of(a), det(a), mdet(a)):
             assert type(k)(*self.fields(k)) == k
             assert repr(k).startswith(type(k).__name__ + "(base=")
             other = (RelAutomaton if k is a else SpanAutomaton)(*self.fields(k))
@@ -96,7 +96,7 @@ class TestKinds:
         rng = random.Random(16)
         for _ in range(20):
             a = random_span_automaton(rng, max_nodes=3, max_states=3)
-            for k in (a, rel_of(a), det_span(a), mdet(a), det(a), mdet_expand(mdet(a), 6, 3)):
+            for k in (a, rel_of(a), det(a), mdet(a), mdet_expand(mdet(a), 6, 3)):
                 for e in k.base.edges:
                     pairs = list(k.support(e.id))
                     assert len(pairs) == len(set(pairs))
@@ -308,7 +308,7 @@ class TestAcceptedCounts:
             a = random_live_span_automaton(rng, max_nodes=2, max_states=4, probe_len=4)
             r = rel_of(a)
             self.check(r, span_automaton_of_rel(r), 4)
-            d = det_span(a)
+            d = det(a)
             self.check(d, span_automaton_of_rel(rel_of(d)), 4)
 
     def test_live_draws_accept_words(self):
@@ -357,7 +357,7 @@ class TestAcceptedCounts:
             a = random_live_span_automaton(rng, max_nodes=3, max_states=3, max_mult=3, probe_len=6)
             colliding += len({e.label for e in a.base.edges}) < len(a.base.edges)
             r = rel_of(a)
-            d = det_span(a)
+            d = det(a)
             for max_len in range(7):
                 self.check(a, a, max_len)
                 self.check(r, span_automaton_of_rel(r), max_len)
@@ -433,7 +433,7 @@ class TestAcceptedCounts:
 
 class TestUniqueLift:
     def test_determinization_has_unique_lifts(self):
-        d = det_span(two_state_example())
+        d = det(two_state_example())
         assert unique_lift_check(d)
         assert enumerated_unique_lift(d, 4)
 
@@ -506,7 +506,7 @@ class TestIsDeterministic:
         assert not is_deterministic(rel_of(two_state_example()))
 
     def test_determinization_is(self):
-        d = det_span(two_state_example())
+        d = det(two_state_example())
         assert is_deterministic(rel_of(d))
 
     def test_empty_fiber_vacuous(self):
@@ -521,7 +521,7 @@ class TestIsDeterministic:
 
 class TestConversions:
     def test_rel_roundtrip_through_det(self):
-        d = det_span(two_state_example())
+        d = det(two_state_example())
         again = to_det_automaton(rel_of(d))
         assert again.transitions == d.transitions
 

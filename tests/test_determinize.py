@@ -2,7 +2,8 @@
 
 import pytest
 
-from spanauto.spans import FinSet, Multiset, Span, Token, multiset_extend, powerset_map, subsets_of
+from spanauto import determinize
+from spanauto.spans import POWERSET_CAP, FinSet, Multiset, Span, Token, multiset_extend, powerset_map, subsets_of
 from spanauto.automata import (
     BaseGraph,
     DetAutomaton,
@@ -19,7 +20,6 @@ from spanauto.determinize import (
     ClassicalNFA,
     classical_subset_construction,
     det,
-    det_span,
     mdet,
     mdet_accept_count,
     mdet_expand,
@@ -60,7 +60,7 @@ class TestRelOf:
 
 class TestDet:
     def test_fixture_exact_structure(self):
-        d = det_span(two_state_example())
+        d = det(two_state_example())
         assert list(d.fibers["s"]) == ["{}", "{1}", "{2}", "{1,2}"]
         assert d.transitions["a"] == {"{}": "{}", "{1}": "{1,2}", "{2}": "{}", "{1,2}": "{1,2}"}
         assert d.transitions["b"] == {"{}": "{}", "{1}": "{2}", "{2}": "{2}", "{1,2}": "{2}"}
@@ -71,11 +71,11 @@ class TestDet:
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
         a = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [])}, "1", {"1"})
-        d = det_span(a)
+        d = det(a)
         assert d.transitions["e"] == {"{}": "{}", "{1}": "{}"}
 
     def test_two_phase_states_stay_single_fiber(self):
-        d = det_span(two_phase_example())
+        d = det(two_phase_example())
         assert len(d.fibers["c"]) == 4
         assert len(d.fibers["d"]) == 8
         # every determinized state is a subset of exactly one original fiber
@@ -90,22 +90,23 @@ class TestDet:
 
     def test_language_preserved_up_to_six(self):
         for a in (two_state_example(), two_phase_example()):
-            d = det_span(a)
+            d = det(a)
             for w in enumerate_words(a.base, a.initial_node, 6):
                 assert accepted(a, w) == accepted(d, w)
 
-    def test_powerset_cap(self):
-        big = FinSet("Q", [f"q{i}" for i in range(6)])
+    def test_fiber_wider_than_mask_refused(self):
+        # one state wider than a subset mask covers is refused, pruned or not
+        wide = FinSet("Q", [f"q{i:02d}" for i in range(POWERSET_CAP + 1)])
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
-        a = SpanAutomaton(base, {"n": big}, {"e": Span(big, big, [])}, "q0", set())
+        a = SpanAutomaton(base, {"n": wide}, {"e": Span(wide, wide, [])}, "q00", set())
         for prune in (False, True):
-            with pytest.raises(ValueError):
-                det_span(a, powerset_cap=5, prune=prune)
+            with pytest.raises(ValueError, match=f"has {POWERSET_CAP + 1} states; refusing powerset above {POWERSET_CAP}$"):
+                det(a, prune=prune)
 
     def test_passes_unique_lift(self):
         for a, max_len in ((two_state_example(), 4), (two_phase_example(), 3)):
-            assert unique_lift_check(det_span(a))
-            assert enumerated_unique_lift(det_span(a), max_len)
+            assert unique_lift_check(det(a))
+            assert enumerated_unique_lift(det(a), max_len)
 
     def test_random_determinizations_pass_unique_lift(self):
         import random
@@ -114,8 +115,8 @@ class TestDet:
         rng = random.Random(78)
         for _ in range(10):
             a = random_span_automaton(rng, max_nodes=2, max_states=3, word_cap=150, path_cap=300)
-            assert unique_lift_check(det_span(a))
-            assert enumerated_unique_lift(det_span(a), 3)
+            assert unique_lift_check(det(a))
+            assert enumerated_unique_lift(det(a), 3)
 
 
     def test_table_rows_and_masks_match_the_matrix(self):
@@ -421,11 +422,23 @@ class TestMDetExpandOracle:
             mdet_expand(mdet(two_state_example()), 10, 2, extra_seeds={"zz": [(1,)]})
 
 
+def nth_letter_from_end(n: int) -> SpanAutomaton:
+    """The words over {a, b} whose n-th letter from the end is a: n + 1 states, 2^n reachable subsets."""
+    q = FinSet("Q", [f"q{i:02d}" for i in range(n + 1)])
+    base = BaseGraph(["s"], [("a", "a", "s", "s"), ("b", "b", "s", "s")])
+    chain = [(f"q{i:02d}", f"q{i + 1:02d}") for i in range(1, n)]
+    spans = {
+        "a": Span(q, q, [Token(f"{x}>{y}", x, y) for x, y in [("q00", "q00"), ("q00", "q01"), *chain]]),
+        "b": Span(q, q, [Token(f"{x}>{y}", x, y) for x, y in [("q00", "q00"), *chain]]),
+    }
+    return SpanAutomaton(base, {"s": q}, spans, "q00", {f"q{n:02d}"})
+
+
 class TestClassical:
     def test_agrees_with_categorical_on_fixture(self):
         nfa = two_state_classical()
         classical = classical_subset_construction(nfa)
-        categorical = det_span(span_automaton_of_classical(nfa))
+        categorical = det(span_automaton_of_classical(nfa))
         mapping = reachable_iso_check(classical, categorical)
         assert mapping is not None
 
@@ -434,6 +447,16 @@ class TestClassical:
         nfa = ClassicalNFA(["a"], states, {}, "1", {"1"})
         d = classical_subset_construction(nfa)
         assert d.transitions["a"] == {"{}": "{}", "{1}": "{}"}
+
+    def test_refused_past_the_work_bound(self, monkeypatch):
+        # 2^3 subsets times 2 letters: 16 steps pass a bound of 16 and not one of 15
+        states = FinSet("Q", ["1", "2", "3"])
+        nfa = ClassicalNFA(["a", "b"], states, {("1", "a"): {"2"}, ("2", "b"): {"3"}}, "1", {"3"})
+        monkeypatch.setattr(determinize, "_WORK_BOUND", 16)
+        assert len(classical_subset_construction(nfa).fibers["s"]) == 8
+        monkeypatch.setattr(determinize, "_WORK_BOUND", 15)
+        with pytest.raises(ValueError, match="would take 16 subset steps, more than 15$"):
+            classical_subset_construction(nfa)
 
     def test_self_loop(self):
         states = FinSet("Q", ["1"])
@@ -464,7 +487,7 @@ def reachable_subsets_bfs(a: SpanAutomaton):
 
 class TestPrunedDet:
     def assert_matches_bfs(self, a: SpanAutomaton):
-        d = det_span(a, prune=True)
+        d = det(a, prune=True)
         reached, tables = reachable_subsets_bfs(a)
         multi = len(a.base.nodes) > 1
 
@@ -489,7 +512,7 @@ class TestPrunedDet:
         for _ in range(25):
             nfa = random_classical_nfa(rng, max_states=12)
             expected = prune_reachable(classical_subset_construction(nfa))
-            got = det_span(span_automaton_of_classical(nfa), prune=True)
+            got = det(span_automaton_of_classical(nfa), prune=True)
             assert serialize_automaton(got) == serialize_automaton(expected)
 
     def test_multi_node_matches_bfs(self):
@@ -549,29 +572,65 @@ class TestPrunedDet:
             path.write_text(serialize_automaton(a))
             assert main(["det", str(path), "--prune"]) == 0
             out, _ = capsys.readouterr()
-            assert out == serialize_automaton(prune_reachable(det_span(a)))
+            assert out == serialize_automaton(prune_reachable(det(a)))
             assert json.loads(out)["kind"] == "det"
 
     def test_cap_checked_before_any_work(self):
-        big = FinSet("Q", [f"q{i}" for i in range(6)])
+        big = FinSet("Q", [f"q{i:02d}" for i in range(POWERSET_CAP + 1)])
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         # no transition for "e": any work past the cap check would fail with KeyError
-        a = RelAutomaton(base, {"n": big}, {}, "q0", set())
-        with pytest.raises(ValueError, match="refusing powerset above 5"):
-            det(a, 5, prune=True)
+        a = RelAutomaton(base, {"n": big}, {}, "q00", set())
+        for prune in (False, True):
+            with pytest.raises(ValueError, match=f"refusing powerset above {POWERSET_CAP}$"):
+                det(a, prune=prune)
 
-    def test_cli_prune_refuses_fiber_above_cap(self, fixtures_dir, capsys):
+    def test_cli_prune_refuses_fiber_above_cap(self, tmp_path, capsys):
         from spanauto.cli import main
+        from spanauto.io import serialize_automaton
 
-        code = main(["det", str(fixtures_dir / "two_phase.json"), "--prune", "--powerset-cap", "2"])
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_automaton(nth_letter_from_end(POWERSET_CAP)))
+        code = main(["det", str(path), "--prune"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == "input-error: fiber of 'd' has 3 states; refusing powerset above 2\n"
+        assert err == f"input-error: fiber of 's' has {POWERSET_CAP + 1} states; refusing powerset above {POWERSET_CAP}\n"
+
+    def test_cli_prune_refuses_work_above_bound(self, tmp_path, capsys):
+        # 2**19 reachable subsets times 2 letters is 1,048,576 steps, past the bound of 1,000,000
+        from spanauto.cli import main
+        from spanauto.io import serialize_automaton
+
+        path = tmp_path / "nth19.json"
+        path.write_text(serialize_automaton(nth_letter_from_end(19)))
+        code = main(["det", str(path), "--prune"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "input-error: det would take more than 1000000 subset steps\n"
+
+    def test_subset_steps_charged_as_reached(self, monkeypatch):
+        # a reached subset at node n costs max(1, out-degree of n): the exact total passes, one less does not
+        import random
+        from genlib import random_span_automaton
+
+        rng = random.Random(17)
+        for _ in range(40):
+            a = random_span_automaton(rng, max_nodes=3, max_states=5, max_mult=2, probe_len=0)
+            full = det(a)
+            pruned = det(a, prune=True)
+            assert pruned == prune_reachable(full)
+            for d, prune in ((full, False), (pruned, True)):
+                steps = sum(len(d.fibers[n]) * max(1, len(a.base.out_edges(n))) for n in a.base.nodes)
+                monkeypatch.setattr(determinize, "_WORK_BOUND", steps)
+                assert det(a, prune=prune) == d
+                monkeypatch.setattr(determinize, "_WORK_BOUND", steps - 1)
+                with pytest.raises(ValueError, match=rf"more than {steps - 1}\b"):
+                    det(a, prune=prune)
+                monkeypatch.undo()
 
 
 class TestPrune:
     def test_fixture_keeps_all_four(self):
-        d = det_span(two_state_example())
+        d = det(two_state_example())
         pruned = prune_reachable(d)
         assert set(pruned.fibers["s"].elements) == {"{}", "{1}", "{2}", "{1,2}"}
 
@@ -585,7 +644,7 @@ class TestPrune:
         assert set(pruned.fibers["n"].elements) == {"x", "y"}
 
     def test_idempotent(self):
-        d = det_span(two_phase_example())
+        d = det(two_phase_example())
         once = prune_reachable(d)
         twice = prune_reachable(once)
         assert once.fibers == twice.fibers
@@ -594,7 +653,7 @@ class TestPrune:
 
 class TestReachableIso:
     def test_self_identity(self):
-        d = det_span(two_state_example())
+        d = det(two_state_example())
         mapping = reachable_iso_check(d, d)
         assert mapping is not None
         assert all(k == v for k, v in mapping.items())
@@ -627,7 +686,7 @@ class TestReachableIso:
         )
         for d1, d2 in ((d, extra), (extra, d), (extra, extra)):
             assert reachable_iso_check(d1, d2) == {"p": "p", "q": "q"}
-        fixture = det_span(two_phase_example())
+        fixture = det(two_phase_example())
         pruned = prune_reachable(fixture)
         assert sum(map(len, pruned.fibers.values())) < sum(map(len, fixture.fibers.values()))
         reached = {q: q for f in pruned.fibers.values() for q in f}
@@ -654,7 +713,7 @@ class TestReachableIso:
 class TestLanguagePreservation:
     def test_two_phase_language_up_to_six(self):
         a = two_phase_example()
-        d = det_span(a)
+        d = det(a)
         words_a = [w.edges for w in language(a, 6)]
         words_d = [w.edges for w in language(d, 6)]
         assert words_a == words_d
@@ -679,7 +738,7 @@ class TestEmptyFibers:
 
     def test_determinization_handles_empty_fiber(self):
         a = self.automaton()
-        d = det_span(a)
+        d = det(a)
         # the empty fiber has exactly one subset, the empty one
         assert len(d.fibers["m"]) == 1
         assert [w.edges for w in language(d, 4)] == [()]

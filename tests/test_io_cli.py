@@ -45,10 +45,10 @@ class TestRoundTrips:
         assert serialize_automaton(a) == text
 
     def test_rel_and_det_roundtrip(self):
-        from spanauto.determinize import det_span, rel_of
+        from spanauto.determinize import det, rel_of
 
         a = two_state_example()
-        for obj in (rel_of(a), det_span(a)):
+        for obj in (rel_of(a), det(a)):
             text = serialize_automaton(obj)
             assert serialize_automaton(parse_automaton(text)) == text
 
@@ -415,10 +415,16 @@ class TestCli:
         code, _, err = self.run("validate", str(fixtures_dir / "two_state.json"), capsys=capsys)
         assert code == 0 and err == ""
 
-    def test_validate_missing_file(self, capsys):
-        code, _, err = self.run("validate", "no-such-file.json", capsys=capsys)
-        assert code == 2
-        assert err.startswith("input-error:")
+    @pytest.mark.parametrize(
+        "name",
+        ["no-such-file.json", "two_state.json/x", "x" * 300 + ".json"],
+        ids=["missing", "not-a-directory", "name-too-long"],
+    )
+    def test_validate_missing_file(self, name, fixtures_dir, capsys):
+        # every path the OS refuses to open is an input error, not a traceback
+        code, out, err = self.run("validate", str(fixtures_dir / name), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("input-error:") and len(err.splitlines()) == 1
 
     def test_det_golden(self, fixtures_dir, golden_dir, capsys):
         for name in ("two_state", "two_phase"):
@@ -582,6 +588,24 @@ class TestCli:
         assert doc["kind"] == "det"
         assert doc["fibers"]["s"] == ["{}", "{1}", "{2}", "{1,2}"]
 
+    def test_classical_refused_past_the_work_bound(self, tmp_path, capsys):
+        # 2**20 subsets times 2 letters is past the bound of 1,000,000; refused before any subset is listed
+        import time
+
+        states = [f"q{i:02d}" for i in range(20)]
+        doc = {
+            "format_version": "1", "kind": "classical-nfa", "alphabet": ["a", "b"], "states": states,
+            "delta": [{"from": q, "letter": "a", "to": [t]} for q, t in zip(states, states[1:])],
+            "initial": "q00", "finals": ["q19"],
+        }
+        path = tmp_path / "wide_nfa.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = self.run("classical", str(path), capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"input-error: classical subset construction would take {2**21} subset steps, more than 1000000\n"
+
     def test_classical_rejects_fibered_documents(self, fixtures_dir, capsys):
         code, _, err = self.run("classical", str(fixtures_dir / "two_state.json"), capsys=capsys)
         assert code == 2 and err.startswith("input-error:")
@@ -602,12 +626,12 @@ class TestCli:
 
         from genlib import random_span_automaton
         from spanauto.automata import span_automaton_of_rel
-        from spanauto.determinize import det_span, rel_of
+        from spanauto.determinize import det, rel_of
         from spanauto.fixtures import two_phase_example
 
         automata = [two_state_example(), two_phase_example(), random_span_automaton(random.Random(5), max_nodes=2)]
         for i, a in enumerate(automata):
-            r, d = rel_of(a), det_span(a, prune=True)
+            r, d = rel_of(a), det(a, prune=True)
             for name, doc, embedding in (
                 ("rel", r, span_automaton_of_rel(r)),
                 ("det", d, span_automaton_of_rel(rel_of(d))),
@@ -969,7 +993,7 @@ class TestCli:
         assert out.startswith("digraph {")
 
     def test_dot_on_rel_det_and_classical_documents(self, fixtures_dir, tmp_path, capsys):
-        from spanauto.determinize import det_span, rel_of
+        from spanauto.determinize import det, rel_of
 
         a = two_state_example()
         span_dot = self.run("dot", str(fixtures_dir / "two_state.json"), capsys=capsys)
@@ -980,7 +1004,7 @@ class TestCli:
         rel_path, det_path = tmp_path / "rel.json", tmp_path / "det.json"
         rel_path.write_text(serialize_automaton(rel_of(a)))
         assert self.run("dot", str(rel_path), capsys=capsys) == span_dot
-        d = det_span(a)
+        d = det(a)
         det_path.write_text(serialize_automaton(d))
         code, out, err = self.run("dot", str(det_path), capsys=capsys)
         assert (code, err) == (0, "")

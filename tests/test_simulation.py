@@ -20,7 +20,7 @@ from spanauto.automata import (
     DetAutomaton,
     SpanAutomaton,
 )
-from spanauto.determinize import det_span, mdet, mdet_expand, rel_of
+from spanauto.determinize import det, mdet, mdet_expand, rel_of
 from spanauto.fixtures import two_phase_example, two_state_example
 from spanauto.simulation import (
     Simulation,
@@ -41,7 +41,7 @@ from genlib import membership_relation
 def counit_simulation(a):
     """The membership simulation at the relation level."""
     r = rel_of(a)
-    d = det_span(a)
+    d = det(a)
     multi = len(r.base.nodes) > 1
     comps = {
         n: membership_relation(d.fibers[n], r.fibers[n], n, multi) for n in r.base.nodes
@@ -339,7 +339,7 @@ class TestFactorDet:
         a = two_state_example()
         result = factor_det(counit_simulation(a))
         assert result.composite_ok and result.bisim_ok
-        d = det_span(a)
+        d = det(a)
         expected = {(q, q) for q in d.fibers["s"]}
         assert result.mate.components["s"].pairs == frozenset(expected)
 
@@ -648,7 +648,7 @@ def random_simulations(seed):
         Simulation(a, span_automaton_of_rel(r), {n: identity_span(a.fibers[n]) for n in a.base.nodes}, "lax"),
         canonical_mdet_simulation(a, max_len=2, max_states=6),
     ]
-    for target in (a, r, det_span(a)):
+    for target in (a, r, det(a)):
         comps = {
             n: _random_component(rng, target.fibers[n], a.fibers[n], rng.random() < 0.5) for n in a.base.nodes
         }
@@ -830,7 +830,7 @@ class TestTransitionMatrix:
 
     @staticmethod
     def kinds(a):
-        d = det_span(a)
+        d = det(a)
         closed = mdet_expand(mdet(d), 4096, 200)
         assert not closed.truncated
         return (a, rel_of(a), d, mdet(a), closed, mdet_expand(mdet(a), 8, 2))
