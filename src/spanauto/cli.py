@@ -135,10 +135,17 @@ def cmd_dot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` its subparsers, whose usage errors raise ``ValueError``."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="spanauto", description=__doc__)
+    parser = _Parser(prog="spanauto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a document against the type invariants")
@@ -191,15 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CheckFailed as exc:
         print(f"check-failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
-        # a DocumentError is a ValueError; a file that cannot be opened is an OSError
+        # a DocumentError or a bad argument is a ValueError; a file that cannot be opened is an OSError
         print(f"input-error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,8 +26,8 @@ as an independent oracle for the categorical pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from functools import cache, cached_property
+from itertools import compress, repeat
 from operator import add, itemgetter, mul
 from typing import Mapping, Optional, Sequence
 
@@ -189,36 +189,44 @@ def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
     ``pos`` is ``_state_bits(a)``: a subset of node n's fiber is an int
     whose bit i stands for the fiber's i-th state in string order.  Each
     edge keeps one successor mask per source state (``_successor_masks``),
-    and a subset steps to the OR of its members' masks.  A subset is
-    charged max(1, out-degree) steps when first reached, and more than
+    and a subset steps to the OR of its members' masks.  A subset's set
+    bits are listed once, when it is stepped, in O(|S|): each out-edge
+    ORs the masks at them, and the label joins the member names at them,
+    already in string order, after the node's head (``subset_state_label``
+    of no members, without its closing brace).  A subset is charged
+    max(1, out-degree) steps when first reached, and more than
     ``_WORK_BOUND`` in all is a ``ValueError``.  Fibers list the reached
-    subsets by size, then by sorted members (``subsets_of`` order).
+    subsets by size, then by member names (``subsets_of`` order).
     """
     order = {n: list(pos[n]) for n in a.base.nodes}
     cost = {n: max(1, len(a.base.out_edges(n))) for n in a.base.nodes}
-    reached: dict[str, set[int]] = {n: set() for n in a.base.nodes}
+    reached: dict[str, dict[int, list[int]]] = {n: {} for n in a.base.nodes}  # each subset's set bits, once stepped
     steps: dict[str, dict[int, int]] = {e.id: {} for e in a.base.edges}
-    # per node, each out-edge's successor masks, step table, and target node's name, reached set and cost
+    # per node, each out-edge's successor masks, step table, and target node's name, reached subsets and cost
     moves = {n: [(_successor_masks(a, e, pos), steps[e.id], e.dst, reached[e.dst], cost[e.dst])
                  for e in a.base.out_edges(n)] for n in a.base.nodes}
     work = list(seeds)
     budget = _WORK_BOUND
     for n, m in work:
-        reached[n].add(m)
+        reached[n][m] = None
         budget -= cost[n]
     while work:
         if budget < 0:
             raise ValueError(f"det would take more than {_WORK_BOUND} subset steps")
         n, m = work.pop()
+        set_bits, rest = [], m
+        while rest:
+            low = rest & -rest
+            set_bits.append(low.bit_length() - 1)
+            rest ^= low
+        reached[n][m] = set_bits
         for masks, step, dst, seen, charge in moves[n]:
-            t, rest = 0, m
-            while rest:
-                low = rest & -rest
-                t |= masks[low.bit_length() - 1]
-                rest ^= low
+            t = 0
+            for i in set_bits:
+                t |= masks[i]
             step[m] = t
             if t not in seen:
-                seen.add(t)
+                seen[t] = None
                 work.append((dst, t))
                 budget -= charge
 
@@ -226,10 +234,11 @@ def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
     labels: dict[str, dict[int, str]] = {}
     finals = set()
     for n in a.base.nodes:
-        members = {m: [i for i in range(len(order[n])) if m >> i & 1] for m in reached[n]}
-        ranked = sorted(reached[n], key=lambda m: (len(members[m]), members[m]))
-        labels[n] = {m: subset_state_label(n, [order[n][i] for i in members[m]], multi) for m in ranked}
-        final_mask = sum(1 << i for i, q in enumerate(order[n]) if q in a.finals)
+        names = order[n]
+        head = subset_state_label(n, (), multi)[:-1]
+        ranked = sorted(reached[n].items(), key=lambda item: (len(item[1]), item[1]))
+        labels[n] = {m: head + ",".join(map(names.__getitem__, set_bits)) + "}" for m, set_bits in ranked}
+        final_mask = sum(1 << i for i, q in enumerate(names) if q in a.finals)
         finals.update(lbl for m, lbl in labels[n].items() if m & final_mask)
     fibers = {n: FinSet(f"P({a.fibers[n].name})", labels[n].values()) for n in a.base.nodes}
     tables = {
@@ -272,9 +281,15 @@ def mdet_accept_count(m: MDetMachine, w: Word) -> int:
     return sum(v[q] for q in m.finals if q in v.base)
 
 
+@cache
+def _count_format(width: int):
+    """The ``str.format`` that writes a count vector of ``width`` ints as ``(c1,c2,...)``."""
+    return ("(" + ",".join(["{}"] * width) + ")").format
+
+
 def count_vector_text(vec: Sequence[int]) -> str:
-    """A count vector as the text ``(c1,c2,...)``: the tuple's repr without spaces, ``(c)`` at width 1."""
-    return f"({vec[0]})" if len(vec) == 1 else repr(tuple(vec)).replace(" ", "")
+    """A count vector as the text ``(c1,c2,...)``: ``()`` at width 0, ``(c)`` at width 1."""
+    return _count_format(len(vec))(*vec)
 
 
 def expansion_state_label(node: str, vec: Sequence[int], multi_node: bool) -> str:
@@ -337,18 +352,20 @@ def mdet_expand(
     canonical state labels, so the output is deterministic.
 
     The closure runs on count vectors: a state is a tuple of ints in
-    fiber order, keyed with its node.  Each layer is stepped in blocks, one
-    per node: the layer's vectors at that node are transposed into count
-    columns, and every entry (i, j, u) of an edge's matrix adds u times
-    column i into output column j, one C-level pass over the layer each.
-    So an edge costs its entries times the block's size in such passes,
-    and the counts stay Python ints.  The output columns are zipped back
-    into vectors, and discovery then walks the layer in label order, state
-    by state and edge by edge.  A state's count text is built once, when
-    it is first reached: its label is made from it, and the machine keeps
-    it as ``count_texts`` for the writer.  Accept counts are summed in one
-    pass after the closure.  Seeds are count vectors over their node's
-    fiber.
+    fiber order, and each node keeps a dict from its vectors to their
+    labels.  Each layer is stepped in blocks, one per node: the layer's
+    vectors at that node are transposed into count columns, and every
+    entry (i, j, u) of an edge's matrix adds u times column i into output
+    column j, one C-level pass over the layer each.  So an edge costs its
+    entries times the block's size in such passes, and the counts stay
+    Python ints.  The output columns are zipped back into vectors, and
+    discovery then walks the layer in label order, state by state and
+    edge by edge.  A reached state's count text is one call of its node's
+    cached ``_count_format``, the one ``count_vector_text`` uses; its label
+    is the node's head plus that text, and the machine keeps the text as
+    ``count_texts`` for the writer.  Accept counts are read after the
+    closure by an ``itemgetter`` over each node's final positions.  Seeds
+    are count vectors over their node's fiber.
     """
     if max_states <= 0 or max_len < 0:
         raise ValueError("expansion bounds must be positive")
@@ -362,17 +379,19 @@ def mdet_expand(
         entries[e.id] = [(i, dst_pos(b), u) for i, a in enumerate(order[e.src]) for b, u in view.get(a, ())]
     out_edges = {n: [(e.id, e.dst, len(order[e.dst])) for e in m.base.out_edges(n)] for n in m.base.nodes}
 
-    label_of: dict[tuple[str, tuple[int, ...]], str] = {}
+    fmt = {n: _count_format(len(order[n])) for n in m.base.nodes}
+    head = {n: expansion_state_label(n, (), multi_node)[:-2] for n in m.base.nodes}
+    label_of: dict[str, dict[tuple[int, ...], str]] = {n: {} for n in m.base.nodes}  # per node: vector -> label
+    states: dict[str, tuple[int, ...]] = {}
     texts: dict[str, str] = {}
-    per_node: dict[str, list[str]] = {n: [] for n in m.base.nodes}
     frontier: list[tuple[str, str, tuple[int, ...]]] = []  # (label, node, vector) of each new state
 
     def discover(node: str, vec: tuple[int, ...]) -> str:
         """Record a state ``(node, vec)`` not seen before, and return its label."""
-        text = count_vector_text(vec)
-        lbl = label_of[node, vec] = f"{node}:{text}" if multi_node else text
+        text = fmt[node](*vec)
+        lbl = label_of[node][vec] = head[node] + text
+        states[lbl] = vec
         texts[lbl] = text
-        per_node[node].append(lbl)
         frontier.append((lbl, node, vec))
         return lbl
 
@@ -387,7 +406,7 @@ def mdet_expand(
                 raise ValueError(f"seed {vec!r} is not a count vector over the fiber of {node!r}")
             seeds.append((node, vec))
     for node, vec in seeds:
-        if (node, vec) not in label_of:
+        if vec not in label_of[node]:
             discover(node, vec)
     tables: dict[str, dict[str, str]] = {e.id: {} for e in m.base.edges}
     hit_states = False
@@ -400,33 +419,41 @@ def mdet_expand(
             block = blocks.setdefault(node, [])
             at.append(len(block))
             block.append(vec)
-        moves = {}  # per node: each out-edge's target node, table and stepped block
+        moves = {}  # per node: each out-edge's target node, its known vectors, table and stepped block
         for node, block in blocks.items():
             columns = list(zip(*block))
-            moves[node] = [(dst, tables[edge_id], _block_step(columns, entries[edge_id], width, len(block)))
+            moves[node] = [(dst, label_of[dst], tables[edge_id],
+                            _block_step(columns, entries[edge_id], width, len(block)))
                            for edge_id, dst, width in out_edges[node]]
         frontier.clear()
         for (lbl, node, _), k in zip(layer, at):
-            for dst, table, stepped in moves[node]:
-                key = (dst, stepped[k])
-                tgt = label_of.get(key)
+            for dst, known, table, stepped in moves[node]:
+                vec = stepped[k]
+                tgt = known.get(vec)
                 if tgt is None:
-                    if len(label_of) >= max_states:
+                    if len(states) >= max_states:
                         hit_states = True
                         continue
-                    tgt = discover(*key)
+                    tgt = discover(dst, vec)
                 table[lbl] = tgt
         depth += 1
     # states left at the depth bound still had unexplored transitions
     hit_len = any(out_edges[node] for _, node, _ in frontier)
-    accept = {lbl: sum([vec[i] for i in final_pos[node]]) for (node, vec), lbl in label_of.items()}
+    accept: dict[str, int] = {}
+    for n in m.base.nodes:
+        vecs, pos = label_of[n], final_pos[n]
+        if len(pos) > 1:
+            counts = map(sum, map(itemgetter(*pos), vecs))
+        else:  # a single final position is the count itself, none counts 0
+            counts = map(itemgetter(*pos), vecs) if pos else repeat(0)
+        accept.update(zip(vecs.values(), counts))
     x = ExpandedMachine(
         base=m.base,
-        fibers={n: FinSet(f"M({m.fibers[n].name})", per_node[n]) for n in m.base.nodes},
-        states={lbl: vec for (_, vec), lbl in label_of.items()},
+        fibers={n: FinSet(f"M({m.fibers[n].name})", label_of[n].values()) for n in m.base.nodes},
+        states=states,
         transitions=tables,
-        initial=label_of[seeds[0]],
-        finals=frozenset(lbl for lbl, c in accept.items() if c > 0),
+        initial=label_of[start][seeds[0][1]],
+        finals=frozenset(compress(accept, accept.values())),
         accept_counts=accept,
         truncated_by=("max_states",) * hit_states + ("max_len",) * hit_len,
     )

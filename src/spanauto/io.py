@@ -9,7 +9,8 @@ encoder of its own (``_dump``): with ``indent`` set, ``json`` falls back to
 its pure-Python encoder, while this one joins strings escaped by the C
 ``encode_basestring_ascii``, a list of scalars in one call, and a list of
 records column by column through one template.  Writers hand states and
-entries over as ``_Records`` columns, read straight from count rows; an
+entries over as ``_Records`` columns, read straight from a function
+table (``det``, an expansion) or from count rows (spans, relations); an
 expansion's counts are written from the text its labels were built
 from, so a count becomes text once.
 
@@ -34,6 +35,7 @@ from .automata import (
     MDetMachine,
     RelAutomaton,
     SpanAutomaton,
+    _MatrixAutomaton,
 )
 from .determinize import ClassicalNFA, ExpandedMachine
 from .simulation import STRENGTHS, Simulation
@@ -410,10 +412,21 @@ def _sorted_finals(a) -> list[str]:
 
 
 def _transition_entries(a) -> dict[str, _Records]:
-    """Each edge's count rows as document entries, in fiber order; only spans write counts."""
+    """Each edge's transitions as document entries, in fiber order; only spans write counts.
+
+    A function table (``det``, an expansion) gives each source state that
+    has an image, with that image; spans and relations walk their count
+    rows, a row in target fiber order.
+    """
     counted = a.kind == "span"
+    keys = ("from", "to", "count") if counted else ("from", "to")
     transitions = {}
     for e in a.base.edges:
+        if not isinstance(a, _MatrixAutomaton):
+            table = a.transitions[e.id]
+            srcs = list(filter(table.__contains__, a.fibers[e.src]))
+            transitions[e.id] = _Records(keys, (srcs, list(map(table.__getitem__, srcs))))
+            continue
         rows = a.rows(e.id)
         dst_order = a.fibers[e.dst].index
         srcs, dsts, counts = [], [], []
@@ -426,8 +439,8 @@ def _transition_entries(a) -> dict[str, _Records]:
             for dst, count in row:
                 srcs.append(src)
                 dsts.append(dst)
-                counts.append(count)
-        keys = ("from", "to", "count") if counted else ("from", "to")
+                if counted:
+                    counts.append(count)
         transitions[e.id] = _Records(keys, (srcs, dsts, counts)[:len(keys)])
     return transitions
 

@@ -105,6 +105,8 @@ class FinSet:
         return iter(self.elements)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, FinSet):
             return NotImplemented
         return set(self.elements) == set(other.elements)

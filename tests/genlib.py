@@ -131,6 +131,56 @@ def odd_names_example() -> SpanAutomaton:
     return SpanAutomaton(base, {u: fu, v: fv, w: fw}, spans, "1", {"2", "3"})
 
 
+_ODD_NAMES = ("a9", "a10", "B", "a", "x:1", "x:10", "b:", "10", "9", "a:b", "Z", "z", "a1", "a11", "A:", ":")
+
+
+def random_odd_names_automaton(rng: random.Random, max_nodes: int, max_states: int) -> SpanAutomaton:
+    """A span automaton whose state and node names sort apart from their list order.
+
+    Each fiber holds up to ``max_states`` (at most 16) names such as
+    ``a9``/``a10``, ``B``/``a`` and names with ``:``, shuffled, and
+    prefixed by their node's name so fibers stay disjoint; node names may
+    hold ``:`` too.
+    """
+    nodes = rng.sample(["p", "q:r", "B", "a:"], rng.randint(1, max_nodes))
+    edges = [(f"e{i}", f"l{i}", rng.choice(nodes), rng.choice(nodes)) for i in range(rng.randint(1, 2 * len(nodes)))]
+    base = BaseGraph(nodes, edges)
+    fibers = {}
+    for i, n in enumerate(nodes):
+        names = rng.sample(_ODD_NAMES, rng.randint(1 if i == 0 else 0, max_states))
+        fibers[n] = FinSet(n, [f"{n}{x}" for x in names])
+    spans = {}
+    for e in base.edges:
+        density = rng.uniform(0.05, 0.4)
+        apex = [Token(f"{e.id}:{q}>{t}#{m}", q, t)
+                for q in fibers[e.src] for t in fibers[e.dst] if rng.random() < density
+                for m in range(rng.choice((1, 1, 2)))]
+        spans[e.id] = Span(fibers[e.src], fibers[e.dst], apex)
+    states = [q for n in nodes for q in fibers[n]]
+    return SpanAutomaton(base, fibers, spans, rng.choice(fibers[nodes[0]].elements),
+                         {q for q in states if rng.random() < 0.3})
+
+
+def row_walk_entries(a) -> dict[str, list[dict]]:
+    """Each edge's document entries read off its count rows, one dict per entry.
+
+    Source states come in fiber order and a row's entries in target fiber
+    order; states without a row write nothing, and only spans write
+    counts.
+    """
+    counted = a.kind == "span"
+    entries = {}
+    for e in a.base.edges:
+        rows = a.rows(e.id)
+        dst_order = a.fibers[e.dst].index
+        entries[e.id] = [
+            {"from": src, "to": dst, "count": count} if counted else {"from": src, "to": dst}
+            for src in a.fibers[e.src]
+            for dst, count in sorted(rows.get(src, ()), key=lambda p: dst_order(p[0]))
+        ]
+    return entries
+
+
 def random_live_span_automaton(rng: random.Random, **kwargs) -> SpanAutomaton:
     """A ``random_span_automaton`` draw with runs, redrawn until one has them.
 

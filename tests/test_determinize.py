@@ -534,6 +534,33 @@ class TestPrunedDet:
         assert d.transitions["e"]["{a11}"] == "{}"
         assert d.transitions["e"]["{}"] == "{}"
 
+    def test_labels_from_set_bits_on_odd_names(self):
+        # names sort apart from their list order (a10 < a9, B < a, ':' inside); labels still list members sorted
+        import random
+        from genlib import random_odd_names_automaton
+
+        rng = random.Random(41)
+        widths = set()
+        for _ in range(30):
+            a = random_odd_names_automaton(rng, max_nodes=3, max_states=16)
+            widths.update(len(f) for f in a.fibers.values())
+            pruned = self.assert_matches_bfs(a)
+            if sum(1 << len(f) for f in a.fibers.values()) > 1 << 11:
+                continue
+            full = det(a)
+            multi = len(a.base.nodes) > 1
+            r = rel_of(a)
+            for n in a.base.nodes:
+                assert list(full.fibers[n]) == [subset_state_label(n, s, multi) for s in subsets_of(a.fibers[n])]
+            for e in a.base.edges:
+                step = powerset_map(r.transitions[e.id])
+                assert full.transitions[e.id] == {
+                    subset_state_label(e.src, s, multi): subset_state_label(e.dst, step(s), multi)
+                    for s in subsets_of(a.fibers[e.src])
+                }
+            assert pruned == prune_reachable(full)
+        assert set(range(1, 17)) <= widths
+
     def test_unreachable_node_gets_empty_fiber(self):
         base = BaseGraph(["n", "m"], [("e", "e", "n", "n"), ("f", "f", "m", "n")])
         q = FinSet("Q", ["1", "2"])

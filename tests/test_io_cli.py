@@ -202,6 +202,30 @@ class TestDump:
         assert any(all(q not in t for t in x.transitions.values()) for q in x.states)
         assert serialize_expanded(x) == json.dumps(self.expanded_doc(x), indent=2) + "\n"
 
+    def test_table_writer_matches_the_row_walk(self):
+        # function tables are written straight from the table; the count-row walk is the yardstick
+        from genlib import random_odd_names_automaton, row_walk_entries
+        from spanauto.determinize import det, mdet, mdet_expand, rel_of
+        from spanauto.io import serialize_expanded
+
+        rng = random.Random(29)
+        partial = 0
+        for _ in range(40):
+            a = random_odd_names_automaton(rng, max_nodes=3, max_states=6)
+            for kept in (a, rel_of(a), det(a, prune=True)):
+                text = serialize_automaton(kept)
+                doc = json.loads(text)
+                for entries in doc["transitions"].values():
+                    rng.shuffle(entries)
+                parsed = parse_automaton(doc)
+                want = dict(doc, transitions=row_walk_entries(parsed))
+                assert serialize_automaton(parsed) == json.dumps(want, indent=2) + "\n" == text
+            x = mdet_expand(mdet(a), rng.randint(1, 12), rng.randint(0, 4))
+            partial += any(len(x.transitions[e.id]) < len(x.fibers[e.src]) for e in x.base.edges)
+            want = dict(self.expanded_doc(x), transitions=row_walk_entries(x))
+            assert serialize_expanded(x) == json.dumps(want, indent=2) + "\n"
+        assert partial >= 10
+
     def test_expansion_with_odd_node_names_matches_its_dict(self):
         # counts are written from the labels, which hold node names with ':' and '(' and vectors of widths 0-2
         from genlib import odd_names_example
@@ -765,6 +789,30 @@ class TestCli:
         rows = [{"from": "x", "to": "2"}, {"from": "z", "to": "2", "count": 2}]
         assert isinstance(factor(["x", "y", "z"], rows, "pseudo", "--target", "mdet", "--max-len", "12"), bool)
         assert factor(["x", "y", "z"], rows, "pseudo", "--target", "mdet", "--max-len", "13") is None
+
+    def test_bad_arguments_end_in_one_input_error_line(self, fixtures_dir, capsys):
+        doc = str(fixtures_dir / "two_state.json")
+        # argparse words some of these messages differently across Python versions
+        cases = [
+            (["lang", doc], "input-error: spanauto lang: the following arguments are required: --max-len\n"),
+            (["lang", doc, "--max-len", "x"], "spanauto lang: argument --max-len: invalid int value: 'x'"),
+            (["lang", doc, "--max-len", "2", "--bogus"], "unrecognized arguments: --bogus"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            ([], "spanauto: the following arguments are required: command"),
+        ]
+        for argv, fragment in cases:
+            code, out, err = self.run(*argv, capsys=capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("input-error: spanauto") and err.endswith("\n") and err.count("\n") == 1
+            assert fragment in err
+
+    def test_help_still_exits_zero(self, capsys):
+        for argv in (["--help"], ["lang", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 0 and err == ""
+            assert out.startswith("usage: spanauto")
 
     def test_parser_reuse_matches_fresh_processes(self, fixtures_dir, capsys):
         import os

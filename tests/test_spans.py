@@ -48,6 +48,13 @@ class TestFinSet:
         assert FinSet("X", ["a", "b"]) == FinSet("Y", ["b", "a"])
         assert hash(FinSet("X", ["a", "b"])) == hash(FinSet("Y", ["b", "a"]))
 
+    def test_equality_compares_label_sets_past_the_identity_check(self):
+        x = FinSet("X", ["a", "b", "c"])
+        assert x == x and not x != x
+        assert x == FinSet("X", ["c", "a", "b"]) and not x != FinSet("X", ["c", "a", "b"])
+        assert x != FinSet("X", ["a", "b"]) and x != FinSet("X", ["a", "b", "d"])
+        assert x != ["a", "b", "c"]
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             FinSet("X", ["a", "a"])
