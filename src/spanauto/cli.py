@@ -136,7 +136,10 @@ def cmd_dot(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser, and through ``add_subparsers`` its subparsers, whose usage errors raise ``ValueError``."""
+    """A parser, and through ``add_subparsers`` its subparsers, whose usage errors raise ``ValueError``.
+
+    ``build_parser`` keeps the subparsers by command name in ``commands``.
+    """
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -147,59 +150,51 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="spanauto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    p = sub.add_parser("validate", help="check a document against the type invariants")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
+    def command(name: str, fn, help: str, file: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        if file:
+            p.add_argument("file")
+        return p
 
-    p = sub.add_parser("det", help="powerset determinization of a span or rel document")
-    p.add_argument("file")
+    command("validate", cmd_validate, "check a document against the type invariants")
+    p = command("det", cmd_det, "powerset determinization of a span or rel document")
     p.add_argument("--prune", action="store_true", help="keep only reachable states")
-    p.set_defaults(fn=cmd_det)
-
-    p = sub.add_parser("mdet", help="counting (multiset) determinization")
-    p.add_argument("file")
+    p = command("mdet", cmd_mdet, "counting (multiset) determinization")
     p.add_argument("--expand", action="store_true", help="emit the bounded explicit machine")
     p.add_argument("--max-len", type=int, default=4, metavar="L")
     p.add_argument("--max-states", type=int, default=64, metavar="K")
-    p.set_defaults(fn=cmd_mdet)
-
-    p = sub.add_parser("classical", help="textbook subset construction of a classical-nfa document")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_classical)
-
-    p = sub.add_parser("lang", help="accepted words up to a length")
-    p.add_argument("file")
+    command("classical", cmd_classical, "textbook subset construction of a classical-nfa document")
+    p = command("lang", cmd_lang, "accepted words up to a length")
     p.add_argument("--max-len", type=int, required=True, metavar="L")
     p.add_argument("--count", action="store_true", help="append the number of accepting runs")
-    p.set_defaults(fn=cmd_lang)
-
-    p = sub.add_parser("sim-check", help="check a simulation document for naturality")
-    p.add_argument("file")
+    p = command("sim-check", cmd_sim_check, "check a simulation document for naturality")
     p.add_argument("--mode", choices=STRENGTHS, required=True)
-    p.set_defaults(fn=cmd_sim_check)
-
-    p = sub.add_parser("factor", help="factor a simulation through a determinization")
-    p.add_argument("file")
+    p = command("factor", cmd_factor, "factor a simulation through a determinization")
     p.add_argument("--target", choices=["det", "mdet"], required=True)
     p.add_argument("--max-len", type=int, default=4, metavar="L")
-    p.set_defaults(fn=cmd_factor)
-
-    p = sub.add_parser("laws", help="run the randomized law suites")
+    p = command("laws", cmd_laws, "run the randomized law suites", file=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=200)
-    p.set_defaults(fn=cmd_laws)
-
-    p = sub.add_parser("dot", help="emit Graphviz text for a document")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_dot)
-
+    command("dot", cmd_dot, "emit Graphviz text for a document")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # a command's own subparser parses its arguments; anything else in first place, and leftover
+        # arguments, go to the top-level parser, which words the errors as its own parse would
+        parser = build_parser()
+        sub = parser.commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = sub.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.fn(args)
     except CheckFailed as exc:
         print(f"check-failed: {exc}", file=sys.stderr)

@@ -6,9 +6,13 @@ are always explicit.  Parsing a canonical document and serializing it
 again reproduces the bytes, which is what the golden-file tests pin.
 The text is that of ``json.dumps(doc, indent=2)``, written by a small
 encoder of its own (``_dump``): with ``indent`` set, ``json`` falls back to
-its pure-Python encoder, while this one joins strings escaped by the C
-``encode_basestring_ascii``, a list of scalars in one call, and a list of
-records column by column through one template.  Writers hand states and
+its pure-Python encoder, while this one makes one pass.  It appends the
+document's pieces to one list and joins them once; a list of scalars is
+written in one call, and a list of records column by column through one
+template per key tuple and indent.  Each state label is escaped once per
+document, by the C ``encode_basestring_ascii``, and that text (a
+``_Texts`` item) is reused for the fibers, the ``from``/``to`` columns,
+``initial``, ``finals`` and an expansion's ``label``s.  Writers hand
 entries over as ``_Records`` columns, read straight from a function
 table (``det``, an expansion) or from count rows (spans, relations); an
 expansion's counts are written from the text its labels were built
@@ -288,7 +292,8 @@ def _parse_classical(doc: dict) -> ClassicalNFA:
 
 
 def load_automaton(path: Union[str, Path]) -> AnyDocumentAutomaton:
-    return parse_automaton(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        return parse_automaton(f.read())
 
 
 # ---------------------------------------------------------------------------
@@ -296,41 +301,31 @@ def load_automaton(path: Union[str, Path]) -> AnyDocumentAutomaton:
 
 
 def _dump(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without its pure-Python encoder."""
-    return _encode(doc, "\n") + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without its pure-Python encoder.
+
+    ``doc`` is let go before the join, so a document handed over as a
+    temporary is freed first where calls do not hold their arguments
+    (CPython 3.11 on).
+    """
+    out = _write(doc, "\n", [])
+    del doc
+    out.append("\n")
+    return "".join(out)
 
 
 _string = json.encoder.encode_basestring_ascii
 
 
-def _encode(x, newline: str) -> str:
-    """JSON text of ``x``; ``newline`` is a line break plus the indent ``x`` sits at.
+class _Text(str):
+    """A value given as its JSON text already; it is written as it stands."""
 
-    Containers open a line per item, two spaces deeper; dict keys must be
-    strings.  ``_items`` writes a list's items.
-    """
-    if isinstance(x, str):
-        return _string(x)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = newline + "  "
-        items = [_string(k) + ": " + (_string(v) if type(v) is str else _encode(v, inner)) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(x, (list, tuple, _Records)):
-        if not len(x):
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join(_items(x, inner)) + newline + "]"
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    return json.dumps(x)
+    __slots__ = ()
+
+
+class _Texts(list):
+    """A list whose items are given as their JSON text already; each is written as it stands."""
+
+    __slots__ = ()
 
 
 class _Records:
@@ -350,26 +345,43 @@ class _Records:
         return len(self.columns[0])
 
 
-class _CountTexts(list):
-    """Count vectors given as their ``count_vector_text`` ``(c1,c2,...)``; each is written as a list of ints."""
+def _write(x, newline: str, out: list[str]) -> list[str]:
+    """Append the JSON text of ``x`` to ``out`` and return ``out``.
 
-    __slots__ = ()
+    ``newline`` is a line break plus the indent ``x`` sits at.  Containers
+    open a line per item, two spaces deeper; dict keys must be strings.  A
+    dict's pieces go to ``out`` one by one, and a list's items, written by
+    ``_items``, are joined once.
+    """
+    if isinstance(x, str):
+        out.append(x if type(x) is _Text else _string(x))
+    elif isinstance(x, dict) and x:
+        inner = newline + "  "
+        head = "{" + inner
+        for k, v in x.items():
+            out.append(head + _string(k) + ": ")
+            head = "," + inner
+            _write(v, inner, out)
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple, _Records)) and len(x):
+        inner = newline + "  "
+        out += ("[" + inner, ("," + inner).join(_items(x, inner)), newline + "]")
+    else:  # a scalar or an empty container
+        out.append("[]" if isinstance(x, _Records) else json.dumps(x))
+    return out
 
 
 def _items(values, newline: str):
     """JSON text of each item of a nonempty list, every item at indent ``newline``.
 
-    Items that are all strings, all ints or all lists of ints are written
-    in one pass each, and ``_CountTexts`` by one ``str.replace`` each;
-    dicts that share one key tuple are written as records, column by
-    column.
+    ``_Texts`` are their own items.  Items that are all strings, all ints
+    or all lists of ints are written in one pass each; dicts that share
+    one key tuple are written as records, column by column.
     """
+    if isinstance(values, _Texts):
+        return values
     if isinstance(values, _Records):
         return _record_items(values.keys, values.columns, newline)
-    if isinstance(values, _CountTexts):
-        inner = newline + "  "
-        sep, close = "," + inner, newline + "]"
-        return ["[" + inner + t[1:-1].replace(",", sep) + close if len(t) > 2 else "[]" for t in values]
     kinds = set(map(type, values))
     if kinds == {str}:
         return map(_string, values)
@@ -384,61 +396,74 @@ def _items(values, newline: str):
         shapes = {n: "[" + inner + ("," + inner).join(["{}"] * n) + newline + "]" if n else "[]"
                   for n in set(map(len, values))}
         return [shapes[len(v)].format(*v) for v in values]
-    return [_encode(v, newline) for v in values]
+    return ["".join(_write(v, newline, [])) for v in values]
 
 
 def _record_items(keys: tuple[str, ...], columns, newline: str):
     """JSON text of each record, the i-th one holding ``columns[k][i]`` at ``keys[k]``."""
+    return map(_record_format(keys, newline), *(_items(c, newline + "  ") for c in columns))
+
+
+@functools.lru_cache(maxsize=64)
+def _record_format(keys: tuple[str, ...], newline: str):
+    """The ``str.format`` that writes one record of ``keys`` at indent ``newline``, given its values' text."""
     inner = newline + "  "
     heads = ["{" + inner + _string(keys[0]) + ": "] + ["," + inner + _string(k) + ": " for k in keys[1:]]
-    template = "".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads) + newline + "}}"
-    return map(template.format, *(_items(c, inner) for c in columns))
+    return ("".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads) + newline + "}}").format
 
 
-def _base_doc(base: BaseGraph) -> dict:
-    return {
-        "nodes": list(base.nodes),
-        "edges": [{"id": e.id, "label": e.label, "src": e.src, "dst": e.dst} for e in base.edges],
-    }
+def _fibered_doc(a, kind: str, body, sort_finals: bool = False) -> dict:
+    """The document of ``a``, with ``body(text)`` between ``base`` and ``initial``.
+
+    ``text`` maps each state to its JSON text, so a document escapes each
+    label once.  It lives only in this call, hence ``body`` is a function
+    of it: ``_dump`` can then free it before its join.  Finals come in
+    fiber order, or sorted.
+    """
+    labels = [q for n in a.base.nodes for q in a.fibers[n].elements]
+    text = dict(zip(labels, map(_string, labels)))
+    finals = sorted(a.finals) if sort_finals else filter(a.finals.__contains__, labels)
+    base = {"nodes": list(a.base.nodes),
+            "edges": [{"id": e.id, "label": e.label, "src": e.src, "dst": e.dst} for e in a.base.edges]}
+    return {"format_version": FORMAT_VERSION, "kind": kind, "base": base, **body(text),
+            "initial": _Text(text[a.initial]), "finals": _Texts(map(text.__getitem__, finals))}
 
 
-def _sorted_finals(a) -> list[str]:
-    order = []
-    for n in a.base.nodes:
-        for q in a.fibers[n]:
-            if q in a.finals:
-                order.append(q)
-    return order
+def _fiber_texts(a, text: dict[str, str]) -> dict[str, _Texts]:
+    return {n: _Texts(map(text.__getitem__, a.fibers[n].elements)) for n in a.base.nodes}
 
 
-def _transition_entries(a) -> dict[str, _Records]:
+def _transition_entries(a, text: dict[str, str]) -> dict[str, _Records]:
     """Each edge's transitions as document entries, in fiber order; only spans write counts.
 
     A function table (``det``, an expansion) gives each source state that
     has an image, with that image; spans and relations walk their count
-    rows, a row in target fiber order.
+    rows, a row in target fiber order.  States are given as their ``text``.
     """
     counted = a.kind == "span"
     keys = ("from", "to", "count") if counted else ("from", "to")
+    label = text.__getitem__
     transitions = {}
     for e in a.base.edges:
         if not isinstance(a, _MatrixAutomaton):
             table = a.transitions[e.id]
-            srcs = list(filter(table.__contains__, a.fibers[e.src]))
-            transitions[e.id] = _Records(keys, (srcs, list(map(table.__getitem__, srcs))))
+            srcs = list(filter(table.__contains__, a.fibers[e.src].elements))
+            transitions[e.id] = _Records(keys, (_Texts(map(label, srcs)),
+                                                _Texts(map(label, map(table.__getitem__, srcs)))))
             continue
         rows = a.rows(e.id)
         dst_order = a.fibers[e.dst].index
-        srcs, dsts, counts = [], [], []
-        for src in a.fibers[e.src]:
+        srcs, dsts, counts = _Texts(), _Texts(), []
+        for src in a.fibers[e.src].elements:
             row = rows.get(src)
             if row is None:
                 continue
             if len(row) > 1:
                 row = sorted(row, key=lambda p: dst_order(p[0]))
+            src_text = text[src]
             for dst, count in row:
-                srcs.append(src)
-                dsts.append(dst)
+                srcs.append(src_text)
+                dsts.append(text[dst])
                 if counted:
                     counts.append(count)
         transitions[e.id] = _Records(keys, (srcs, dsts, counts)[:len(keys)])
@@ -468,32 +493,14 @@ def serialize_automaton(a: AnyDocumentAutomaton) -> str:
     kind = getattr(a, "kind", None)
     if kind not in ("span", "rel", "det"):
         raise TypeError(f"cannot serialize {type(a).__name__} as an automaton document")
-    return _dump(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": kind,
-            "base": _base_doc(a.base),
-            "fibers": {n: list(a.fibers[n].elements) for n in a.base.nodes},
-            "transitions": _transition_entries(a),
-            "initial": a.initial,
-            "finals": _sorted_finals(a),
-        }
-    )
+    return _dump(_fibered_doc(a, kind, lambda text: {"fibers": _fiber_texts(a, text),
+                                                      "transitions": _transition_entries(a, text)}))
 
 
 def serialize_mdet(m: MDetMachine) -> str:
     """Matrix machine document, rows and columns in fiber order."""
-    return _dump(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "mdet",
-            "base": _base_doc(m.base),
-            "fibers": {n: list(m.fibers[n].elements) for n in m.base.nodes},
-            "matrices": {e.id: m.matrices[e.id].rows() for e in m.base.edges},
-            "initial": m.initial,
-            "finals": _sorted_finals(m),
-        }
-    )
+    return _dump(_fibered_doc(m, "mdet", lambda text: {
+        "fibers": _fiber_texts(m, text), "matrices": {e.id: m.matrices[e.id].rows() for e in m.base.edges}}))
 
 
 def serialize_expanded(x: ExpandedMachine) -> str:
@@ -502,21 +509,17 @@ def serialize_expanded(x: ExpandedMachine) -> str:
     Each state's ``counts`` are written from its ``count_texts``, so a count
     becomes text once, for the label and the record alike.
     """
-    labels = [lbl for n in x.base.nodes for lbl in x.fibers[n]]
-    nodes = [n for n in x.base.nodes for _ in x.fibers[n]]
-    counts = _CountTexts(map(x.count_texts.__getitem__, labels))
-    return _dump(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "mdet-expanded",
-            "base": _base_doc(x.base),
-            "states": _Records(("label", "node", "counts"), (labels, nodes, counts)),
-            "transitions": _transition_entries(x),
-            "initial": x.initial,
-            "finals": sorted(x.finals),
-            "truncated": x.truncated,
-        }
-    )
+    nodes = _Texts([t for n in x.base.nodes for t in [_string(n)] * len(x.fibers[n])])
+    # a state's counts sit in its record, in the list at "states": their items are four levels deep
+    inner, close = "\n        ", "\n      ]"
+    counts = _Texts(["[" + inner + t[1:-1].replace(",", "," + inner) + close if len(t) > 2 else "[]"
+                     for n in x.base.nodes for t in map(x.count_texts.__getitem__, x.fibers[n].elements)])
+
+    def body(text):
+        return {"states": _Records(("label", "node", "counts"), (_Texts(text.values()), nodes, counts)),
+                "transitions": _transition_entries(x, text)}
+
+    return _dump({**_fibered_doc(x, "mdet-expanded", body, sort_finals=True), "truncated": x.truncated})
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +575,9 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
 
 
 def load_simulation(path: Union[str, Path]) -> Simulation:
-    p = Path(path)
-    return parse_simulation(p.read_text(encoding="utf-8"), base_dir=p.parent)
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    return parse_simulation(text, base_dir=Path(path).parent)
 
 
 def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,

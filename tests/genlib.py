@@ -140,9 +140,10 @@ def random_odd_names_automaton(rng: random.Random, max_nodes: int, max_states: i
     Each fiber holds up to ``max_states`` (at most 16) names such as
     ``a9``/``a10``, ``B``/``a`` and names with ``:``, shuffled, and
     prefixed by their node's name so fibers stay disjoint; node names may
-    hold ``:`` too.
+    hold ``:`` too, and one holds a quote, a backslash and a non-ASCII
+    letter, which JSON escapes in its states' labels.
     """
-    nodes = rng.sample(["p", "q:r", "B", "a:"], rng.randint(1, max_nodes))
+    nodes = rng.sample(['p"\\\u00e9', "q:r", "B", "a:"], rng.randint(1, max_nodes))
     edges = [(f"e{i}", f"l{i}", rng.choice(nodes), rng.choice(nodes)) for i in range(rng.randint(1, 2 * len(nodes)))]
     base = BaseGraph(nodes, edges)
     fibers = {}

@@ -634,6 +634,22 @@ class TestPrunedDet:
         assert code == 2 and out == ""
         assert err == "input-error: det would take more than 1000000 subset steps\n"
 
+    def test_writer_peak_below_three_times_its_output(self):
+        # the writer joins its pieces once and escapes each label once, so writing
+        # 4,096 reached subsets holds little beyond the pieces and the joined text
+        import tracemalloc
+        from spanauto.io import serialize_automaton
+
+        d = det(nth_letter_from_end(12), prune=True)
+        tracemalloc.start()
+        try:
+            text = serialize_automaton(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.fibers["s"]) == 2**12
+        assert peak < 3 * len(text)
+
     def test_subset_steps_charged_as_reached(self, monkeypatch):
         # a reached subset at node n costs max(1, out-degree of n): the exact total passes, one less does not
         import random

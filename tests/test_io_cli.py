@@ -167,14 +167,24 @@ class TestDump:
         }
 
     def test_function_tables_match_their_dicts(self):
-        from genlib import random_classical_nfa
-        from spanauto.determinize import classical_subset_construction, det
+        from genlib import random_classical_nfa, random_odd_names_automaton
+        from spanauto.determinize import classical_subset_construction, det, mdet, mdet_expand
+        from spanauto.io import serialize_expanded
 
         rng = random.Random(23)
+        escaped = 0
         for _ in range(20):
             a = random_span_automaton(rng, max_nodes=3, max_states=3)
             for d in (det(a), det(a, prune=True), classical_subset_construction(random_classical_nfa(rng))):
                 assert serialize_automaton(d) == json.dumps(self.table_doc(d), indent=2) + "\n"
+            # labels that JSON escapes (quotes, backslashes, non-ASCII), each escaped once and reused
+            odd = random_odd_names_automaton(rng, max_nodes=3, max_states=4)
+            escaped += any('"' in n and odd.fibers[n] for n in odd.base.nodes)
+            for d in (det(odd), det(odd, prune=True)):
+                assert serialize_automaton(d) == json.dumps(self.table_doc(d), indent=2) + "\n"
+            x = mdet_expand(mdet(odd), rng.randint(1, 12), rng.randint(0, 4))
+            assert serialize_expanded(x) == json.dumps(self.expanded_doc(x), indent=2) + "\n"
+        assert escaped >= 5
 
     @classmethod
     def expanded_doc(cls, x) -> dict:
@@ -813,6 +823,49 @@ class TestCli:
             out, err = capsys.readouterr()
             assert exc.value.code == 0 and err == ""
             assert out.startswith("usage: spanauto")
+
+    def test_argv_contract_matches_the_top_level_parse(self, fixtures_dir, capsys):
+        # main parses with the named command's subparser; the top-level parse is the yardstick,
+        # which keeps this test free of how each Python version words argparse's messages
+        from spanauto.cli import build_parser
+
+        def top_level(argv):
+            try:
+                build_parser().parse_args(argv)
+            except ValueError as exc:
+                return f"input-error: {exc}\n"
+            raise AssertionError(f"{argv} parsed")
+
+        doc = str(fixtures_dir / "two_state.json")
+        cases = [
+            [],
+            ["bogus"],
+            ["--bogus"],
+            ["det"],
+            ["det", doc, "extra"],
+            ["det", doc, "--prune", "extra", "--more"],
+            ["det", doc, "--bogus"],
+            ["det", "--", doc, "extra"],
+            ["lang", doc],
+            ["lang", doc, "--max-len", "x"],
+            ["lang", doc, "--max-len"],
+            ["mdet", doc, "--expand", "--max-states", "x"],
+            ["sim-check", doc],
+            ["factor", doc, "--target", "nope"],
+            ["laws", "--seed", "1", doc],
+        ]
+        for argv in cases:
+            code, out, err = self.run(*argv, capsys=capsys)
+            assert (code, out, err) == (2, "", top_level(argv)), argv
+        for argv in (["--help"], ["lang", "--help"], ["det", doc, "--help"]):
+            outs = []
+            for parse in (main, build_parser().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                out, err = capsys.readouterr()
+                assert exc.value.code == 0 and err == ""
+                outs.append(out)
+            assert outs[0] == outs[1] and outs[0].startswith("usage: spanauto")
 
     def test_parser_reuse_matches_fresh_processes(self, fixtures_dir, capsys):
         import os
