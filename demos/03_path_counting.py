@@ -5,7 +5,6 @@ Run with:  python3 demos/03_path_counting.py
 
 from spanauto import (
     Word,
-    brute_force_paths,
     count_paths,
     mdet,
     mdet_accept_count,
@@ -30,8 +29,12 @@ for letters in [(), ("a",), ("a", "b"), ("b", "b"), ("a", "a", "b")]:
 
 print("\nThe counts are honest: explicit token-path enumeration agrees.")
 w = Word("s", ("a", "b"))
-for run in brute_force_paths(a, w):
-    print("  run:", " then ".join(run))
+runs = [(a.initial, ())]  # (state reached, token labels so far)
+for e in w.path(a.base):
+    runs = [(t.right, seq + (t.label,)) for q, seq in runs for t in a.transitions[e.id].apex if t.left == q]
+for q, seq in runs:
+    if q in a.finals:
+        print("  run:", " then ".join(seq))
 print("  count_paths:", count_paths(a, w))
 
 print("\nThe multiset state space can be expanded breadth first:")

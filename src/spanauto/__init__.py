@@ -49,14 +49,10 @@ from .automata import (
     Word,
     accepted,
     accepted_counts,
-    brute_force_paths,
     count_paths,
     enumerate_words,
     is_deterministic,
     language,
-    run_word_span,
-    ulf_factorization_check,
-    unique_lift_check,
     validate,
 )
 from .determinize import (

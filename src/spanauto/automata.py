@@ -30,10 +30,10 @@ string concatenation.  A table built once per call holds, for each node,
 the suffixes of length at most 2 with their acceptance vectors (accepting
 runs of the suffix from each state), so each word of the last two lengths
 costs one sparse dot product of a live depth-(L - 2) prefix's vector with
-a suffix's.  ``count_paths``, ``accepted`` and ``run_word_span`` evaluate
-one word at a time by matrix products, and ``brute_force_paths`` walks
-tokens, so it is independent of the count rows as well; none of them uses
-the sweep or its suffix table, so tests can use them as its oracles.
+a suffix's.  ``count_paths`` and ``accepted`` evaluate one word by the
+sweep's own step along its edges.  The independent per-word oracles (a
+token walk and a product of counting matrices) live with the tests, in
+``tests/genlib.py``.
 """
 
 from __future__ import annotations
@@ -42,15 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .spans import (
-    FinSet,
-    Multiset,
-    NatMatrix,
-    identity_matrix,
-    matrix_compose,
-    multiset_unit,
-    to_matrix,
-)
+from .spans import FinSet, Multiset, NatMatrix, multiset_unit, to_matrix
 
 __all__ = [
     "BaseGraph",
@@ -60,24 +52,14 @@ __all__ = [
     "RelAutomaton",
     "DetAutomaton",
     "MDetMachine",
-    "ORACLE_MAX_LEN",
     "validate",
     "enumerate_words",
-    "run_word_span",
     "accepted",
     "language",
     "accepted_counts",
     "count_paths",
-    "brute_force_paths",
-    "unique_lift_check",
-    "ulf_factorization_check",
     "is_deterministic",
-    "to_det_automaton",
-    "span_automaton_of_rel",
 ]
-
-# Path enumeration refuses words longer than this; matrix semantics has no bound.
-ORACLE_MAX_LEN = 12
 
 
 class Edge(NamedTuple):
@@ -148,7 +130,10 @@ class Word:
         out = []
         at = self.start
         for eid in self.edges:
-            e = base.edge(eid)
+            try:
+                e = base.edge(eid)
+            except KeyError:
+                raise ValueError(f"word names unknown edge {eid!r}") from None
             if e.src != at:
                 raise ValueError(f"word is not composable at edge {eid!r}: expected source {at!r}, got {e.src!r}")
             out.append(e)
@@ -396,18 +381,6 @@ def enumerate_words(base: BaseGraph, from_node: str, max_len: int) -> list[Word]
     return out
 
 
-def run_word_span(a: SpanAutomaton, w: Word) -> NatMatrix:
-    """Path-counting matrix of a word: entry (q, q') counts runs q -> q' over it.
-
-    The empty word gives the identity matrix on its fiber.
-    """
-    path = w.path(a.base)
-    m = identity_matrix(a.fibers[w.start])
-    for e in path:
-        m = matrix_compose(m, a.matrix(e.id))
-    return m
-
-
 def accepted(a: _FiberedAutomaton, w: Word) -> bool:
     """Whether a word is accepted: some run from the initial state ends final.
 
@@ -527,34 +500,23 @@ def _suffix_table(out_edges, finals, h: int) -> list[dict[str, list]]:
     return tails
 
 
-def count_paths(a: SpanAutomaton, w: Word) -> int:
-    """Number of accepting runs over a word (0 off the initial node)."""
+def count_paths(a: _FiberedAutomaton, w: Word) -> int:
+    """Number of accepting runs over a word (0 off the initial node).
+
+    Steps a vector of run counts, from the unit at the initial state,
+    along the count rows of each edge of the word: the sweep's own step.
+    """
     if w.start != a.initial_node:
         return 0
-    m = run_word_span(a, w)
-    return sum(m[a.initial, q] for q in a.finals if q in m.cod)
-
-
-def brute_force_paths(a: SpanAutomaton, w: Word) -> list[tuple[str, ...]]:
-    """Explicit accepting runs as token-label sequences.
-
-    Independent of the matrix semantics: it walks tokens one edge at a
-    time.  Only words up to ORACLE_MAX_LEN are enumerated.
-    """
-    if len(w) > ORACLE_MAX_LEN:
-        raise ValueError(f"word of length {len(w)} exceeds the enumeration bound {ORACLE_MAX_LEN}")
-    if w.start != a.initial_node:
-        return []
-    return [tokens for (q, tokens) in _lifts(a, a.initial, w.path(a.base)) if q in a.finals]
-
-
-def _lifts(a: SpanAutomaton, from_state: str, path: list[Edge]) -> list[tuple[str, tuple[str, ...]]]:
-    """Runs from a state along a path, token by token: (end state, token labels)."""
-    runs: list[tuple[str, tuple[str, ...]]] = [(from_state, ())]
-    for e in path:
-        span = a.transitions[e.id]
-        runs = [(t.right, seq + (t.label,)) for (q, seq) in runs for t in span.apex if t.left == q]
-    return runs
+    vec = {a.initial: 1}
+    for e in w.path(a.base):
+        rows = a.rows(e.id)
+        nxt: dict[str, int] = {}
+        for q, c in vec.items():
+            for t, k in rows.get(q, ()):
+                nxt[t] = nxt.get(t, 0) + c * k
+        vec = nxt
+    return sum(c for q, c in vec.items() if q in a.finals)
 
 
 def is_deterministic(a) -> bool:
@@ -566,51 +528,3 @@ def is_deterministic(a) -> bool:
             if len(row) != 1 or row[0][1] != 1:
                 return False
     return True
-
-
-def unique_lift_check(a) -> bool:
-    """Every word from every state lifts to exactly one run.
-
-    Over a free base category this is decided on generators: by induction
-    on the word's length it holds exactly when every edge sends each state
-    of its source fiber to one successor, with count 1.
-    """
-    return is_deterministic(a)
-
-
-def ulf_factorization_check(a) -> bool:
-    """Every run over w = u.v splits uniquely into runs over u and over v.
-
-    A run is a sequence of transitions, each of which fixes its endpoint
-    states, so the split after the k-th transition is the only split at
-    k: the property holds exactly when the automaton is well formed.
-    """
-    return not validate(a)
-
-
-# ---------------------------------------------------------------------------
-# conversions
-
-
-def span_automaton_of_rel(a: RelAutomaton) -> SpanAutomaton:
-    """Embed a relational automaton as a span automaton (one token per pair)."""
-    from .spans import from_relation
-
-    return SpanAutomaton(
-        a.base,
-        a.fibers,
-        {e.id: from_relation(a.transitions[e.id]) for e in a.base.edges},
-        a.initial,
-        a.finals,
-    )
-
-
-def to_det_automaton(a: RelAutomaton) -> DetAutomaton:
-    """Reread a functional relational automaton as a deterministic one."""
-    if not is_deterministic(a):
-        raise ValueError("automaton is not deterministic")
-    tables = {}
-    for e in a.base.edges:
-        rel = a.transitions[e.id]
-        tables[e.id] = {q: next(iter(rel(q))) for q in a.fibers[e.src]}
-    return DetAutomaton(a.base, a.fibers, tables, a.initial, a.finals)

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input
-errors.  Failures print a single line to stderr starting with either
-``check-failed:`` or ``input-error:``.
+errors.  An input error prints one ``input-error:`` line to stderr and
+nothing to stdout; a failed check ends stderr with one ``check-failed:``
+line, after any detail lines (a square, failed laws, violations).
 """
 
 from __future__ import annotations

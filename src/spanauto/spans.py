@@ -63,8 +63,8 @@ __all__ = [
 
 # The widest fiber an int subset mask covers: ``det`` refuses wider
 # fibers, the square checks use masks only up to it, and so do
-# ``powerset_finset`` and ``PowersetMap.table`` (a PowersetMap evaluates
-# one subset at a time at any size).
+# ``powerset_finset`` (a PowersetMap evaluates one subset at a time at any
+# size).
 POWERSET_CAP = 20
 
 # The most work one construction may do: dot's edge lines, a witness's
@@ -517,8 +517,7 @@ class PowersetMap:
     """The total function on powersets induced by a relation.
 
     Sends a subset S of the domain to every codomain element related to
-    some member of S.  For small domains the full table is available;
-    evaluation itself works at any size.
+    some member of S.  Evaluation works at any size.
     """
 
     def __init__(self, r: Relation):
@@ -531,12 +530,6 @@ class PowersetMap:
                 raise ValueError(f"{x!r} not in {self.relation.dom.name!r}")
             out |= self.relation(x)
         return frozenset(out)
-
-    def table(self) -> dict[frozenset[str], frozenset[str]]:
-        """The explicit table over all subsets; refused above the cap."""
-        if len(self.relation.dom) > POWERSET_CAP:
-            raise ValueError(f"domain too large to tabulate (cap {POWERSET_CAP} generators)")
-        return {s: self(s) for s in subsets_of(self.relation.dom)}
 
 
 def powerset_map(r: Relation) -> PowersetMap:

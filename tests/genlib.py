@@ -4,13 +4,21 @@ The span-automaton generator rejects draws whose word or run counts up
 to the probe length would make exhaustive checking slow; everything else
 about the draw is uniform within the stated bounds.  The oracles decide
 unique lifting and unique factorization of runs by enumerating words up
-to a length, independently of the structural checks in ``automata``, and
-count the factorizations of a simulation by trying every function from
-target states to candidate states, independently of ``factor_det`` and
-``factor_mdet``.  ``row_walk_verdict`` decides naturality squares from
+to a length, independently of the structural checks in ``automata``
+(``lifts_uniquely`` and ``factors_uniquely`` state the theorems that tie
+the two together), and count the factorizations of a simulation by
+trying every function from target states to candidate states,
+independently of ``factor_det`` and ``factor_mdet``.  ``row_walk_verdict`` decides naturality squares from
 count rows at every strength, the yardstick for the support masks that
 decide strict and lax squares.  ``odd_names_example`` is a fixed
 automaton whose node names hold the characters of expansion labels.
+
+The per-word oracles evaluate one word independently of the count rows
+that ``automata.count_paths`` and the language sweep step:
+``brute_force_paths`` walks tokens, and ``run_word_span`` multiplies
+counting matrices.  ``span_automaton_of_rel`` and ``to_det_automaton``
+reread a relational automaton as the other kinds, and ``powerset_table``
+tabulates a ``PowersetMap``.
 """
 
 import itertools
@@ -24,11 +32,24 @@ from spanauto.spans import (
     Span,
     Token,
     compose_relations,
+    from_relation,
+    identity_matrix,
     matrix_compose,
+    powerset_map,
     subsets_of,
     to_matrix,
 )
-from spanauto.automata import BaseGraph, DetAutomaton, SpanAutomaton, _lifts, enumerate_words
+from spanauto.automata import (
+    BaseGraph,
+    DetAutomaton,
+    Edge,
+    RelAutomaton,
+    SpanAutomaton,
+    Word,
+    enumerate_words,
+    is_deterministic,
+    validate,
+)
 from spanauto.determinize import ClassicalNFA, ExpandedMachine, subset_state_label
 from spanauto.simulation import CheckResult, Simulation, check_bisimulation
 
@@ -207,24 +228,105 @@ def random_live_span_automaton(rng: random.Random, **kwargs) -> SpanAutomaton:
 
 
 # ---------------------------------------------------------------------------
+# per-word oracles and conversions
+
+# Token walks refuse words longer than this; matrix products have no bound.
+ORACLE_MAX_LEN = 12
+
+
+def run_word_span(a: SpanAutomaton, w: Word) -> NatMatrix:
+    """Path-counting matrix of a word: entry (q, q') counts runs q -> q' over it.
+
+    The empty word gives the identity matrix on its fiber.
+    """
+    path = w.path(a.base)
+    m = identity_matrix(a.fibers[w.start])
+    for e in path:
+        m = matrix_compose(m, a.matrix(e.id))
+    return m
+
+
+def matrix_count_paths(a: SpanAutomaton, w: Word) -> int:
+    """Number of accepting runs over a word by matrix products (0 off the initial node)."""
+    if w.start != a.initial_node:
+        return 0
+    m = run_word_span(a, w)
+    return sum(m[a.initial, q] for q in a.finals if q in m.cod)
+
+
+def brute_force_paths(a: SpanAutomaton, w: Word) -> list[tuple[str, ...]]:
+    """Explicit accepting runs as token-label sequences.
+
+    Independent of the matrix semantics: it walks tokens one edge at a
+    time.  Only words up to ORACLE_MAX_LEN are enumerated.
+    """
+    if len(w) > ORACLE_MAX_LEN:
+        raise ValueError(f"word of length {len(w)} exceeds the enumeration bound {ORACLE_MAX_LEN}")
+    if w.start != a.initial_node:
+        return []
+    return [tokens for (q, tokens) in _lifts(a, a.initial, w.path(a.base)) if q in a.finals]
+
+
+def _lifts(a: SpanAutomaton, from_state: str, path: list[Edge]) -> list[tuple[str, tuple[str, ...]]]:
+    """Runs from a state along a path, token by token: (end state, token labels)."""
+    runs: list[tuple[str, tuple[str, ...]]] = [(from_state, ())]
+    for e in path:
+        span = a.transitions[e.id]
+        runs = [(t.right, seq + (t.label,)) for (q, seq) in runs for t in span.apex if t.left == q]
+    return runs
+
+
+def span_automaton_of_rel(a: RelAutomaton) -> SpanAutomaton:
+    """Embed a relational automaton as a span automaton (one token per pair)."""
+    return SpanAutomaton(
+        a.base,
+        a.fibers,
+        {e.id: from_relation(a.transitions[e.id]) for e in a.base.edges},
+        a.initial,
+        a.finals,
+    )
+
+
+def to_det_automaton(a: RelAutomaton) -> DetAutomaton:
+    """Reread a functional relational automaton as a deterministic one."""
+    if not is_deterministic(a):
+        raise ValueError("automaton is not deterministic")
+    tables = {}
+    for e in a.base.edges:
+        rel = a.transitions[e.id]
+        tables[e.id] = {q: next(iter(rel(q))) for q in a.fibers[e.src]}
+    return DetAutomaton(a.base, a.fibers, tables, a.initial, a.finals)
+
+
+def powerset_table(r: Relation) -> dict[frozenset[str], frozenset[str]]:
+    """A relation's ``PowersetMap`` tabulated over every subset of its domain."""
+    image_of = powerset_map(r)
+    return {s: image_of(s) for s in subsets_of(r.dom)}
+
+
+# ---------------------------------------------------------------------------
 # enumerating oracles for the structural lifting checks
 
 
+def _lift_count(a, q: str, path: list[Edge]) -> int:
+    """Runs from a state along a path: tokens of a span automaton, steps of a function table."""
+    if a.kind == "span":
+        return len(_lifts(a, q, path))
+    for e in path:
+        table = a.transitions.get(e.id, {})
+        if q not in table:
+            return 0
+        q = table[q]
+    return 1
+
+
 def enumerated_unique_lift(a, max_len: int) -> bool:
-    """Every word up to ``max_len`` from every state of a table automaton lifts to exactly one run."""
+    """Every word up to ``max_len`` from every state of a span or table automaton lifts to exactly one run."""
     for n in a.base.nodes:
         words = enumerate_words(a.base, n, max_len)
         for q in a.fibers[n]:
             for w in words:
-                at = q
-                lifts = 1
-                for e in w.path(a.base):
-                    table = a.transitions.get(e.id, {})
-                    if at not in table:
-                        lifts = 0
-                        break
-                    at = table[at]
-                if lifts != 1:
+                if _lift_count(a, q, w.path(a.base)) != 1:
                     return False
     return True
 
@@ -246,6 +348,36 @@ def enumerated_ulf_factorization(a, max_len: int) -> bool:
                         if found != 1:
                             return False
     return True
+
+
+def lifts_uniquely(a, max_len: int) -> bool:
+    """Whether every word from every state lifts to exactly one run: ``is_deterministic(a)``.
+
+    Over a free base category this is decided on generators: by induction
+    on the word's length it holds exactly when every edge sends each state
+    of its source fiber to one successor, with count 1.  So for
+    ``max_len >= 1`` the enumeration up to ``max_len`` agrees, and this
+    asserts that it does.
+    """
+    verdict = is_deterministic(a)
+    assert verdict == enumerated_unique_lift(a, max_len), "unique lifting is not decided on generators"
+    return verdict
+
+
+def factors_uniquely(a, max_len: int) -> bool:
+    """Whether every run over w = u.v splits uniquely into runs over u and v: ``not validate(a)``.
+
+    A run is a sequence of transitions, each of which fixes its endpoint
+    states, so the split after the k-th transition is the only split at k:
+    on a well-formed automaton the property holds, and this asserts that
+    the enumeration up to ``max_len`` finds it.  A malformed one has no
+    runs to speak of; the enumeration walks tokens and cannot see a
+    transition whose feet are not its endpoint fibers, so only ``validate``
+    refuses it.
+    """
+    verdict = not validate(a)
+    assert not verdict or enumerated_ulf_factorization(a, max_len), "a run of a well-formed automaton factors twice"
+    return verdict
 
 
 # ---------------------------------------------------------------------------

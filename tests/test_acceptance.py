@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from genlib import random_classical_nfa, random_span_automaton
+from genlib import brute_force_paths, random_classical_nfa, random_span_automaton
 from spanauto.spans import FinSet, Relation, Span, Token, subsets_of
 from spanauto.automata import (
     BaseGraph,
@@ -19,7 +19,6 @@ from spanauto.automata import (
     SpanAutomaton,
     Word,
     accepted,
-    brute_force_paths,
     count_paths,
     language,
 )
@@ -227,7 +226,7 @@ def _deterministic_span_automaton(rng, max_nodes=2, max_states=3):
 
 def _relabeled_mdet_instance(rng, f):
     """A pseudo simulation from a deterministic automaton onto a renamed copy."""
-    from spanauto.automata import to_det_automaton
+    from genlib import to_det_automaton
 
     det_form = to_det_automaton(rel_of(f))
     mapping = {}

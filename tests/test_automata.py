@@ -6,7 +6,6 @@ import pytest
 
 from spanauto.spans import FinSet, Relation, Span, Token
 from spanauto.automata import (
-    ORACLE_MAX_LEN,
     BaseGraph,
     DetAutomaton,
     Edge,
@@ -16,22 +15,26 @@ from spanauto.automata import (
     Word,
     accepted,
     accepted_counts,
-    brute_force_paths,
     count_paths,
     enumerate_words,
     is_deterministic,
     language,
+    validate,
+)
+from spanauto.determinize import ExpandedMachine, det, mdet, mdet_expand, mdet_run, rel_of, span_automaton_of_classical
+from spanauto.fixtures import two_phase_example, two_state_example
+
+from genlib import (
+    ORACLE_MAX_LEN,
+    brute_force_paths,
+    factors_uniquely,
+    lifts_uniquely,
+    matrix_count_paths,
+    random_span_automaton,
     run_word_span,
     span_automaton_of_rel,
     to_det_automaton,
-    ulf_factorization_check,
-    unique_lift_check,
-    validate,
 )
-from spanauto.determinize import ExpandedMachine, det, mdet, mdet_expand, rel_of, span_automaton_of_classical
-from spanauto.fixtures import two_phase_example, two_state_example
-
-from genlib import enumerated_ulf_factorization, enumerated_unique_lift, random_span_automaton
 
 
 def words_as_strings(ws, base):
@@ -270,6 +273,15 @@ class TestPathCounting:
             for w in enumerate_words(a.base, a.initial_node, 6):
                 assert count_paths(a, w) == len(brute_force_paths(a, w))
 
+    def test_unknown_edge_is_a_value_error(self):
+        a = two_state_example()
+        m = mdet(a)
+        for edges in (("zz",), ("a", "zz")):
+            w = Word("s", edges)
+            for run in (lambda: count_paths(a, w), lambda: accepted(a, w), lambda: mdet_run(m, w)):
+                with pytest.raises(ValueError, match="^word names unknown edge 'zz'$"):
+                    run()
+
     def test_bound_enforced(self):
         a = two_state_example()
         with pytest.raises(ValueError):
@@ -277,11 +289,13 @@ class TestPathCounting:
 
 
 class TestAcceptedCounts:
-    """The prefix-shared sweep against per-word counting and token walks."""
+    """The prefix-shared sweep against matrix products and token walks, and count_paths with it."""
 
     @staticmethod
     def per_word(a, span, max_len):
-        counts = [(w, count_paths(span, w)) for w in enumerate_words(a.base, a.initial_node, max_len)]
+        counts = [(w, matrix_count_paths(span, w)) for w in enumerate_words(a.base, a.initial_node, max_len)]
+        for w, n in counts:
+            assert count_paths(a, w) == n, f"count_paths disagrees with the matrix product at {w.edges}"
         return [(w, n) for w, n in counts if n > 0]
 
     def check(self, a, span, max_len):
@@ -433,17 +447,14 @@ class TestAcceptedCounts:
 
 class TestUniqueLift:
     def test_determinization_has_unique_lifts(self):
-        d = det(two_state_example())
-        assert unique_lift_check(d)
-        assert enumerated_unique_lift(d, 4)
+        assert lifts_uniquely(det(two_state_example()), 4)
 
     def test_partial_table_reinterpreted_fails(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1", "2"])
         # state 2 has no image, as if a non-total relation were reread as a function
         broken = DetAutomaton(base, {"n": q}, {"e": {"1": "2"}}, "1", {"2"})
-        assert not unique_lift_check(broken)
-        assert not enumerated_unique_lift(broken, 2)
+        assert not lifts_uniquely(broken, 2)
 
     def test_parallel_transitions_fail(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
@@ -451,15 +462,14 @@ class TestUniqueLift:
         single = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1")])}, "1", {"1"})
         loop = Span(q, q, [Token("u", "1", "1"), Token("v", "1", "1")])
         doubled = SpanAutomaton(base, {"n": q}, {"e": loop}, "1", {"1"})
-        assert unique_lift_check(single)
-        assert not unique_lift_check(doubled)
+        assert lifts_uniquely(single, 3)
+        assert not lifts_uniquely(doubled, 3)
 
     def test_total_functions_pass(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1", "2"])
         d = DetAutomaton(base, {"n": q}, {"e": {"1": "2", "2": "2"}}, "1", {"2"})
-        assert unique_lift_check(d)
-        assert enumerated_unique_lift(d, 4)
+        assert lifts_uniquely(d, 4)
 
 
 class TestUlfFactorization:
@@ -467,15 +477,13 @@ class TestUlfFactorization:
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
         other = FinSet("O", ["9"])
-        assert not ulf_factorization_check(SpanAutomaton(base, {"n": q}, {"e": Span(other, other, [])}, "1", set()))
+        assert not factors_uniquely(SpanAutomaton(base, {"n": q}, {"e": Span(other, other, [])}, "1", set()), 3)
 
     def test_fixture(self):
-        assert ulf_factorization_check(two_state_example())
-        assert enumerated_ulf_factorization(two_state_example(), 3)
+        assert factors_uniquely(two_state_example(), 3)
 
     def test_single_edge_words(self):
-        assert ulf_factorization_check(two_phase_example())
-        assert enumerated_ulf_factorization(two_phase_example(), 1)
+        assert factors_uniquely(two_phase_example(), 1)
 
     def test_multiplicity_two_span(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
@@ -487,8 +495,7 @@ class TestUlfFactorization:
             "1",
             {"1"},
         )
-        assert ulf_factorization_check(doubled)
-        assert enumerated_ulf_factorization(doubled, 3)
+        assert factors_uniquely(doubled, 3)
 
     def test_random_small_automata(self):
         import random
@@ -497,8 +504,7 @@ class TestUlfFactorization:
         rng = random.Random(77)
         for _ in range(10):
             a = random_span_automaton(rng, max_nodes=2, max_states=3, word_cap=150, path_cap=300)
-            assert ulf_factorization_check(a)
-            assert enumerated_ulf_factorization(a, 3)
+            assert factors_uniquely(a, 3)
 
 
 class TestIsDeterministic:

@@ -14,7 +14,6 @@ from spanauto.automata import (
     count_paths,
     enumerate_words,
     language,
-    unique_lift_check,
 )
 from spanauto.determinize import (
     ClassicalNFA,
@@ -34,7 +33,7 @@ from spanauto.determinize import (
 )
 from spanauto.fixtures import two_phase_example, two_state_classical, two_state_example
 
-from genlib import enumerated_unique_lift, odd_names_example
+from genlib import lifts_uniquely, odd_names_example
 
 
 class TestRelOf:
@@ -105,8 +104,7 @@ class TestDet:
 
     def test_passes_unique_lift(self):
         for a, max_len in ((two_state_example(), 4), (two_phase_example(), 3)):
-            assert unique_lift_check(det(a))
-            assert enumerated_unique_lift(det(a), max_len)
+            assert lifts_uniquely(det(a), max_len)
 
     def test_random_determinizations_pass_unique_lift(self):
         import random
@@ -115,8 +113,7 @@ class TestDet:
         rng = random.Random(78)
         for _ in range(10):
             a = random_span_automaton(rng, max_nodes=2, max_states=3, word_cap=150, path_cap=300)
-            assert unique_lift_check(det(a))
-            assert enumerated_unique_lift(det(a), 3)
+            assert lifts_uniquely(det(a), 3)
 
 
     def test_table_rows_and_masks_match_the_matrix(self):
@@ -195,7 +192,7 @@ class TestMDet:
 
     def test_run_splits_along_word_concatenation(self):
         from spanauto.spans import multiset_extend
-        from spanauto.automata import run_word_span
+        from genlib import run_word_span
 
         a = two_phase_example()
         m = mdet(a)
@@ -252,7 +249,7 @@ class TestMDetExpand:
         )
         exp = mdet_expand(mdet(a), max_states=16, max_len=12)
         assert not exp.truncated
-        from spanauto.automata import to_det_automaton
+        from genlib import to_det_automaton
 
         original = to_det_automaton(rel_of(a))
         assert reachable_iso_check(exp.as_det_automaton(), original) is not None
@@ -785,8 +782,7 @@ class TestEmptyFibers:
         # the empty fiber has exactly one subset, the empty one
         assert len(d.fibers["m"]) == 1
         assert [w.edges for w in language(d, 4)] == [()]
-        assert unique_lift_check(d)
-        assert enumerated_unique_lift(d, 3)
+        assert lifts_uniquely(d, 3)
 
     def test_mdet_handles_empty_fiber(self):
         a = self.automaton()

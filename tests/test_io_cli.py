@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from genlib import random_live_span_automaton, random_span_automaton
-from spanauto.automata import SpanAutomaton, brute_force_paths, enumerate_words
+from genlib import brute_force_paths, random_live_span_automaton, random_span_automaton
+from spanauto.automata import SpanAutomaton, enumerate_words
 from spanauto.cli import main
 from spanauto.determinize import ClassicalNFA
 from spanauto.fixtures import two_state_example
@@ -658,8 +658,7 @@ class TestCli:
     def test_mdet_on_rel_and_det_documents_matches_span_embedding(self, tmp_path, capsys):
         import random
 
-        from genlib import random_span_automaton
-        from spanauto.automata import span_automaton_of_rel
+        from genlib import random_span_automaton, span_automaton_of_rel
         from spanauto.determinize import det, rel_of
         from spanauto.fixtures import two_phase_example
 

@@ -110,7 +110,7 @@ class TestSpanCheck:
         assert check_span_simulation(sim, "pseudo").ok
 
     def test_image_embedding_lax_but_not_pseudo(self):
-        from spanauto.automata import span_automaton_of_rel
+        from genlib import span_automaton_of_rel
 
         a = two_state_example()
         flattened = span_automaton_of_rel(rel_of(a))
@@ -632,8 +632,7 @@ def random_simulations(seed):
     """
     import random
 
-    from genlib import random_span_automaton
-    from spanauto.automata import span_automaton_of_rel
+    from genlib import random_span_automaton, span_automaton_of_rel
 
     rng = random.Random(seed)
     shape = {"max_nodes": 3, "max_states": 3} if seed % 2 else {"max_nodes": 1, "max_states": 4}

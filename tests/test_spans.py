@@ -35,6 +35,8 @@ from spanauto.spans import (
     to_matrix,
 )
 
+from genlib import powerset_table
+
 A = FinSet("A", ["1", "2"])
 B = FinSet("B", ["2x", "3x"])
 
@@ -288,7 +290,7 @@ class TestPowersetMap:
 
     def test_table_matches_evaluation(self):
         r = Relation(A, B, {("1", "2x"), ("2", "3x")})
-        table = powerset_map(r).table()
+        table = powerset_table(r)
         assert table[frozenset({"1", "2"})] == frozenset({"2x", "3x"})
         assert len(table) == 4
 
