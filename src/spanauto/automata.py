@@ -18,9 +18,9 @@ and differs only in how it stores a transition:
 The five fields (``base``, ``fibers``, ``transitions``, ``initial`` and
 ``finals``) are declared once, on ``_FiberedAutomaton``.  Everything
 above the storage reads one view of it: ``rows(edge_id)``, the sparse
-count rows ``{src: ((dst, count), ...)}``.  A relation is the support of
-a span, and a function is a span whose rows each hold one entry of count
-1, so the same rows serve every kind; ``matrix`` is their matrix form.
+count rows ``{src: {dst: count}}``.  A relation is the support of a span,
+and a function is a span whose rows each hold one entry of count 1, so
+the same rows serve every kind; ``matrix`` is their matrix form.
 
 ``accepted_counts`` (and ``language`` on top of it) evaluates every word
 up to a length L in one sweep that shares prefixes and suffixes.  Down to
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .spans import FinSet, Multiset, NatMatrix, multiset_unit, to_matrix
 
@@ -81,7 +81,8 @@ class BaseGraph:
     def __init__(self, nodes, edges):
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "edges", tuple(Edge(*e) for e in edges))
-        if len(set(self.nodes)) != len(self.nodes):
+        nodes = set(self.nodes)
+        if len(nodes) != len(self.nodes):
             raise ValueError("duplicate node ids")
         ids = set()
         by_pair: dict[tuple[str, str], set[str]] = {}
@@ -89,7 +90,7 @@ class BaseGraph:
             if e.id in ids:
                 raise ValueError(f"duplicate edge id {e.id!r}")
             ids.add(e.id)
-            if e.src not in self.nodes or e.dst not in self.nodes:
+            if e.src not in nodes or e.dst not in nodes:
                 raise ValueError(f"edge {e.id!r} has an endpoint outside the node set")
             labels = by_pair.setdefault((e.src, e.dst), set())
             if e.label in labels:
@@ -151,6 +152,10 @@ class Word:
         return [e.label for e in self.path(base)]
 
 
+# the count row of a state without successors, shared by every reader of ``rows``
+_NO_ROW: Mapping[str, int] = {}
+
+
 def _check_fibers(base: BaseGraph, fibers: Mapping[str, FinSet]) -> list[str]:
     problems = []
     for n in base.nodes:
@@ -174,9 +179,9 @@ class _FiberedAutomaton:
     transition is stored; each kind's ``_count_matrix`` hook reads one as
     its counting matrix, whose entries are the ``((src, dst), count)``
     pairs.  The base stores function tables, each item one transition,
-    and reads count rows and support straight from the table; kinds that
-    store spans, relations or matrices derive from ``_MatrixAutomaton``
-    and read theirs from the counting matrix.  Matrices, rows and the
+    and builds its count rows straight from the table; kinds that store
+    spans, relations or matrices derive from ``_MatrixAutomaton`` and read
+    theirs as the counting matrix's rows.  Matrices, rows and the
     state-to-node index are built on first use and are not dataclass
     fields, so equality and repr see the five fields only.  Equality holds
     only between automata of the same kind, and repr names the kind's
@@ -201,13 +206,6 @@ class _FiberedAutomaton:
         pairs = self.transitions[edge_id].items()
         return NatMatrix._trusted(self.fibers[e.src], self.fibers[e.dst], dict.fromkeys(pairs, 1))
 
-    def _count_rows(self, edge_id: str) -> dict[str, tuple[tuple[str, int], ...]]:
-        return {q: ((t, 1),) for q, t in self.transitions[edge_id].items()}
-
-    def support(self, edge_id: str) -> Iterable[tuple[str, str]]:
-        """The ``(src, dst)`` pairs of an edge's transitions, each once."""
-        return self.transitions[edge_id].items()
-
     @cached_property
     def _state_nodes(self) -> dict[str, str]:
         nodes: dict[str, str] = {}
@@ -230,15 +228,16 @@ class _FiberedAutomaton:
             raise ValueError(f"initial state {self.initial!r} lies in no fiber")
         return node
 
-    def rows(self, edge_id: str) -> dict[str, tuple[tuple[str, int], ...]]:
-        """Sparse count rows of an edge: ``{src: ((dst, count), ...)}``, built once.
+    def rows(self, edge_id: str) -> dict[str, dict[str, int]]:
+        """Sparse count rows of an edge: ``{src: {dst: count}}``, built once; read-only.
 
         A span counts parallel tokens; a relation or a function table holds
-        count 1 per pair.  States without successors have no row.
+        count 1 per pair.  States without successors have no row, and a
+        row lists its targets in the order of their first transition.
         """
         rows = self._views.get(("rows", edge_id))
         if rows is None:
-            rows = self._views["rows", edge_id] = self._count_rows(edge_id)
+            rows = self._views["rows", edge_id] = {q: {t: 1} for q, t in self.transitions[edge_id].items()}
         return rows
 
     def matrix(self, edge_id: str) -> NatMatrix:
@@ -250,20 +249,10 @@ class _FiberedAutomaton:
 
 
 class _MatrixAutomaton(_FiberedAutomaton):
-    """A kind whose transitions are not function tables: rows and support are read from ``matrix``."""
+    """A kind whose transitions are not function tables: its rows are those of ``matrix``."""
 
-    def _count_rows(self, edge_id: str) -> dict[str, tuple[tuple[str, int], ...]]:
-        entries = self.matrix(edge_id).entries.items()
-        rows = {q: ((t, c),) for (q, t), c in entries}
-        if len(rows) < len(entries):  # some state has several successors
-            acc: dict[str, list[tuple[str, int]]] = {}
-            for (q, t), c in entries:
-                acc.setdefault(q, []).append((t, c))
-            rows = {q: tuple(row) for q, row in acc.items()}
-        return rows
-
-    def support(self, edge_id: str) -> Iterable[tuple[str, str]]:
-        return self.matrix(edge_id).entries.keys()
+    def rows(self, edge_id: str) -> dict[str, dict[str, int]]:
+        return self.matrix(edge_id)._by_row()
 
 
 class SpanAutomaton(_MatrixAutomaton):
@@ -343,11 +332,10 @@ def validate(a) -> list[str]:
             continue
         t = a.transitions[e.id]
         if isinstance(t, Mapping):
-            rows = a.rows(e.id)
             for q in src_fiber:
-                if q not in rows:
+                if q not in t:
                     problems.append(f"transition of edge {e.id!r} is not total: missing {q!r}")
-            for q, ((target, _),) in rows.items():
+            for q, target in t.items():
                 if q not in src_fiber:
                     problems.append(f"transition of edge {e.id!r} maps foreign state {q!r}")
                 elif target not in dst_fiber:
@@ -450,7 +438,7 @@ def _accepted_sweep(a: _FiberedAutomaton, max_len: int):
             for edge_id, label, dst, rows in out_edges[node]:
                 child: dict[str, int] = {}
                 for q, c in vec.items():
-                    for t, k in rows.get(q, ()):
+                    for t, k in rows.get(q, _NO_ROW).items():
                         child[t] = child.get(t, 0) + c * k
                 if child:
                     nxt.append((edges + (edge_id,), text + label, dst, child))
@@ -488,7 +476,7 @@ def _suffix_table(out_edges, finals, h: int) -> list[dict[str, list]]:
                     acc = {}
                     for q, row in rows.items():
                         k = 0
-                        for t, c in row:
+                        for t, c in row.items():
                             if t in after:
                                 k += c * after[t]
                         if k:
@@ -513,7 +501,7 @@ def count_paths(a: _FiberedAutomaton, w: Word) -> int:
         rows = a.rows(e.id)
         nxt: dict[str, int] = {}
         for q, c in vec.items():
-            for t, k in rows.get(q, ()):
+            for t, k in rows.get(q, _NO_ROW).items():
                 nxt[t] = nxt.get(t, 0) + c * k
         vec = nxt
     return sum(c for q, c in vec.items() if q in a.finals)
@@ -524,7 +512,6 @@ def is_deterministic(a) -> bool:
     for e in a.base.edges:
         rows = a.rows(e.id)
         for q in a.fibers[e.src]:
-            row = rows.get(q, ())
-            if len(row) != 1 or row[0][1] != 1:
+            if list(rows.get(q, _NO_ROW).values()) != [1]:
                 return False
     return True

@@ -1,8 +1,8 @@
-"""Command-line surface.
+"""spanauto: build, run and check automata whose transitions are spans.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input
-errors.  An input error prints one ``input-error:`` line to stderr and
-nothing to stdout; a failed check ends stderr with one ``check-failed:``
+errors.  An input error prints one input-error: line to stderr and
+nothing to stdout; a failed check ends stderr with one check-failed:
 line, after any detail lines (a square, failed laws, violations).
 """
 
@@ -149,7 +149,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="spanauto", description=__doc__)
+    parser = _Parser(prog="spanauto", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
@@ -165,17 +165,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", action="store_true", help="keep only reachable states")
     p = command("mdet", cmd_mdet, "counting (multiset) determinization")
     p.add_argument("--expand", action="store_true", help="emit the bounded explicit machine")
-    p.add_argument("--max-len", type=int, default=4, metavar="L")
-    p.add_argument("--max-states", type=int, default=64, metavar="K")
+    p.add_argument("--max-len", type=int, default=4, metavar="L",
+                   help="with --expand, explore at most L layers from the start (default: %(default)s)")
+    p.add_argument("--max-states", type=int, default=64, metavar="K",
+                   help="with --expand, stop once more than K states appear (default: %(default)s)")
     command("classical", cmd_classical, "textbook subset construction of a classical-nfa document")
     p = command("lang", cmd_lang, "accepted words up to a length")
-    p.add_argument("--max-len", type=int, required=True, metavar="L")
+    p.add_argument("--max-len", type=int, required=True, metavar="L", help="list words of length at most L")
     p.add_argument("--count", action="store_true", help="append the number of accepting runs")
     p = command("sim-check", cmd_sim_check, "check a simulation document for naturality")
     p.add_argument("--mode", choices=STRENGTHS, required=True)
     p = command("factor", cmd_factor, "factor a simulation through a determinization")
     p.add_argument("--target", choices=["det", "mdet"], required=True)
-    p.add_argument("--max-len", type=int, default=4, metavar="L")
+    p.add_argument("--max-len", type=int, default=4, metavar="L",
+                   help="bounds only the --target mdet expansion, to L layers (default: %(default)s); "
+                        "--target det ignores it")
     p = command("laws", cmd_laws, "run the randomized law suites", file=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=200)

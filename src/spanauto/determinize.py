@@ -51,6 +51,7 @@ from .automata import (
     RelAutomaton,
     SpanAutomaton,
     Word,
+    _NO_ROW,
     _FiberedAutomaton,
 )
 
@@ -172,13 +173,14 @@ def _state_bits(a) -> dict[str, dict[str, int]]:
 def _successor_masks(a, e: Edge, bits: Mapping[str, Mapping[str, int]]) -> list[int]:
     """An edge's support as one mask per source state, indexed by the state's bit.
 
-    ``bits`` is ``_state_bits(a)``; the mask of q holds the bits of q's
-    successors along e, read from ``a.support``.
+    ``bits`` is ``_state_bits(a)``; the mask of q ORs the bits of the
+    targets in q's count row along e.
     """
     src_bits, dst_bits = bits[e.src], bits[e.dst]
     masks = [0] * len(src_bits)
-    for q, t in a.support(e.id):
-        masks[src_bits[q]] |= 1 << dst_bits[t]
+    for q, row in a.rows(e.id).items():
+        for t in row:
+            masks[src_bits[q]] |= 1 << dst_bits[t]
     return masks
 
 
@@ -376,7 +378,8 @@ def mdet_expand(
     for e in m.base.edges:
         dst_pos = m.fibers[e.dst].index
         view = m.rows(e.id)
-        entries[e.id] = [(i, dst_pos(b), u) for i, a in enumerate(order[e.src]) for b, u in view.get(a, ())]
+        entries[e.id] = [(i, dst_pos(b), u) for i, a in enumerate(order[e.src])
+                         for b, u in view.get(a, _NO_ROW).items()]
     out_edges = {n: [(e.id, e.dst, len(order[e.dst])) for e in m.base.out_edges(n)] for n in m.base.nodes}
 
     fmt = {n: _count_format(len(order[n])) for n in m.base.nodes}

@@ -120,7 +120,7 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
             raise DocumentError(f"fibers.{n}", f"duplicate state label {dup!r}")
         fibers[n] = FinSet(n, elements)
     for key in fibers_doc:
-        if key not in base.nodes:
+        if key not in fibers:
             raise DocumentError(f"fibers.{key}", "fiber for unknown node")
     state_node = {}
     for n in base.nodes:
@@ -146,7 +146,7 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
         transitions[e.id] = _count_entries(transitions_doc[e.id], at, fibers[e.src], fibers[e.dst],
                                            counted, "state", "state")
     for key in transitions_doc:
-        if all(e.id != key for e in base.edges):
+        if key not in transitions:
             raise DocumentError(f"transitions.{key}", "transition for unknown edge")
 
     if kind == "span":
@@ -458,8 +458,7 @@ def _transition_entries(a, text: dict[str, str]) -> dict[str, _Records]:
             row = rows.get(src)
             if row is None:
                 continue
-            if len(row) > 1:
-                row = sorted(row, key=lambda p: dst_order(p[0]))
+            row = row.items() if len(row) == 1 else sorted(row.items(), key=lambda p: dst_order(p[0]))
             src_text = text[src]
             for dst, count in row:
                 srcs.append(src_text)

@@ -63,6 +63,7 @@ from .automata import (
     DetAutomaton,
     Edge,
     SpanAutomaton,
+    _NO_ROW,
     _FiberedAutomaton,
 )
 from .determinize import (
@@ -244,8 +245,6 @@ def compose_simulations(first: Simulation, second: Simulation) -> Simulation:
 
 _Rows = Mapping[str, Mapping[str, int]]
 
-_NO_ROW: Mapping[str, int] = {}
-
 # The strength only picks how the two rows of a square are compared.  The
 # support of a product of count matrices is the relation composite of
 # their supports, so the strict (relation-level) check compares supports.
@@ -262,8 +261,7 @@ def _component_rows(c: Union[Relation, Span]) -> _Rows:
     return m._by_row()
 
 
-def _square_rows(states: Iterable[str], src_rows: Mapping[str, tuple[tuple[str, int], ...]],
-                 tgt_rows: Mapping[str, tuple[tuple[str, int], ...]], comp_src: _Rows,
+def _square_rows(states: Iterable[str], src_rows: _Rows, tgt_rows: _Rows, comp_src: _Rows,
                  comp_dst: _Rows) -> Iterator[tuple[str, Mapping[str, int], Mapping[str, int]]]:
     """Both sides of one square as count rows, ``(x, left, right)`` per target state x.
 
@@ -274,12 +272,14 @@ def _square_rows(states: Iterable[str], src_rows: Mapping[str, tuple[tuple[str, 
     for x in states:
         left: dict[str, int] = {}
         for q, u in comp_src.get(x, _NO_ROW).items():
-            for r, c in src_rows.get(q, ()):
+            for r, c in src_rows.get(q, _NO_ROW).items():
                 left[r] = left.get(r, 0) + u * c
-        step = tgt_rows.get(x, ())
-        if len(step) == 1 and step[0][1] == 1:
-            yield x, left, comp_dst.get(step[0][0], _NO_ROW)
-            continue
+        step = tgt_rows.get(x, _NO_ROW).items()
+        if len(step) == 1:
+            (y, c), = step
+            if c == 1:
+                yield x, left, comp_dst.get(y, _NO_ROW)
+                continue
         right: dict[str, int] = {}
         for y, c in step:
             for r, u in comp_dst.get(y, _NO_ROW).items():
@@ -328,7 +328,7 @@ def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[E
             for i in row_bits.get(x, ()):
                 left |= succ[i]
             right = 0
-            for y, _ in steps.get(x, ()):
+            for y in steps.get(x, _NO_ROW):
                 right |= masks.get(y, 0)
             if left != right if strict else left & ~right:
                 return e
@@ -434,8 +434,7 @@ def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
     """
     square = _square(sim, e, {n: _component_rows(sim.components[n]) for n in (e.src, e.dst)}, partial)
     _, src_rows, tgt_rows, comp_src, comp_dst = square
-    tokens = sum(sum(row.values()) for comp in (comp_src, comp_dst) for row in comp.values())
-    tokens += sum(c for rows in (src_rows, tgt_rows) for row in rows.values() for _, c in row)
+    tokens = sum(sum(row.values()) for rows in (comp_src, comp_dst, src_rows, tgt_rows) for row in rows.values())
     return tokens + sum(sum(left.values()) + sum(right.values()) for _, left, right in _square_rows(*square))
 
 

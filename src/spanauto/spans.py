@@ -88,11 +88,11 @@ class FinSet:
     def __init__(self, name: str, elements=()):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "elements", tuple(elements))
-        positions: dict[str, int] = {}
-        for i, x in enumerate(self.elements):
-            if x in positions:
-                raise ValueError(f"duplicate element {x!r} in finite set {name!r}")
-            positions[x] = i
+        positions = dict(zip(self.elements, range(len(self.elements))))
+        if len(positions) != len(self.elements):
+            seen: set[str] = set()
+            dup = next(x for x in self.elements if x in seen or seen.add(x))
+            raise ValueError(f"duplicate element {dup!r} in finite set {name!r}")
         object.__setattr__(self, "_positions", positions)
 
     def __contains__(self, x) -> bool:

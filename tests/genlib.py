@@ -198,7 +198,7 @@ def row_walk_entries(a) -> dict[str, list[dict]]:
         entries[e.id] = [
             {"from": src, "to": dst, "count": count} if counted else {"from": src, "to": dst}
             for src in a.fibers[e.src]
-            for dst, count in sorted(rows.get(src, ()), key=lambda p: dst_order(p[0]))
+            for dst, count in sorted(rows.get(src, {}).items(), key=lambda p: dst_order(p[0]))
         ]
     return entries
 

@@ -94,16 +94,20 @@ class TestKinds:
         assert built == x and built.truncated
         assert built.count_texts == x.count_texts
 
-    def test_support_is_the_matrix_support(self):
-        # function tables give their items, every other kind its counting matrix's nonzero pairs
+    def test_rows_are_the_matrix_entries_by_source(self):
+        # every kind's rows group its counting matrix's nonzero entries by source, in entry order
         rng = random.Random(16)
         for _ in range(20):
             a = random_span_automaton(rng, max_nodes=3, max_states=3)
             for k in (a, rel_of(a), det(a), mdet(a), mdet_expand(mdet(a), 6, 3)):
                 for e in k.base.edges:
-                    pairs = list(k.support(e.id))
-                    assert len(pairs) == len(set(pairs))
-                    assert set(pairs) == set(k.matrix(e.id).entries)
+                    rows = k.rows(e.id)
+                    want: dict[str, dict[str, int]] = {}
+                    for (q, t), c in k.matrix(e.id).entries.items():
+                        want.setdefault(q, {})[t] = c
+                    assert [(q, list(row.items())) for q, row in rows.items()] == \
+                        [(q, list(row.items())) for q, row in want.items()]
+                    assert k.rows(e.id) is rows
 
 
 class TestValidate:

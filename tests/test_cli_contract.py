@@ -80,12 +80,27 @@ def _slots(node, out):
 
 
 def mutate_document(rng: random.Random, doc):
-    """One mutation: replace a value, change a count, drop a key or an item, duplicate an item, or add a key."""
+    """One mutation: replace a value, change a count, drop a key or an item, duplicate an item, or add a key.
+
+    The schema-keeping mutations shuffle an entry list (a list of objects
+    with ``from`` and ``to``), or point one entry's ``from`` or ``to`` at
+    a state another entry of the same list names there; a document with no
+    entry list gets a key added instead.
+    """
     slots = _slots(doc, [])
     container, key = rng.choice(slots)
-    op = rng.choice(("odd", "reuse", "count", "drop", "duplicate", "add"))
+    op = rng.choice(("odd", "reuse", "count", "drop", "duplicate", "add", "shuffle", "repoint", "repoint"))
     counts = [(c, k) for c, k in slots if type(c[k]) is int]
-    if op == "count" and counts:
+    entry_lists = [c[k] for c, k in slots if isinstance(c[k], list) and c[k]
+                   and all(isinstance(x, dict) and "from" in x and "to" in x for x in c[k])]
+    if op in ("shuffle", "repoint") and entry_lists:
+        entries = rng.choice(entry_lists)
+        if op == "shuffle":
+            rng.shuffle(entries)
+        else:
+            end = rng.choice(("from", "to"))
+            rng.choice(entries)[end] = rng.choice(entries)[end]
+    elif op == "count" and counts:
         container, key = rng.choice(counts)
         container[key] = rng.randint(1, 3)
     elif op in ("odd", "count"):

@@ -132,7 +132,7 @@ class TestDet:
                 assert not any(key[0] == "matrix" for key in d._views)
                 for e in d.base.edges:
                     entries = d.matrix(e.id).entries
-                    assert rows[e.id] == {q: ((t, c),) for (q, t), c in entries.items()}
+                    assert rows[e.id] == {q: {t: c} for (q, t), c in entries.items()}
                     want = [0] * len(bits[e.src])
                     for q, t in entries:
                         want[bits[e.src][q]] |= 1 << bits[e.dst][t]

@@ -289,6 +289,15 @@ class TestSchemaErrors:
             parse_automaton(json.dumps(doc))
         assert "fibers.n" in str(err.value)
 
+    def test_keys_for_unknown_nodes_and_edges(self):
+        for section, key, line in (("fibers", "m", "fibers.m: fiber for unknown node"),
+                                   ("transitions", "f", "transitions.f: transition for unknown edge")):
+            doc = self.base_doc()
+            doc[section][key] = []
+            with pytest.raises(DocumentError) as err:
+                parse_automaton(json.dumps(doc))
+            assert str(err.value) == line
+
     def test_unknown_state_in_transition_gives_path(self):
         doc = self.base_doc()
         doc["transitions"]["e"][0]["from"] = "9"
@@ -337,7 +346,7 @@ class TestSchemaErrors:
         doc["transitions"]["e"] = [{"from": "2", "to": "1"}, {"from": "1", "to": "2"}]
         d = parse_automaton(json.dumps(doc))
         assert d.transitions["e"] == {"1": "2", "2": "1"}
-        assert d.rows("e") == {"1": (("2", 1),), "2": (("1", 1),)}
+        assert d.rows("e") == {"1": {"2": 1}, "2": {"1": 1}}
         assert json.loads(serialize_automaton(d))["transitions"]["e"] == [{"from": "1", "to": "2"}, {"from": "2", "to": "1"}]
 
     def test_bad_json(self):
@@ -822,6 +831,17 @@ class TestCli:
             out, err = capsys.readouterr()
             assert exc.value.code == 0 and err == ""
             assert out.startswith("usage: spanauto")
+
+    def test_help_prints_the_exit_contract_as_written(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "``" not in out
+        assert any("check-failed:" in line for line in out.splitlines())
+        for argv in (["mdet", "--help"], ["factor", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "--max-len L " in capsys.readouterr().out
 
     def test_argv_contract_matches_the_top_level_parse(self, fixtures_dir, capsys):
         # main parses with the named command's subparser; the top-level parse is the yardstick,

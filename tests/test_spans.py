@@ -60,6 +60,9 @@ class TestFinSet:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             FinSet("X", ["a", "a"])
+        # the first element to repeat is named, not the first with a later copy
+        with pytest.raises(ValueError, match="^duplicate element 'b' in finite set 'X'$"):
+            FinSet("X", ["a", "b", "b", "a"])
 
 
 class TestComposeSpans:
