@@ -37,7 +37,7 @@ print("  its forward direction alone was fine; the dagger is what fails.")
 print("\nFactoring the membership simulation through the powerset machine")
 print("returns the identity bisimulation (the triangle identity):")
 from spanauto.determinize import det, rel_of, subset_state_label
-from spanauto.spans import Relation, subsets_of
+from spanauto.spans import Relation, image, subsets_of
 from spanauto import Simulation
 
 r = rel_of(a)
@@ -53,6 +53,6 @@ alpha = Simulation(r, d, comps, "strict")
 res = factor_det(alpha)
 print("  composite recovered:", res.composite_ok)
 print("  mate is a bisimulation:", res.bisim_ok)
-print("  mate pairs:", sorted(res.mate.components["s"].pairs))
+print("  mate pairs:", sorted(image(res.mate.components["s"]).pairs))
 print("\nThe dagger of a simulation swaps its endpoints:")
 print("  dagger strength:", dagger_simulation(sim).strength)

@@ -136,6 +136,17 @@ def cmd_dot(args) -> int:
     return 0
 
 
+def _at_least(least: int):
+    """An argparse ``type``: an integer no smaller than ``least``, so a bound is refused before any work."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type when int() fails: "invalid int value: 'x'"
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser, and through ``add_subparsers`` its subparsers, whose usage errors raise ``ValueError``.
 
@@ -165,19 +176,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", action="store_true", help="keep only reachable states")
     p = command("mdet", cmd_mdet, "counting (multiset) determinization")
     p.add_argument("--expand", action="store_true", help="emit the bounded explicit machine")
-    p.add_argument("--max-len", type=int, default=4, metavar="L",
+    p.add_argument("--max-len", type=_at_least(0), default=4, metavar="L",
                    help="with --expand, explore at most L layers from the start (default: %(default)s)")
-    p.add_argument("--max-states", type=int, default=64, metavar="K",
+    p.add_argument("--max-states", type=_at_least(1), default=64, metavar="K",
                    help="with --expand, stop once more than K states appear (default: %(default)s)")
     command("classical", cmd_classical, "textbook subset construction of a classical-nfa document")
     p = command("lang", cmd_lang, "accepted words up to a length")
-    p.add_argument("--max-len", type=int, required=True, metavar="L", help="list words of length at most L")
+    p.add_argument("--max-len", type=_at_least(0), required=True, metavar="L", help="list words of length at most L")
     p.add_argument("--count", action="store_true", help="append the number of accepting runs")
     p = command("sim-check", cmd_sim_check, "check a simulation document for naturality")
     p.add_argument("--mode", choices=STRENGTHS, required=True)
     p = command("factor", cmd_factor, "factor a simulation through a determinization")
     p.add_argument("--target", choices=["det", "mdet"], required=True)
-    p.add_argument("--max-len", type=int, default=4, metavar="L",
+    p.add_argument("--max-len", type=_at_least(0), default=4, metavar="L",
                    help="bounds only the --target mdet expansion, to L layers (default: %(default)s); "
                         "--target det ignores it")
     p = command("laws", cmd_laws, "run the randomized law suites", file=False)

@@ -370,7 +370,7 @@ def mdet_expand(
     are count vectors over their node's fiber.
     """
     if max_states <= 0 or max_len < 0:
-        raise ValueError("expansion bounds must be positive")
+        raise ValueError(f"expansion bounds must be max_states >= 1 and max_len >= 0, not {max_states}, {max_len}")
     multi_node = len(m.base.nodes) > 1
     order = {n: m.fibers[n].elements for n in m.base.nodes}
     final_pos = {n: [i for i, q in enumerate(order[n]) if q in m.finals] for n in m.base.nodes}

@@ -561,12 +561,9 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
             raise DocumentError(at, "missing component")
         counts = _count_entries(components_doc[n], at, target.fibers[n], source.fibers[n], True,
                                 "target state", "source state")
-        if strength == "strict":
-            if any(c > 1 for c in counts.values()):
-                raise DocumentError(at, "strict components cannot carry counts above one")
-            components[n] = Relation._trusted(target.fibers[n], source.fibers[n], frozenset(counts))
-        else:
-            components[n] = Span._counted(target.fibers[n], source.fibers[n], counts, _entry_labels(n))
+        if strength == "strict" and any(c > 1 for c in counts.values()):
+            raise DocumentError(at, "strict components cannot carry counts above one")
+        components[n] = Span._counted(target.fibers[n], source.fibers[n], counts, _entry_labels(n))
     try:
         return Simulation(source, target, components, strength)
     except ValueError as exc:
@@ -584,7 +581,8 @@ def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,
     """Canonical JSON text of a simulation.
 
     Endpoints are inlined unless a file path is supplied for them; inlined
-    endpoints must be of a document kind (expansions are not).
+    endpoints must be of a document kind (expansions are not).  Component
+    entries carry a ``count`` unless the strength is ``strict``.
     """
     def endpoint(ref, automaton):
         return ref if ref is not None else json.loads(serialize_automaton(automaton))
@@ -593,7 +591,8 @@ def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,
     for n in sim.source.base.nodes:
         src_order = sim.target.fibers[n].index
         dst_order = sim.source.fibers[n].index
-        components[n] = _component_entries(sim.components[n], lambda p: (src_order(p[0]), dst_order(p[1])))
+        components[n] = _component_entries(sim.components[n], lambda p: (src_order(p[0]), dst_order(p[1])),
+                                           sim.strength != "strict")
     return _dump(
         {
             "format_version": FORMAT_VERSION,
@@ -606,18 +605,19 @@ def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,
     )
 
 
-def _component_entries(comp: Union[Relation, Span], key) -> _Records:
-    """Document entries of a simulation component in ``key`` order; spans carry counts."""
-    pairs = sorted(comp.pairs if isinstance(comp, Relation) else comp.counts, key=key)
+def _component_entries(comp: Span, key, counted: bool) -> _Records:
+    """Document entries of a simulation component in ``key`` order, with counts if ``counted``."""
+    pairs = sorted(comp.counts, key=key)
     columns = ([src for src, _ in pairs], [dst for _, dst in pairs])
-    if isinstance(comp, Relation):
+    if not counted:
         return _Records(("from", "to"), columns)
     return _Records(("from", "to", "count"), (*columns, [comp.counts[p] for p in pairs]))
 
 
 def serialize_factorization(result) -> str:
     mate = result.mate
-    components = {n: _component_entries(mate.components[n], None) for n in mate.source.base.nodes}
+    counted = mate.strength != "strict"
+    components = {n: _component_entries(mate.components[n], None, counted) for n in mate.source.base.nodes}
     return _dump(
         {
             "format_version": FORMAT_VERSION,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .spans import (
     POWERSET_CAP,
@@ -47,11 +47,9 @@ from .spans import (
     _WORK_BOUND,
     compose_relations,
     compose_spans,
-    dagger_relation,
     dagger_span,
     from_matrix,
     from_relation,
-    identity_relation,
     identity_span,
     image,
     matrix_compose,
@@ -93,7 +91,6 @@ __all__ = [
     "membership_span",
     "multiplicity_span",
     "transition_span",
-    "component_span",
     "factor_det",
     "factor_mdet",
 ]
@@ -106,12 +103,14 @@ class Simulation:
     """Per-node components from target fibers into source fibers.
 
     Components may be given as relations, spans, or counting matrices;
-    matrices are stored as their canonical spans.
+    each is stored as a counted span (a relation through ``from_relation``,
+    a matrix as its canonical span).  Only the strength says whether counts
+    matter: strict squares read the supports, ``image(c)``.
     """
 
     source: _FiberedAutomaton
     target: _FiberedAutomaton
-    components: Mapping[str, Union[Relation, Span]]
+    components: Mapping[str, Span]
     strength: str
 
     def __init__(self, source, target, components, strength):
@@ -121,9 +120,8 @@ class Simulation:
             raise ValueError("simulation endpoints must share the base graph")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        stored = {
-            n: from_matrix(c) if isinstance(c, NatMatrix) else c for n, c in components.items()
-        }
+        stored = {n: from_relation(c) if isinstance(c, Relation) else from_matrix(c) if isinstance(c, NatMatrix) else c
+                  for n, c in components.items()}
         object.__setattr__(self, "components", stored)
         object.__setattr__(self, "strength", strength)
         for n in source.base.nodes:
@@ -195,31 +193,13 @@ def transition_span(a: _FiberedAutomaton, edge_id: str) -> Span:
     return Span(a.fibers[e.src], a.fibers[e.dst], [Token(f"({q}->{r})", q, r) for q, r in t.items()])
 
 
-def component_span(sim: Simulation, node: str) -> Span:
-    c = sim.components[node]
-    return c if isinstance(c, Span) else from_relation(c)
-
-
-def component_relation(sim: Simulation, node: str) -> Relation:
-    c = sim.components[node]
-    return image(c) if isinstance(c, Span) else c
-
-
 def identity_simulation(a: _FiberedAutomaton, strength: str = "strict") -> Simulation:
-    components = {}
-    for n in a.base.nodes:
-        if strength == "strict":
-            components[n] = identity_relation(a.fibers[n])
-        else:
-            components[n] = identity_span(a.fibers[n])
-    return Simulation(a, a, components, strength)
+    return Simulation(a, a, {n: identity_span(a.fibers[n]) for n in a.base.nodes}, strength)
 
 
 def dagger_simulation(sim: Simulation) -> Simulation:
     """Swap endpoints and take the converse of every component."""
-    components = {}
-    for n, c in sim.components.items():
-        components[n] = dagger_span(c) if isinstance(c, Span) else dagger_relation(c)
+    components = {n: dagger_span(c) for n, c in sim.components.items()}
     return Simulation(sim.target, sim.source, components, sim.strength)
 
 
@@ -227,15 +207,7 @@ def compose_simulations(first: Simulation, second: Simulation) -> Simulation:
     """Vertical composite: a simulation F -> G after one G -> H gives F -> H."""
     if second.source is not first.target and second.source != first.target:
         raise ValueError("simulations do not share the middle automaton")
-    components = {}
-    for n in first.source.base.nodes:
-        a, b = second.components[n], first.components[n]
-        if isinstance(a, Span) or isinstance(b, Span):
-            a = a if isinstance(a, Span) else from_relation(a)
-            b = b if isinstance(b, Span) else from_relation(b)
-            components[n] = compose_spans(a, b)
-        else:
-            components[n] = compose_relations(a, b)
+    components = {n: compose_spans(second.components[n], first.components[n]) for n in first.source.base.nodes}
     strength = max(first.strength, second.strength, key=STRENGTHS.index)
     return Simulation(first.source, second.target, components, strength)
 
@@ -253,12 +225,6 @@ _HOLDS = {
     "pseudo": operator.eq,
     "lax": lambda left, right: left.keys() <= right.keys(),
 }
-
-
-def _component_rows(c: Union[Relation, Span]) -> _Rows:
-    """A component's count rows ``{x: {q: n}}``; a relation counts each pair once."""
-    m = to_matrix(c) if isinstance(c, Span) else NatMatrix._trusted(c.dom, c.cod, dict.fromkeys(c.pairs, 1))
-    return m._by_row()
 
 
 def _square_rows(states: Iterable[str], src_rows: _Rows, tgt_rows: _Rows, comp_src: _Rows,
@@ -315,7 +281,7 @@ def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[E
         c, bit = sim.components[n], bits[n]
         row_bits: dict[str, list[int]] = {}
         masks: dict[str, int] = {}
-        for x, q in (c.counts if isinstance(c, Span) else c.pairs):
+        for x, q in c.counts:
             row_bits.setdefault(x, []).append(bit[q])
             masks[x] = masks.get(x, 0) | 1 << bit[q]
         comp_bits[n], comp_masks[n] = row_bits, masks
@@ -353,10 +319,10 @@ def _check_squares(sim: Simulation, mode: str) -> CheckResult:
     if mode != "pseudo" and narrow:
         failed = _support_failure(sim, mode == "strict", partial)
         if failed is not None:
-            comps = {n: _component_rows(sim.components[n]) for n in (failed.src, failed.dst)}
+            comps = {n: to_matrix(sim.components[n])._by_row() for n in (failed.src, failed.dst)}
     else:
         holds = _HOLDS[mode]
-        comps = {n: _component_rows(sim.components[n]) for n in base.nodes}
+        comps = {n: to_matrix(sim.components[n])._by_row() for n in base.nodes}
         failed = None
         for e in base.edges:
             if not all(holds(left, right) for _, left, right in _square_rows(*_square(sim, e, comps, partial))):
@@ -432,7 +398,7 @@ def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
     That is both components' apexes, both transitions' apexes and the two
     composites, whose tokens are the entries of the square's two sides.
     """
-    square = _square(sim, e, {n: _component_rows(sim.components[n]) for n in (e.src, e.dst)}, partial)
+    square = _square(sim, e, {n: to_matrix(sim.components[n])._by_row() for n in (e.src, e.dst)}, partial)
     _, src_rows, tgt_rows, comp_src, comp_dst = square
     tokens = sum(sum(row.values()) for rows in (comp_src, comp_dst, src_rows, tgt_rows) for row in rows.values())
     return tokens + sum(sum(left.values()) + sum(right.values()) for _, left, right in _square_rows(*square))
@@ -440,21 +406,18 @@ def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
 
 def _square_witness(sim: Simulation, e: Edge, partial: bool, mode: str) -> SpanMorphism:
     """The apex map of a passing square, between its token composites."""
-    comp = component_span(sim, e.src)
+    comp = sim.components[e.src]
     if partial:
         recorded = sim.target.rows(e.id)
         comp = Span(comp.dom, comp.cod, [t for t in comp.apex if t.left in recorded])
     lhs = compose_spans(comp, transition_span(sim.source, e.id))
-    rhs = compose_spans(transition_span(sim.target, e.id), component_span(sim, e.dst))
+    rhs = compose_spans(transition_span(sim.target, e.id), sim.components[e.dst])
     return span_morphism_search(lhs, rhs, iso_required=(mode == "pseudo"))
 
 
 def check_bisimulation(sim: Simulation) -> bool:
     """Whether both the simulation and its converse pass at the declared strength, for every kind."""
-    if sim.strength == "strict":
-        return check_rel_simulation(sim).ok and check_rel_simulation(dagger_simulation(sim)).ok
-    return (check_span_simulation(sim, sim.strength, witnesses=False).ok
-            and check_span_simulation(dagger_simulation(sim), sim.strength, witnesses=False).ok)
+    return all(_check_squares(s, sim.strength).ok for s in (sim, dagger_simulation(sim)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +517,7 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
     mate_components = {}
     composite_ok = True
     for n in f.base.nodes:
-        comp = component_relation(alpha, n)
+        comp = image(alpha.components[n])
         images = {x: comp(x) for x in g.fibers[n]}
         labels = {x: subset_state_label(n, s, multi) for x, s in images.items()}
         mate_components[n] = Relation(g.fibers[n], d.fibers[n], labels.items())
@@ -605,7 +568,7 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> 
         raise ValueError("the counting factorization needs a forward-backward (pseudo) simulation")
     _require(_check_squares(alpha, "pseudo"), "alpha fails the pseudo check")
 
-    alpha_matrices = {n: to_matrix(component_span(alpha, n)) for n in f.base.nodes}
+    alpha_matrices = {n: to_matrix(alpha.components[n]) for n in f.base.nodes}
     # the mate's image of x is alpha's row at x, as a count vector
     mate_vectors = {n: {x: [0] * len(f.fibers[n]) for x in g.fibers[n]} for n in f.base.nodes}
     for n, rows in mate_vectors.items():

@@ -34,6 +34,7 @@ from spanauto.spans import (
     compose_relations,
     from_relation,
     identity_matrix,
+    image,
     matrix_compose,
     powerset_map,
     subsets_of,
@@ -413,7 +414,7 @@ def enumerated_unique_det_factor(rel_alpha: Simulation, d: DetAutomaton, g: DetA
         ok = True
         for n in nodes:
             eps = membership_relation(d.fibers[n], f.fibers[n], n, multi)
-            if compose_relations(components[n], eps) != rel_alpha.components[n]:
+            if compose_relations(components[n], eps) != image(rel_alpha.components[n]):
                 ok = False
                 break
         if ok and check_bisimulation(candidate):
@@ -462,11 +463,11 @@ def row_walk_verdict(sim: Simulation, mode: str) -> CheckResult:
     equal rows.  The first failing edge is reported with its differing
     entries, as the kernel reports them.
     """
-    from spanauto.simulation import _component_rows, _square, _square_rows
+    from spanauto.simulation import _square, _square_rows
 
     partial = isinstance(sim.target, ExpandedMachine)
     holds = _ROW_HOLDS[mode]
-    comps = {n: _component_rows(sim.components[n]) for n in sim.source.base.nodes}
+    comps = {n: to_matrix(sim.components[n])._by_row() for n in sim.source.base.nodes}
     for e in sim.source.base.edges:
         square = _square(sim, e, comps, partial)
         if all(holds(left, right) for _, left, right in _square_rows(*square)):

@@ -19,10 +19,11 @@ from spanauto.io import (
     parse_automaton,
     parse_simulation,
     serialize_automaton,
+    serialize_simulation,
     to_dot,
 )
 from spanauto.simulation import Simulation, check_span_simulation
-from spanauto.spans import Span, Token
+from spanauto.spans import NatMatrix, Relation, Span, Token
 
 
 class TestRoundTrips:
@@ -419,6 +420,27 @@ class TestSimulationDocuments:
         from spanauto.spans import to_matrix
 
         assert to_matrix(reparsed.components["s"]) == to_matrix(sim.components["s"])
+
+    @pytest.mark.parametrize("strength", ["strict", "lax"])
+    @pytest.mark.parametrize("given", ["relation", "span", "matrix"])
+    def test_strength_alone_decides_counts(self, given, strength):
+        # every component is stored as a counted span; only a non-strict document writes its counts
+        a = two_state_example()
+        q = a.fibers["s"]
+        counts = {("1", "1"): 1, ("1", "2"): 1 if given == "relation" else 2, ("2", "2"): 1}
+        feet = [p for p, n in counts.items() for _ in range(n)]
+        component = {
+            "relation": Relation(q, q, counts),
+            "span": Span(q, q, [Token(f"t{i}", x, y) for i, (x, y) in enumerate(feet)]),
+            "matrix": NatMatrix(q, q, counts),
+        }[given]
+        text = serialize_simulation(Simulation(a, a, {"s": component}, strength))
+        assert serialize_simulation(parse_simulation(text)) == text
+        entries = json.loads(text)["components"]["s"]
+        if strength == "strict":
+            assert entries == [{"from": x, "to": y} for x, y in counts]
+        else:
+            assert entries == [{"from": x, "to": y, "count": n} for (x, y), n in counts.items()]
 
 
 class TestDot:
@@ -943,9 +965,25 @@ class TestCli:
         assert err.startswith("input-error:") and len(err.splitlines()) == 1
 
     def test_lang_negative_length_rejected(self, fixtures_dir, capsys):
-        code, out, err = self.run("lang", str(fixtures_dir / "two_state.json"), "--max-len", "-1", capsys=capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("input-error:") and len(err.splitlines()) == 1
+        # every bound is checked when argv is parsed, whether or not the command would use it
+        span, det_sim, mdet_sim = (str(fixtures_dir / f"{name}.json")
+                                   for name in ("two_state", "sim_identity_det", "sim_canonical_mdet"))
+        cases = [
+            (["lang", span, "--max-len", "-1"], "--max-len: must be at least 0, got -1"),
+            (["mdet", span, "--max-len", "-5", "--max-states", "0"], "--max-len: must be at least 0, got -5"),
+            (["mdet", span, "--max-states", "0"], "--max-states: must be at least 1, got 0"),
+            (["mdet", span, "--expand", "--max-len", "-5"], "--max-len: must be at least 0, got -5"),
+            (["mdet", span, "--expand", "--max-states", "0"], "--max-states: must be at least 1, got 0"),
+            (["factor", det_sim, "--target", "det", "--max-len", "-5"], "--max-len: must be at least 0, got -5"),
+            (["factor", mdet_sim, "--target", "mdet", "--max-len", "-1"], "--max-len: must be at least 0, got -1"),
+        ]
+        for argv, fragment in cases:
+            code, out, err = self.run(*argv, capsys=capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("input-error:") and len(err.splitlines()) == 1 and fragment in err, argv
+        # the least value of each bound is accepted
+        for argv in (["lang", span, "--max-len", "0"], ["mdet", span, "--expand", "--max-len", "0", "--max-states", "1"]):
+            assert self.run(*argv, capsys=capsys)[0] == 0, argv
 
     def test_boolean_counts_rejected(self, fixtures_dir, tmp_path, capsys):
         span_doc = json.loads((fixtures_dir / "two_state.json").read_text())

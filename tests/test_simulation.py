@@ -10,6 +10,8 @@ from spanauto.spans import (
     SpanMorphism,
     Token,
     compose_relations,
+    dagger_relation,
+    identity_relation,
     identity_span,
     image,
     subset_label,
@@ -84,7 +86,7 @@ class TestRelCheck:
                 det_run = compose_relations(
                     det_run, Relation(d.fibers["s"], d.fibers["s"], set(step.items()))
                 )
-            comp = sim.components["s"]
+            comp = image(sim.components["s"])
             assert compose_relations(comp, rel_run) == compose_relations(det_run, comp)
 
     def test_span_endpoints_decided_on_their_supports(self):
@@ -262,11 +264,11 @@ class TestCanonicalMDetSimulation:
     def test_edge_a_square_at_start(self):
         a = two_state_example()
         sim = canonical_mdet_simulation(a, max_len=4)
-        from spanauto.simulation import component_span, transition_span
+        from spanauto.simulation import transition_span
         from spanauto.spans import compose_spans
 
-        lhs = compose_spans(component_span(sim, "s"), transition_span(a, "a"))
-        rhs = compose_spans(transition_span(sim.target, "a"), component_span(sim, "s"))
+        lhs = compose_spans(sim.components["s"], transition_span(a, "a"))
+        rhs = compose_spans(transition_span(sim.target, "a"), sim.components["s"])
         assert to_matrix(lhs)["(1,0)", "1"] == 1
         assert to_matrix(lhs)["(1,0)", "2"] == 1
         assert to_matrix(rhs)["(1,0)", "1"] == 1
@@ -341,7 +343,7 @@ class TestFactorDet:
         assert result.composite_ok and result.bisim_ok
         d = det(a)
         expected = {(q, q) for q in d.fibers["s"]}
-        assert result.mate.components["s"].pairs == frozenset(expected)
+        assert image(result.mate.components["s"]).pairs == frozenset(expected)
 
     def test_tiny_instance_all_flags(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
@@ -354,7 +356,7 @@ class TestFactorDet:
         alpha = Simulation(f, g, {"n": Relation(gq, fq, {("x", "1"), ("x", "2")})}, "strict")
         result = factor_det(alpha)
         assert result.composite_ok and result.bisim_ok and result.unique_ok
-        assert result.mate.components["n"].pairs == {("x", "{1,2}")}
+        assert image(result.mate.components["n"]).pairs == {("x", "{1,2}")}
 
     def test_non_natural_alpha_rejected(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
@@ -405,7 +407,6 @@ class TestFactorDet:
         import random
 
         from genlib import enumerated_unique_det_factor
-        from spanauto.simulation import component_relation
 
         rng = random.Random(1)
         seen = {True: 0, False: 0}
@@ -413,7 +414,7 @@ class TestFactorDet:
             alpha = random_factor_instance(rng, "strict")
             result = factor_det(alpha)
             f, g = alpha.source, alpha.target
-            rel_alpha = Simulation(rel_of(f), g, {n: component_relation(alpha, n) for n in f.base.nodes}, "strict")
+            rel_alpha = Simulation(rel_of(f), g, {n: image(alpha.components[n]) for n in f.base.nodes}, "strict")
             assert result.unique_ok == (enumerated_unique_det_factor(rel_alpha, result.mate.source, g) == 1), i
             seen[result.unique_ok] += 1
         # some mates are not bisimulations, so the failing side is exercised too
@@ -425,8 +426,6 @@ class TestFactorDet:
         # hits; the composite reads no other row of the full relation
         import random
 
-        from spanauto.simulation import component_relation
-
         rng = random.Random(2)
         for strength in ("strict", "pseudo"):
             for i in range(60):
@@ -435,8 +434,9 @@ class TestFactorDet:
                 f, d = alpha.source, result.mate.source
                 multi = len(f.base.nodes) > 1
                 full = all(
-                    compose_relations(result.mate.components[n], membership_relation(d.fibers[n], f.fibers[n], n, multi))
-                    == component_relation(alpha, n)
+                    compose_relations(image(result.mate.components[n]),
+                                      membership_relation(d.fibers[n], f.fibers[n], n, multi))
+                    == image(alpha.components[n])
                     for n in f.base.nodes
                 )
                 assert result.composite_ok == full, (strength, i)
@@ -495,7 +495,7 @@ class TestFactorMDet:
         import random
 
         from genlib import enumerated_unique_mdet_factor
-        from spanauto.simulation import component_span, multiplicity_span
+        from spanauto.simulation import multiplicity_span
 
         rng = random.Random(1)
         seen = {True: 0, False: 0}
@@ -503,7 +503,7 @@ class TestFactorMDet:
             alpha = random_factor_instance(rng, "pseudo")
             result = factor_mdet(alpha, max_len=2)
             f, g, exp = alpha.source, alpha.target, result.mate.source
-            alpha_matrices = {n: to_matrix(component_span(alpha, n)) for n in f.base.nodes}
+            alpha_matrices = {n: to_matrix(alpha.components[n]) for n in f.base.nodes}
             etas = {n: to_matrix(multiplicity_span(exp, n, f.fibers[n])) for n in f.base.nodes}
             count = enumerated_unique_mdet_factor(alpha, exp, g, alpha_matrices, etas)
             assert result.unique_ok == (count == 1), i
@@ -516,10 +516,12 @@ class TestMatrixComponents:
     def test_matrix_components_are_stored_as_spans(self):
         a = two_state_example()
         ident = identity_simulation(a, strength="pseudo")
-        matrix_comps = {n: to_matrix(ident.components[n]) for n in a.base.nodes}
-        sim = Simulation(a, a, matrix_comps, "pseudo")
-        assert isinstance(sim.components["s"], Span)
-        assert check_span_simulation(sim, "pseudo").ok
+        # a matrix is stored as its canonical span, a relation as one counted token per pair
+        for given in (to_matrix, image):
+            sim = Simulation(a, a, {n: given(ident.components[n]) for n in a.base.nodes}, "pseudo")
+            assert isinstance(sim.components["s"], Span)
+            assert to_matrix(sim.components["s"]) == to_matrix(ident.components["s"])
+            assert check_span_simulation(sim, "pseudo").ok
 
 
 class TestComposeSimulations:
@@ -528,7 +530,23 @@ class TestComposeSimulations:
         sim = counit_simulation(a)
         ident = identity_simulation(sim.source)
         composite = compose_simulations(ident, sim)
-        assert composite.components["s"] == sim.components["s"]
+        assert to_matrix(composite.components["s"]) == to_matrix(sim.components["s"])
+
+    def test_strict_results_keep_their_relational_meaning(self):
+        # strict components are counted spans; their images are what identity, dagger and compose mean
+        for seed in range(12):
+            for sim in strict_simulations(seed):
+                images = {n: image(c) for n, c in sim.components.items()}
+                for a in (sim.source, sim.target):
+                    ident = identity_simulation(a)
+                    assert all(image(c) == identity_relation(a.fibers[n]) for n, c in ident.components.items())
+                dagger = dagger_simulation(sim)
+                assert all(image(dagger.components[n]) == dagger_relation(r) for n, r in images.items())
+                after_ident = compose_simulations(identity_simulation(sim.source), sim)
+                assert all(image(after_ident.components[n]) == r for n, r in images.items())
+                round_trip = compose_simulations(sim, dagger)
+                assert all(image(round_trip.components[n]) == compose_relations(dagger_relation(r), r)
+                           for n, r in images.items())
 
     def test_strength_takes_the_weaker(self):
         a = two_state_example()
@@ -607,13 +625,8 @@ def _drop_one(sim, rng):
         return sim
     n = rng.choice(nodes)
     c = sim.components[n]
-    if isinstance(c, Span):
-        drop = rng.randrange(len(c.apex))
-        c = Span(c.dom, c.cod, [t for i, t in enumerate(c.apex) if i != drop])
-    else:
-        pairs = sorted(c.pairs)
-        del pairs[rng.randrange(len(pairs))]
-        c = Relation(c.dom, c.cod, pairs)
+    drop = rng.randrange(len(c.apex))
+    c = Span(c.dom, c.cod, [t for i, t in enumerate(c.apex) if i != drop])
     return Simulation(sim.source, sim.target, {**sim.components, n: c}, sim.strength)
 
 
@@ -675,14 +688,12 @@ def strict_simulations(seed):
     """``random_simulations`` with relational or deterministic endpoints and relation components."""
     from spanauto.automata import DetAutomaton, RelAutomaton
     from spanauto.determinize import ExpandedMachine
-    from spanauto.simulation import component_relation
-
     def relational(a):
         return a if isinstance(a, (RelAutomaton, DetAutomaton)) else rel_of(a)
 
     return [
         Simulation(relational(sim.source), relational(sim.target),
-                   {n: component_relation(sim, n) for n in sim.source.base.nodes}, "strict")
+                   {n: image(c) for n, c in sim.components.items()}, "strict")
         for sim in random_simulations(seed)
         if not isinstance(sim.target, ExpandedMachine)
     ]
@@ -735,7 +746,7 @@ class TestMatrixFirstSquares:
 
     def test_witness_token_count_matches_the_built_witness(self):
         from spanauto.determinize import ExpandedMachine
-        from spanauto.simulation import _witness_tokens, component_span, transition_span
+        from spanauto.simulation import _witness_tokens, transition_span
 
         for seed in self.SEEDS:
             for sim in random_simulations(seed):
@@ -745,7 +756,7 @@ class TestMatrixFirstSquares:
                 partial = isinstance(sim.target, ExpandedMachine)
                 for e in sim.source.base.edges:
                     morphism = result.witnesses[e.id]
-                    read = [component_span(sim, e.src), component_span(sim, e.dst),
+                    read = [sim.components[e.src], sim.components[e.dst],
                             transition_span(sim.source, e.id), transition_span(sim.target, e.id)]
                     built = [morphism.source, morphism.target]
                     assert _witness_tokens(sim, e, partial) == sum(len(s.apex) for s in read + built)
