@@ -32,7 +32,6 @@ from .io import (
     serialize_mdet,
     to_dot,
 )
-from .laws import run_all_laws
 from .simulation import STRENGTHS, check_rel_simulation, check_span_simulation, factor_det, factor_mdet
 
 
@@ -122,6 +121,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    from .laws import run_all_laws  # only this command needs the law suites and their random draws
+
     failures = run_all_laws(seed=args.seed, cases=args.cases)
     for f in failures:
         print(f, file=sys.stderr)

@@ -4,9 +4,11 @@ The powerset pipeline replaces each fiber by its full powerset and each
 transition by the direct-image function of its underlying relation.
 Because fibers are per node, subset states never mix states of different
 nodes, which already prunes everything a single global powerset would
-invent across nodes.  Subsets are int bitmasks stepped by one worklist;
-the full machine seeds it with every subset, the pruned one only with
-``{initial}``, so the pruned machine costs what it reaches, not 2^n.
+invent across nodes.  Subsets are int bitmasks stepped by one worklist
+(``_subset_closure``) and labelled afterwards (``_subset_machine``); the
+full machine seeds it with every subset, the pruned one only with
+``{initial}``, so the pruned machine costs what it reaches, not 2^n, and
+``simulation.factor_det`` with a simulation's image subsets.
 
 The multiset pipeline keeps the path counts instead: each transition
 becomes its counting matrix and the machine runs on multisets of states.
@@ -150,9 +152,7 @@ def det(a, *, prune: bool = False) -> DetAutomaton:
     counted before any subset is listed, the pruned one's as its subsets
     are reached.
     """
-    for n in a.base.nodes:
-        if len(a.fibers[n]) > POWERSET_CAP:
-            raise ValueError(f"fiber of {n!r} has {len(a.fibers[n])} states; refusing powerset above {POWERSET_CAP}")
+    _check_powerset_cap(a)
     bits = _state_bits(a)
     if prune:
         start = a.initial_node
@@ -162,7 +162,15 @@ def det(a, *, prune: bool = False) -> DetAutomaton:
         if steps > _WORK_BOUND:
             raise ValueError(f"full det would take {steps} subset steps, more than {_WORK_BOUND}")
         seeds = [(n, m) for n in a.base.nodes for m in range(1 << len(bits[n]))]
-    return _subset_construction(a, bits, seeds)
+    succ = {e.id: _successor_masks(a, e, bits) for e in a.base.edges}
+    return _subset_machine(a, bits, *_subset_closure(a, succ, seeds))[0]
+
+
+def _check_powerset_cap(a) -> None:
+    """Refuse, as a ``ValueError``, an automaton with a fiber wider than ``POWERSET_CAP``."""
+    for n in a.base.nodes:
+        if len(a.fibers[n]) > POWERSET_CAP:
+            raise ValueError(f"fiber of {n!r} has {len(a.fibers[n])} states; refusing powerset above {POWERSET_CAP}")
 
 
 def _state_bits(a) -> dict[str, dict[str, int]]:
@@ -184,28 +192,25 @@ def _successor_masks(a, e: Edge, bits: Mapping[str, Mapping[str, int]]) -> list[
     return masks
 
 
-def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
-                         seeds: list[tuple[str, int]]) -> DetAutomaton:
+def _subset_closure(a, succ: Mapping[str, list[int]], seeds: list[tuple[str, int]]
+                    ) -> tuple[dict[str, dict[int, list[int]]], dict[str, dict[int, int]]]:
     """Close the (distinct) seed subsets under every edge's direct image.
 
-    ``pos`` is ``_state_bits(a)``: a subset of node n's fiber is an int
-    whose bit i stands for the fiber's i-th state in string order.  Each
-    edge keeps one successor mask per source state (``_successor_masks``),
-    and a subset steps to the OR of its members' masks.  A subset's set
-    bits are listed once, when it is stepped, in O(|S|): each out-edge
-    ORs the masks at them, and the label joins the member names at them,
-    already in string order, after the node's head (``subset_state_label``
-    of no members, without its closing brace).  A subset is charged
-    max(1, out-degree) steps when first reached, and more than
-    ``_WORK_BOUND`` in all is a ``ValueError``.  Fibers list the reached
-    subsets by size, then by member names (``subsets_of`` order).
+    A subset of node n's fiber is an int whose bit i stands for the
+    fiber's i-th state in string order (``_state_bits``), and ``succ``
+    holds each edge's successor masks (``_successor_masks``): a subset
+    steps to the OR of its members' masks.  A subset's set bits are
+    listed once, when it is stepped, in O(|S|), and each out-edge ORs the
+    masks at them.  A subset is charged max(1, out-degree) steps when
+    first reached, and more than ``_WORK_BOUND`` in all is a
+    ``ValueError``.  Returns each node's reached subsets with their set
+    bits, and each edge's step table.
     """
-    order = {n: list(pos[n]) for n in a.base.nodes}
     cost = {n: max(1, len(a.base.out_edges(n))) for n in a.base.nodes}
     reached: dict[str, dict[int, list[int]]] = {n: {} for n in a.base.nodes}  # each subset's set bits, once stepped
     steps: dict[str, dict[int, int]] = {e.id: {} for e in a.base.edges}
     # per node, each out-edge's successor masks, step table, and target node's name, reached subsets and cost
-    moves = {n: [(_successor_masks(a, e, pos), steps[e.id], e.dst, reached[e.dst], cost[e.dst])
+    moves = {n: [(succ[e.id], steps[e.id], e.dst, reached[e.dst], cost[e.dst])
                  for e in a.base.out_edges(n)] for n in a.base.nodes}
     work = list(seeds)
     budget = _WORK_BOUND
@@ -231,12 +236,25 @@ def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
                 seen[t] = None
                 work.append((dst, t))
                 budget -= charge
+    return reached, steps
 
+
+def _subset_machine(a, pos: Mapping[str, Mapping[str, int]], reached: Mapping[str, Mapping[int, list[int]]],
+                    steps: Mapping[str, Mapping[int, int]]) -> tuple[DetAutomaton, dict[str, dict[int, str]]]:
+    """Label a ``_subset_closure`` as a deterministic automaton; also returns each node's labels by mask.
+
+    ``pos`` is ``_state_bits(a)``.  A label joins the member names at the
+    subset's set bits, already in string order, after the node's head
+    (``subset_state_label`` of no members, without its closing brace).
+    Fibers list the reached subsets by size, then by member names
+    (``subsets_of`` order).  The initial state is ``{initial}``, which the
+    closure must have reached.
+    """
     multi = len(a.base.nodes) > 1
     labels: dict[str, dict[int, str]] = {}
     finals = set()
     for n in a.base.nodes:
-        names = order[n]
+        names = list(pos[n])
         head = subset_state_label(n, (), multi)[:-1]
         ranked = sorted(reached[n].items(), key=lambda item: (len(item[1]), item[1]))
         labels[n] = {m: head + ",".join(map(names.__getitem__, set_bits)) + "}" for m, set_bits in ranked}
@@ -249,7 +267,7 @@ def _subset_construction(a, pos: Mapping[str, Mapping[str, int]],
     }
     start = a.initial_node
     initial = labels[start][1 << pos[start][a.initial]]
-    return DetAutomaton(a.base, fibers, tables, initial, finals)
+    return DetAutomaton(a.base, fibers, tables, initial, finals), labels
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,11 @@ from .spans import (
     _counted_pair_label,
     _pair_label,
     _WORK_BOUND,
-    compose_relations,
     compose_spans,
     dagger_span,
     from_matrix,
     from_relation,
     identity_span,
-    image,
     matrix_compose,
     span_morphism_search,
     subsets_of,
@@ -66,7 +64,10 @@ from .automata import (
 )
 from .determinize import (
     ExpandedMachine,
+    _check_powerset_cap,
     _state_bits,
+    _subset_closure,
+    _subset_machine,
     _successor_masks,
     det,
     expansion_state_label,
@@ -157,7 +158,10 @@ class FactorizationResult:
 
     ``composite_ok``: the mate composed with the canonical simulation
     gives back the input's components.  ``bisim_ok``: the mate and its
-    converse both pass at the mate's strength.  ``unique_ok``: the mate
+    converse both pass at the mate's strength.  From ``factor_det``,
+    ``mate.source`` is the closure of the mate's image subsets and of
+    ``{initial}``, a sub-automaton of ``det(f)``, while ``bisim_ok`` is the
+    verdict into the full ``det(f)``.  ``unique_ok``: the mate
     is the one function-component bisimulation through which the input
     factors; it is ``None`` outside the small-instance gate (at most two
     states per fiber and two edges for ``factor_det``, at most 4096
@@ -488,10 +492,15 @@ def canonical_mdet_simulation(a: SpanAutomaton, max_len: int, max_states: int = 
 def factor_det(alpha: Simulation) -> FactorizationResult:
     """Split a simulation into a deterministic target through the powerset machine.
 
-    The mate sends each target state to the set of source states its
-    component relates it to.  The composite against the membership
-    simulation always recovers the input; whether the mate is a
-    bisimulation is reported as data.
+    The mate sends each target state x to S_x, the set of source states
+    its component relates x to.  Its source, ``mate.source``, is the
+    closure of the image subsets and of ``{initial}`` under the edges,
+    labelled as ``det(f)`` labels them: a sub-automaton of ``det(f)``,
+    whose 2^n subsets are never built.  The composite against the
+    membership simulation recovers the input by construction, and
+    ``composite_ok`` checks each x's members against its component row.
+    ``bisim_ok`` is the verdict of ``check_bisimulation`` on the mate into
+    the full ``det(f)``, decided on subset masks (``_mate_is_bisimulation``).
 
     The mate is the only function-component candidate: composing a
     candidate x -> S(x) with membership gives back ``{(x, q) : q in S(x)}``,
@@ -512,31 +521,105 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
             _require(_check_squares(alpha, "lax"), "alpha fails its declared 'lax' check")
         _require(natural, "alpha is not natural at the relation level")
 
-    d = det(f)
-    multi = len(f.base.nodes) > 1
-    mate_components = {}
-    composite_ok = True
-    for n in f.base.nodes:
-        comp = image(alpha.components[n])
-        images = {x: comp(x) for x in g.fibers[n]}
-        labels = {x: subset_state_label(n, s, multi) for x, s in images.items()}
-        mate_components[n] = Relation(g.fibers[n], d.fibers[n], labels.items())
-        # a safety check, true by construction; membership is built only at the
-        # subsets the mate hits, since the composite reads no other rows
-        eps = Relation(d.fibers[n], f.fibers[n], {(labels[x], q) for x, s in images.items() for q in s})
-        composite_ok = composite_ok and compose_relations(mate_components[n], eps) == comp
-    mate = Simulation(d, g, mate_components, "strict")
+    _check_powerset_cap(f)
+    nodes = f.base.nodes
+    pos = _state_bits(f)
+    images = {n: dict.fromkeys(g.fibers[n], 0) for n in nodes}  # per node: S_x as a mask, per target state x
+    for n, image_of in images.items():
+        bit = pos[n]
+        for x, q in alpha.components[n].counts:
+            image_of[x] |= 1 << bit[q]
+    succ = {e.id: _successor_masks(f, e, pos) for e in f.base.edges}
+    start = f.initial_node
+    seeds = dict.fromkeys((n, m) for n in nodes for m in images[n].values())
+    seeds[start, 1 << pos[start][f.initial]] = None
+    reached, steps = _subset_closure(f, succ, list(seeds))
+    d, labels = _subset_machine(f, pos, reached, steps)
+    picks = {n: {(x, labels[n][m]): 1 for x, m in images[n].items()} for n in nodes}
+    mate = Simulation(d, g, {n: Span._counted(g.fibers[n], d.fibers[n], picks[n], _pair_label) for n in nodes}, "strict")
 
-    bisim_ok = check_bisimulation(mate)
+    # a safety check, true by construction: the mate's members of each x are alpha's row at x
+    composite_ok = all(
+        {(x, q) for x, m in images[n].items() for q, i in pos[n].items() if m >> i & 1}
+        == alpha.components[n].counts.keys()
+        for n in nodes
+    )
+    bisim_ok = _mate_is_bisimulation(f, g, images, succ, steps)
 
     unique_ok = None
     # the gate is kept only so that `factor` stdout and bench/ref.py do not change
     if (
-        all(len(f.fibers[n]) <= 2 and len(g.fibers[n]) <= 2 for n in f.base.nodes)
+        all(len(f.fibers[n]) <= 2 and len(g.fibers[n]) <= 2 for n in nodes)
         and len(f.base.edges) <= 2
     ):
         unique_ok = composite_ok and bisim_ok
     return FactorizationResult(mate, composite_ok, bisim_ok, unique_ok)
+
+
+def _mate_is_bisimulation(f: _FiberedAutomaton, g: DetAutomaton, images: Mapping[str, Mapping[str, int]],
+                          succ: Mapping[str, list[int]], steps: Mapping[str, Mapping[int, int]]) -> bool:
+    """Whether the mate x -> S_x and its converse pass the strict check into the full ``det(f)``.
+
+    ``images`` holds S_x as a mask per node and target state, ``succ`` the
+    source's successor masks and ``steps`` the step tables of a closure
+    that contains every image.  At an edge e: n -> m, with d_e the direct
+    image, the mate's squares are the forward legs d_e(S_x) = S_{g_e(x)}.
+    Its converse's squares at an image subset S are
+    {g_e(x) : S_x = S} = {y : S_y = d_e(S)}; the left side lies inside
+    the right one exactly when the forward legs at S hold, so comparing
+    the two sets decides both.  At every other subset S of n's fiber they
+    ask that d_e(S) be no image (``_steps_into``).
+    """
+    owners: dict[str, dict[int, list[str]]] = {n: {} for n in images}  # per node: each image's target states
+    for n, image_of in images.items():
+        for x, m in image_of.items():
+            owners[n].setdefault(m, []).append(x)
+    for e in f.base.edges:
+        step, table, masks = steps[e.id], g.transitions[e.id], succ[e.id]
+        at_src, at_dst = owners[e.src], owners[e.dst]
+        if any({table.get(x) for x in xs} != set(at_dst.get(step[m], ())) for m, xs in at_src.items()):
+            return False
+        # when every subset of n's fiber is an image, no other subset is left to step
+        if len(at_src) < 1 << len(masks) and any(_steps_into(masks, t, at_src) for t in at_dst):
+            return False
+    return True
+
+
+def _steps_into(masks: list[int], t: int, images: Mapping[int, object]) -> bool:
+    """Whether a subset that is not in ``images`` steps to ``t`` along an edge with successor ``masks``.
+
+    The subsets that step to t lie inside M_t = {q : succ(q) ⊆ t} and
+    cover t, and any superset of a cover inside M_t is a cover too.  So
+    the search starts at M_t, walks down to the covers one member
+    smaller, and stops at the first cover that is not an image; every
+    other cover it visits is an image, so it visits at most
+    ``len(images) + 1`` covers at O(n) each.  A member can go when no bit
+    of t is covered by it alone.
+    """
+    top = cover = 0
+    for i, s in enumerate(masks):
+        if not s & ~t:
+            top |= 1 << i
+            cover |= s
+    if cover != t:
+        return False
+    seen, work = {top}, [top]
+    while work:
+        m = work.pop()
+        if m not in images:
+            return True
+        members = [i for i in range(len(masks)) if m >> i & 1]
+        once = twice = 0
+        for i in members:
+            twice |= once & masks[i]
+            once |= masks[i]
+        alone = once & ~twice
+        for i in members:
+            smaller = m ^ 1 << i
+            if not masks[i] & alone and smaller not in seen:
+                seen.add(smaller)
+                work.append(smaller)
+    return False
 
 
 def _require(result: CheckResult, message: str) -> None:

@@ -8,7 +8,10 @@ to a length, independently of the structural checks in ``automata``
 (``lifts_uniquely`` and ``factors_uniquely`` state the theorems that tie
 the two together), and count the factorizations of a simulation by
 trying every function from target states to candidate states,
-independently of ``factor_det`` and ``factor_mdet``.  ``row_walk_verdict`` decides naturality squares from
+independently of ``factor_det`` and ``factor_mdet``;
+``full_powerset_bisim`` gives ``factor_det``'s verdicts from the full
+powerset machine, on draws such as ``random_closure_simulation`` and
+``chain_into_singletons``.  ``row_walk_verdict`` decides naturality squares from
 count rows at every strength, the yardstick for the support masks that
 decide strict and lax squares.  ``odd_names_example`` is a fixed
 automaton whose node names hold the characters of expansion labels.
@@ -51,7 +54,7 @@ from spanauto.automata import (
     is_deterministic,
     validate,
 )
-from spanauto.determinize import ClassicalNFA, ExpandedMachine, subset_state_label
+from spanauto.determinize import ClassicalNFA, ExpandedMachine, det, subset_state_label
 from spanauto.simulation import CheckResult, Simulation, check_bisimulation
 
 LETTERS = "abc"
@@ -392,6 +395,81 @@ def membership_relation(power_fiber: FinSet, fiber: FinSet, node: str, multi: bo
         fiber,
         {(subset_state_label(node, s, multi), q) for s in subsets_of(fiber) for q in s},
     )
+
+
+def full_powerset_bisim(alpha: Simulation) -> tuple[Simulation, bool, bool]:
+    """The mate of alpha read against the full ``det(f)``, with its composite and bisimulation verdicts.
+
+    Built independently of ``factor_det``: each target state x goes to
+    the ``det(f)`` state of alpha's image of x, the composite is taken
+    with the full membership relation, and ``check_bisimulation`` walks
+    the mate's squares and its converse's at every subset of every fiber.
+    Returns ``(mate, composite_ok, bisim_ok)``.
+    """
+    f, g = alpha.source, alpha.target
+    d = det(f)
+    multi = len(f.base.nodes) > 1
+    components = {}
+    composite_ok = True
+    for n in f.base.nodes:
+        row = image(alpha.components[n])
+        components[n] = Relation(g.fibers[n], d.fibers[n],
+                                 {(x, subset_state_label(n, row(x), multi)) for x in g.fibers[n]})
+        eps = membership_relation(d.fibers[n], f.fibers[n], n, multi)
+        composite_ok = composite_ok and compose_relations(components[n], eps) == row
+    mate = Simulation(d, g, components, "strict")
+    return mate, composite_ok, check_bisimulation(mate)
+
+
+def random_closure_simulation(rng: random.Random, max_nodes: int = 3, max_states: int = 10) -> Simulation:
+    """A strict membership simulation onto the closure of random subsets in ``det(f)``.
+
+    ``f`` is a span automaton with fibers of up to ``max_states`` states.
+    The target is the part of the full ``det(f)`` reached from up to three
+    random subsets per node (at least one in all), its states renamed
+    ``x0, x1, ...`` and its initial state drawn among them; each target
+    state relates to the members of its subset.  Such a simulation is
+    natural by construction, and its mate is a bisimulation exactly when
+    no subset outside the closure steps into it.
+    """
+    f = _draw_span_automaton(rng, max_nodes, max_states, max_edges_per_pair=2, max_mult=2)
+    d = det(f)
+    multi = len(f.base.nodes) > 1
+    members = {subset_state_label(n, s, multi): s for n in f.base.nodes for s in subsets_of(f.fibers[n])}
+    seeds = [rng.choice(d.fibers[n].elements) for n in f.base.nodes for _ in range(rng.randint(0, 3))]
+    reached = dict.fromkeys(seeds or [rng.choice(d.fibers[f.base.nodes[0]].elements)])
+    work = list(reached)
+    while work:
+        s = work.pop()
+        for e in d.base.out_edges(d.node_of(s)):
+            t = d.transitions[e.id][s]
+            if t not in reached:
+                reached[t] = None
+                work.append(t)
+    name = {s: f"x{i}" for i, s in enumerate(reached)}
+    fibers = {n: FinSet(f"G{i}", [name[s] for s in d.fibers[n] if s in name]) for i, n in enumerate(f.base.nodes)}
+    tables = {e.id: {name[s]: name[t] for s, t in d.transitions[e.id].items() if s in name} for e in f.base.edges}
+    g = DetAutomaton(f.base, fibers, tables, name[rng.choice(list(reached))], set())
+    components = {n: Relation(g.fibers[n], f.fibers[n],
+                              {(name[s], q) for s in d.fibers[n] if s in name for q in members[s]})
+                  for n in f.base.nodes}
+    return Simulation(f, g, components, "strict")
+
+
+def chain_into_singletons(size: int) -> Simulation:
+    """The chain q0 -> q1 -> ... onto a deterministic chain x0 -> x1 -> ... -> x_end -> x_end.
+
+    Each x_i relates to {q_i} and x_end to the empty subset, so the
+    simulation is strict and its mate's images are the singletons and {}.
+    """
+    base = BaseGraph(["n"], [("e", "e", "n", "n")])
+    qs = [f"q{i:02d}" for i in range(size)]
+    xs = [f"x{i:02d}" for i in range(size)] + ["x_end"]
+    fq, gq = FinSet("Q", qs), FinSet("G", xs)
+    steps = [Token(f"t{i}", q, t) for i, (q, t) in enumerate(zip(qs, qs[1:]))]
+    f = SpanAutomaton(base, {"n": fq}, {"e": Span(fq, fq, steps)}, qs[0], {qs[-1]})
+    g = DetAutomaton(base, {"n": gq}, {"e": {**dict(zip(xs, xs[1:])), "x_end": "x_end"}}, xs[0], set())
+    return Simulation(f, g, {"n": Relation(gq, fq, set(zip(xs, qs)))}, "strict")
 
 
 def enumerated_unique_det_factor(rel_alpha: Simulation, d: DetAutomaton, g: DetAutomaton) -> int:

@@ -19,7 +19,7 @@ import random
 import time
 
 from conftest import FIXTURES_DIR, GOLDEN_DIR
-from genlib import random_live_span_automaton
+from genlib import full_powerset_bisim, random_closure_simulation, random_live_span_automaton
 from spanauto.cli import main
 from spanauto.determinize import det, rel_of
 from spanauto.io import serialize_automaton, serialize_simulation
@@ -40,6 +40,16 @@ def _documents() -> list[str]:
         a = random_live_span_automaton(random.Random(seed), max_nodes=2, max_states=3)
         texts += [serialize_automaton(x) for x in (a, rel_of(a), det(a, prune=True))]
         texts += [serialize_simulation(s) for s in (identity_simulation(a, "pseudo"), canonical_det_simulation(a))]
+    # factor documents onto closures of subsets, over at least three source states:
+    # the first draw whose mate is a bisimulation, and the first whose is not
+    factors = {}
+    seed = 0
+    while len(factors) < 2:
+        alpha = random_closure_simulation(random.Random(seed), max_nodes=2, max_states=3)
+        if sum(map(len, alpha.source.fibers.values())) >= 3:
+            factors.setdefault(full_powerset_bisim(alpha)[2], alpha)
+        seed += 1
+    texts += [serialize_simulation(factors[True]), serialize_simulation(factors[False])]
     return texts
 
 

@@ -1224,6 +1224,23 @@ class TestCli:
         code, out, err = self.run("det", str(path), "--prune", capsys=capsys)
         assert (code, err) == (0, "") and len(json.loads(out)["fibers"]["n"]) == 21
 
+    def test_factor_det_decides_on_images_past_the_full_det_bound(self, tmp_path, capsys):
+        # det of the 20-state chain would take 2**20 subset steps, but factor steps only the
+        # 21 images; the mate is no bisimulation, since {q18,q19} is no image and steps to {q19}
+        import time
+
+        from genlib import chain_into_singletons
+
+        path = tmp_path / "chain.json"
+        path.write_text(serialize_simulation(chain_into_singletons(20)))
+        start = time.perf_counter()
+        code, out, err = self.run("factor", str(path), "--target", "det", capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (1, "check-failed: factorization does not satisfy the universal property\n")
+        result = json.loads(out)
+        assert (result["composite_ok"], result["bisim_ok"], result["unique_ok"]) == (True, False, None)
+        assert len(result["mate_components"]["n"]) == 21
+
     def test_endpoints_on_different_bases_rejected(self, fixtures_dir, tmp_path, capsys):
         # the node sets differ, so no component can be read against the target's fibers
         doc = {

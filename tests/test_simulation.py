@@ -415,15 +415,15 @@ class TestFactorDet:
             result = factor_det(alpha)
             f, g = alpha.source, alpha.target
             rel_alpha = Simulation(rel_of(f), g, {n: image(alpha.components[n]) for n in f.base.nodes}, "strict")
-            assert result.unique_ok == (enumerated_unique_det_factor(rel_alpha, result.mate.source, g) == 1), i
+            assert result.unique_ok == (enumerated_unique_det_factor(rel_alpha, det(f), g) == 1), i
             seen[result.unique_ok] += 1
         # some mates are not bisimulations, so the failing side is exercised too
         assert seen[True] and seen[False]
 
 
     def test_composite_ok_agrees_with_full_membership(self):
-        # factor_det composes the mate with membership at the subsets the mate
-        # hits; the composite reads no other row of the full relation
+        # factor_det compares the members of the subsets the mate hits; the
+        # composite reads no other row of the full membership relation
         import random
 
         rng = random.Random(2)
@@ -431,15 +431,55 @@ class TestFactorDet:
             for i in range(60):
                 alpha = random_factor_instance(rng, strength)
                 result = factor_det(alpha)
-                f, d = alpha.source, result.mate.source
+                f, g, d = alpha.source, alpha.target, det(alpha.source)
                 multi = len(f.base.nodes) > 1
                 full = all(
-                    compose_relations(image(result.mate.components[n]),
+                    compose_relations(Relation(g.fibers[n], d.fibers[n], image(result.mate.components[n]).pairs),
                                       membership_relation(d.fibers[n], f.fibers[n], n, multi))
                     == image(alpha.components[n])
                     for n in f.base.nodes
                 )
                 assert result.composite_ok == full, (strength, i)
+
+
+    def test_verdicts_agree_with_full_powerset_oracle(self):
+        # closures of random subsets in fibers of up to 10 states, on bases of up to
+        # three nodes, and factor instances inside the uniqueness gate; the mate's
+        # source is the part of det(f) its images reach, and the verdicts are det(f)'s
+        import random
+
+        from genlib import full_powerset_bisim, random_closure_simulation
+
+        rng = random.Random(3)
+        draws = [random_closure_simulation(rng) for _ in range(240)]
+        draws += [random_factor_instance(rng, strength) for strength in ("strict", "pseudo") for _ in range(40)]
+        seen = {True: 0, False: 0}
+        multi_node = 0
+        for i, alpha in enumerate(draws):
+            result = factor_det(alpha)
+            full, composite_ok, bisim_ok = full_powerset_bisim(alpha)
+            assert (result.composite_ok, result.bisim_ok) == (composite_ok, bisim_ok), i
+            d, nodes = result.mate.source, alpha.source.base.nodes
+            assert all(image(result.mate.components[n]).pairs == image(full.components[n]).pairs for n in nodes), i
+            assert all(set(d.fibers[n]) <= set(full.source.fibers[n]) for n in nodes), i
+            assert all(d.transitions[e].items() <= full.source.transitions[e].items() for e in d.transitions), i
+            assert d.initial == full.source.initial, i
+            seen[bisim_ok] += 1
+            multi_node += len(nodes) > 1
+        assert min(seen.values()) >= 50 and multi_node >= 50, (seen, multi_node)
+
+    def test_chain_into_singletons_is_no_bisimulation(self):
+        # x_i relates to q_i alone and x_end to nothing; the closure is the images,
+        # but the tail {q10,q11} outside it steps to the image {q11}
+        from genlib import chain_into_singletons, full_powerset_bisim
+
+        alpha = chain_into_singletons(12)
+        result = factor_det(alpha)
+        assert (result.composite_ok, result.bisim_ok) == (True, False)
+        assert len(result.mate.source.fibers["n"]) == 13
+        full, composite_ok, bisim_ok = full_powerset_bisim(alpha)
+        assert (composite_ok, bisim_ok) == (True, False)
+        assert image(result.mate.components["n"]).pairs == image(full.components["n"]).pairs
 
 
 class TestFactorMDet:
@@ -791,9 +831,11 @@ class TestMatrixFirstSquares:
         assert seen == {(ok, multi) for ok in (True, False) for multi in (True, False)}
 
     def test_passing_checks_build_no_composite(self, monkeypatch):
+        import random
         import sys
 
         import spanauto.spans as spans
+        from spanauto.laws import law_image_functor
 
         a = two_phase_example()
         span_sim, rel_sim = canonical_det_simulation(a), counit_simulation(a)
@@ -811,8 +853,8 @@ class TestMatrixFirstSquares:
         assert check_span_simulation(span_sim, "lax", witnesses=False).ok
         assert check_rel_simulation(rel_sim).ok
         assert calls == []
-        # the wrappers do count: factor_det's composite check composes relations
-        factor_det(rel_sim)
+        # the wrappers do count: the image-functor law composes relations
+        assert law_image_functor(random.Random(0), 3) is None
         assert "compose_relations" in calls
 
     def test_failing_result_carries_differences(self):
