@@ -181,9 +181,10 @@ class _FiberedAutomaton:
     pairs.  The base stores function tables, each item one transition,
     and builds its count rows straight from the table; kinds that store
     spans, relations or matrices derive from ``_MatrixAutomaton`` and read
-    theirs as the counting matrix's rows.  Matrices, rows and the
-    state-to-node index are built on first use and are not dataclass
-    fields, so equality and repr see the five fields only.  Equality holds
+    theirs as the counting matrix's rows.  Matrices, rows, the
+    state-to-node index and the support masks of ``determinize._masks``
+    are built on first use and are not dataclass fields, so equality and
+    repr see the five fields only.  Equality holds
     only between automata of the same kind, and repr names the kind's
     class.
     """
@@ -215,7 +216,7 @@ class _FiberedAutomaton:
         return nodes
 
     @cached_property
-    def _views(self) -> dict[tuple[str, str], object]:
+    def _views(self) -> dict[object, object]:
         return {}
 
     def node_of(self, state: str) -> Optional[str]:

@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--target det ignores it")
     p = command("laws", cmd_laws, "run the randomized law suites", file=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_at_least(1), default=200)
     command("dot", cmd_dot, "emit Graphviz text for a document")
     return parser
 

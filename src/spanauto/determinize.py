@@ -4,10 +4,13 @@ The powerset pipeline replaces each fiber by its full powerset and each
 transition by the direct-image function of its underlying relation.
 Because fibers are per node, subset states never mix states of different
 nodes, which already prunes everything a single global powerset would
-invent across nodes.  Subsets are int bitmasks stepped by one worklist
-(``_subset_closure``) and labelled afterwards (``_subset_machine``); the
-full machine seeds it with every subset, the pruned one only with
-``{initial}``, so the pruned machine costs what it reaches, not 2^n, and
+invent across nodes.  Subsets are int bitmasks over one cached view per
+automaton (``_masks``: each state's bit and each edge's successor
+masks), which ``simulation``'s support squares and ``factor_det`` read
+too.  They are stepped by one worklist (``_subset_closure``) and
+labelled afterwards (``_subset_machine``); the full machine seeds it
+with every subset, the pruned one only with ``{initial}``, so the
+pruned machine costs what it reaches, not 2^n, and
 ``simulation.factor_det`` with a simulation's image subsets.
 
 The multiset pipeline keeps the path counts instead: each transition
@@ -48,7 +51,6 @@ from .spans import (
 from .automata import (
     BaseGraph,
     DetAutomaton,
-    Edge,
     MDetMachine,
     RelAutomaton,
     SpanAutomaton,
@@ -152,8 +154,12 @@ def det(a, *, prune: bool = False) -> DetAutomaton:
     counted before any subset is listed, the pruned one's as its subsets
     are reached.
     """
-    _check_powerset_cap(a)
-    bits = _state_bits(a)
+    return _det(a, prune)[0]
+
+
+def _det(a, prune: bool = False) -> tuple[DetAutomaton, dict[str, dict[int, str]]]:
+    """``det``, and each node's state labels by subset mask (``_subset_machine``)."""
+    bits, _ = _masks(a)
     if prune:
         start = a.initial_node
         seeds = [(start, 1 << bits[start][a.initial])]
@@ -162,50 +168,49 @@ def det(a, *, prune: bool = False) -> DetAutomaton:
         if steps > _WORK_BOUND:
             raise ValueError(f"full det would take {steps} subset steps, more than {_WORK_BOUND}")
         seeds = [(n, m) for n in a.base.nodes for m in range(1 << len(bits[n]))]
-    succ = {e.id: _successor_masks(a, e, bits) for e in a.base.edges}
-    return _subset_machine(a, bits, *_subset_closure(a, succ, seeds))[0]
+    return _subset_machine(a, *_subset_closure(a, seeds))
 
 
-def _check_powerset_cap(a) -> None:
-    """Refuse, as a ``ValueError``, an automaton with a fiber wider than ``POWERSET_CAP``."""
-    for n in a.base.nodes:
-        if len(a.fibers[n]) > POWERSET_CAP:
-            raise ValueError(f"fiber of {n!r} has {len(a.fibers[n])} states; refusing powerset above {POWERSET_CAP}")
+def _masks(a) -> tuple[dict[str, dict[str, int]], dict[str, list[int]]]:
+    """The support-mask view of an automaton: each node's bit per state, each edge's successor masks.
 
-
-def _state_bits(a) -> dict[str, dict[str, int]]:
-    """Each state's bit in a subset mask of its fiber: its position in the fiber's sorted order."""
-    return {n: {q: i for i, q in enumerate(sorted(a.fibers[n]))} for n in a.base.nodes}
-
-
-def _successor_masks(a, e: Edge, bits: Mapping[str, Mapping[str, int]]) -> list[int]:
-    """An edge's support as one mask per source state, indexed by the state's bit.
-
-    ``bits`` is ``_state_bits(a)``; the mask of q ORs the bits of the
-    targets in q's count row along e.
+    A subset of node n's fiber is an int whose bit i stands for the
+    fiber's i-th state in string order.  An edge's successor masks hold
+    one mask per source bit, the OR of the bits of the targets in that
+    state's count row.  Built on first use and kept with the automaton's
+    rows (``a._views``); a fiber wider than ``POWERSET_CAP`` is refused, as
+    a ``ValueError``, before any mask is built.
     """
-    src_bits, dst_bits = bits[e.src], bits[e.dst]
-    masks = [0] * len(src_bits)
-    for q, row in a.rows(e.id).items():
-        for t in row:
-            masks[src_bits[q]] |= 1 << dst_bits[t]
-    return masks
+    view = a._views.get("masks")
+    if view is None:
+        for n in a.base.nodes:
+            if len(a.fibers[n]) > POWERSET_CAP:
+                raise ValueError(f"fiber of {n!r} has {len(a.fibers[n])} states; refusing powerset above {POWERSET_CAP}")
+        bits = {n: {q: i for i, q in enumerate(sorted(a.fibers[n]))} for n in a.base.nodes}
+        succ = {}
+        for e in a.base.edges:
+            src_bits, dst_bits = bits[e.src], bits[e.dst]
+            masks = succ[e.id] = [0] * len(src_bits)
+            for q, row in a.rows(e.id).items():
+                for t in row:
+                    masks[src_bits[q]] |= 1 << dst_bits[t]
+        view = a._views["masks"] = bits, succ
+    return view
 
 
-def _subset_closure(a, succ: Mapping[str, list[int]], seeds: list[tuple[str, int]]
+def _subset_closure(a, seeds: list[tuple[str, int]]
                     ) -> tuple[dict[str, dict[int, list[int]]], dict[str, dict[int, int]]]:
     """Close the (distinct) seed subsets under every edge's direct image.
 
-    A subset of node n's fiber is an int whose bit i stands for the
-    fiber's i-th state in string order (``_state_bits``), and ``succ``
-    holds each edge's successor masks (``_successor_masks``): a subset
-    steps to the OR of its members' masks.  A subset's set bits are
-    listed once, when it is stepped, in O(|S|), and each out-edge ORs the
-    masks at them.  A subset is charged max(1, out-degree) steps when
+    Subsets are masks of the automaton's mask view (``_masks``): a subset
+    steps to the OR of its members' successor masks.  A subset's set bits
+    are listed once, when it is stepped, in O(|S|), and each out-edge ORs
+    the masks at them.  A subset is charged max(1, out-degree) steps when
     first reached, and more than ``_WORK_BOUND`` in all is a
     ``ValueError``.  Returns each node's reached subsets with their set
     bits, and each edge's step table.
     """
+    succ = _masks(a)[1]
     cost = {n: max(1, len(a.base.out_edges(n))) for n in a.base.nodes}
     reached: dict[str, dict[int, list[int]]] = {n: {} for n in a.base.nodes}  # each subset's set bits, once stepped
     steps: dict[str, dict[int, int]] = {e.id: {} for e in a.base.edges}
@@ -239,17 +244,18 @@ def _subset_closure(a, succ: Mapping[str, list[int]], seeds: list[tuple[str, int
     return reached, steps
 
 
-def _subset_machine(a, pos: Mapping[str, Mapping[str, int]], reached: Mapping[str, Mapping[int, list[int]]],
-                    steps: Mapping[str, Mapping[int, int]]) -> tuple[DetAutomaton, dict[str, dict[int, str]]]:
+def _subset_machine(a, reached: Mapping[str, Mapping[int, list[int]]], steps: Mapping[str, Mapping[int, int]]
+                    ) -> tuple[DetAutomaton, dict[str, dict[int, str]]]:
     """Label a ``_subset_closure`` as a deterministic automaton; also returns each node's labels by mask.
 
-    ``pos`` is ``_state_bits(a)``.  A label joins the member names at the
-    subset's set bits, already in string order, after the node's head
+    A label joins the member names at the subset's set bits, already in
+    string order (``_masks``), after the node's head
     (``subset_state_label`` of no members, without its closing brace).
     Fibers list the reached subsets by size, then by member names
     (``subsets_of`` order).  The initial state is ``{initial}``, which the
     closure must have reached.
     """
+    pos = _masks(a)[0]
     multi = len(a.base.nodes) > 1
     labels: dict[str, dict[int, str]] = {}
     finals = set()

@@ -12,7 +12,7 @@ import itertools
 import random
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .spans import (
     FinSet,

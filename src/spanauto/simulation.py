@@ -25,7 +25,10 @@ witnesses of squares that already passed.
 
 ``factor_det`` and ``factor_mdet`` split a simulation into a determinized
 target through the canonical simulation, reporting which of the expected
-properties of the factor actually hold on the given input.
+properties of the factor actually hold on the given input.  The support
+squares, ``factor_det`` and ``canonical_det_simulation`` read subsets
+through the source's one cached mask view, ``determinize._masks``, the
+one ``det`` steps.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .spans import (
     identity_span,
     matrix_compose,
     span_morphism_search,
-    subsets_of,
     to_matrix,
 )
 from .automata import (
@@ -64,16 +66,13 @@ from .automata import (
 )
 from .determinize import (
     ExpandedMachine,
-    _check_powerset_cap,
-    _state_bits,
+    _det,
+    _masks,
     _subset_closure,
     _subset_machine,
-    _successor_masks,
-    det,
     expansion_state_label,
     mdet,
     mdet_expand,
-    subset_state_label,
 )
 
 __all__ = [
@@ -89,7 +88,6 @@ __all__ = [
     "check_bisimulation",
     "canonical_det_simulation",
     "canonical_mdet_simulation",
-    "membership_span",
     "multiplicity_span",
     "transition_span",
     "factor_det",
@@ -267,18 +265,18 @@ def _square(sim: Simulation, e: Edge, comps: Mapping[str, _Rows], partial: bool)
 def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[Edge]:
     """The first edge whose square fails on supports, or None.
 
-    Supports are int masks over the source's fibers, in ``_state_bits``
-    order.  At an edge e and a target state x, ``left`` is the OR of the
-    source's successor masks of e over x's component row, and ``right``
-    the OR of the component masks of x's successors along e.  The support
-    of a product of count matrices is the relation composite of their
-    supports, so these are the supports of the square's two rows at x.  A
-    strict square wants them equal, a lax one wants ``left`` inside
-    ``right``.  A mask is as wide as its fiber, so the caller keeps this
-    to sources whose fibers have at most ``POWERSET_CAP`` states.
+    Supports are int masks over the source's fibers, in its mask view
+    (``_masks``).  At an edge e and a target state x, ``left`` is the OR
+    of the source's successor masks of e over x's component row, and
+    ``right`` the OR of the component masks of x's successors along e.
+    The support of a product of count matrices is the relation composite
+    of their supports, so these are the supports of the square's two rows
+    at x.  A strict square wants them equal, a lax one wants ``left``
+    inside ``right``.  The view refuses a fiber wider than
+    ``POWERSET_CAP``, so the caller keeps this to narrower sources.
     """
     src, tgt = sim.source, sim.target
-    bits = _state_bits(src)
+    bits, succ_of = _masks(src)
     comp_bits: dict[str, dict[str, list[int]]] = {}
     comp_masks: dict[str, dict[str, int]] = {}
     for n in src.base.nodes:
@@ -290,8 +288,7 @@ def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[E
             masks[x] = masks.get(x, 0) | 1 << bit[q]
         comp_bits[n], comp_masks[n] = row_bits, masks
     for e in src.base.edges:
-        succ = _successor_masks(src, e, bits)
-        row_bits, masks = comp_bits[e.src], comp_masks[e.dst]
+        succ, row_bits, masks = succ_of[e.id], comp_bits[e.src], comp_masks[e.dst]
         steps = tgt.rows(e.id)
         for x in steps if partial else tgt.fibers[e.src].elements:
             left = 0
@@ -428,33 +425,21 @@ def check_bisimulation(sim: Simulation) -> bool:
 # canonical simulations
 
 
-def membership_span(power_fiber: FinSet, fiber: FinSet, node: str, multi_node: bool) -> Span:
-    """The membership relation from a powerset fiber, embedded as a span.
-
-    Tokens are ``(S,q)``, by subset in ``subsets_of`` order, then by member.
-    """
-    counts = {}
-    for s in subsets_of(fiber):
-        lbl = subset_state_label(node, s, multi_node)
-        if lbl not in power_fiber:
-            raise ValueError(f"subset {lbl!r} is not in {power_fiber.name!r}")
-        for q in sorted(s):
-            counts[lbl, q] = 1
-    return Span._counted(power_fiber, fiber, counts, _pair_label)
-
-
 def canonical_det_simulation(a: SpanAutomaton) -> Simulation:
     """The membership simulation from an automaton to its powerset machine.
 
-    Component at each node: the pairs (S, q) with q in S.  It always
+    Component at each node: the pairs (S, q) with q in S, as tokens
+    ``(S,q)``, by subset in ``det`` order, then by member.  It always
     passes the lax check; it is pseudo only when no square composite
     carries a multiplicity above one.
     """
-    d = det(a)
-    multi = len(a.base.nodes) > 1
-    components = {
-        n: membership_span(d.fibers[n], a.fibers[n], n, multi) for n in a.base.nodes
-    }
+    d, labels = _det(a)
+    bits = _masks(a)[0]
+    components = {}
+    for n in a.base.nodes:
+        names = list(bits[n])
+        members = {(lbl, q): 1 for m, lbl in labels[n].items() for i, q in enumerate(names) if m >> i & 1}
+        components[n] = Span._counted(d.fibers[n], a.fibers[n], members, _pair_label)
     return Simulation(a, d, components, "lax")
 
 
@@ -521,20 +506,18 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
             _require(_check_squares(alpha, "lax"), "alpha fails its declared 'lax' check")
         _require(natural, "alpha is not natural at the relation level")
 
-    _check_powerset_cap(f)
     nodes = f.base.nodes
-    pos = _state_bits(f)
+    pos = _masks(f)[0]  # refuses a fiber wider than POWERSET_CAP, once alpha is known to be natural
     images = {n: dict.fromkeys(g.fibers[n], 0) for n in nodes}  # per node: S_x as a mask, per target state x
     for n, image_of in images.items():
         bit = pos[n]
         for x, q in alpha.components[n].counts:
             image_of[x] |= 1 << bit[q]
-    succ = {e.id: _successor_masks(f, e, pos) for e in f.base.edges}
     start = f.initial_node
     seeds = dict.fromkeys((n, m) for n in nodes for m in images[n].values())
     seeds[start, 1 << pos[start][f.initial]] = None
-    reached, steps = _subset_closure(f, succ, list(seeds))
-    d, labels = _subset_machine(f, pos, reached, steps)
+    reached, steps = _subset_closure(f, list(seeds))
+    d, labels = _subset_machine(f, reached, steps)
     picks = {n: {(x, labels[n][m]): 1 for x, m in images[n].items()} for n in nodes}
     mate = Simulation(d, g, {n: Span._counted(g.fibers[n], d.fibers[n], picks[n], _pair_label) for n in nodes}, "strict")
 
@@ -544,7 +527,7 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
         == alpha.components[n].counts.keys()
         for n in nodes
     )
-    bisim_ok = _mate_is_bisimulation(f, g, images, succ, steps)
+    bisim_ok = _mate_is_bisimulation(f, g, images, steps)
 
     unique_ok = None
     # the gate is kept only so that `factor` stdout and bench/ref.py do not change
@@ -557,19 +540,20 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
 
 
 def _mate_is_bisimulation(f: _FiberedAutomaton, g: DetAutomaton, images: Mapping[str, Mapping[str, int]],
-                          succ: Mapping[str, list[int]], steps: Mapping[str, Mapping[int, int]]) -> bool:
+                          steps: Mapping[str, Mapping[int, int]]) -> bool:
     """Whether the mate x -> S_x and its converse pass the strict check into the full ``det(f)``.
 
-    ``images`` holds S_x as a mask per node and target state, ``succ`` the
-    source's successor masks and ``steps`` the step tables of a closure
-    that contains every image.  At an edge e: n -> m, with d_e the direct
-    image, the mate's squares are the forward legs d_e(S_x) = S_{g_e(x)}.
-    Its converse's squares at an image subset S are
+    ``images`` holds S_x as a mask of the source's mask view
+    (``_masks``) per node and target state, and ``steps`` the step tables
+    of a closure that contains every image.  At an edge e: n -> m, with
+    d_e the direct image, the mate's squares are the forward legs
+    d_e(S_x) = S_{g_e(x)}.  Its converse's squares at an image subset S are
     {g_e(x) : S_x = S} = {y : S_y = d_e(S)}; the left side lies inside
     the right one exactly when the forward legs at S hold, so comparing
     the two sets decides both.  At every other subset S of n's fiber they
     ask that d_e(S) be no image (``_steps_into``).
     """
+    succ = _masks(f)[1]
     owners: dict[str, dict[int, list[str]]] = {n: {} for n in images}  # per node: each image's target states
     for n, image_of in images.items():
         for x, m in image_of.items():

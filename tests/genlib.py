@@ -11,7 +11,8 @@ trying every function from target states to candidate states,
 independently of ``factor_det`` and ``factor_mdet``;
 ``full_powerset_bisim`` gives ``factor_det``'s verdicts from the full
 powerset machine, on draws such as ``random_closure_simulation`` and
-``chain_into_singletons``.  ``row_walk_verdict`` decides naturality squares from
+``chain_into_singletons``; ``nth_letter_from_end`` is the automaton
+whose pruned powerset machine reaches 2^n subsets.  ``row_walk_verdict`` decides naturality squares from
 count rows at every strength, the yardstick for the support masks that
 decide strict and lax squares.  ``odd_names_example`` is a fixed
 automaton whose node names hold the characters of expansion labels.
@@ -470,6 +471,18 @@ def chain_into_singletons(size: int) -> Simulation:
     f = SpanAutomaton(base, {"n": fq}, {"e": Span(fq, fq, steps)}, qs[0], {qs[-1]})
     g = DetAutomaton(base, {"n": gq}, {"e": {**dict(zip(xs, xs[1:])), "x_end": "x_end"}}, xs[0], set())
     return Simulation(f, g, {"n": Relation(gq, fq, set(zip(xs, qs)))}, "strict")
+
+
+def nth_letter_from_end(n: int) -> SpanAutomaton:
+    """The words over {a, b} whose n-th letter from the end is a: n + 1 states, 2^n reachable subsets."""
+    q = FinSet("Q", [f"q{i:02d}" for i in range(n + 1)])
+    base = BaseGraph(["s"], [("a", "a", "s", "s"), ("b", "b", "s", "s")])
+    chain = [(f"q{i:02d}", f"q{i + 1:02d}") for i in range(1, n)]
+    spans = {
+        "a": Span(q, q, [Token(f"{x}>{y}", x, y) for x, y in [("q00", "q00"), ("q00", "q01"), *chain]]),
+        "b": Span(q, q, [Token(f"{x}>{y}", x, y) for x, y in [("q00", "q00"), *chain]]),
+    }
+    return SpanAutomaton(base, {"s": q}, spans, "q00", {f"q{n:02d}"})
 
 
 def enumerated_unique_det_factor(rel_alpha: Simulation, d: DetAutomaton, g: DetAutomaton) -> int:

@@ -33,7 +33,7 @@ from spanauto.determinize import (
 )
 from spanauto.fixtures import two_phase_example, two_state_classical, two_state_example
 
-from genlib import lifts_uniquely, odd_names_example
+from genlib import lifts_uniquely, nth_letter_from_end, odd_names_example
 
 
 class TestRelOf:
@@ -120,16 +120,18 @@ class TestDet:
         # a function table is read as rows and successor masks directly; no count matrix is built for them
         import random
         from genlib import random_span_automaton
-        from spanauto.determinize import _state_bits, _successor_masks
+        from spanauto.determinize import _masks
 
         rng = random.Random(16)
         for _ in range(30):
             a = random_span_automaton(rng, max_nodes=3, max_states=3)
             for d in (det(a), det(a, prune=True), mdet_expand(mdet(a), 6, 3)):
-                bits = _state_bits(d)
+                view = _masks(d)
+                bits, masks = view
                 rows = {e.id: d.rows(e.id) for e in d.base.edges}
-                masks = {e.id: _successor_masks(d, e, bits) for e in d.base.edges}
-                assert not any(key[0] == "matrix" for key in d._views)
+                assert _masks(d) is view  # built once, then read from the automaton's cache
+                assert all(("matrix", e.id) not in d._views for e in d.base.edges)
+                assert bits == {n: {q: i for i, q in enumerate(sorted(d.fibers[n]))} for n in d.base.nodes}
                 for e in d.base.edges:
                     entries = d.matrix(e.id).entries
                     assert rows[e.id] == {q: {t: c} for (q, t), c in entries.items()}
@@ -417,18 +419,6 @@ class TestMDetExpandOracle:
     def test_seed_at_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="'zz'"):
             mdet_expand(mdet(two_state_example()), 10, 2, extra_seeds={"zz": [(1,)]})
-
-
-def nth_letter_from_end(n: int) -> SpanAutomaton:
-    """The words over {a, b} whose n-th letter from the end is a: n + 1 states, 2^n reachable subsets."""
-    q = FinSet("Q", [f"q{i:02d}" for i in range(n + 1)])
-    base = BaseGraph(["s"], [("a", "a", "s", "s"), ("b", "b", "s", "s")])
-    chain = [(f"q{i:02d}", f"q{i + 1:02d}") for i in range(1, n)]
-    spans = {
-        "a": Span(q, q, [Token(f"{x}>{y}", x, y) for x, y in [("q00", "q00"), ("q00", "q01"), *chain]]),
-        "b": Span(q, q, [Token(f"{x}>{y}", x, y) for x, y in [("q00", "q00"), *chain]]),
-    }
-    return SpanAutomaton(base, {"s": q}, spans, "q00", {f"q{n:02d}"})
 
 
 class TestClassical:

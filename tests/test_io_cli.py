@@ -976,13 +976,15 @@ class TestCli:
             (["mdet", span, "--expand", "--max-states", "0"], "--max-states: must be at least 1, got 0"),
             (["factor", det_sim, "--target", "det", "--max-len", "-5"], "--max-len: must be at least 0, got -5"),
             (["factor", mdet_sim, "--target", "mdet", "--max-len", "-1"], "--max-len: must be at least 0, got -1"),
+            (["laws", "--cases", "0"], "--cases: must be at least 1, got 0"),
         ]
         for argv, fragment in cases:
             code, out, err = self.run(*argv, capsys=capsys)
             assert (code, out) == (2, ""), argv
             assert err.startswith("input-error:") and len(err.splitlines()) == 1 and fragment in err, argv
         # the least value of each bound is accepted
-        for argv in (["lang", span, "--max-len", "0"], ["mdet", span, "--expand", "--max-len", "0", "--max-states", "1"]):
+        for argv in (["lang", span, "--max-len", "0"], ["mdet", span, "--expand", "--max-len", "0", "--max-states", "1"],
+                     ["laws", "--cases", "1"]):
             assert self.run(*argv, capsys=capsys)[0] == 0, argv
 
     def test_boolean_counts_rejected(self, fixtures_dir, tmp_path, capsys):

@@ -482,6 +482,31 @@ class TestFactorDet:
         assert image(result.mate.components["n"]).pairs == image(full.components["n"]).pairs
 
 
+    @staticmethod
+    def onto_one_state(f, members):
+        """A strict simulation from ``f`` onto one state looping on every edge, related to ``members``."""
+        node, gq = f.initial_node, FinSet("G", ["x"])
+        g = DetAutomaton(f.base, {node: gq}, {e.id: {"x": "x"} for e in f.base.edges}, "x", set())
+        return Simulation(f, g, {node: Relation(gq, f.fibers[node], {("x", q) for q in members})}, "strict")
+
+    def test_error_order(self):
+        # alpha's naturality is decided before the powerset cap refuses the source and
+        # before any subset is stepped: the pruned closure of nth_letter_from_end(19)
+        # passes the work bound (test_determinize), yet its non-natural alpha says so at once
+        from genlib import chain_into_singletons, nth_letter_from_end
+
+        wide = chain_into_singletons(POWERSET_CAP + 1).source
+        cases = [
+            (wide, ["q00"], "alpha is not natural at the relation level: square at edge 'e' differs: "),
+            (wide, [], f"fiber of 'n' has {POWERSET_CAP + 1} states; refusing powerset above {POWERSET_CAP}"),
+            (nth_letter_from_end(19), ["q00"], "alpha is not natural at the relation level: square at edge 'a' differs: "),
+        ]
+        for f, members, message in cases:
+            with pytest.raises(ValueError) as info:
+                factor_det(self.onto_one_state(f, members))
+            assert str(info.value).startswith(message), str(info.value)
+
+
 class TestFactorMDet:
     def test_identity_on_deterministic_gives_unit_mate(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
@@ -933,11 +958,15 @@ class TestTransitionMatrix:
             mdet(stray)
 
     def test_caches_stay_out_of_equality_and_repr(self):
+        from spanauto.determinize import _masks
+
         a, b = two_state_example(), two_state_example()
         before = repr(a)
         for e in a.base.edges:
             a.rows(e.id)
         a.node_of(a.initial)
+        _masks(a)
+        assert "masks" in a._views
         assert a == b and repr(a) == before == repr(b)
 
 
