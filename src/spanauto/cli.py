@@ -12,6 +12,7 @@ import argparse
 import functools
 import sys
 from collections import Counter
+from typing import Optional
 
 from .automata import _accepted_sweep, validate
 from .determinize import (
@@ -137,15 +138,21 @@ def cmd_dot(args) -> int:
     return 0
 
 
-def _at_least(least: int):
-    """An argparse ``type``: an integer no smaller than ``least``, so a bound is refused before any work."""
+def _bounded_int(least: int, most: Optional[int] = None):
+    """An argparse ``type``: an integer from ``least`` up to ``most``, if given, so a bound is refused before any work."""
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type when int() fails: "invalid int value: 'x'"
     return parse
+
+
+# ``laws --cases`` runs in time linear in the count: 2,000 cases take about 2 s
+_MAX_LAW_CASES = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,24 +184,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", action="store_true", help="keep only reachable states")
     p = command("mdet", cmd_mdet, "counting (multiset) determinization")
     p.add_argument("--expand", action="store_true", help="emit the bounded explicit machine")
-    p.add_argument("--max-len", type=_at_least(0), default=4, metavar="L",
+    p.add_argument("--max-len", type=_bounded_int(0), default=4, metavar="L",
                    help="with --expand, explore at most L layers from the start (default: %(default)s)")
-    p.add_argument("--max-states", type=_at_least(1), default=64, metavar="K",
+    p.add_argument("--max-states", type=_bounded_int(1), default=64, metavar="K",
                    help="with --expand, stop once more than K states appear (default: %(default)s)")
     command("classical", cmd_classical, "textbook subset construction of a classical-nfa document")
     p = command("lang", cmd_lang, "accepted words up to a length")
-    p.add_argument("--max-len", type=_at_least(0), required=True, metavar="L", help="list words of length at most L")
+    p.add_argument("--max-len", type=_bounded_int(0), required=True, metavar="L", help="list words of length at most L")
     p.add_argument("--count", action="store_true", help="append the number of accepting runs")
     p = command("sim-check", cmd_sim_check, "check a simulation document for naturality")
     p.add_argument("--mode", choices=STRENGTHS, required=True)
     p = command("factor", cmd_factor, "factor a simulation through a determinization")
     p.add_argument("--target", choices=["det", "mdet"], required=True)
-    p.add_argument("--max-len", type=_at_least(0), default=4, metavar="L",
+    p.add_argument("--max-len", type=_bounded_int(0), default=4, metavar="L",
                    help="bounds only the --target mdet expansion, to L layers (default: %(default)s); "
                         "--target det ignores it")
     p = command("laws", cmd_laws, "run the randomized law suites", file=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_at_least(1), default=200)
+    p.add_argument("--cases", type=_bounded_int(1, _MAX_LAW_CASES), default=200)
     command("dot", cmd_dot, "emit Graphviz text for a document")
     return parser
 

@@ -11,7 +11,9 @@ too.  They are stepped by one worklist (``_subset_closure``) and
 labelled afterwards (``_subset_machine``); the full machine seeds it
 with every subset, the pruned one only with ``{initial}``, so the
 pruned machine costs what it reaches, not 2^n, and
-``simulation.factor_det`` with a simulation's image subsets.
+``simulation.factor_det`` with a simulation's image subsets.  The seeds
+are stepped first, so ``factor_det`` decides alpha's squares from their
+steps before the closure goes on, and no image is stepped twice.
 
 The multiset pipeline keeps the path counts instead: each transition
 becomes its counting matrix and the machine runs on multisets of states.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, repeat
 from operator import add, itemgetter, mul
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .spans import (
     FinSet,
@@ -198,17 +200,20 @@ def _masks(a) -> tuple[dict[str, dict[str, int]], dict[str, list[int]]]:
     return view
 
 
-def _subset_closure(a, seeds: list[tuple[str, int]]
-                    ) -> tuple[dict[str, dict[int, list[int]]], dict[str, dict[int, int]]]:
+def _subset_closure(a, seeds: list[tuple[str, int]], decide: Optional[Callable[[dict], None]] = None,
+                    command: str = "det") -> tuple[dict[str, dict[int, list[int]]], dict[str, dict[int, int]]]:
     """Close the (distinct) seed subsets under every edge's direct image.
 
     Subsets are masks of the automaton's mask view (``_masks``): a subset
     steps to the OR of its members' successor masks.  A subset's set bits
     are listed once, when it is stepped, in O(|S|), and each out-edge ORs
-    the masks at them.  A subset is charged max(1, out-degree) steps when
-    first reached, and more than ``_WORK_BOUND`` in all is a
-    ``ValueError``.  Returns each node's reached subsets with their set
-    bits, and each edge's step table.
+    the masks at them.  The seeds, the caller's own list, are stepped
+    first; ``decide``, when given, then sees the step tables, which hold
+    every seed's steps, before any other subset is stepped, and may raise
+    to end the closure there.  A subset is charged max(1, out-degree)
+    steps when first reached, and more than ``_WORK_BOUND`` in all is a
+    ``ValueError`` naming ``command``.  Returns each node's reached subsets
+    with their set bits, and each edge's step table.
     """
     succ = _masks(a)[1]
     cost = {n: max(1, len(a.base.out_edges(n))) for n in a.base.nodes}
@@ -217,14 +222,14 @@ def _subset_closure(a, seeds: list[tuple[str, int]]
     # per node, each out-edge's successor masks, step table, and target node's name, reached subsets and cost
     moves = {n: [(succ[e.id], steps[e.id], e.dst, reached[e.dst], cost[e.dst])
                  for e in a.base.out_edges(n)] for n in a.base.nodes}
-    work = list(seeds)
+    work, fresh = list(seeds), []  # the seeds are stepped first; what they reach waits in ``fresh``
     budget = _WORK_BOUND
     for n, m in work:
         reached[n][m] = None
         budget -= cost[n]
     while work:
-        if budget < 0:
-            raise ValueError(f"det would take more than {_WORK_BOUND} subset steps")
+        if budget < 0 and work is fresh:
+            break
         n, m = work.pop()
         set_bits, rest = [], m
         while rest:
@@ -239,8 +244,14 @@ def _subset_closure(a, seeds: list[tuple[str, int]]
             step[m] = t
             if t not in seen:
                 seen[t] = None
-                work.append((dst, t))
+                fresh.append((dst, t))
                 budget -= charge
+        if not work and work is not fresh:  # every seed is stepped
+            if decide is not None:
+                decide(steps)
+            work = fresh
+    if budget < 0:
+        raise ValueError(f"{command} would take more than {_WORK_BOUND} subset steps")
     return reached, steps
 
 

@@ -18,16 +18,21 @@ table (``det``, an expansion) or from count rows (spans, relations); an
 expansion's counts are written from the text its labels were built
 from, so a count becomes text once.
 
-Parsing costs O(entries): each ``from``/``to``/``count`` entry becomes one
-count, and a span's tokens are built only when asked for.  A ``det``
-document's entries become its function tables by one ``dict`` build per
-edge, read by the checks as tables, with no counting matrix.
+Parsing touches each entry once.  A ``det`` transition list becomes its
+function table in one C-level pass (``_function_table``), which the
+checks read as a table, with no counting matrix.  Span, rel and
+component lists become counts ``{(from, to): count}`` in one tight loop
+(``_count_entries``), and a span's tokens are built only when asked for.
+Both keep list order.  A list that either refuses is read again entry by
+entry, which words its first fault, so the error text and order are
+those of that reader alone.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 from pathlib import Path
 from itertools import chain
 from typing import Optional, Union
@@ -139,14 +144,19 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
 
     counted = kind == "span"
     transitions: dict[str, dict[tuple[str, str], int]] = {}
+    tables: dict[str, dict[str, str]] = {}  # det only: the lists read as tables in one pass
     for e in base.edges:
         at = f"transitions.{e.id}"
         if e.id not in transitions_doc:
             raise DocumentError(at, "missing transition list")
-        transitions[e.id] = _count_entries(transitions_doc[e.id], at, fibers[e.src], fibers[e.dst],
-                                           counted, "state", "state")
+        entries = transitions_doc[e.id]
+        table = _function_table(entries, fibers[e.src], fibers[e.dst]) if kind == "det" else None
+        if table is None:
+            transitions[e.id] = _count_entries(entries, at, fibers[e.src], fibers[e.dst], counted, "state", "state")
+        else:
+            tables[e.id] = table
     for key in transitions_doc:
-        if key not in transitions:
+        if key not in transitions and key not in tables:
             raise DocumentError(f"transitions.{key}", "transition for unknown edge")
 
     if kind == "span":
@@ -159,8 +169,9 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
         rels = {e.id: Relation._trusted(fibers[e.src], fibers[e.dst], frozenset(transitions[e.id]))
                 for e in base.edges}
         return RelAutomaton(base, fibers, rels, initial, finals)
-    tables = {}
     for e in base.edges:
+        if e.id in tables:
+            continue
         pairs = transitions[e.id]
         table = tables[e.id] = dict(pairs.keys())
         if not len(table) == len(pairs) == len(fibers[e.src]):  # word the first fault
@@ -171,7 +182,29 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
                 seen.add(src)
             q = next(q for q in fibers[e.src] if q not in table)
             raise DocumentError(f"transitions.{e.id}", f"missing image of state {q!r}")
-    return DetAutomaton(base, fibers, tables, initial, finals)
+    return DetAutomaton(base, fibers, {e.id: tables[e.id] for e in base.edges}, initial, finals)
+
+
+_FROM_TO = operator.itemgetter("from", "to")
+
+
+def _function_table(entries, src_fiber: FinSet, dst_fiber: FinSet) -> Optional[dict[str, str]]:
+    """A ``det`` transition list as its table ``{from: to}`` in list order, read in one C-level pass.
+
+    None unless every entry is a two-key object, the sources are the
+    source fiber, each once, and the images lie in the target fiber; the
+    caller then reads the list entry by entry, which words its first fault.
+    """
+    try:
+        if type(entries) is not list or set(map(len, entries)) != {2}:
+            return None
+        table = dict(map(_FROM_TO, entries))
+        if (len(table) == len(entries) and table.keys() == src_fiber._positions.keys()
+                and dst_fiber._positions.keys() >= set(table.values())):
+            return table
+    except (TypeError, KeyError):  # an entry that is no object, lacks a key or holds an unhashable state
+        pass
+    return None
 
 
 _ENTRY_KEYS = frozenset(("from", "to", "count"))
@@ -182,12 +215,33 @@ def _count_entries(entries, at: str, src_fiber: FinSet, dst_fiber: FinSet, count
     """The ``from``/``to``/``count`` entries of a list as counts ``{(from, to): count}``, in list order.
 
     A missing count is 1; a count is allowed only where ``counted`` is set.
-    Each pair may appear once.
+    Each pair may appear once.  One tight loop reads a valid list; at the
+    first entry it cannot take it stops, and the list is read again entry
+    by entry, which raises the ``DocumentError`` of the first faulty entry.
     """
+    src_index, dst_index = src_fiber._positions, dst_fiber._positions
+    if type(entries) is list:
+        counts: dict[tuple[str, str], int] = {}
+        try:
+            for entry in entries:
+                src = entry["from"]
+                dst = entry["to"]
+                if type(src) is not str or type(dst) is not str or src not in src_index or dst not in dst_index:
+                    break
+                if len(entry) == 2:
+                    counts[src, dst] = 1
+                elif counted and len(entry) == 3 and type(count := entry["count"]) is int and count >= 1:
+                    counts[src, dst] = count
+                else:
+                    break
+            else:
+                if len(counts) == len(entries):  # else a pair came twice
+                    return counts
+        except (TypeError, KeyError):  # an entry that is no object, or lacks a key
+            pass
     if not isinstance(entries, list):
         raise DocumentError(at, "expected a list of entries")
-    src_index, dst_index = src_fiber._positions, dst_fiber._positions
-    counts: dict[tuple[str, str], int] = {}
+    counts = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DocumentError(f"{at}[{i}]", "expected an object")

@@ -18,8 +18,11 @@ counting matrix lies inside the other's, and it is an isomorphism exactly
 when the matrices are equal.  So strict and lax squares are decided on
 supports, as int bitmasks over the source's fibers while those are
 narrow, and every other square row by row on the automata's count rows
-and the components' rows; no square builds either composite, and a
-failing check lists the differing entries of its failing edge only.
+and the components' rows.  A target stored as function tables (``det``,
+an expansion) is read as its tables, with no rows built: the right side
+at x is the component row, or mask, of x's image.  No square builds
+either composite, and a failing check lists the differing entries of its
+failing edge only.
 Token composites and their apex maps are built only as optional
 witnesses of squares that already passed.
 
@@ -28,13 +31,16 @@ target through the canonical simulation, reporting which of the expected
 properties of the factor actually hold on the given input.  The support
 squares, ``factor_det`` and ``canonical_det_simulation`` read subsets
 through the source's one cached mask view, ``determinize._masks``, the
-one ``det`` steps.
+one ``det`` steps.  ``factor_det`` steps each distinct image subset once
+per out-edge, in the closure it builds anyway, and decides alpha's
+strict squares from those steps before the closure goes any further.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .spans import (
@@ -63,6 +69,7 @@ from .automata import (
     SpanAutomaton,
     _NO_ROW,
     _FiberedAutomaton,
+    _MatrixAutomaton,
 )
 from .determinize import (
     ExpandedMachine,
@@ -176,7 +183,9 @@ class FactorizationResult:
 # views of transitions and components
 #
 # The checks read every automaton kind through its count rows,
-# ``a.rows(edge_id)``, at every strength.  Only witnesses need tokens.
+# ``a.rows(edge_id)``, at every strength, except that a target stored as
+# function tables (``det``, an expansion) is read as its tables, with no
+# one-entry row built per state.  Only witnesses need tokens.
 
 
 def transition_span(a: _FiberedAutomaton, edge_id: str) -> Span:
@@ -229,20 +238,27 @@ _HOLDS = {
 }
 
 
-def _square_rows(states: Iterable[str], src_rows: _Rows, tgt_rows: _Rows, comp_src: _Rows,
-                 comp_dst: _Rows) -> Iterator[tuple[str, Mapping[str, int], Mapping[str, int]]]:
+def _square_rows(states: Iterable[str], src_rows: _Rows, tgt_step: Mapping, comp_src: _Rows,
+                 comp_dst: _Rows, tabled: bool) -> Iterator[tuple[str, Mapping[str, int], Mapping[str, int]]]:
     """Both sides of one square as count rows, ``(x, left, right)`` per target state x.
 
     At an edge e, ``left`` sums the source's rows of e over the component
     row of x, and ``right`` sums the component rows over x's successors
-    along e; a single successor counted once gives its component row itself.
+    along e.  ``tgt_step`` is the target's transition at e: when
+    ``tabled``, its function table, read as a table, so ``right`` is the
+    component row of x's image (none where x has no image); else its count
+    rows, where a single successor counted once gives its component row
+    itself.
     """
     for x in states:
         left: dict[str, int] = {}
         for q, u in comp_src.get(x, _NO_ROW).items():
             for r, c in src_rows.get(q, _NO_ROW).items():
                 left[r] = left.get(r, 0) + u * c
-        step = tgt_rows.get(x, _NO_ROW).items()
+        if tabled:
+            yield x, left, comp_dst.get(tgt_step.get(x), _NO_ROW)
+            continue
+        step = tgt_step.get(x, _NO_ROW).items()
         if len(step) == 1:
             (y, c), = step
             if c == 1:
@@ -257,9 +273,10 @@ def _square_rows(states: Iterable[str], src_rows: _Rows, tgt_rows: _Rows, comp_s
 
 def _square(sim: Simulation, e: Edge, comps: Mapping[str, _Rows], partial: bool) -> tuple:
     """The ``_square_rows`` arguments at an edge; a ``partial`` target compares its recorded rows only."""
-    tgt_rows = sim.target.rows(e.id)
-    states = tgt_rows if partial else sim.target.fibers[e.src].elements
-    return states, sim.source.rows(e.id), tgt_rows, comps[e.src], comps[e.dst]
+    tabled = not isinstance(sim.target, _MatrixAutomaton)
+    tgt_step = sim.target.transitions[e.id] if tabled else sim.target.rows(e.id)
+    states = tgt_step if partial else sim.target.fibers[e.src].elements
+    return states, sim.source.rows(e.id), tgt_step, comps[e.src], comps[e.dst], tabled
 
 
 def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[Edge]:
@@ -268,35 +285,43 @@ def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[E
     Supports are int masks over the source's fibers, in its mask view
     (``_masks``).  At an edge e and a target state x, ``left`` is the OR
     of the source's successor masks of e over x's component row, and
-    ``right`` the OR of the component masks of x's successors along e.
-    The support of a product of count matrices is the relation composite
-    of their supports, so these are the supports of the square's two rows
-    at x.  A strict square wants them equal, a lax one wants ``left``
-    inside ``right``.  The view refuses a fiber wider than
+    ``right`` the OR of the component masks of x's successors along e,
+    read from a function table as the mask of x's image (0 where x has
+    none).  The support of a product of count matrices is the relation
+    composite of their supports, so these are the supports of the
+    square's two rows at x.  A strict square wants them equal, a lax one
+    wants ``left`` inside ``right``.  The view refuses a fiber wider than
     ``POWERSET_CAP``, so the caller keeps this to narrower sources.
     """
     src, tgt = sim.source, sim.target
+    tabled = not isinstance(tgt, _MatrixAutomaton)
     bits, succ_of = _masks(src)
-    comp_bits: dict[str, dict[str, list[int]]] = {}
-    comp_masks: dict[str, dict[str, int]] = {}
+    comp_bits: dict[str, dict[str, list[int]]] = {}  # per node: each target state's member bits
+    comp_masks: dict[str, dict[str, int]] = {}  # per node: each target state's members as a mask
     for n in src.base.nodes:
-        c, bit = sim.components[n], bits[n]
-        row_bits: dict[str, list[int]] = {}
-        masks: dict[str, int] = {}
-        for x, q in c.counts:
-            row_bits.setdefault(x, []).append(bit[q])
-            masks[x] = masks.get(x, 0) | 1 << bit[q]
-        comp_bits[n], comp_masks[n] = row_bits, masks
+        one_hot = {q: (i, 1 << i) for q, i in bits[n].items()}
+        row_bits, masks = comp_bits[n], comp_masks[n] = {}, {}
+        for x, q in sim.components[n].counts:
+            i, bit = one_hot[q]
+            if x in masks:
+                row_bits[x].append(i)
+                masks[x] |= bit
+            else:
+                row_bits[x] = [i]
+                masks[x] = bit
     for e in src.base.edges:
         succ, row_bits, masks = succ_of[e.id], comp_bits[e.src], comp_masks[e.dst]
-        steps = tgt.rows(e.id)
+        steps = tgt.transitions[e.id] if tabled else tgt.rows(e.id)
         for x in steps if partial else tgt.fibers[e.src].elements:
             left = 0
             for i in row_bits.get(x, ()):
                 left |= succ[i]
-            right = 0
-            for y in steps.get(x, _NO_ROW):
-                right |= masks.get(y, 0)
+            if tabled:
+                right = masks.get(steps.get(x), 0)
+            else:
+                right = 0
+                for y in steps.get(x, _NO_ROW):
+                    right |= masks.get(y, 0)
             if left != right if strict else left & ~right:
                 return e
     return None
@@ -400,7 +425,8 @@ def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
     composites, whose tokens are the entries of the square's two sides.
     """
     square = _square(sim, e, {n: to_matrix(sim.components[n])._by_row() for n in (e.src, e.dst)}, partial)
-    _, src_rows, tgt_rows, comp_src, comp_dst = square
+    _, src_rows, _, comp_src, comp_dst, _ = square
+    tgt_rows = sim.target.rows(e.id)
     tokens = sum(sum(row.values()) for rows in (comp_src, comp_dst, src_rows, tgt_rows) for row in rows.values())
     return tokens + sum(sum(left.values()) + sum(right.values()) for _, left, right in _square_rows(*square))
 
@@ -487,6 +513,14 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
     ``bisim_ok`` is the verdict of ``check_bisimulation`` on the mate into
     the full ``det(f)``, decided on subset masks (``_mate_is_bisimulation``).
 
+    Alpha must be natural first.  A pseudo alpha passes its own check.
+    Otherwise alpha's strict squares are read off the closure's steps of
+    the images, d_e(S_x) = S_{g_e(x)}, once those are stepped and before
+    any other subset is; ``_require_natural`` words a failure.  A source
+    too wide for the mask view is checked by the row walk before the view
+    refuses it.  A closure past ``_WORK_BOUND`` is a ``ValueError`` that
+    names ``factor``.
+
     The mate is the only function-component candidate: composing a
     candidate x -> S(x) with membership gives back ``{(x, q) : q in S(x)}``,
     so the composite equation forces S(x) to be alpha's image of x.  Hence
@@ -495,28 +529,36 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
     f, g = alpha.source, alpha.target
     if not isinstance(g, DetAutomaton):
         raise ValueError("factorization target must be deterministic")
-    # a pseudo square has equal supports and equal supports make a lax
-    # square, so alpha's squares are walked twice only when a lax alpha
-    # fails the strict comparison and the lax one must say which error wins
+    nodes = f.base.nodes
+    # a pseudo square has equal supports, so a pseudo alpha is natural once it passes its own check
     if alpha.strength == "pseudo":
         _require(_check_squares(alpha, "pseudo"), "alpha fails its declared 'pseudo' check")
-    else:
-        natural = _check_squares(alpha, "strict")
-        if not natural.ok and alpha.strength == "lax":
-            _require(_check_squares(alpha, "lax"), "alpha fails its declared 'lax' check")
-        _require(natural, "alpha is not natural at the relation level")
+    elif any(len(f.fibers[n]) > POWERSET_CAP for n in nodes):
+        _require_natural(alpha)  # by the row walk, before the mask view refuses the source
 
-    nodes = f.base.nodes
     pos = _masks(f)[0]  # refuses a fiber wider than POWERSET_CAP, once alpha is known to be natural
     images = {n: dict.fromkeys(g.fibers[n], 0) for n in nodes}  # per node: S_x as a mask, per target state x
     for n, image_of in images.items():
-        bit = pos[n]
+        one_hot = {q: 1 << i for q, i in pos[n].items()}
         for x, q in alpha.components[n].counts:
-            image_of[x] |= 1 << bit[q]
+            image_of[x] |= one_hot[q]
+
+    def decide(steps: Mapping[str, Mapping[int, int]]) -> None:
+        """Refuse alpha unless d_e(S_x) = S_{g_e(x)} at every edge e and target state x (0 without an image).
+
+        That is alpha's strict square at (e, x), read off the closure's
+        steps of the seeds; ``_require_natural`` words a failure.
+        """
+        for e in f.base.edges:
+            image_of, image_at, table = images[e.src], images[e.dst], g.transitions[e.id]
+            stepped = map(steps[e.id].__getitem__, image_of.values())
+            if list(stepped) != list(map(image_at.get, map(table.get, image_of), repeat(0))):
+                _require_natural(alpha)
+
     start = f.initial_node
     seeds = dict.fromkeys((n, m) for n in nodes for m in images[n].values())
     seeds[start, 1 << pos[start][f.initial]] = None
-    reached, steps = _subset_closure(f, list(seeds))
+    reached, steps = _subset_closure(f, list(seeds), None if alpha.strength == "pseudo" else decide, "factor")
     d, labels = _subset_machine(f, reached, steps)
     picks = {n: {(x, labels[n][m]): 1 for x, m in images[n].items()} for n in nodes}
     mate = Simulation(d, g, {n: Span._counted(g.fibers[n], d.fibers[n], picks[n], _pair_label) for n in nodes}, "strict")
@@ -609,6 +651,14 @@ def _steps_into(masks: list[int], t: int, images: Mapping[int, object]) -> bool:
 def _require(result: CheckResult, message: str) -> None:
     if not result.ok:
         raise ValueError(f"{message}: {result.detail}")
+
+
+def _require_natural(alpha: Simulation) -> None:
+    """Refuse an alpha whose strict squares fail; a lax alpha that fails its own check is worded so first."""
+    natural = _check_squares(alpha, "strict")
+    if not natural.ok and alpha.strength == "lax":
+        _require(_check_squares(alpha, "lax"), "alpha fails its declared 'lax' check")
+    _require(natural, "alpha is not natural at the relation level")
 
 
 def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> FactorizationResult:

@@ -16,6 +16,10 @@ whose pruned powerset machine reaches 2^n subsets.  ``row_walk_verdict`` decides
 count rows at every strength, the yardstick for the support masks that
 decide strict and lax squares.  ``odd_names_example`` is a fixed
 automaton whose node names hold the characters of expansion labels.
+``reference_entries`` and ``reference_table`` read a document's entry
+lists entry by entry, as the loader did before its one-pass paths: the
+oracle for the order of the counts and tables it loads, and for the
+first fault it words.
 
 The per-word oracles evaluate one word independently of the count rows
 that ``automata.count_paths`` and the language sweep step:
@@ -56,6 +60,7 @@ from spanauto.automata import (
     validate,
 )
 from spanauto.determinize import ClassicalNFA, ExpandedMachine, det, subset_state_label
+from spanauto.io import DocumentError
 from spanauto.simulation import CheckResult, Simulation, check_bisimulation
 
 LETTERS = "abc"
@@ -582,3 +587,60 @@ def row_walk_verdict(sim: Simulation, mode: str) -> CheckResult:
             detail = f"square at edge {e.id!r}: multiplicities differ at {[(x, r) for x, r, _, _ in differences]}"
         return CheckResult(False, e.id, detail, differences=differences)
     return CheckResult(True)
+
+
+# ---------------------------------------------------------------------------
+# reference reader of document entry lists
+
+_ENTRY_KEYS = frozenset(("from", "to", "count"))
+
+
+def reference_entries(entries, at: str, src_fiber: FinSet, dst_fiber: FinSet, counted: bool,
+                      src_noun: str = "state", dst_noun: str = "state") -> dict[tuple[str, str], int]:
+    """A ``from``/``to``/``count`` entry list as counts ``{(from, to): count}`` in list order, entry by entry.
+
+    The loader's reader as it read every list before its one-pass paths:
+    each entry is checked in turn, and the first faulty one raises its
+    ``DocumentError``.  A missing count is 1, a count is allowed only where
+    ``counted`` is set, and each pair may appear once.
+    """
+    if not isinstance(entries, list):
+        raise DocumentError(at, "expected a list of entries")
+    counts: dict[tuple[str, str], int] = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"{at}[{i}]", "expected an object")
+        src, dst = entry.get("from"), entry.get("to")
+        if type(src) is not str or src not in src_fiber:
+            raise DocumentError(f"{at}[{i}].from", f"unknown {src_noun} {src!r} in fiber {src_fiber.name!r}")
+        if type(dst) is not str or dst not in dst_fiber:
+            raise DocumentError(f"{at}[{i}].to", f"unknown {dst_noun} {dst!r} in fiber {dst_fiber.name!r}")
+        count = 1 if len(entry) == 2 else entry.get("count")  # both keys were found: any other key is extra
+        if not (len(entry) == 2 or counted and len(entry) == 3 and type(count) is int and count >= 1):
+            if "count" in entry:
+                if not counted:
+                    raise DocumentError(f"{at}[{i}].count", "counts are only valid in span documents")
+                if type(count) is not int or count < 1:
+                    raise DocumentError(f"{at}[{i}].count", f"count must be a positive integer, got {count!r}")
+            raise DocumentError(f"{at}[{i}]", f"unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
+        if (src, dst) in counts:
+            raise DocumentError(f"{at}[{i}]", f"duplicate pair ({src!r}, {dst!r})")
+        counts[src, dst] = count
+    return counts
+
+
+def reference_table(entries, at: str, src_fiber: FinSet, dst_fiber: FinSet) -> dict[str, str]:
+    """A ``det`` transition list as its table ``{from: to}`` in list order, read by ``reference_entries``.
+
+    After the entries, a state mapped twice is a fault, then a state of
+    the source fiber without an image.
+    """
+    table: dict[str, str] = {}
+    for src, dst in reference_entries(entries, at, src_fiber, dst_fiber, False):
+        if src in table:
+            raise DocumentError(at, f"state {src!r} mapped twice")
+        table[src] = dst
+    for q in src_fiber:
+        if q not in table:
+            raise DocumentError(at, f"missing image of state {q!r}")
+    return table

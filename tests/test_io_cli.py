@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from genlib import brute_force_paths, random_live_span_automaton, random_span_automaton
 from spanauto.automata import SpanAutomaton, enumerate_words
-from spanauto.cli import main
+from spanauto.cli import build_parser, main
 from spanauto.determinize import ClassicalNFA
 from spanauto.fixtures import two_state_example
 from spanauto.io import (
@@ -977,6 +977,7 @@ class TestCli:
             (["factor", det_sim, "--target", "det", "--max-len", "-5"], "--max-len: must be at least 0, got -5"),
             (["factor", mdet_sim, "--target", "mdet", "--max-len", "-1"], "--max-len: must be at least 0, got -1"),
             (["laws", "--cases", "0"], "--cases: must be at least 1, got 0"),
+            (["laws", "--cases", "10001"], "--cases: must be at most 10000, got 10001"),
         ]
         for argv, fragment in cases:
             code, out, err = self.run(*argv, capsys=capsys)
@@ -986,6 +987,8 @@ class TestCli:
         for argv in (["lang", span, "--max-len", "0"], ["mdet", span, "--expand", "--max-len", "0", "--max-states", "1"],
                      ["laws", "--cases", "1"]):
             assert self.run(*argv, capsys=capsys)[0] == 0, argv
+        # and so is the greatest, read here without running its 10,000 cases
+        assert build_parser().commands["laws"].parse_args(["--cases", "10000"]).cases == 10000
 
     def test_boolean_counts_rejected(self, fixtures_dir, tmp_path, capsys):
         span_doc = json.loads((fixtures_dir / "two_state.json").read_text())
@@ -1242,6 +1245,25 @@ class TestCli:
         result = json.loads(out)
         assert (result["composite_ok"], result["bisim_ok"], result["unique_ok"]) == (True, False, None)
         assert len(result["mate_components"]["n"]) == 21
+
+    def test_factor_refused_past_the_work_bound_in_its_own_words(self, tmp_path, capsys, monkeypatch):
+        # the chain's closure reaches its 21 images; past the work bound factor names itself, and a
+        # non-natural alpha is refused as such before the bound is met
+        from genlib import chain_into_singletons
+        from spanauto import determinize
+
+        sim = chain_into_singletons(20)
+        path, bent = tmp_path / "chain.json", tmp_path / "bent.json"
+        path.write_text(serialize_simulation(sim))
+        doc = json.loads(serialize_simulation(sim))
+        doc["components"]["n"].append({"from": "x00", "to": "q05"})
+        bent.write_text(json.dumps(doc))
+        monkeypatch.setattr(determinize, "_WORK_BOUND", 5)
+        assert self.run("factor", str(path), "--target", "det", capsys=capsys) == (
+            2, "", "input-error: factor would take more than 5 subset steps\n")
+        code, out, err = self.run("factor", str(bent), "--target", "det", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("input-error: alpha is not natural at the relation level: square at edge 'e' differs: ")
 
     def test_endpoints_on_different_bases_rejected(self, fixtures_dir, tmp_path, capsys):
         # the node sets differ, so no component can be read against the target's fibers
