@@ -38,11 +38,10 @@ token walk and a product of counting matrices) live with the tests, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .spans import FinSet, Multiset, NatMatrix, multiset_unit, to_matrix
+from .spans import FinSet, Multiset, NatMatrix, _Record, multiset_unit, to_matrix
 
 __all__ = [
     "BaseGraph",
@@ -71,8 +70,7 @@ class Edge(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class BaseGraph:
+class BaseGraph(_Record):
     """A finite directed multigraph; it generates the free base category."""
 
     nodes: tuple[str, ...]
@@ -107,8 +105,7 @@ class BaseGraph:
         return [e for e in self.edges if e.src == node]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A morphism of the free category: a composable edge-id sequence.
 
     The empty word needs an explicit start node to name an identity.
@@ -170,8 +167,7 @@ def _check_fibers(base: BaseGraph, fibers: Mapping[str, FinSet]) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True, init=False)
-class _FiberedAutomaton:
+class _FiberedAutomaton(_Record):
     """The one shape behind every automaton kind, and its count-row view.
 
     An automaton gives each base node a fiber of states and each edge a
@@ -183,10 +179,9 @@ class _FiberedAutomaton:
     spans, relations or matrices derive from ``_MatrixAutomaton`` and read
     theirs as the counting matrix's rows.  Matrices, rows, the
     state-to-node index and the support masks of ``determinize._masks``
-    are built on first use and are not dataclass fields, so equality and
-    repr see the five fields only.  Equality holds
-    only between automata of the same kind, and repr names the kind's
-    class.
+    are built on first use and are not record fields, so equality and
+    repr see the five fields only.  Equality holds only between automata
+    of the same kind, and repr names the kind's class.
     """
 
     base: BaseGraph

@@ -32,7 +32,6 @@ as an independent oracle for the categorical pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, repeat
 from operator import add, itemgetter, mul
@@ -46,6 +45,7 @@ from .spans import (
     Span,
     Token,
     _WORK_BOUND,
+    _Record,
     multiset_extend,
     subset_label,
     subsets_of,
@@ -79,8 +79,7 @@ __all__ = [
     "expansion_state_label",
 ]
 
-@dataclass(frozen=True)
-class ClassicalNFA:
+class ClassicalNFA(_Record):
     """A flat five-tuple NFA over one alphabet.
 
     Kept separate from the fibered types on purpose: the subset
@@ -335,7 +334,6 @@ def expansion_state_label(node: str, vec: Sequence[int], multi_node: bool) -> st
     return f"{node}:{text}" if multi_node else text
 
 
-@dataclass(frozen=True)
 class ExpandedMachine(_FiberedAutomaton):
     """A bounded explicit view of a multiset machine.
 
@@ -357,7 +355,11 @@ class ExpandedMachine(_FiberedAutomaton):
 
     states: Mapping[str, tuple[int, ...]]
     accept_counts: Mapping[str, int]
-    truncated_by: tuple[str, ...] = ()
+    truncated_by: tuple[str, ...]
+
+    def __init__(self, base, fibers, transitions, initial, finals, states, accept_counts, truncated_by=()):
+        self.__dict__.update(base=base, fibers=fibers, transitions=transitions, initial=initial, finals=finals,
+                             states=states, accept_counts=accept_counts, truncated_by=truncated_by)
 
     @property
     def truncated(self) -> bool:

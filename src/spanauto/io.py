@@ -34,7 +34,7 @@ import functools
 import json
 import operator
 from pathlib import Path
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional, Union
 
 from .spans import _WORK_BOUND, FinSet, Relation, Span
@@ -95,7 +95,7 @@ def _no_unknown_keys(doc: dict, known, at: str = "") -> None:
 
 
 def _string_list(value, at: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise DocumentError(at, "expected a list of strings")
     return value
 

@@ -39,7 +39,6 @@ strict squares from those steps before the closure goes any further.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -54,6 +53,7 @@ from .spans import (
     _counted_pair_label,
     _pair_label,
     _WORK_BOUND,
+    _Record,
     compose_spans,
     dagger_span,
     from_matrix,
@@ -104,8 +104,7 @@ __all__ = [
 STRENGTHS = ("strict", "pseudo", "lax")
 
 
-@dataclass(frozen=True)
-class Simulation:
+class Simulation(_Record):
     """Per-node components from target fibers into source fibers.
 
     Components may be given as relations, spans, or counting matrices;
@@ -138,8 +137,7 @@ class Simulation:
                 raise ValueError(f"component at {n!r} does not run from the target fiber to the source fiber")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of a naturality check, with the first failing edge if any.
 
     ``differences`` lists the failing square's differing entries as sorted
@@ -148,17 +146,20 @@ class CheckResult:
     """
 
     ok: bool
-    failed_edge: Optional[str] = None
-    detail: str = ""
-    witnesses: Mapping[str, object] = None
-    differences: tuple[tuple[str, str, int, int], ...] = ()
+    failed_edge: Optional[str]
+    detail: str
+    witnesses: Optional[Mapping[str, object]]
+    differences: tuple[tuple[str, str, int, int], ...]
+
+    def __init__(self, ok, failed_edge=None, detail="", witnesses=None, differences=()):
+        self.__dict__.update(ok=ok, failed_edge=failed_edge, detail=detail, witnesses=witnesses,
+                             differences=differences)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(_Record):
     """A mate through a determinization, and which universal-property checks hold.
 
     ``composite_ok``: the mate composed with the canonical simulation
@@ -176,7 +177,10 @@ class FactorizationResult:
     mate: Simulation
     composite_ok: bool
     bisim_ok: bool
-    unique_ok: Optional[bool] = None
+    unique_ok: Optional[bool]
+
+    def __init__(self, mate, composite_ok, bisim_ok, unique_ok=None):
+        self.__dict__.update(mate=mate, composite_ok=composite_ok, bisim_ok=bisim_ok, unique_ok=unique_ok)
 
 
 # ---------------------------------------------------------------------------

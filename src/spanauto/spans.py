@@ -21,8 +21,8 @@ threads racing to build one build equal ones).  Counts use Python integers, whic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, repeat
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
@@ -73,8 +73,45 @@ POWERSET_CAP = 20
 _WORK_BOUND = 1_000_000
 
 
-@dataclass(frozen=True)
-class FinSet:
+class _Record:
+    """A frozen value with named fields: the base of every record class.
+
+    A subclass's fields are its annotated names, after those of its bases.
+    Its repr lists them as ``ClassName(field=value, ...)``; equality
+    compares them, between instances of one class only; its hash is theirs,
+    so a record holding a dict does not hash.  Setting or deleting any
+    attribute raises ``AttributeError``; constructors store their fields
+    with ``object.__setattr__`` or through ``__dict__``, and views built on
+    first use are ``cached_property`` values or set the same way.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(n for n in own if n not in cls._fields)
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+class FinSet(_Record):
     """An ordered finite set of distinct string labels.
 
     The order is the canonical presentation order (it fixes matrix row
@@ -129,8 +166,7 @@ class Token(NamedTuple):
     right: str
 
 
-@dataclass(frozen=True, eq=False)
-class Span:
+class Span(_Record):
     """A span between finite sets: ``dom <- apex -> cod``.
 
     Several tokens may share the same feet; that multiplicity is the
@@ -210,8 +246,7 @@ class Span:
         return hash((self.dom, self.cod, self.apex))
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """A set of pairs between two finite sets."""
 
     dom: FinSet
@@ -253,8 +288,7 @@ class Relation:
         return self._by_left.get(a, frozenset())
 
 
-@dataclass(frozen=True)
-class NatMatrix:
+class NatMatrix(_Record):
     """A natural-number matrix, i.e. a map ``dom -> multisets over cod``.
 
     Entries are stored sparsely; absent entries are zero.  Arithmetic is
@@ -264,7 +298,7 @@ class NatMatrix:
 
     dom: FinSet
     cod: FinSet
-    entries: Mapping[tuple[str, str], int] = field(compare=False)
+    entries: Mapping[tuple[str, str], int]
 
     def __init__(self, dom: FinSet, cod: FinSet, entries: Mapping[tuple[str, str], int] = {}):
         clean = {}
@@ -310,6 +344,9 @@ class NatMatrix:
             return NotImplemented
         return self.dom == other.dom and self.cod == other.cod and dict(self.entries) == dict(other.entries)
 
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod))
+
     def row(self, a: str) -> "Multiset":
         """Row at ``a`` as a multiset over the codomain."""
         if a not in self.dom:
@@ -321,12 +358,11 @@ class NatMatrix:
         return [[self.entries.get((a, b), 0) for b in self.cod] for a in self.dom]
 
 
-@dataclass(frozen=True)
-class Multiset:
+class Multiset(_Record):
     """A finite multiset: natural-number counts over a finite base set."""
 
     base: FinSet
-    counts: Mapping[str, int] = field(compare=False)
+    counts: Mapping[str, int]
 
     def __init__(self, base: FinSet, counts: Mapping[str, int] = {}):
         object.__setattr__(self, "base", base)
@@ -372,8 +408,7 @@ class Multiset:
         return tuple(map(self.counts.get, self.base.elements, repeat(0)))
 
 
-@dataclass(frozen=True)
-class SpanMorphism:
+class SpanMorphism(_Record):
     """A map of apexes between two parallel spans, preserving both feet."""
 
     source: Span

@@ -75,6 +75,7 @@ class TestKinds:
             other = (RelAutomaton if k is a else SpanAutomaton)(*self.fields(k))
             assert self.fields(other) == self.fields(k)
             assert other != k and k != other
+            assert k != self.fields(k) and self.fields(k) != k  # nor is the tuple of its fields
         x = mdet_expand(mdet(a), 64, 8)
         assert repr(x).startswith("ExpandedMachine(base=")
         d = x.as_det_automaton()
