@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input
 errors.  An input error prints one input-error: line to stderr and
 nothing to stdout; a failed check ends stderr with one check-failed:
-line, after any detail lines (a square, failed laws, violations).
+line, after any detail lines (a square, violations).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import functools
 import sys
 from collections import Counter
-from typing import Optional
 
 from .automata import _accepted_sweep, validate
 from .determinize import (
@@ -121,38 +120,20 @@ def cmd_factor(args) -> int:
     return 0
 
 
-def cmd_laws(args) -> int:
-    from .laws import run_all_laws  # only this command needs the law suites and their random draws
-
-    failures = run_all_laws(seed=args.seed, cases=args.cases)
-    for f in failures:
-        print(f, file=sys.stderr)
-    if failures:
-        raise CheckFailed(f"{len(failures)} law suite(s) failed")
-    print(f"all {args.cases} cases passed for every law suite (seed {args.seed})")
-    return 0
-
-
 def cmd_dot(args) -> int:
     sys.stdout.write(to_dot(load_automaton(args.file)))
     return 0
 
 
-def _bounded_int(least: int, most: Optional[int] = None):
-    """An argparse ``type``: an integer from ``least`` up to ``most``, if given, so a bound is refused before any work."""
+def _bounded_int(least: int):
+    """An argparse ``type``: an integer of at least ``least``, so a bound is refused before any work."""
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        if most is not None and value > most:
-            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type when int() fails: "invalid int value: 'x'"
     return parse
-
-
-# ``laws --cases`` runs in time linear in the count: 2,000 cases take about 2 s
-_MAX_LAW_CASES = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,11 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def command(name: str, fn, help: str, file: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        if file:
-            p.add_argument("file")
+        p.add_argument("file")
         return p
 
     command("validate", cmd_validate, "check a document against the type invariants")
@@ -199,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=_bounded_int(0), default=4, metavar="L",
                    help="bounds only the --target mdet expansion, to L layers (default: %(default)s); "
                         "--target det ignores it")
-    p = command("laws", cmd_laws, "run the randomized law suites", file=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_bounded_int(1, _MAX_LAW_CASES), default=200)
     command("dot", cmd_dot, "emit Graphviz text for a document")
     return parser
 

@@ -46,7 +46,7 @@ from .automata import (
     SpanAutomaton,
     _MatrixAutomaton,
 )
-from .determinize import ClassicalNFA, ExpandedMachine
+from .determinize import ClassicalNFA, ExpandedMachine, span_automaton_of_classical
 from .simulation import STRENGTHS, Simulation
 
 __all__ = [
@@ -696,8 +696,6 @@ def to_dot(a: AnyDocumentAutomaton) -> str:
     built; more than ``_WORK_BOUND`` of them is a ``ValueError``.
     """
     if isinstance(a, ClassicalNFA):
-        from .determinize import span_automaton_of_classical
-
         a = span_automaton_of_classical(a)
     if isinstance(a, SpanAutomaton):
         edge_lines = sum(sum(a.transitions[e.id].counts.values()) for e in a.base.edges)

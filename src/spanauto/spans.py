@@ -61,10 +61,13 @@ __all__ = [
     "span_morphism_search",
 ]
 
-# The widest fiber an int subset mask covers: ``det`` refuses wider
-# fibers, the square checks use masks only up to it, and so do
-# ``powerset_finset`` (a PowersetMap evaluates one subset at a time at any
-# size).
+# The widest fiber whose 2^n subsets may be listed (about a million at 20);
+# it bounds the subsets, not a mask's width, which a Python int does not
+# limit.  Past it ``determinize._masks``, the mask view that ``det`` and
+# ``factor_det`` step, and ``powerset_finset`` refuse the fiber, and the
+# width gate of the square checks (``simulation._check_squares``) walks
+# count rows instead of masks.  A PowersetMap evaluates one subset at a
+# time at any size.
 POWERSET_CAP = 20
 
 # The most work one construction may do: dot's edge lines, a witness's

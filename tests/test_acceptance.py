@@ -12,6 +12,7 @@ import time
 import pytest
 
 from genlib import brute_force_paths, random_classical_nfa, random_span_automaton
+from lawlib import LAWS, run_law
 from spanauto.spans import FinSet, Relation, Span, Token, subsets_of
 from spanauto.automata import (
     BaseGraph,
@@ -35,7 +36,6 @@ from spanauto.determinize import (
     subset_state_label,
 )
 from spanauto.fixtures import two_phase_example, two_state_example
-from spanauto.laws import LAWS, run_law
 from spanauto.simulation import (
     Simulation,
     canonical_det_simulation,

@@ -21,7 +21,7 @@ spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 import spanauto.cli
-from spanauto import automata, determinize
+from spanauto import automata, determinize, spans
 recorder = tracing.Recorder()
 tracing.install(recorder)
 runs = []
@@ -33,6 +33,8 @@ a = spanauto.io.load_automaton(sys.argv[3])
 automata.enumerate_words(a.base, a.initial_node, 2)
 automata.accepted(a, automata.Word(a.initial_node))
 determinize.prune_reachable(determinize.det(a))
+s = a.transitions[a.base.edges[0].id]
+spans.span_morphism_search(spans.compose_spans(s, s), spans.compose_spans(s, s))
 layers = {name: [0, 0] for name in tracing.NAMES}
 for i, value in zip(recorder.name, recorder.value):
     layers[tracing.NAMES[i]][0] += 1
@@ -69,7 +71,7 @@ def test_every_count_runs_on_real_return_values(fixtures_dir, tmp_path):
     pseudo.write_text(serialize_simulation(Simulation(a, exp.as_det_automaton(), components, "pseudo")))
     lax.write_text(serialize_simulation(canonical_det_simulation(a)))
     fixtures = [str(fixtures_dir / f"{name}.json") for name in ("two_state", "two_phase", "two_state_nfa")]
-    commands = [["laws", "--cases", "2"]]
+    commands = []
     for path in fixtures:
         commands += [
             ["validate", path], ["mdet", path], ["mdet", path, "--expand"],

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from genlib import brute_force_paths, random_live_span_automaton, random_span_automaton
 from spanauto.automata import SpanAutomaton, enumerate_words
-from spanauto.cli import build_parser, main
+from spanauto.cli import main
 from spanauto.determinize import ClassicalNFA
 from spanauto.fixtures import two_state_example
 from spanauto.io import (
@@ -935,15 +935,10 @@ class TestCli:
             codes.append(code)
         assert codes == [2, 0, 0]
 
-    def test_laws_cli(self, capsys):
-        code, out, _ = self.run("laws", "--seed", "0", "--cases", "10", capsys=capsys)
-        assert code == 0
-        assert "passed" in out
-
     def test_law_instances_depend_only_on_their_arguments(self, monkeypatch):
         import random
 
-        from spanauto.laws import LAWS, random_finset, run_law
+        from lawlib import LAWS, random_finset, run_law
 
         drawn = []
 
@@ -959,11 +954,6 @@ class TestCli:
         assert drawn == first
         assert run_law("span-associativity", 3, 20) == run_law("span-associativity", 3, 20)
 
-    def test_laws_negative_cases_rejected(self, capsys):
-        code, out, err = self.run("laws", "--cases", "-3", capsys=capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("input-error:") and len(err.splitlines()) == 1
-
     def test_lang_negative_length_rejected(self, fixtures_dir, capsys):
         # every bound is checked when argv is parsed, whether or not the command would use it
         span, det_sim, mdet_sim = (str(fixtures_dir / f"{name}.json")
@@ -976,19 +966,14 @@ class TestCli:
             (["mdet", span, "--expand", "--max-states", "0"], "--max-states: must be at least 1, got 0"),
             (["factor", det_sim, "--target", "det", "--max-len", "-5"], "--max-len: must be at least 0, got -5"),
             (["factor", mdet_sim, "--target", "mdet", "--max-len", "-1"], "--max-len: must be at least 0, got -1"),
-            (["laws", "--cases", "0"], "--cases: must be at least 1, got 0"),
-            (["laws", "--cases", "10001"], "--cases: must be at most 10000, got 10001"),
         ]
         for argv, fragment in cases:
             code, out, err = self.run(*argv, capsys=capsys)
             assert (code, out) == (2, ""), argv
             assert err.startswith("input-error:") and len(err.splitlines()) == 1 and fragment in err, argv
         # the least value of each bound is accepted
-        for argv in (["lang", span, "--max-len", "0"], ["mdet", span, "--expand", "--max-len", "0", "--max-states", "1"],
-                     ["laws", "--cases", "1"]):
+        for argv in (["lang", span, "--max-len", "0"], ["mdet", span, "--expand", "--max-len", "0", "--max-states", "1"]):
             assert self.run(*argv, capsys=capsys)[0] == 0, argv
-        # and so is the greatest, read here without running its 10,000 cases
-        assert build_parser().commands["laws"].parse_args(["--cases", "10000"]).cases == 10000
 
     def test_boolean_counts_rejected(self, fixtures_dir, tmp_path, capsys):
         span_doc = json.loads((fixtures_dir / "two_state.json").read_text())

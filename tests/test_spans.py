@@ -95,7 +95,7 @@ class TestComposeSpans:
     def test_same_apex_as_naive_double_loop(self):
         import random
 
-        from spanauto.laws import random_span
+        from lawlib import random_span
 
         rng = random.Random(7)
         X, Y, Z = (FinSet(n, [f"{n}{i}" for i in range(k)]) for n, k in (("X", 3), ("Y", 4), ("Z", 3)))

@@ -1,16 +1,18 @@
-"""Every module of ``spanauto`` reads each name it imports.
+"""Every module of ``spanauto``, its tests and its demos reads each name it imports.
 
 A stdlib ``ast`` walk: a name bound by an ``import`` in a module under
-``src/spanauto/`` must be read somewhere in that module, as a name or as
-the root of an attribute; annotations count, docstrings and comments do
-not.  ``__init__.py`` is exempt, since its imports are the package's
-re-exports, and so is every name a module lists in its ``__all__``.
+``src/spanauto/``, ``tests/`` or ``demos/`` must be read somewhere in
+that module, as a name or as the root of an attribute; annotations
+count, docstrings and comments do not.  ``__init__.py`` is exempt, since
+its imports are the package's re-exports, and so is every name a module
+lists in its ``__all__``.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spanauto"
+REPO = Path(__file__).resolve().parent.parent
+CHECKED = [REPO / "src" / "spanauto", REPO / "tests", REPO / "demos"]
 
 
 def unused_imports(text: str) -> list[tuple[int, str]]:
@@ -31,9 +33,10 @@ def unused_imports(text: str) -> list[tuple[int, str]]:
 
 
 def test_every_imported_name_is_read():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    found = [f"{p.name}:{line}: {name}" for p in modules for line, name in unused_imports(p.read_text(encoding="utf-8"))]
+    modules = [p for d in CHECKED for p in sorted(d.glob("*.py")) if p.name != "__init__.py"]
+    assert all(any(p.parent == d for p in modules) for d in CHECKED)
+    found = [f"{p.relative_to(REPO)}:{line}: {name}"
+             for p in modules for line, name in unused_imports(p.read_text(encoding="utf-8"))]
     assert not found, "imported but never read:\n" + "\n".join(found)
 
 
