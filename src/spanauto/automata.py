@@ -77,23 +77,23 @@ class BaseGraph(_Record):
     edges: tuple[Edge, ...]
 
     def __init__(self, nodes, edges):
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in edges))
-        nodes = set(self.nodes)
-        if len(nodes) != len(self.nodes):
+        nodes, edges = tuple(nodes), tuple(Edge(*e) for e in edges)
+        known = set(nodes)
+        if len(known) != len(nodes):
             raise ValueError("duplicate node ids")
         ids = set()
         by_pair: dict[tuple[str, str], set[str]] = {}
-        for e in self.edges:
+        for e in edges:
             if e.id in ids:
                 raise ValueError(f"duplicate edge id {e.id!r}")
             ids.add(e.id)
-            if e.src not in nodes or e.dst not in nodes:
+            if e.src not in known or e.dst not in known:
                 raise ValueError(f"edge {e.id!r} has an endpoint outside the node set")
             labels = by_pair.setdefault((e.src, e.dst), set())
             if e.label in labels:
                 raise ValueError(f"edges from {e.src!r} to {e.dst!r} repeat label {e.label!r}")
             labels.add(e.label)
+        _Record.__init__(self, nodes, edges)
 
     def edge(self, edge_id: str) -> Edge:
         for e in self.edges:
@@ -115,8 +115,7 @@ class Word(_Record):
     edges: tuple[str, ...] = ()
 
     def __init__(self, start: str, edges=()):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "edges", tuple(edges))
+        _Record.__init__(self, start, tuple(edges))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -191,11 +190,7 @@ class _FiberedAutomaton(_Record):
     finals: frozenset[str]
 
     def __init__(self, base, fibers, transitions, initial, finals):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fibers", dict(fibers))
-        object.__setattr__(self, "transitions", dict(transitions))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
+        _Record.__init__(self, base, dict(fibers), dict(transitions), initial, frozenset(finals))
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
         e = self.base.edge(edge_id)
@@ -248,7 +243,7 @@ class _MatrixAutomaton(_FiberedAutomaton):
     """A kind whose transitions are not function tables: its rows are those of ``matrix``."""
 
     def rows(self, edge_id: str) -> dict[str, dict[str, int]]:
-        return self.matrix(edge_id)._by_row()
+        return self.matrix(edge_id)._by_row
 
 
 class SpanAutomaton(_MatrixAutomaton):

@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input
 errors.  An input error prints one input-error: line to stderr and
 nothing to stdout; a failed check ends stderr with one check-failed:
-line, after any detail lines (a square, violations).
+line, after any detail lines (a failing square's).
 """
 
 from __future__ import annotations

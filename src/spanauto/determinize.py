@@ -96,26 +96,22 @@ class ClassicalNFA(_Record):
     finals: frozenset[str]
 
     def __init__(self, alphabet, states, delta, initial, finals):
-        object.__setattr__(self, "alphabet", tuple(alphabet))
-        object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "delta", {k: frozenset(v) for k, v in delta.items() if v}
-        )
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
-        if len(set(self.alphabet)) != len(self.alphabet):
+        alphabet, finals = tuple(alphabet), frozenset(finals)
+        delta = {k: frozenset(v) for k, v in delta.items() if v}
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("duplicate letters in the alphabet")
         if initial not in states:
             raise ValueError(f"initial state {initial!r} not a state")
-        for q in self.finals:
+        for q in finals:
             if q not in states:
                 raise ValueError(f"final state {q!r} not a state")
-        for (q, a), targets in self.delta.items():
-            if q not in states or a not in self.alphabet:
+        for (q, a), targets in delta.items():
+            if q not in states or a not in alphabet:
                 raise ValueError(f"delta key ({q!r}, {a!r}) out of range")
             for t in targets:
                 if t not in states:
                     raise ValueError(f"delta target {t!r} not a state")
+        _Record.__init__(self, alphabet, states, delta, initial, finals)
 
     def step(self, q: str, a: str) -> frozenset[str]:
         return self.delta.get((q, a), frozenset())
@@ -358,8 +354,7 @@ class ExpandedMachine(_FiberedAutomaton):
     truncated_by: tuple[str, ...]
 
     def __init__(self, base, fibers, transitions, initial, finals, states, accept_counts, truncated_by=()):
-        self.__dict__.update(base=base, fibers=fibers, transitions=transitions, initial=initial, finals=finals,
-                             states=states, accept_counts=accept_counts, truncated_by=truncated_by)
+        _Record.__init__(self, base, fibers, transitions, initial, finals, states, accept_counts, truncated_by)
 
     @property
     def truncated(self) -> bool:
@@ -487,7 +482,7 @@ def mdet_expand(
         else:  # a single final position is the count itself, none counts 0
             counts = map(itemgetter(*pos), vecs) if pos else repeat(0)
         accept.update(zip(vecs.values(), counts))
-    x = ExpandedMachine(
+    return ExpandedMachine(
         base=m.base,
         fibers={n: FinSet(f"M({m.fibers[n].name})", label_of[n].values()) for n in m.base.nodes},
         states=states,
@@ -496,9 +491,7 @@ def mdet_expand(
         finals=frozenset(compress(accept, accept.values())),
         accept_counts=accept,
         truncated_by=("max_states",) * hit_states + ("max_len",) * hit_len,
-    )
-    vars(x)["count_texts"] = texts  # the texts its labels were built from
-    return x
+    )._prime(count_texts=texts)  # the texts its labels were built from
 
 
 def _block_step(columns: list[tuple[int, ...]], entries: list[tuple[int, int, int]], width: int,

@@ -692,6 +692,9 @@ def serialize_factorization(result) -> str:
 def to_dot(a: AnyDocumentAutomaton) -> str:
     """Graphviz text: one node per state, one edge per token, grouped by feet pair.
 
+    A cluster's id is its node's name with ``_`` for each character other
+    than a letter or digit, the start marker's is ``__start``; an id that
+    an earlier node or a state holds gets the first free suffix ``_2``, ...
     The edge lines of a span automaton are counted before any line is
     built; more than ``_WORK_BOUND`` of them is a ``ValueError``.
     """
@@ -701,15 +704,18 @@ def to_dot(a: AnyDocumentAutomaton) -> str:
         edge_lines = sum(sum(a.transitions[e.id].counts.values()) for e in a.base.edges)
         if edge_lines > _WORK_BOUND:
             raise ValueError(f"dot would draw {edge_lines} edge lines, more than {_WORK_BOUND}")
-    lines = ["digraph {", "  rankdir=LR;", '  "__start" [shape=point];']
+    start = _claim("__start", {q for n in a.base.nodes for q in a.fibers[n]})
+    lines = ["digraph {", "  rankdir=LR;", f'  "{start}" [shape=point];']
+    clusters: set[str] = set()
     for n in a.base.nodes:
-        lines.append(f"  subgraph cluster_{_dot_id(n)} {{")
+        cluster = _claim("".join(c if c.isalnum() else "_" for c in n), clusters)
+        lines.append(f"  subgraph cluster_{cluster} {{")
         lines.append(f'    label="{_dot_escape(n)}";')
         for q in a.fibers[n]:
             shape = "doublecircle" if q in a.finals else "circle"
             lines.append(f'    "{_dot_escape(q)}" [shape={shape}];')
         lines.append("  }")
-    lines.append(f'  "__start" -> "{_dot_escape(a.initial)}";')
+    lines.append(f'  "{start}" -> "{_dot_escape(a.initial)}";')
     for e in a.base.edges:
         t = a.transitions[e.id]
         if isinstance(a, SpanAutomaton):
@@ -728,5 +734,11 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _dot_id(s: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in s)
+def _claim(name: str, taken: set[str]) -> str:
+    """The first of ``name``, ``name_2``, ``name_3``, ... not in ``taken``, added to it."""
+    free, i = name, 1
+    while free in taken:
+        i += 1
+        free = f"{name}_{i}"
+    taken.add(free)
+    return free

@@ -123,18 +123,15 @@ class Simulation(_Record):
             raise ValueError(f"unknown strength {strength!r}")
         if source.base.nodes != target.base.nodes or source.base.edges != target.base.edges:
             raise ValueError("simulation endpoints must share the base graph")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         stored = {n: from_relation(c) if isinstance(c, Relation) else from_matrix(c) if isinstance(c, NatMatrix) else c
                   for n, c in components.items()}
-        object.__setattr__(self, "components", stored)
-        object.__setattr__(self, "strength", strength)
         for n in source.base.nodes:
-            if n not in self.components:
+            if n not in stored:
                 raise ValueError(f"missing component at node {n!r}")
-            c = self.components[n]
+            c = stored[n]
             if c.dom != target.fibers[n] or c.cod != source.fibers[n]:
                 raise ValueError(f"component at {n!r} does not run from the target fiber to the source fiber")
+        _Record.__init__(self, source, target, stored, strength)
 
 
 class CheckResult(_Record):
@@ -152,8 +149,7 @@ class CheckResult(_Record):
     differences: tuple[tuple[str, str, int, int], ...]
 
     def __init__(self, ok, failed_edge=None, detail="", witnesses=None, differences=()):
-        self.__dict__.update(ok=ok, failed_edge=failed_edge, detail=detail, witnesses=witnesses,
-                             differences=differences)
+        _Record.__init__(self, ok, failed_edge, detail, witnesses, differences)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -180,7 +176,7 @@ class FactorizationResult(_Record):
     unique_ok: Optional[bool]
 
     def __init__(self, mate, composite_ok, bisim_ok, unique_ok=None):
-        self.__dict__.update(mate=mate, composite_ok=composite_ok, bisim_ok=bisim_ok, unique_ok=unique_ok)
+        _Record.__init__(self, mate, composite_ok, bisim_ok, unique_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +345,10 @@ def _check_squares(sim: Simulation, mode: str) -> CheckResult:
     if mode != "pseudo" and narrow:
         failed = _support_failure(sim, mode == "strict", partial)
         if failed is not None:
-            comps = {n: to_matrix(sim.components[n])._by_row() for n in (failed.src, failed.dst)}
+            comps = {n: to_matrix(sim.components[n])._by_row for n in (failed.src, failed.dst)}
     else:
         holds = _HOLDS[mode]
-        comps = {n: to_matrix(sim.components[n])._by_row() for n in base.nodes}
+        comps = {n: to_matrix(sim.components[n])._by_row for n in base.nodes}
         failed = None
         for e in base.edges:
             if not all(holds(left, right) for _, left, right in _square_rows(*_square(sim, e, comps, partial))):
@@ -428,7 +424,7 @@ def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
     That is both components' apexes, both transitions' apexes and the two
     composites, whose tokens are the entries of the square's two sides.
     """
-    square = _square(sim, e, {n: to_matrix(sim.components[n])._by_row() for n in (e.src, e.dst)}, partial)
+    square = _square(sim, e, {n: to_matrix(sim.components[n])._by_row for n in (e.src, e.dst)}, partial)
     _, src_rows, _, comp_src, comp_dst, _ = square
     tgt_rows = sim.target.rows(e.id)
     tokens = sum(sum(row.values()) for rows in (comp_src, comp_dst, src_rows, tgt_rows) for row in rows.values())

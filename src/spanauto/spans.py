@@ -21,6 +21,7 @@ threads racing to build one build equal ones).  Counts use Python integers, whic
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, repeat
 from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
@@ -83,9 +84,13 @@ class _Record:
     Its repr lists them as ``ClassName(field=value, ...)``; equality
     compares them, between instances of one class only; its hash is theirs,
     so a record holding a dict does not hash.  Setting or deleting any
-    attribute raises ``AttributeError``; constructors store their fields
-    with ``object.__setattr__`` or through ``__dict__``, and views built on
-    first use are ``cached_property`` values or set the same way.
+    attribute raises ``AttributeError``.  Only this class stores: a
+    subclass's ``__init__`` checks and converts its arguments and passes
+    the field values in order to ``_Record.__init__``, and ``_trusted``
+    stores values already checked.  A view built on first use is a
+    ``cached_property``; ``_prime`` stores one known at construction, or
+    an attribute that is no field.  Views are no fields: repr, equality
+    and hashing never see them.
     """
 
     _fields: tuple[str, ...] = ()
@@ -95,6 +100,21 @@ class _Record:
         own = cls.__dict__.get("__annotations__", {})
         cls._fields += tuple(n for n in own if n not in cls._fields)
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Internal constructor: the field values, in order, already checked and converted."""
+        r = object.__new__(cls)
+        _Record.__init__(r, *values)
+        return r
+
+    def _prime(self, **attrs):
+        """Store views known at construction, or attributes that are no fields; returns the record."""
+        self.__dict__.update(attrs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,6 +134,11 @@ class _Record:
         return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
 
+def _first_duplicate(labels):
+    seen: set[str] = set()
+    return next(x for x in labels if x in seen or seen.add(x))
+
+
 class FinSet(_Record):
     """An ordered finite set of distinct string labels.
 
@@ -126,14 +151,13 @@ class FinSet(_Record):
     elements: tuple[str, ...]
 
     def __init__(self, name: str, elements=()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "elements", tuple(elements))
-        positions = dict(zip(self.elements, range(len(self.elements))))
-        if len(positions) != len(self.elements):
-            seen: set[str] = set()
-            dup = next(x for x in self.elements if x in seen or seen.add(x))
-            raise ValueError(f"duplicate element {dup!r} in finite set {name!r}")
-        object.__setattr__(self, "_positions", positions)
+        _Record.__init__(self, name, tuple(elements))
+        if len(self._positions) != len(self.elements):
+            raise ValueError(f"duplicate element {_first_duplicate(self.elements)!r} in finite set {name!r}")
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return dict(zip(self.elements, range(len(self.elements))))
 
     def __contains__(self, x) -> bool:
         return x in self._positions
@@ -183,32 +207,23 @@ class Span(_Record):
     dom: FinSet
     cod: FinSet
     counts: Mapping[tuple[str, str], int]
+    _label = None  # a counted span's token label function, no field; a token span has none
 
     def __init__(self, dom: FinSet, cod: FinSet, apex=()):
         apex = tuple(Token(*t) for t in apex)
         by_label = {}
         counts: dict[tuple[str, str], int] = {}
         for t in apex:
-            if t.label in by_label:
+            if by_label.setdefault(t.label, t) is not t:
                 raise ValueError(f"duplicate token label {t.label!r}")
-            by_label[t.label] = t
             if t.left not in dom:
                 raise ValueError(f"token {t.label!r}: left foot {t.left!r} not in {dom.name!r}")
             if t.right not in cod:
                 raise ValueError(f"token {t.label!r}: right foot {t.right!r} not in {cod.name!r}")
             key = (t.left, t.right)
             counts[key] = counts.get(key, 0) + 1
-        self._set(dom, cod, counts, None)
-        object.__setattr__(self, "_apex", apex)
-        object.__setattr__(self, "_by_label", by_label)
-
-    def _set(self, dom: FinSet, cod: FinSet, counts: dict[tuple[str, str], int], label) -> None:
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_label", label)
-        object.__setattr__(self, "_apex", None)
-        object.__setattr__(self, "_by_label", None)
+        _Record.__init__(self, dom, cod, counts)
+        self._prime(apex=apex, _by_label=by_label)
 
     @classmethod
     def _counted(cls, dom: FinSet, cod: FinSet, counts: dict[tuple[str, str], int],
@@ -218,26 +233,21 @@ class Span(_Record):
         The apex holds, for each key in order, the tokens
         ``label(left, right, i)`` for i = 1..n; it is built on first use.
         """
-        s = object.__new__(cls)
-        s._set(dom, cod, counts, label)
-        return s
+        return cls._trusted(dom, cod, counts)._prime(_label=label)
 
-    @property
+    @cached_property
     def apex(self) -> tuple[Token, ...]:
-        if self._apex is None:
-            label = self._label
-            apex = tuple(Token(label(a, b, i), a, b) for (a, b), n in self.counts.items() for i in range(1, n + 1))
-            by_label = {}
-            for t in apex:
-                if by_label.setdefault(t.label, t) is not t:
-                    raise ValueError(f"duplicate token label {t.label!r}")
-            object.__setattr__(self, "_apex", apex)
-            object.__setattr__(self, "_by_label", by_label)
-        return self._apex
+        label = self._label
+        apex = tuple(Token(label(a, b, i), a, b) for (a, b), n in self.counts.items() for i in range(1, n + 1))
+        if len({t.label for t in apex}) != len(apex):
+            raise ValueError(f"duplicate token label {_first_duplicate(t.label for t in apex)!r}")
+        return apex
+
+    @cached_property
+    def _by_label(self) -> dict[str, Token]:
+        return {t.label: t for t in self.apex}
 
     def token(self, label: str) -> Token:
-        if self._by_label is None:
-            self.apex  # builds the label index too
         return self._by_label[label]
 
     def __eq__(self, other) -> bool:
@@ -263,31 +273,17 @@ class Relation(_Record):
                 raise ValueError(f"pair ({a!r}, {b!r}): {a!r} not in {dom.name!r}")
             if b not in cod:
                 raise ValueError(f"pair ({a!r}, {b!r}): {b!r} not in {cod.name!r}")
-        self._set(dom, cod, pairs)
+        _Record.__init__(self, dom, cod, pairs)
 
-    def _set(self, dom: FinSet, cod: FinSet, pairs: frozenset[tuple[str, str]]) -> None:
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_by_left", None)
-
-    @classmethod
-    def _trusted(cls, dom: FinSet, cod: FinSet, pairs: frozenset[tuple[str, str]]) -> "Relation":
-        """Internal constructor: every pair already lies in ``dom x cod``."""
-        r = object.__new__(cls)
-        r._set(dom, cod, pairs)
-        return r
+    @cached_property
+    def _by_left(self) -> dict[str, frozenset[str]]:
+        by_left: dict[str, set[str]] = {}
+        for x, b in self.pairs:
+            by_left.setdefault(x, set()).add(b)
+        return {x: frozenset(bs) for x, bs in by_left.items()}
 
     def __call__(self, a: str) -> frozenset[str]:
-        """Image of one element: all cod elements related to ``a``.
-
-        The images are indexed by left element on the first call.
-        """
-        if self._by_left is None:
-            by_left: dict[str, set[str]] = {}
-            for x, b in self.pairs:
-                by_left.setdefault(x, set()).add(b)
-            object.__setattr__(self, "_by_left", {x: frozenset(bs) for x, bs in by_left.items()})
+        """Image of one element: all cod elements related to ``a``, read from the index ``_by_left``."""
         return self._by_left.get(a, frozenset())
 
 
@@ -312,40 +308,21 @@ class NatMatrix(_Record):
                 raise ValueError(f"entry ({a!r}, {b!r}) = {n!r} is not a natural number")
             if n > 0:
                 clean[(a, b)] = n
-        self._set(dom, cod, clean)
+        _Record.__init__(self, dom, cod, clean)
 
-    def _set(self, dom: FinSet, cod: FinSet, entries: dict[tuple[str, str], int]) -> None:
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_rows", None)
-
-    @classmethod
-    def _trusted(cls, dom: FinSet, cod: FinSet, entries: dict[tuple[str, str], int]) -> "NatMatrix":
-        """Internal constructor: keys already lie in ``dom x cod``, values are positive ints."""
-        m = object.__new__(cls)
-        m._set(dom, cod, entries)
-        return m
-
+    @cached_property
     def _by_row(self) -> dict[str, dict[str, int]]:
         """Domain element -> its nonzero entries by codomain element, built once."""
-        if self._rows is None:
-            rows: dict[str, dict[str, int]] = {}
-            for (a, b), n in self.entries.items():
-                rows.setdefault(a, {})[b] = n
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+        rows: dict[str, dict[str, int]] = {}
+        for (a, b), n in self.entries.items():
+            rows.setdefault(a, {})[b] = n
+        return rows
 
     def __getitem__(self, key: tuple[str, str]) -> int:
         a, b = key
         if a not in self.dom or b not in self.cod:
             raise KeyError(key)
         return self.entries.get((a, b), 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NatMatrix):
-            return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod and dict(self.entries) == dict(other.entries)
 
     def __hash__(self) -> int:
         return hash((self.dom, self.cod))
@@ -354,7 +331,7 @@ class NatMatrix(_Record):
         """Row at ``a`` as a multiset over the codomain."""
         if a not in self.dom:
             raise KeyError(a)
-        return Multiset._trusted(self.cod, dict(self._by_row().get(a, {})))
+        return Multiset._trusted(self.cod, dict(self._by_row.get(a, {})))
 
     def rows(self) -> list[list[int]]:
         """Dense row-major form, in canonical element order."""
@@ -368,7 +345,6 @@ class Multiset(_Record):
     counts: Mapping[str, int]
 
     def __init__(self, base: FinSet, counts: Mapping[str, int] = {}):
-        object.__setattr__(self, "base", base)
         clean = {}
         for x, n in counts.items():
             if x not in base:
@@ -377,25 +353,12 @@ class Multiset(_Record):
                 raise ValueError(f"count of {x!r} = {n!r} is not a natural number")
             if n > 0:
                 clean[x] = n
-        object.__setattr__(self, "counts", clean)
-
-    @classmethod
-    def _trusted(cls, base: FinSet, counts: dict[str, int]) -> "Multiset":
-        """Internal constructor: keys already lie in ``base``, values are positive ints."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "base", base)
-        object.__setattr__(v, "counts", counts)
-        return v
+        _Record.__init__(self, base, clean)
 
     def __getitem__(self, x: str) -> int:
         if x not in self.base:
             raise KeyError(x)
         return self.counts.get(x, 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return self.base == other.base and dict(self.counts) == dict(other.counts)
 
     def __hash__(self) -> int:
         return hash((frozenset(self.base.elements), frozenset(self.counts.items())))
@@ -421,15 +384,14 @@ class SpanMorphism(_Record):
     def __init__(self, source: Span, target: Span, mapping: Mapping[str, str]):
         if source.dom != target.dom or source.cod != target.cod:
             raise ValueError("span morphism requires shared feet sets")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping", dict(mapping))
+        mapping = dict(mapping)
         for t in source.apex:
-            if t.label not in self.mapping:
+            if t.label not in mapping:
                 raise ValueError(f"morphism misses source token {t.label!r}")
-            u = target.token(self.mapping[t.label])
+            u = target.token(mapping[t.label])
             if (u.left, u.right) != (t.left, t.right):
                 raise ValueError(f"morphism does not preserve feet of token {t.label!r}")
+        _Record.__init__(self, source, target, mapping)
 
     def is_iso(self) -> bool:
         return len(set(self.mapping.values())) == len(self.target.apex) == len(self.source.apex)
@@ -468,12 +430,12 @@ def identity_span(a: FinSet) -> Span:
 def dagger_span(s: Span) -> Span:
     """The converse span: same apex, feet swapped.
 
-    A span whose apex is not built yet stays counted: its converse swaps
-    the count keys and labels each token as the original's, so labels and
-    apex order match the token converse, and no token is built.
+    A counted span's converse stays counted: it swaps the count keys and
+    labels each token as the original's, so labels and apex order match
+    the token converse, and no token is built.
     """
-    if s._apex is None:
-        label = s._label
+    label = s._label
+    if label is not None:
         counts = {(b, a): n for (a, b), n in s.counts.items()}
         return Span._counted(s.cod, s.dom, counts, lambda b, a, i: label(a, b, i))
     return Span(s.cod, s.dom, [Token(t.label, t.right, t.left) for t in s.apex])
@@ -604,7 +566,7 @@ def from_matrix(m: NatMatrix) -> Span:
 
     Feet pairs come in row-major canonical order.
     """
-    rows = m._by_row()
+    rows = m._by_row
     col = m.cod.index
     counts = {}
     for a in m.dom:
@@ -620,7 +582,7 @@ def matrix_compose(m: NatMatrix, n: NatMatrix) -> NatMatrix:
     if m.cod != n.dom:
         raise ValueError(f"cannot compose matrices: middle sets {m.cod.name!r} and {n.dom.name!r} differ")
     entries: dict[tuple[str, str], int] = {}
-    n_rows = n._by_row()
+    n_rows = n._by_row
     for (a, b), u in m.entries.items():
         for c, v in n_rows.get(b, {}).items():
             entries[(a, c)] = entries.get((a, c), 0) + u * v
@@ -648,7 +610,7 @@ def multiset_extend(m: NatMatrix, v: Multiset) -> Multiset:
     """
     if v.base != m.dom:
         raise ValueError(f"multiset base {v.base.name!r} does not match matrix domain {m.dom.name!r}")
-    rows = m._by_row()
+    rows = m._by_row
     counts: dict[str, int] = {}
     for a, c in v.counts.items():
         for b, u in rows.get(a, {}).items():

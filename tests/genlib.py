@@ -563,7 +563,7 @@ def row_walk_verdict(sim: Simulation, mode: str) -> CheckResult:
 
     partial = isinstance(sim.target, ExpandedMachine)
     holds = _ROW_HOLDS[mode]
-    comps = {n: to_matrix(sim.components[n])._by_row() for n in sim.source.base.nodes}
+    comps = {n: to_matrix(sim.components[n])._by_row for n in sim.source.base.nodes}
     for e in sim.source.base.edges:
         square = _square(sim, e, comps, partial)
         if all(holds(left, right) for _, left, right in _square_rows(*square)):

@@ -20,9 +20,10 @@ import time
 
 from conftest import FIXTURES_DIR, GOLDEN_DIR
 from genlib import full_powerset_bisim, random_closure_simulation, random_live_span_automaton
+from spanauto.automata import validate
 from spanauto.cli import main
-from spanauto.determinize import det, rel_of
-from spanauto.io import serialize_automaton, serialize_simulation
+from spanauto.determinize import ClassicalNFA, det, rel_of
+from spanauto.io import parse_automaton, parse_simulation, serialize_automaton, serialize_simulation
 from spanauto.simulation import canonical_det_simulation, identity_simulation
 
 CASES = 1000
@@ -146,10 +147,9 @@ def mutate_argv(rng: random.Random, path: str) -> list[str]:
     return argv
 
 
-def run_case(seed: int, tmp_path):
-    """Draw and run case ``seed``: its argv, the document text it wrote, exit code, stdout, stderr, seconds."""
+def draw_case(seed: int, path) -> tuple[list[str], str]:
+    """Case ``seed``'s argv and the document text it reads from ``path``."""
     rng = random.Random(seed)
-    path = tmp_path / "doc.json"
     text = rng.choice(DOCUMENTS)
     if rng.random() < 0.8:
         doc = json.loads(text)
@@ -157,6 +157,13 @@ def run_case(seed: int, tmp_path):
         text = json.dumps(mutate_document(rng, doc))
     else:
         argv = mutate_argv(rng, str(path))
+    return argv, text
+
+
+def run_case(seed: int, tmp_path):
+    """Draw and run case ``seed``: its argv, the document text it wrote, exit code, stdout, stderr, seconds."""
+    path = tmp_path / "doc.json"
+    argv, text = draw_case(seed, path)
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -198,3 +205,25 @@ def test_every_case_keeps_the_exit_contract(tmp_path):
     assert not failures, f"{len(failures)} of {CASES} cases break the exit contract; the first:\n" + failures[0]
     # every branch of the contract is checked on more than a handful of cases
     assert min(codes.values()) >= 10, codes
+
+
+def test_validate_finds_nothing_in_a_loaded_document(tmp_path):
+    # the loader refuses, as an input error, every violation validate reports,
+    # so every fibered automaton the cases load, alone or as a simulation's endpoint, is well formed
+    loaded = 0
+    for seed in range(CASES):
+        _, text = draw_case(seed, tmp_path / "doc.json")
+        try:
+            doc = json.loads(text)
+            if isinstance(doc, dict) and doc.get("kind") == "simulation":
+                sim = parse_simulation(doc, base_dir=tmp_path)
+                automata = [sim.source, sim.target]
+            else:
+                automata = [parse_automaton(doc)]
+        except (ValueError, OSError):  # what main reports as an input error
+            continue
+        for a in automata:
+            if not isinstance(a, ClassicalNFA):
+                assert validate(a) == [], f"seed {seed}: {validate(a)}"
+                loaded += 1
+    assert loaded >= 100, loaded

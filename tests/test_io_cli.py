@@ -469,6 +469,32 @@ class TestDot:
         dot = to_dot(a)
         assert dot.count('"1" -> "1" [label="e"];') == 2
 
+    def test_colliding_cluster_ids_get_the_first_free_suffix(self):
+        doc = {
+            "format_version": "1", "kind": "rel",
+            "base": {"nodes": ["a-b", "a_b", "a b", "a_b_2"], "edges": []},
+            "fibers": {"a-b": ["1"], "a_b": ["2"], "a b": ["3"], "a_b_2": ["4"]},
+            "transitions": {}, "initial": "1", "finals": [],
+        }
+        dot = to_dot(parse_automaton(doc))
+        clusters = [line.split()[1] for line in dot.splitlines() if line.startswith("  subgraph ")]
+        assert clusters == ["cluster_a_b", "cluster_a_b_2", "cluster_a_b_3", "cluster_a_b_2_2"]
+        assert [line.strip() for line in dot.splitlines() if "label=" in line] == [
+            'label="a-b";', 'label="a_b";', 'label="a b";', 'label="a_b_2";']
+
+    def test_a_state_named_like_the_start_marker_keeps_its_own_node(self):
+        doc = {
+            "format_version": "1", "kind": "rel",
+            "base": {"nodes": ["n"], "edges": [{"id": "e", "label": "e", "src": "n", "dst": "n"}]},
+            "fibers": {"n": ["__start", "__start_2", "x"]},
+            "transitions": {"e": [{"from": "x", "to": "__start"}]}, "initial": "x", "finals": ["__start"],
+        }
+        dot = to_dot(parse_automaton(doc)).splitlines()
+        assert dot[2] == '  "__start_3" [shape=point];'
+        assert '  "__start_3" -> "x";' in dot
+        assert '    "__start" [shape=doublecircle];' in dot and '  "x" -> "__start" [label="e"];' in dot
+        assert sum('"__start"' in line for line in dot) == 2
+
 
 class TestCli:
     def run(self, *argv, capsys=None):

@@ -3,16 +3,33 @@
 Each record class has named fields; its repr lists them as
 ``ClassName(field=value, ...)``, setting or deleting one raises
 ``AttributeError``, equality holds within one class only, and a record
-hashes its fields unless it holds a dict (``FinSet``, ``Span``,
-``Multiset`` and ``NatMatrix`` keep their own equality and hashing).
+hashes its fields unless it holds a dict (``FinSet`` and ``Span`` keep
+their own equality and hashing, ``Multiset`` and ``NatMatrix`` their own
+hashing).  Views built on first use are no fields, and only ``_Record``
+writes instance state.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
 from spanauto.automata import BaseGraph, DetAutomaton, Edge, RelAutomaton, SpanAutomaton, Word
 from spanauto.determinize import ClassicalNFA, ExpandedMachine
 from spanauto.simulation import CheckResult, FactorizationResult, Simulation, identity_simulation
-from spanauto.spans import FinSet, Multiset, NatMatrix, Relation, Span, SpanMorphism, Token, identity_span
+from spanauto.spans import (
+    FinSet,
+    Multiset,
+    NatMatrix,
+    Relation,
+    Span,
+    SpanMorphism,
+    Token,
+    from_matrix,
+    identity_span,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spanauto"
 
 Q = FinSet("Q", ["x"])
 G = BaseGraph(["n"], [("e", "a", "n", "n")])
@@ -208,3 +225,91 @@ class TestConstruction:
         assert x.count_texts == {"x": "(1)"}
         with pytest.raises(TypeError):
             ExpandedMachine(G, {"n": Q}, {"e": {"x": "x"}}, "x", frozenset({"x"}), states)
+
+
+class TestViews:
+    def test_views_built_on_first_use_are_no_fields(self):
+        # (build one record, use its views, the views' names)
+        cases = [
+            (lambda: from_matrix(NatMatrix(Q, Q, {("x", "x"): 2})), lambda r: r.token("(x,x)#2"),
+             ("apex", "_by_label")),
+            (lambda: NatMatrix(Q, Q, {("x", "x"): 2}), lambda r: r._by_row, ("_by_row",)),
+            (lambda: Relation(Q, Q, {("x", "x")}), lambda r: r("x"), ("_by_left",)),
+            (det_automaton, lambda r: (r.rows("e"), r.node_of("x")), ("_views", "_state_nodes")),
+        ]
+        for build, use, views in cases:
+            record, copy = build(), build()
+            before = repr(record)
+            assert not any(v in vars(record) for v in views)
+            use(record)
+            assert all(v in vars(record) for v in views) and not set(views) & set(record._fields)
+            assert repr(record) == repr(copy) == before
+            assert record == copy and copy == record
+            if not isinstance(record, DetAutomaton):  # an automaton holds dicts, so it does not hash
+                assert hash(record) == hash(copy)
+            for v in views:
+                built = getattr(record, v)
+                with pytest.raises(AttributeError, match=f"cannot assign to field '{v}'"):
+                    setattr(record, v, built)
+                with pytest.raises(AttributeError, match=f"cannot delete field '{v}'"):
+                    delattr(record, v)
+                assert getattr(record, v) is built
+
+
+def instance_state_writes(text: str, exempt_class: str = "") -> list[int]:
+    """Lines that write instance state past ``__setattr__``, outside the class named ``exempt_class``.
+
+    Those are a call of ``object.__setattr__``, an assignment to or into a
+    ``__dict__`` or ``vars(...)``, and a call of their ``update``.
+    """
+    tree = ast.parse(text)
+    exempt = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == exempt_class
+              for n in ast.walk(c)}
+
+    def is_dict(e) -> bool:
+        return ((isinstance(e, ast.Attribute) and e.attr == "__dict__")
+                or (isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and e.func.id == "vars"))
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            if (f.attr == "__setattr__" and isinstance(f.value, ast.Name) and f.value.id == "object"
+                    or f.attr == "update" and is_dict(f.value)):
+                found.append(node.lineno)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        if any(is_dict(t) or isinstance(t, ast.Subscript) and is_dict(t.value) for t in targets):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+class TestOneStoragePath:
+    def test_only_the_record_base_writes_instance_state(self):
+        paths = sorted(SRC.glob("*.py"))
+        assert paths
+        found = [f"{p.name}:{line}" for p in paths
+                 for line in instance_state_writes(p.read_text(encoding="utf-8"),
+                                                   "_Record" if p.name == "spans.py" else "")]
+        assert not found, "instance state written outside spans._Record:\n" + "\n".join(found)
+
+    def test_the_guard_sees_each_write(self):
+        text = (
+            "class _Record:\n"
+            "    def __init__(self, *v):\n"
+            "        self.__dict__.update(v)\n"
+            "class A(_Record):\n"
+            "    def __init__(self, x):\n"
+            "        object.__setattr__(self, 'x', x)\n"
+            "        self.__dict__.update(y=1)\n"
+            "        self.__dict__['z'] = 2\n"
+            "def f(a):\n"
+            "    vars(a)['w'] = 3\n"
+            "    vars(a).update(v=4)\n"
+            "    a.__dict__ = {}\n"
+            "    return a.__dict__.get('x'), vars(a)['x'], getattr(a, 'x')\n"
+        )
+        assert instance_state_writes(text, "_Record") == [6, 7, 8, 10, 11, 12]
+        assert instance_state_writes(text) == [3, 6, 7, 8, 10, 11, 12]
