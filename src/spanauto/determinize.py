@@ -43,7 +43,6 @@ from .spans import (
     Multiset,
     Relation,
     Span,
-    Token,
     _WORK_BOUND,
     _Record,
     multiset_extend,
@@ -528,12 +527,8 @@ def span_automaton_of_classical(n: ClassicalNFA) -> SpanAutomaton:
     base = classical_base(n.alphabet)
     spans = {}
     for a in n.alphabet:
-        apex = [
-            Token(f"({q},{a},{t})", q, t)
-            for q in n.states
-            for t in sorted(n.step(q, a))
-        ]
-        spans[a] = Span(n.states, n.states, apex)
+        counts = {(q, t): 1 for q in n.states for t in sorted(n.step(q, a))}
+        spans[a] = Span._counted(n.states, n.states, counts)
     return SpanAutomaton(base, {_CLASSICAL_NODE: n.states}, spans, n.initial, n.finals)
 
 

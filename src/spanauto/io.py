@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
+from collections import Counter
 from pathlib import Path
 from itertools import chain, repeat
 from typing import Optional, Union
@@ -121,7 +122,7 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
             raise DocumentError(f"fibers.{n}", "missing fiber")
         elements = _string_list(fibers_doc[n], f"fibers.{n}")
         if len(set(elements)) != len(elements):
-            dup = next(x for x in elements if elements.count(x) > 1)
+            dup = next(x for x, c in Counter(elements).items() if c > 1)
             raise DocumentError(f"fibers.{n}", f"duplicate state label {dup!r}")
         fibers[n] = FinSet(n, elements)
     for key in fibers_doc:
@@ -161,8 +162,7 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
 
     if kind == "span":
         spans = {
-            e.id: Span._counted(fibers[e.src], fibers[e.dst], transitions[e.id], _entry_labels(e.id))
-            for e in base.edges
+            e.id: Span._counted(fibers[e.src], fibers[e.dst], transitions[e.id]) for e in base.edges
         }
         return SpanAutomaton(base, fibers, spans, initial, finals)
     if kind == "rel":
@@ -267,11 +267,6 @@ def _count_entries(entries, at: str, src_fiber: FinSet, dst_fiber: FinSet, count
         if len(counts) <= i:  # the pair was already there, so the store added no key
             raise DocumentError(f"{at}[{i}]", f"duplicate pair ({src!r}, {dst!r})")
     return counts
-
-
-def _entry_labels(prefix: str):
-    """Token labels ``{prefix}:{from}>{to}#{i}`` of a parsed span."""
-    return functools.partial("{}:{}>{}#{}".format, prefix)
 
 
 def _decode(text: Union[str, dict]) -> dict:
@@ -617,7 +612,7 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
                                 "target state", "source state")
         if strength == "strict" and any(c > 1 for c in counts.values()):
             raise DocumentError(at, "strict components cannot carry counts above one")
-        components[n] = Span._counted(target.fibers[n], source.fibers[n], counts, _entry_labels(n))
+        components[n] = Span._counted(target.fibers[n], source.fibers[n], counts)
     try:
         return Simulation(source, target, components, strength)
     except ValueError as exc:

@@ -49,9 +49,6 @@ from .spans import (
     Relation,
     Span,
     SpanMorphism,
-    Token,
-    _counted_pair_label,
-    _pair_label,
     _WORK_BOUND,
     _Record,
     compose_spans,
@@ -185,23 +182,17 @@ class FactorizationResult(_Record):
 # The checks read every automaton kind through its count rows,
 # ``a.rows(edge_id)``, at every strength, except that a target stored as
 # function tables (``det``, an expansion) is read as its tables, with no
-# one-entry row built per state.  Only witnesses need tokens.
+# one-entry row built per state.  Only witnesses need tokens: a stored
+# span's own, or the numbered tokens of any other kind's counting matrix.
 
 
 def transition_span(a: _FiberedAutomaton, edge_id: str) -> Span:
-    """The transition of an edge as a token span, built from its own storage.
+    """The transition of an edge as a span: a stored span itself, else the counted span of its matrix.
 
     Witnesses use it, and tests use it as the oracle for the count rows.
     """
     t = a.transitions[edge_id]
-    if isinstance(t, Span):
-        return t
-    if isinstance(t, Relation):
-        return from_relation(t)
-    if isinstance(t, NatMatrix):
-        return from_matrix(t)
-    e = a.base.edge(edge_id)
-    return Span(a.fibers[e.src], a.fibers[e.dst], [Token(f"({q}->{r})", q, r) for q, r in t.items()])
+    return t if isinstance(t, Span) else from_matrix(a.matrix(edge_id))
 
 
 def identity_simulation(a: _FiberedAutomaton, strength: str = "strict") -> Simulation:
@@ -454,8 +445,8 @@ def check_bisimulation(sim: Simulation) -> bool:
 def canonical_det_simulation(a: SpanAutomaton) -> Simulation:
     """The membership simulation from an automaton to its powerset machine.
 
-    Component at each node: the pairs (S, q) with q in S, as tokens
-    ``(S,q)``, by subset in ``det`` order, then by member.  It always
+    Component at each node: one token per pair (S, q) with q in S, by
+    subset in ``det`` order, then by member.  It always
     passes the lax check; it is pseudo only when no square composite
     carries a multiplicity above one.
     """
@@ -465,7 +456,7 @@ def canonical_det_simulation(a: SpanAutomaton) -> Simulation:
     for n in a.base.nodes:
         names = list(bits[n])
         members = {(lbl, q): 1 for m, lbl in labels[n].items() for i, q in enumerate(names) if m >> i & 1}
-        components[n] = Span._counted(d.fibers[n], a.fibers[n], members, _pair_label)
+        components[n] = Span._counted(d.fibers[n], a.fibers[n], members)
     return Simulation(a, d, components, "lax")
 
 
@@ -473,14 +464,14 @@ def multiplicity_span(exp: ExpandedMachine, node: str, fiber: FinSet) -> Span:
     """Relates each discovered multiset state to base states, with multiplicity.
 
     ``fiber`` is the node's fiber, the order of the count vectors.  Tokens
-    are ``(state,q)#i``, by state, then by ``fiber`` order.
+    come by state, then by ``fiber`` order.
     """
     counts = {}
     for lbl in exp.fibers[node]:
         for q, c in zip(fiber.elements, exp.states[lbl]):
             if c:
                 counts[lbl, q] = c
-    return Span._counted(exp.fibers[node], fiber, counts, _counted_pair_label)
+    return Span._counted(exp.fibers[node], fiber, counts)
 
 
 def canonical_mdet_simulation(a: SpanAutomaton, max_len: int, max_states: int = 4096) -> Simulation:
@@ -561,7 +552,7 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
     reached, steps = _subset_closure(f, list(seeds), None if alpha.strength == "pseudo" else decide, "factor")
     d, labels = _subset_machine(f, reached, steps)
     picks = {n: {(x, labels[n][m]): 1 for x, m in images[n].items()} for n in nodes}
-    mate = Simulation(d, g, {n: Span._counted(g.fibers[n], d.fibers[n], picks[n], _pair_label) for n in nodes}, "strict")
+    mate = Simulation(d, g, {n: Span._counted(g.fibers[n], d.fibers[n], picks[n]) for n in nodes}, "strict")
 
     # a safety check, true by construction: the mate's members of each x are alpha's row at x
     composite_ok = all(
@@ -698,7 +689,7 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> 
     mate_components = {}
     for n, rows in mate_vectors.items():
         picks = {(x, expansion_state_label(n, v, multi_node)): 1 for x, v in rows.items()}
-        mate_components[n] = Span._counted(g.fibers[n], exp.fibers[n], picks, lambda x, _, i: f"({x})")
+        mate_components[n] = Span._counted(g.fibers[n], exp.fibers[n], picks)
     mate = Simulation(exp, g, mate_components, "pseudo")
 
     # a safety check, true by construction

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, repeat
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Hashable, Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
     "FinSet",
@@ -186,9 +186,15 @@ class FinSet(_Record):
 
 
 class Token(NamedTuple):
-    """One apex element of a span: a label plus its two feet."""
+    """One apex element of a span: a label plus its two feet.
 
-    label: str
+    A token a caller supplies keeps the label it was given.  A derived
+    token is labelled by its structure: the k-th token of a counted span
+    by ``k``, a composite by the pair of its factors' labels.  Distinct
+    tokens of one span therefore never share a label.
+    """
+
+    label: Hashable
     left: str
     right: str
 
@@ -201,13 +207,15 @@ class Span(_Record):
     feet a span is, up to isomorphism, its counting matrix, so a span
     stores its sparse counts ``{(left, right): n}`` (in the order the
     feet pairs first occur) and builds its apex of tokens on first use.
+    A span built from the caller's tokens refuses two with one label; a
+    counted span numbers its tokens, so it has none to refuse.
     Equality compares the apexes, labels and order included.
     """
 
     dom: FinSet
     cod: FinSet
     counts: Mapping[tuple[str, str], int]
-    _label = None  # a counted span's token label function, no field; a token span has none
+    _numbered = False  # whether the apex numbers the counts' tokens (``_counted``); no field
 
     def __init__(self, dom: FinSet, cod: FinSet, apex=()):
         apex = tuple(Token(*t) for t in apex)
@@ -226,28 +234,24 @@ class Span(_Record):
         self._prime(apex=apex, _by_label=by_label)
 
     @classmethod
-    def _counted(cls, dom: FinSet, cod: FinSet, counts: dict[tuple[str, str], int],
-                 label: Callable[[str, str, int], str]) -> "Span":
+    def _counted(cls, dom: FinSet, cod: FinSet, counts: dict[tuple[str, str], int]) -> "Span":
         """Internal constructor: keys already lie in ``dom x cod``, values are positive ints.
 
-        The apex holds, for each key in order, the tokens
-        ``label(left, right, i)`` for i = 1..n; it is built on first use.
+        The apex holds, for each key in order, its n parallel tokens, each
+        labelled by its place in the apex from 0; it is built on first use.
         """
-        return cls._trusted(dom, cod, counts)._prime(_label=label)
+        return cls._trusted(dom, cod, counts)._prime(_numbered=True)
 
     @cached_property
     def apex(self) -> tuple[Token, ...]:
-        label = self._label
-        apex = tuple(Token(label(a, b, i), a, b) for (a, b), n in self.counts.items() for i in range(1, n + 1))
-        if len({t.label for t in apex}) != len(apex):
-            raise ValueError(f"duplicate token label {_first_duplicate(t.label for t in apex)!r}")
-        return apex
+        feet = [key for key, n in self.counts.items() for _ in range(n)]
+        return tuple(Token(k, a, b) for k, (a, b) in enumerate(feet))
 
     @cached_property
-    def _by_label(self) -> dict[str, Token]:
+    def _by_label(self) -> dict[Hashable, Token]:
         return {t.label: t for t in self.apex}
 
-    def token(self, label: str) -> Token:
+    def token(self, label: Hashable) -> Token:
         return self._by_label[label]
 
     def __eq__(self, other) -> bool:
@@ -379,9 +383,9 @@ class SpanMorphism(_Record):
 
     source: Span
     target: Span
-    mapping: Mapping[str, str]
+    mapping: Mapping[Hashable, Hashable]
 
-    def __init__(self, source: Span, target: Span, mapping: Mapping[str, str]):
+    def __init__(self, source: Span, target: Span, mapping: Mapping[Hashable, Hashable]):
         if source.dom != target.dom or source.cod != target.cod:
             raise ValueError("span morphism requires shared feet sets")
         mapping = dict(mapping)
@@ -405,9 +409,10 @@ def compose_spans(s: Span, t: Span) -> Span:
     """Compose two spans by matching middle feet (pullback of the legs).
 
     The composite has one token per pair (x, y) with the right foot of x
-    equal to the left foot of y, so multiplicities multiply.  Tokens come
-    in the order of ``s``, then of ``t``; the tokens of ``t`` are grouped
-    by left foot once, so the cost follows the output, not |s| * |t|.
+    equal to the left foot of y, so multiplicities multiply; it is
+    labelled ``(x.label, y.label)``.  Tokens come in the order of ``s``,
+    then of ``t``; the tokens of ``t`` are grouped by left foot once, so
+    the cost follows the output, not |s| * |t|.
     """
     if s.cod != t.dom:
         raise ValueError(f"cannot compose spans: middle sets {s.cod.name!r} and {t.dom.name!r} differ")
@@ -415,7 +420,7 @@ def compose_spans(s: Span, t: Span) -> Span:
     for y in t.apex:
         by_left.setdefault(y.left, []).append(y)
     apex = [
-        Token(f"({x.label};{y.label})", x.left, y.right)
+        Token((x.label, y.label), x.left, y.right)
         for x in s.apex
         for y in by_left.get(x.right, ())
     ]
@@ -430,14 +435,12 @@ def identity_span(a: FinSet) -> Span:
 def dagger_span(s: Span) -> Span:
     """The converse span: same apex, feet swapped.
 
-    A counted span's converse stays counted: it swaps the count keys and
-    labels each token as the original's, so labels and apex order match
-    the token converse, and no token is built.
+    A counted span's converse stays counted: it swaps the count keys in
+    their order, so each token keeps its place and therefore its label,
+    as in the token converse, and no token is built.
     """
-    label = s._label
-    if label is not None:
-        counts = {(b, a): n for (a, b), n in s.counts.items()}
-        return Span._counted(s.cod, s.dom, counts, lambda b, a, i: label(a, b, i))
+    if s._numbered:
+        return Span._counted(s.cod, s.dom, {(b, a): n for (a, b), n in s.counts.items()})
     return Span(s.cod, s.dom, [Token(t.label, t.right, t.left) for t in s.apex])
 
 
@@ -457,19 +460,9 @@ def image(s: Span) -> Relation:
     return Relation._trusted(s.dom, s.cod, frozenset(s.counts))
 
 
-def _pair_label(a: str, b: str, i: int) -> str:
-    """Token label ``(a,b)``, for spans with at most one token per feet pair."""
-    return f"({a},{b})"
-
-
-def _counted_pair_label(a: str, b: str, i: int) -> str:
-    """Token label ``(a,b)#i``, numbering the parallel tokens over a feet pair from 1."""
-    return f"({a},{b})#{i}"
-
-
 def from_relation(r: Relation) -> Span:
     """Embed a relation as a span with one token per pair, in sorted pair order."""
-    return Span._counted(r.dom, r.cod, dict.fromkeys(sorted(r.pairs), 1), _pair_label)
+    return Span._counted(r.dom, r.cod, dict.fromkeys(sorted(r.pairs), 1))
 
 
 def compose_relations(r: Relation, q: Relation) -> Relation:
@@ -562,7 +555,7 @@ def to_matrix(s: Span) -> NatMatrix:
 
 
 def from_matrix(m: NatMatrix) -> Span:
-    """Canonical span with m(a, b) parallel tokens ``(a,b)#i`` over each pair of feet.
+    """Canonical counted span with m(a, b) parallel tokens over each pair of feet.
 
     Feet pairs come in row-major canonical order.
     """
@@ -574,7 +567,7 @@ def from_matrix(m: NatMatrix) -> Span:
         if row:
             for b in sorted(row, key=col):
                 counts[a, b] = row[b]
-    return Span._counted(m.dom, m.cod, counts, _counted_pair_label)
+    return Span._counted(m.dom, m.cod, counts)
 
 
 def matrix_compose(m: NatMatrix, n: NatMatrix) -> NatMatrix:
@@ -638,11 +631,13 @@ def multiset_flatten(outer: Mapping[Multiset, int], base: FinSet) -> Multiset:
 def image_unit(s: Span) -> SpanMorphism:
     """The collapse of a span onto the embedding of its image relation.
 
-    Each token goes to the unique image token with the same feet.  It is
-    an isomorphism exactly when no two tokens of ``s`` share feet.
+    Each token goes to the unique image token with the same feet, the
+    one at its feet pair's place.  It is an isomorphism exactly when no
+    two tokens of ``s`` share feet.
     """
     target = from_relation(image(s))
-    return SpanMorphism(s, target, {t.label: f"({t.left},{t.right})" for t in s.apex})
+    place = {key: k for k, key in enumerate(target.counts)}
+    return SpanMorphism(s, target, {t.label: place[t.left, t.right] for t in s.apex})
 
 
 def span_morphism_search(s: Span, t: Span, iso_required: bool = False) -> Optional[SpanMorphism]:

@@ -82,10 +82,24 @@ def _fresh(rng: random.Random, prefix: str) -> str:
     return f"{prefix}{next(counter)}"
 
 
+# The separators that display strings of derived tokens once joined names
+# with, so drawn names hold them.  A state name keeps its core ``{set}.{i}``
+# between them, which keeps the powerset's subset labels (members joined by
+# commas) apart.  Token names reach no such label: one span's tokens are
+# ``a``, ``a;a``, ``a;a;a``, ... in random order, over one drawn separator,
+# so two joined pairs of them often read alike (``a;a`` then ``a``, against
+# ``a`` then ``a;a``).
+_SEPARATORS = ";>,#(){}"
+
+
+def _separators(rng: random.Random) -> str:
+    return "".join(rng.choices(_SEPARATORS, k=rng.randint(0, 2)))
+
+
 def random_finset(rng: random.Random, max_size: int = MAX_SET_SIZE, min_size: int = 0) -> FinSet:
     size = rng.randint(min_size, max_size)
     name = _fresh(rng, "S")
-    return FinSet(name, [f"{name}.{i}" for i in range(size)])
+    return FinSet(name, [f"{_separators(rng)}{name}.{i}{_separators(rng)}" for i in range(size)])
 
 
 def random_span(rng: random.Random, dom: FinSet, cod: FinSet, max_mult: int = 2,
@@ -98,9 +112,11 @@ def random_span(rng: random.Random, dom: FinSet, cod: FinSet, max_mult: int = 2,
             key = (rng.choice(dom.elements), rng.choice(cod.elements))
             if counts.get(key, 0) < max_mult:
                 counts[key] = counts.get(key, 0) + 1
-        for (a, b), c in counts.items():
-            for i in range(c):
-                apex.append(Token(f"t{len(apex)}", a, b))
+        feet = [key for key, c in counts.items() for _ in range(c)]
+        sep = rng.choice(_SEPARATORS)
+        names = [sep.join("a" * k) for k in range(1, len(feet) + 1)]
+        rng.shuffle(names)
+        apex = [Token(x, a, b) for x, (a, b) in zip(names, feet)]
     return Span(dom, cod, apex)
 
 

@@ -67,12 +67,12 @@ class TestRoundTrips:
         assert a.transitions["e"].apex == ()
 
     def test_parsed_apexes_list_document_tokens(self):
-        # a parsed span's apex lists, entry by entry in document order, the tokens
-        # `{edge}:{from}>{to}#{i}` (components: `{node}:{from}>{to}#{i}`); the
+        # a parsed span's apex lists, entry by entry in document order, its tokens,
+        # each labelled by its place in the apex (components likewise); the
         # oracles are built token by token through the validating constructor
-        def tokens(prefix, entries):
-            return [Token(f"{prefix}:{t['from']}>{t['to']}#{i}", t["from"], t["to"])
-                    for t in entries for i in range(1, t.get("count", 1) + 1)]
+        def tokens(entries):
+            feet = [(t["from"], t["to"]) for t in entries for _ in range(t.get("count", 1))]
+            return [Token(k, q, r) for k, (q, r) in enumerate(feet)]
 
         rng = random.Random(3)
         for _ in range(40):
@@ -82,7 +82,7 @@ class TestRoundTrips:
                 rng.shuffle(entries)
             parsed = parse_automaton(doc)
             oracle = SpanAutomaton(a.base, a.fibers, {
-                e.id: Span(a.fibers[e.src], a.fibers[e.dst], tokens(e.id, doc["transitions"][e.id]))
+                e.id: Span(a.fibers[e.src], a.fibers[e.dst], tokens(doc["transitions"][e.id]))
                 for e in a.base.edges
             }, a.initial, a.finals)
             assert parsed == oracle
@@ -97,7 +97,7 @@ class TestRoundTrips:
             sim = parse_simulation({"format_version": "1", "kind": "simulation", "source": doc, "target": doc,
                                     "strength": "lax", "components": components})
             sim_oracle = Simulation(oracle, oracle, {
-                n: Span(a.fibers[n], a.fibers[n], tokens(n, components[n])) for n in a.base.nodes
+                n: Span(a.fibers[n], a.fibers[n], tokens(components[n])) for n in a.base.nodes
             }, "lax")
             assert sim.components == sim_oracle.components
             got, want = check_span_simulation(sim, "lax"), check_span_simulation(sim_oracle, "lax")

@@ -46,8 +46,8 @@ def assert_read_in_order(a, doc: dict) -> None:
             counts = reference_entries(entries, at, src, dst, True)
             span = a.transitions[e.id]
             assert list(span.counts.items()) == list(counts.items())
-            assert [t.label for t in span.apex] == [f"{e.id}:{q}>{r}#{i}" for (q, r), n in counts.items()
-                                                    for i in range(1, n + 1)]
+            assert list(span.apex) == [Token(k, q, r) for k, (q, r) in
+                                       enumerate(p for p, n in counts.items() for _ in range(n))]
 
 
 def assert_simulation_read_in_order(sim: Simulation, rng: random.Random) -> None:
@@ -63,8 +63,8 @@ def assert_simulation_read_in_order(sim: Simulation, rng: random.Random) -> None
                                    loaded.source.fibers[n], True, "target state", "source state")
         component = loaded.components[n]
         assert list(component.counts.items()) == list(counts.items())
-        assert [t.label for t in component.apex] == [f"{n}:{x}>{q}#{i}" for (x, q), c in counts.items()
-                                                     for i in range(1, c + 1)]
+        assert list(component.apex) == [Token(k, x, q) for k, (x, q) in
+                                        enumerate(p for p, c in counts.items() for _ in range(c))]
 
 
 def relabelled(rng: random.Random, d: DetAutomaton) -> Simulation:

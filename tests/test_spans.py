@@ -103,7 +103,7 @@ class TestComposeSpans:
             s = random_span(rng, X, Y, max_mult=3, max_tokens=14)
             t = random_span(rng, Y, Z, max_mult=3, max_tokens=14)
             naive = tuple(
-                Token(f"({x.label};{y.label})", x.left, y.right)
+                Token((x.label, y.label), x.left, y.right)
                 for x in s.apex
                 for y in t.apex
                 if x.right == y.left
