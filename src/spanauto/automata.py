@@ -96,13 +96,22 @@ class BaseGraph(_Record):
         _Record.__init__(self, nodes, edges)
 
     def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
+        return self._by_id[edge_id]
 
-    def out_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node]
+    def out_edges(self, node: str) -> tuple[Edge, ...]:
+        """The edges out of a node, in edge order; none for a node the graph does not have."""
+        return self._out.get(node, ())
+
+    @cached_property
+    def _by_id(self) -> dict[str, Edge]:
+        return {e.id: e for e in self.edges}
+
+    @cached_property
+    def _out(self) -> dict[str, tuple[Edge, ...]]:
+        out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
+        for e in self.edges:
+            out[e.src].append(e)
+        return {n: tuple(es) for n, es in out.items()}
 
 
 class Word(_Record):

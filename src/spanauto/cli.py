@@ -13,7 +13,7 @@ import functools
 import sys
 from collections import Counter
 
-from .automata import _accepted_sweep, validate
+from .automata import _accepted_sweep
 from .determinize import (
     ClassicalNFA,
     classical_subset_construction,
@@ -45,14 +45,8 @@ def _fibered(a):
 
 
 def cmd_validate(args) -> int:
-    a = load_automaton(args.file)
-    if isinstance(a, ClassicalNFA):
-        return 0
-    problems = validate(a)
-    for p in problems:
-        print(p, file=sys.stderr)
-    if problems:
-        raise CheckFailed(f"{len(problems)} violation(s)")
+    # the loader refuses, as an input error, each violation ``automata.validate`` reports
+    load_automaton(args.file)
     return 0
 
 
@@ -101,7 +95,7 @@ def cmd_sim_check(args) -> int:
     if args.mode == "strict":
         result = check_rel_simulation(sim)
     else:
-        result = check_span_simulation(sim, args.mode, witnesses=False)
+        result = check_span_simulation(sim, args.mode)
     if not result.ok:
         print(result.detail, file=sys.stderr)
         raise CheckFailed(f"naturality fails at edge {result.failed_edge!r}")

@@ -45,6 +45,7 @@ from .spans import (
     Span,
     _WORK_BOUND,
     _Record,
+    _member_text,
     multiset_extend,
     subset_label,
     subsets_of,
@@ -96,8 +97,9 @@ class ClassicalNFA(_Record):
 
     def __init__(self, alphabet, states, delta, initial, finals):
         alphabet, finals = tuple(alphabet), frozenset(finals)
+        letters = set(alphabet)
         delta = {k: frozenset(v) for k, v in delta.items() if v}
-        if len(set(alphabet)) != len(alphabet):
+        if len(letters) != len(alphabet):
             raise ValueError("duplicate letters in the alphabet")
         if initial not in states:
             raise ValueError(f"initial state {initial!r} not a state")
@@ -105,7 +107,7 @@ class ClassicalNFA(_Record):
             if q not in states:
                 raise ValueError(f"final state {q!r} not a state")
         for (q, a), targets in delta.items():
-            if q not in states or a not in alphabet:
+            if q not in states or a not in letters:
                 raise ValueError(f"delta key ({q!r}, {a!r}) out of range")
             for t in targets:
                 if t not in states:
@@ -253,8 +255,8 @@ def _subset_machine(a, reached: Mapping[str, Mapping[int, list[int]]], steps: Ma
                     ) -> tuple[DetAutomaton, dict[str, dict[int, str]]]:
     """Label a ``_subset_closure`` as a deterministic automaton; also returns each node's labels by mask.
 
-    A label joins the member names at the subset's set bits, already in
-    string order (``_masks``), after the node's head
+    A label joins the ``_member_text`` of the names at the subset's set bits,
+    already in string order (``_masks``), after the node's head
     (``subset_state_label`` of no members, without its closing brace).
     Fibers list the reached subsets by size, then by member names
     (``subsets_of`` order).  The initial state is ``{initial}``, which the
@@ -265,11 +267,11 @@ def _subset_machine(a, reached: Mapping[str, Mapping[int, list[int]]], steps: Ma
     labels: dict[str, dict[int, str]] = {}
     finals = set()
     for n in a.base.nodes:
-        names = list(pos[n])
+        shown = list(map(_member_text, pos[n]))
         head = subset_state_label(n, (), multi)[:-1]
         ranked = sorted(reached[n].items(), key=lambda item: (len(item[1]), item[1]))
-        labels[n] = {m: head + ",".join(map(names.__getitem__, set_bits)) + "}" for m, set_bits in ranked}
-        final_mask = sum(1 << i for i, q in enumerate(names) if q in a.finals)
+        labels[n] = {m: head + ",".join(map(shown.__getitem__, set_bits)) + "}" for m, set_bits in ranked}
+        final_mask = sum(1 << i for i, q in enumerate(pos[n]) if q in a.finals)
         finals.update(lbl for m, lbl in labels[n].items() if m & final_mask)
     fibers = {n: FinSet(f"P({a.fibers[n].name})", labels[n].values()) for n in a.base.nodes}
     tables = {
@@ -596,14 +598,11 @@ def reachable_iso_check(d1: DetAutomaton, d2: DetAutomaton) -> Optional[dict[str
     """
     if set(d1.base.nodes) != set(d2.base.nodes):
         return None
-    edge_match: dict[str, str] = {}
-    for e1 in d1.base.edges:
-        candidates = [e2 for e2 in d2.base.edges if (e2.src, e2.dst, e2.label) == (e1.src, e1.dst, e1.label)]
-        if len(candidates) != 1:
-            return None
-        edge_match[e1.id] = candidates[0].id
-    if {(e.src, e.dst, e.label) for e in d1.base.edges} != {(e.src, e.dst, e.label) for e in d2.base.edges}:
+    # a base graph repeats no label between one pair of nodes, so (src, dst, label) names an edge
+    by_key = {(e.src, e.dst, e.label): e.id for e in d2.base.edges}
+    if {(e.src, e.dst, e.label) for e in d1.base.edges} != by_key.keys():
         return None
+    edge_match = {e.id: by_key[e.src, e.dst, e.label] for e in d1.base.edges}
     if d1.initial_node != d2.initial_node:
         return None
     mapping: dict[str, str] = {d1.initial: d2.initial}

@@ -308,6 +308,7 @@ def _parse_base(base_doc: dict) -> BaseGraph:
 def _parse_classical(doc: dict) -> ClassicalNFA:
     _no_unknown_keys(doc, ("format_version", "kind", "alphabet", "states", "delta", "initial", "finals"))
     alphabet = _string_list(_need(doc, "alphabet", list), "alphabet")
+    letters = set(alphabet)
     states = _string_list(_need(doc, "states", list), "states")
     if len(set(states)) != len(states):
         raise DocumentError("states", "duplicate state label")
@@ -323,7 +324,7 @@ def _parse_classical(doc: dict) -> ClassicalNFA:
         to = entry.get("to")
         if not isinstance(src, str) or src not in state_set:
             raise DocumentError(f"{at}.from", f"unknown state {src!r}")
-        if not isinstance(letter, str) or letter not in alphabet:
+        if not isinstance(letter, str) or letter not in letters:
             raise DocumentError(f"{at}.letter", f"unknown letter {letter!r}")
         targets = _string_list(to, f"{at}.to")
         for t in targets:

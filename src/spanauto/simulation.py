@@ -20,11 +20,9 @@ supports, as int bitmasks over the source's fibers while those are
 narrow, and every other square row by row on the automata's count rows
 and the components' rows.  A target stored as function tables (``det``,
 an expansion) is read as its tables, with no rows built: the right side
-at x is the component row, or mask, of x's image.  No square builds
-either composite, and a failing check lists the differing entries of its
-failing edge only.
-Token composites and their apex maps are built only as optional
-witnesses of squares that already passed.
+at x is the component row, or mask, of x's image.  No check builds either
+composite (``square_witnesses`` builds them, for squares that passed), and
+a failing check lists the differing entries of its failing edge only.
 
 ``factor_det`` and ``factor_mdet`` split a simulation into a determinized
 target through the canonical simulation, reporting which of the expected
@@ -89,6 +87,7 @@ __all__ = [
     "compose_simulations",
     "check_rel_simulation",
     "check_span_simulation",
+    "square_witnesses",
     "check_bisimulation",
     "canonical_det_simulation",
     "canonical_mdet_simulation",
@@ -99,6 +98,7 @@ __all__ = [
 ]
 
 STRENGTHS = ("strict", "pseudo", "lax")
+_MDET_MAX_STATES = 4096  # the state bound of canonical_mdet_simulation's and factor_mdet's expansions
 
 
 class Simulation(_Record):
@@ -142,11 +142,10 @@ class CheckResult(_Record):
     ok: bool
     failed_edge: Optional[str]
     detail: str
-    witnesses: Optional[Mapping[str, object]]
     differences: tuple[tuple[str, str, int, int], ...]
 
-    def __init__(self, ok, failed_edge=None, detail="", witnesses=None, differences=()):
-        _Record.__init__(self, ok, failed_edge, detail, witnesses, differences)
+    def __init__(self, ok, failed_edge=None, detail="", differences=()):
+        _Record.__init__(self, ok, failed_edge, detail, differences)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -379,7 +378,7 @@ def check_rel_simulation(sim: Simulation) -> CheckResult:
     return _check_squares(sim, "strict")
 
 
-def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) -> CheckResult:
+def check_span_simulation(sim: Simulation, mode: str) -> CheckResult:
     """Span-level naturality: lax wants an apex map, pseudo wants matrix equality.
 
     The apex map runs from the composite through the source's transition
@@ -388,25 +387,25 @@ def check_span_simulation(sim: Simulation, mode: str, witnesses: bool = True) ->
     second's, and it is an isomorphism exactly when the matrices are
     equal; each square is decided on those matrices row by row.  When the
     target is a bounded expansion, rows without recorded transitions are
-    left out of both sides of each square.  With ``witnesses=True`` a
-    passing check also builds, per edge, the token composites and an apex
-    map between them (an isomorphism in pseudo mode); that is the only
-    part whose cost follows the apex sizes, so when some edge's witness
-    would build more than 1,000,000 tokens the check raises ``ValueError``
-    before it builds any.
+    left out of both sides of each square.
     """
     if mode not in ("lax", "pseudo"):
         raise ValueError(f"span check mode must be 'lax' or 'pseudo', not {mode!r}")
-    result = _check_squares(sim, mode)
-    if not result.ok or not witnesses:
-        return result
+    return _check_squares(sim, mode)
+
+
+def square_witnesses(sim: Simulation, mode: str) -> dict[str, SpanMorphism]:
+    """Per edge, an apex map between a passing square's token composites, an isomorphism in pseudo mode.
+
+    A failing check, or a witness past 1,000,000 tokens, is a ``ValueError`` naming its edge, before any token.
+    """
+    _require(check_span_simulation(sim, mode), f"no {mode} witness")
     partial = isinstance(sim.target, ExpandedMachine)
     for e in sim.source.base.edges:
         tokens = _witness_tokens(sim, e, partial)
         if tokens > _WORK_BOUND:
             raise ValueError(f"witness at edge {e.id!r} would build {tokens} tokens, more than {_WORK_BOUND}")
-    found = {e.id: _square_witness(sim, e, partial, mode) for e in sim.source.base.edges}
-    return CheckResult(True, witnesses=found)
+    return {e.id: _square_witness(sim, e, partial, mode) for e in sim.source.base.edges}
 
 
 def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
@@ -474,15 +473,15 @@ def multiplicity_span(exp: ExpandedMachine, node: str, fiber: FinSet) -> Span:
     return Span._counted(exp.fibers[node], fiber, counts)
 
 
-def canonical_mdet_simulation(a: SpanAutomaton, max_len: int, max_states: int = 4096) -> Simulation:
+def canonical_mdet_simulation(a: SpanAutomaton, max_len: int) -> Simulation:
     """The multiplicity simulation from an automaton to its counting machine.
 
-    Checked against the bounded expansion: each discovered multiset state
-    relates to an original state as many times as the state was counted.
+    Checked against the expansion to ``max_len`` layers and ``_MDET_MAX_STATES`` states: each
+    discovered multiset state relates to an original state as many times as it was counted.
     The squares hold with equal matrices (a forward-backward simulation),
     which check_span_simulation('pseudo') verifies on the recorded rows.
     """
-    exp = mdet_expand(mdet(a), max_states, max_len)
+    exp = mdet_expand(mdet(a), _MDET_MAX_STATES, max_len)
     components = {n: multiplicity_span(exp, n, a.fibers[n]) for n in a.base.nodes}
     return Simulation(a, exp, components, "pseudo")
 
@@ -652,13 +651,13 @@ def _require_natural(alpha: Simulation) -> None:
     _require(natural, "alpha is not natural at the relation level")
 
 
-def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> FactorizationResult:
+def factor_mdet(alpha: Simulation, max_len: int = 4) -> FactorizationResult:
     """Split a forward-backward simulation through the counting machine.
 
     Requires pseudo strength: the mate reads each component's counting
     matrix row as a multiset state, and only equal-matrix squares make
-    that assignment natural.  All checks run on a bounded expansion that
-    is seeded with the mate's image states.
+    that assignment natural.  All checks run on an expansion to ``max_len``
+    layers and ``_MDET_MAX_STATES`` states, seeded with the mate's images.
 
     The mate is the only function-component candidate: composing with the
     multiplicity map gives back each chosen state's count vector, and
@@ -683,7 +682,7 @@ def factor_mdet(alpha: Simulation, max_len: int = 4, max_states: int = 4096) -> 
         for (x, q), c in alpha_matrices[n].entries.items():
             rows[x][f.fibers[n].index(q)] = c
     seeds = {n: list(rows.values()) for n, rows in mate_vectors.items()}
-    exp = mdet_expand(mdet(f), max_states, max_len, extra_seeds=seeds)
+    exp = mdet_expand(mdet(f), _MDET_MAX_STATES, max_len, extra_seeds=seeds)
 
     multi_node = len(f.base.nodes) > 1
     mate_components = {}

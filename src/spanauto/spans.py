@@ -485,9 +485,34 @@ def dagger_relation(r: Relation) -> Relation:
 # powersets
 
 
+_MEMBER_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,{}"})
+
+
+def _member_text(name: str) -> str:
+    """A name as a subset label's member: as it is, or with a backslash before each ``\\``, ``,``, ``{`` and ``}``.
+
+    A name stands as it is when it has no backslash and its braces pair up
+    around all its commas, so labels of labels read as nested sets
+    (``{{1,2}}``).  Then the commas outside braces are those that join the
+    members, and no two subsets of nonempty names share a label.
+    """
+    depth = 0
+    for c in name:
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+        if depth < 0 or c == "\\" or c == "," and not depth:
+            break
+    else:
+        if not depth:
+            return name
+    return name.translate(_MEMBER_ESCAPES)
+
+
 def subset_label(members) -> str:
-    """Canonical printable name of a subset: sorted members in braces."""
-    return "{" + ",".join(sorted(members)) + "}"
+    """Canonical printable name of a subset: its sorted members, each a ``_member_text``, in braces."""
+    return "{" + ",".join(map(_member_text, sorted(members))) + "}"
 
 
 def subsets_of(a: FinSet) -> list[frozenset[str]]:

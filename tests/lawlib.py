@@ -83,13 +83,14 @@ def _fresh(rng: random.Random, prefix: str) -> str:
 
 
 # The separators that display strings of derived tokens once joined names
-# with, so drawn names hold them.  A state name keeps its core ``{set}.{i}``
-# between them, which keeps the powerset's subset labels (members joined by
-# commas) apart.  Token names reach no such label: one span's tokens are
-# ``a``, ``a;a``, ``a;a;a``, ... in random order, over one drawn separator,
-# so two joined pairs of them often read alike (``a;a`` then ``a``, against
-# ``a`` then ``a;a``).
-_SEPARATORS = ";>,#(){}"
+# with, and that subset labels escape, so drawn names hold them.  A state
+# name is ``{set}.{i}`` between 0-2 of them, or, from the third name on,
+# two earlier names joined by a comma: a subset label's own reading of the
+# pair, so the powerset's labels of ``{x,y}`` and ``{"x,y"}`` meet unless
+# members are escaped.  One span's tokens are ``a``, ``a;a``, ``a;a;a``,
+# ... in random order, over one drawn separator, so two joined pairs of
+# them often read alike (``a;a`` then ``a``, against ``a`` then ``a;a``).
+_SEPARATORS = ";>,#(){}\\"
 
 
 def _separators(rng: random.Random) -> str:
@@ -99,7 +100,11 @@ def _separators(rng: random.Random) -> str:
 def random_finset(rng: random.Random, max_size: int = MAX_SET_SIZE, min_size: int = 0) -> FinSet:
     size = rng.randint(min_size, max_size)
     name = _fresh(rng, "S")
-    return FinSet(name, [f"{_separators(rng)}{name}.{i}{_separators(rng)}" for i in range(size)])
+    names: list[str] = []
+    for i in range(size):
+        x = ",".join(sorted(rng.sample(names, 2))) if len(names) > 1 and rng.random() < 0.5 else ""
+        names.append(x if x and x not in names else f"{_separators(rng)}{name}.{i}{_separators(rng)}")
+    return FinSet(name, names)
 
 
 def random_span(rng: random.Random, dom: FinSet, cod: FinSet, max_mult: int = 2,

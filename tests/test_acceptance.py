@@ -166,10 +166,10 @@ def test_criterion_6_canonical_simulations(generated_automata):
     with Budget("criterion 6 (canonical simulations on generated automata)", 60.0):
         for a in generated_automata:
             lax = canonical_det_simulation(a)
-            assert check_span_simulation(lax, "lax", witnesses=False).ok
+            assert check_span_simulation(lax, "lax").ok
         for a in generated_automata:
             pseudo = canonical_mdet_simulation(a, max_len=4)
-            assert check_span_simulation(pseudo, "pseudo", witnesses=False).ok
+            assert check_span_simulation(pseudo, "pseudo").ok
 
 
 def _relabeled_det_instance(rng, f):
@@ -286,9 +286,9 @@ def test_criterion_7_universal_property():
             exp = mdet_expand(mdet(a), max_states=256, max_len=8)
             assert not exp.truncated
             g = exp.as_det_automaton()
-            sim = canonical_mdet_simulation(a, max_len=8, max_states=256)
+            sim = canonical_mdet_simulation(a, max_len=8)
             alpha = Simulation(a, g, sim.components, "pseudo")
-            result = factor_mdet(alpha, max_len=8, max_states=256)
+            result = factor_mdet(alpha, max_len=8)
             assert result.composite_ok and result.bisim_ok
         assert mdet_unique_seen >= 25
 

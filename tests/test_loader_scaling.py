@@ -1,9 +1,9 @@
-"""The loader refuses a bad document in time linear in its size.
+"""The loader reads a document, or refuses a bad one, in time linear in its size.
 
-Each probe builds one faulty document at n and at 8n entries, checks that
-both refusals name the same fault, and bounds the 8n time by 20 times the
-n time plus 0.5 s: generous for a linear scan on a loaded machine, and
-far below what a quadratic one takes at 8n.
+Each probe builds one document at n and at 8n entries, checks that both
+loads, or both refusals, say the same thing of them, and bounds the 8n
+time by 20 times the n time plus 0.5 s: generous for a linear scan on a
+loaded machine, and far below what a quadratic one takes at 8n.
 """
 
 import time
@@ -46,4 +46,20 @@ def test_duplicate_last_label_refused_in_linear_time():
     large, large_s = refusal(det_doc(fiber(8 * N)))
     assert small == f"fibers.n: duplicate state label 'q{N - 1}'"
     assert large == f"fibers.n: duplicate state label 'q{8 * N - 1}'"
+    assert large_s <= 20 * small_s + 0.5, (small_s, large_s)
+
+
+def test_classical_alphabet_read_in_linear_time():
+    # n letters, each with one delta entry, so a letter looked up in the alphabet's list costs n per entry
+    def load(n):
+        letters = [f"a{i}" for i in range(n)]
+        doc = {"format_version": "1", "kind": "classical-nfa", "alphabet": letters, "states": ["q"],
+               "delta": [{"from": "q", "letter": x, "to": ["q"]} for x in letters], "initial": "q", "finals": ["q"]}
+        start = time.perf_counter()
+        nfa = parse_automaton(doc)
+        return (len(nfa.alphabet), len(nfa.delta)), time.perf_counter() - start
+
+    small, small_s = load(N)
+    large, large_s = load(8 * N)
+    assert (small, large) == ((N, N), (8 * N, 8 * N))
     assert large_s <= 20 * small_s + 0.5, (small_s, large_s)

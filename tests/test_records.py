@@ -26,7 +26,6 @@ from spanauto.spans import (
     SpanMorphism,
     Token,
     from_matrix,
-    identity_span,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spanauto"
@@ -70,7 +69,7 @@ def records():
         (expansion(), ("base", "fibers", "transitions", "initial", "finals", "states", "accept_counts",
                        "truncated_by")),
         (simulation(), ("source", "target", "components", "strength")),
-        (CheckResult(True), ("ok", "failed_edge", "detail", "witnesses", "differences")),
+        (CheckResult(True), ("ok", "failed_edge", "detail", "differences")),
         (FactorizationResult(simulation(), True, False), ("mate", "composite_ok", "bisim_ok", "unique_ok")),
     ]
 
@@ -100,9 +99,9 @@ class TestRepr:
             f"ClassicalNFA(alphabet=('a',), states={Q!r}, delta={{('x', 'a'): frozenset({{'x'}})}}, "
             "initial='x', finals=frozenset({'x'}))")
         assert repr(CheckResult(True)) == (
-            "CheckResult(ok=True, failed_edge=None, detail='', witnesses=None, differences=())")
+            "CheckResult(ok=True, failed_edge=None, detail='', differences=())")
         assert repr(CheckResult(False, "e", "d", differences=(("x", "x", 1, 0),))) == (
-            "CheckResult(ok=False, failed_edge='e', detail='d', witnesses=None, differences=(('x', 'x', 1, 0),))")
+            "CheckResult(ok=False, failed_edge='e', detail='d', differences=(('x', 'x', 1, 0),))")
         sim = simulation()
         assert repr(sim).startswith(f"Simulation(source={sim.source!r}, target=")
         assert repr(sim).endswith(", strength='strict')")
@@ -183,8 +182,7 @@ class TestHash:
 
     def test_records_holding_dicts_do_not_hash(self):
         for record in (det_automaton(), expansion(), simulation(), FactorizationResult(simulation(), True, True),
-                       ClassicalNFA(["a"], Q, {}, "x", ()), SpanMorphism(span(), span(), {"t": "t"}),
-                       CheckResult(True, witnesses={})):
+                       ClassicalNFA(["a"], Q, {}, "x", ()), SpanMorphism(span(), span(), {"t": "t"})):
             with pytest.raises(TypeError):
                 hash(record)
 
@@ -192,12 +190,15 @@ class TestHash:
 class TestConstruction:
     def test_check_result_defaults_and_keywords(self):
         r = CheckResult(True)
-        assert (r.ok, r.failed_edge, r.detail, r.witnesses, r.differences) == (True, None, "", None, ())
+        assert (r.ok, r.failed_edge, r.detail, r.differences) == (True, None, "", ())
         assert bool(r) and not CheckResult(False)
-        witnesses = {"n": identity_span(Q)}
-        by_keyword = CheckResult(ok=False, failed_edge="e", detail="d", witnesses=witnesses, differences=((1,),))
-        assert by_keyword == CheckResult(False, "e", "d", witnesses, ((1,),))
-        assert by_keyword.witnesses is witnesses
+        differences = (("x", "x", 1, 0),)
+        by_keyword = CheckResult(ok=False, failed_edge="e", detail="d", differences=differences)
+        assert by_keyword == CheckResult(False, "e", "d", differences)
+        assert by_keyword.differences is differences
+        assert hash(by_keyword) == hash(CheckResult(False, "e", "d", differences))
+        with pytest.raises(TypeError):
+            CheckResult(True, witnesses={})
         with pytest.raises(TypeError):
             CheckResult()
         with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
 """Tests for simulation checking, canonical simulations and factorization."""
 
+import re
+
 import pytest
 
 from spanauto.spans import (
@@ -36,6 +38,7 @@ from spanauto.simulation import (
     factor_det,
     factor_mdet,
     identity_simulation,
+    square_witnesses,
 )
 from genlib import membership_relation
 
@@ -237,8 +240,7 @@ class TestCanonicalDetSimulation:
 
     def test_edge_b_square_witness(self):
         sim = canonical_det_simulation(two_state_example())
-        result = check_span_simulation(sim, "lax")
-        assert result.ok and "b" in result.witnesses
+        assert "b" in square_witnesses(sim, "lax")
 
     def test_pseudo_fails_on_multiplicity(self):
         sim = canonical_det_simulation(two_state_example())
@@ -282,12 +284,11 @@ class TestCanonicalMDetSimulation:
         growing = SpanAutomaton(
             base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1"), Token("v", "1", "1")])}, "1", {"1"}
         )
-        sim = canonical_mdet_simulation(growing, max_len=3, max_states=16)
+        sim = canonical_mdet_simulation(growing, max_len=3)
         assert sim.target.truncated
         assert check_span_simulation(sim, "pseudo").ok
-        result = check_span_simulation(sim, "pseudo", witnesses=True)
         assert square_oracle(sim, "pseudo") == (True, None, ())
-        assert all(m.is_iso() for m in result.witnesses.values())
+        assert all(m.is_iso() for m in square_witnesses(sim, "pseudo").values())
         # the strict check reads the same rows
         strict = Simulation(rel_of(growing), sim.target, {"n": image(sim.components["n"])}, "strict")
         assert check_rel_simulation(strict).ok
@@ -330,7 +331,7 @@ def random_factor_instance(rng, strength):
                              for x in g.fibers[n] for q in f.fibers[n] for k in range(rng.choice((0, 0, 1, 1, 2)))])
                     for n in f.base.nodes
                 }
-                natural = check_span_simulation(Simulation(f, g, comps, "pseudo"), "pseudo", witnesses=False).ok
+                natural = check_span_simulation(Simulation(f, g, comps, "pseudo"), "pseudo").ok
                 nonzero = any(c.apex for c in comps.values())
             if natural and nonzero:
                 return Simulation(f, g, comps, strength)
@@ -549,9 +550,9 @@ class TestFactorMDet:
         a = two_state_example()
         exp = mdet_expand(mdet(a), max_states=64, max_len=8)
         g = exp.as_det_automaton()
-        sim = canonical_mdet_simulation(a, max_len=8, max_states=64)
+        sim = canonical_mdet_simulation(a, max_len=8)
         alpha = Simulation(a, g, sim.components, "pseudo")
-        result = factor_mdet(alpha, max_len=8, max_states=64)
+        result = factor_mdet(alpha, max_len=8)
         assert result.composite_ok and result.bisim_ok
         mate_map = {t.left: t.right for t in result.mate.components["s"].apex}
         assert mate_map == {lbl: lbl for lbl in g.fibers["s"]}
@@ -723,7 +724,7 @@ def random_simulations(seed):
         identity_simulation(a, "pseudo"),
         identity_simulation(r, "lax"),
         Simulation(a, span_automaton_of_rel(r), {n: identity_span(a.fibers[n]) for n in a.base.nodes}, "lax"),
-        canonical_mdet_simulation(a, max_len=2, max_states=6),
+        canonical_mdet_simulation(a, max_len=2),
     ]
     for target in (a, r, det(a)):
         comps = {
@@ -767,22 +768,20 @@ def strict_simulations(seed):
 class TestMatrixFirstSquares:
     SEEDS = range(12)
 
-    def test_witness_flag_changes_only_the_witnesses(self):
+    def test_square_witnesses_follow_the_verdict(self):
         seen = set()
         for seed in self.SEEDS:
             for sim in random_simulations(seed):
                 for mode in ("lax", "pseudo"):
-                    with_w = check_span_simulation(sim, mode, witnesses=True)
-                    without = check_span_simulation(sim, mode, witnesses=False)
-                    verdict = (with_w.ok, with_w.failed_edge, with_w.detail, with_w.differences)
-                    assert verdict == (without.ok, without.failed_edge, without.detail, without.differences)
-                    assert without.witnesses is None
-                    seen.add((mode, with_w.ok, len(sim.source.base.nodes) > 1))
-                    if not with_w.ok:
-                        assert with_w.witnesses is None
+                    result = check_span_simulation(sim, mode)
+                    seen.add((mode, result.ok, len(sim.source.base.nodes) > 1))
+                    if not result.ok:
+                        with pytest.raises(ValueError, match=f"^no {mode} witness: {re.escape(result.detail)}$"):
+                            square_witnesses(sim, mode)
                         continue
-                    assert set(with_w.witnesses) == {e.id for e in sim.source.base.edges}
-                    for morphism in with_w.witnesses.values():
+                    witnesses = square_witnesses(sim, mode)
+                    assert set(witnesses) == {e.id for e in sim.source.base.edges}
+                    for morphism in witnesses.values():
                         assert isinstance(morphism, SpanMorphism)
                         assert morphism.is_iso() or mode == "lax"
         # both modes, both verdicts, on single- and multi-node bases
@@ -792,7 +791,7 @@ class TestMatrixFirstSquares:
         for seed in self.SEEDS:
             for sim in random_simulations(seed):
                 for mode in ("lax", "pseudo"):
-                    result = check_span_simulation(sim, mode, witnesses=False)
+                    result = check_span_simulation(sim, mode)
                     assert (result.ok, result.failed_edge, result.differences) == square_oracle(sim, mode)
                     if not result.ok:
                         at = [(row, col) for row, col, _, _ in result.differences]
@@ -802,11 +801,11 @@ class TestMatrixFirstSquares:
         for seed in self.SEEDS:
             for sim in random_simulations(seed):
                 for mode in ("lax", "pseudo"):
-                    result = check_span_simulation(sim, mode)
-                    if not result.ok:
+                    if not check_span_simulation(sim, mode).ok:
                         continue
+                    witnesses = square_witnesses(sim, mode)
                     for e in sim.source.base.edges:
-                        morphism = result.witnesses[e.id]
+                        morphism = witnesses[e.id]
                         assert (_counts(morphism.source), _counts(morphism.target)) == oracle_sides(sim, e)
 
     def test_witness_token_count_matches_the_built_witness(self):
@@ -815,12 +814,12 @@ class TestMatrixFirstSquares:
 
         for seed in self.SEEDS:
             for sim in random_simulations(seed):
-                result = check_span_simulation(sim, "lax")
-                if not result.ok:
+                if not check_span_simulation(sim, "lax").ok:
                     continue
+                witnesses = square_witnesses(sim, "lax")
                 partial = isinstance(sim.target, ExpandedMachine)
                 for e in sim.source.base.edges:
-                    morphism = result.witnesses[e.id]
+                    morphism = witnesses[e.id]
                     read = [sim.components[e.src], sim.components[e.dst],
                             transition_span(sim.source, e.id), transition_span(sim.target, e.id)]
                     built = [morphism.source, morphism.target]
@@ -840,10 +839,10 @@ class TestMatrixFirstSquares:
         a = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1")])}, "1", {"1"})
         comp = from_matrix(NatMatrix(q, q, {("1", "1"): 10**18}))
         sim = Simulation(a, a, {"n": comp}, "pseudo")
-        assert check_span_simulation(sim, "pseudo", witnesses=False).ok
+        assert check_span_simulation(sim, "pseudo").ok
         # both components, both transitions and both composites: 4 * 10**18 + 2 tokens
         with pytest.raises(ValueError, match=f"witness at edge 'e' would build {4 * 10**18 + 2} tokens"):
-            check_span_simulation(sim, "pseudo")
+            square_witnesses(sim, "pseudo")
 
     def test_rel_verdict_matches_relation_oracle(self):
         seen = set()
@@ -875,7 +874,7 @@ class TestMatrixFirstSquares:
             for module in [m for key, m in sys.modules.items() if key.startswith("spanauto")] + [lawlib]:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        assert check_span_simulation(span_sim, "lax", witnesses=False).ok
+        assert check_span_simulation(span_sim, "lax").ok
         assert check_rel_simulation(rel_sim).ok
         assert calls == []
         # the wrappers do count: the image-functor law composes relations
@@ -884,7 +883,7 @@ class TestMatrixFirstSquares:
 
     def test_failing_result_carries_differences(self):
         sim = canonical_det_simulation(two_state_example())
-        result = check_span_simulation(sim, "pseudo", witnesses=False)
+        result = check_span_simulation(sim, "pseudo")
         assert not result.ok and result.differences
         assert all(lhs != rhs for _, _, lhs, rhs in result.differences)
         assert list(result.differences) == sorted(result.differences)
@@ -1043,7 +1042,7 @@ class TestSupportSquares:
         try:
             start = time.perf_counter()
             assert check_rel_simulation(strict).ok
-            assert check_span_simulation(lax, "lax", witnesses=False).ok
+            assert check_span_simulation(lax, "lax").ok
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
