@@ -6,26 +6,23 @@ Run with:  python3 demos/03_path_counting.py
 from spanauto import (
     Word,
     count_paths,
-    mdet,
-    mdet_accept_count,
     mdet_expand,
     mdet_run,
 )
 from spanauto.fixtures import two_state_example
 
 a = two_state_example()
-m = mdet(a)
 
 print("Each letter becomes a counting matrix (rows = source states):")
 for edge in ("a", "b"):
-    print(f"  M_{edge} =", m.matrices[edge].rows())
+    print(f"  M_{edge} =", a.matrix(edge).rows())
 
 print("\nRunning a word folds the matrices over the start vector.")
 for letters in [(), ("a",), ("a", "b"), ("b", "b"), ("a", "a", "b")]:
     w = Word("s", letters)
-    vec = mdet_run(m, w)
+    vec = mdet_run(a, w)
     word = "".join(letters) or "(empty)"
-    print(f"  {word:8} -> {dict(vec.counts) or {} } accept count {mdet_accept_count(m, w)}")
+    print(f"  {word:8} -> {dict(vec.counts) or {} } accept count {count_paths(a, w)}")
 
 print("\nThe counts are honest: explicit token-path enumeration agrees.")
 w = Word("s", ("a", "b"))
@@ -38,9 +35,9 @@ for q, seq in runs:
 print("  count_paths:", count_paths(a, w))
 
 print("\nThe multiset state space can be expanded breadth first:")
-exp = mdet_expand(m, max_states=64, max_len=8)
+exp = mdet_expand(a, max_states=64, max_len=8)
 print("  discovered states:", list(exp.fibers["s"]))
 print("  truncated:", exp.truncated)
 print("  accepting states (some run ends final):", sorted(exp.finals))
 print("\nUnlike the powerset machine, (0,2) remembers there are TWO runs,")
-print("which is exactly what the word 'ab' produces:", dict(mdet_run(m, w).counts))
+print("which is exactly what the word 'ab' produces:", dict(mdet_run(a, w).counts))

@@ -43,7 +43,6 @@ from .automata import (
     BaseGraph,
     DetAutomaton,
     Edge,
-    MDetMachine,
     RelAutomaton,
     SpanAutomaton,
     Word,
@@ -60,8 +59,6 @@ from .determinize import (
     ExpandedMachine,
     classical_subset_construction,
     det,
-    mdet,
-    mdet_accept_count,
     mdet_expand,
     mdet_run,
     prune_reachable,

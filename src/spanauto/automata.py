@@ -12,8 +12,6 @@ and differs only in how it stores a transition:
 * ``RelAutomaton``: a relation per edge, the usual nondeterministic case.
 * ``DetAutomaton``: a total function per edge, so every word from any
   state lifts to exactly one run.
-* ``MDetMachine``: the matrix form of a span automaton, one counting
-  matrix per edge, run by vector-matrix products.
 
 The five fields (``base``, ``fibers``, ``transitions``, ``initial`` and
 ``finals``) are declared once, on ``_FiberedAutomaton``.  Everything
@@ -41,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .spans import FinSet, Multiset, NatMatrix, _Record, multiset_unit, to_matrix
+from .spans import FinSet, NatMatrix, _Record, to_matrix
 
 __all__ = [
     "BaseGraph",
@@ -50,7 +48,6 @@ __all__ = [
     "SpanAutomaton",
     "RelAutomaton",
     "DetAutomaton",
-    "MDetMachine",
     "validate",
     "enumerate_words",
     "accepted",
@@ -184,7 +181,7 @@ class _FiberedAutomaton(_Record):
     its counting matrix, whose entries are the ``((src, dst), count)``
     pairs.  The base stores function tables, each item one transition,
     and builds its count rows straight from the table; kinds that store
-    spans, relations or matrices derive from ``_MatrixAutomaton`` and read
+    spans or relations derive from ``_MatrixAutomaton`` and read
     theirs as the counting matrix's rows.  Matrices, rows, the
     state-to-node index and the support masks of ``determinize._masks``
     are built on first use and are not record fields, so equality and
@@ -283,32 +280,6 @@ class DetAutomaton(_FiberedAutomaton):
         super().__init__(base, fibers, {e: dict(m) for e, m in transitions.items()}, initial, finals)
 
 
-class MDetMachine(_MatrixAutomaton):
-    """Matrix form of a span automaton: counting matrices run on multisets.
-
-    Transitions are counting matrices, which ``matrices`` also names.  The
-    start vector is the unit at ``initial``, so a stray initial state is
-    refused at construction.
-    """
-
-    kind = "mdet"
-
-    def __init__(self, base, fibers, matrices, initial, finals):
-        super().__init__(base, fibers, matrices, initial, finals)
-        self.initial_node  # raises on a stray initial state
-
-    @property
-    def matrices(self) -> Mapping[str, NatMatrix]:
-        return self.transitions
-
-    @property
-    def initial_vector(self) -> Multiset:
-        return multiset_unit(self.fibers[self.initial_node], self.initial)
-
-    def _count_matrix(self, edge_id: str) -> NatMatrix:
-        return self.transitions[edge_id]
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -341,7 +312,7 @@ def validate(a) -> list[str]:
                 elif target not in dst_fiber:
                     problems.append(f"transition of edge {e.id!r} sends {q!r} outside the target fiber")
         elif t.dom != src_fiber or t.cod != dst_fiber:
-            noun = {"span": "span", "rel": "relation", "mdet": "matrix"}[a.kind]
+            noun = {"span": "span", "rel": "relation"}[a.kind]
             problems.append(f"transition {noun} of edge {e.id!r} does not match the endpoint fibers")
     return problems
 

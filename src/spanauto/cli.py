@@ -18,7 +18,6 @@ from .determinize import (
     ClassicalNFA,
     classical_subset_construction,
     det,
-    mdet,
     mdet_expand,
     span_automaton_of_classical,
 )
@@ -59,12 +58,12 @@ def cmd_det(args) -> int:
 
 
 def cmd_mdet(args) -> int:
-    machine = mdet(_fibered(load_automaton(args.file)))
+    a = _fibered(load_automaton(args.file))
     if args.expand:
-        expansion = mdet_expand(machine, args.max_states, args.max_len)
+        expansion = mdet_expand(a, args.max_states, args.max_len)
         sys.stdout.write(serialize_expanded(expansion))
     else:
-        sys.stdout.write(serialize_mdet(machine))
+        sys.stdout.write(serialize_mdet(a))
     return 0
 
 

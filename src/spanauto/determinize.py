@@ -17,13 +17,14 @@ steps before the closure goes on, and no image is stepped twice.
 
 The multiset pipeline keeps the path counts instead: each transition
 becomes its counting matrix and the machine runs on multisets of states.
-Its state space is infinite in general, so the machine is represented by
-its matrices, with a bounded breadth-first expansion available when the
-explicit shape is wanted.  The expansion runs on count vectors (tuples of
-ints in fiber order), a layer at a time: each node's block of vectors is
-stepped as count columns, so an edge costs its matrix entries times the
-block's size in C-level passes; ``mdet_run`` folds ``multiset_extend``
-word by word and stays the per-word oracle.
+Its state space is infinite in general, so the machine is the
+automaton's own counting matrices (``a.matrix(e)``) and needs no class of
+its own; a bounded breadth-first expansion gives the explicit shape when
+it is wanted.  The expansion runs on count vectors (tuples of ints in
+fiber order), a layer at a time: each node's block of vectors is stepped
+as count columns, so an edge costs its matrix entries times the block's
+size in C-level passes; ``mdet_run`` folds ``multiset_extend`` word by
+word and stays the per-word oracle.
 
 ``classical_subset_construction`` is the textbook single-alphabet subset
 construction, implemented directly on the flat five-tuple so it can act
@@ -47,13 +48,13 @@ from .spans import (
     _Record,
     _member_text,
     multiset_extend,
+    multiset_unit,
     subset_label,
     subsets_of,
 )
 from .automata import (
     BaseGraph,
     DetAutomaton,
-    MDetMachine,
     RelAutomaton,
     SpanAutomaton,
     Word,
@@ -66,9 +67,7 @@ __all__ = [
     "ExpandedMachine",
     "rel_of",
     "det",
-    "mdet",
     "mdet_run",
-    "mdet_accept_count",
     "mdet_expand",
     "classical_subset_construction",
     "classical_base",
@@ -287,31 +286,19 @@ def _subset_machine(a, reached: Mapping[str, Mapping[int, list[int]]], steps: Ma
 # multiset pipeline
 
 
-def mdet(a) -> MDetMachine:
-    """Multiset determinization: transition matrices plus the unit start vector."""
-    return MDetMachine(a.base, a.fibers, {e.id: a.matrix(e.id) for e in a.base.edges}, a.initial, a.finals)
-
-
-def mdet_run(m: MDetMachine, w: Word) -> Multiset:
-    """Run a word: fold the edge matrices over the start vector.
+def mdet_run(a: _FiberedAutomaton, w: Word) -> Multiset:
+    """Run a word on the counting machine: fold the edge matrices over the unit start vector.
 
     The result counts, per state, how many runs of the word from the
     initial state end there.
     """
-    if w.start != m.initial_node:
-        raise ValueError(f"word starts at {w.start!r}, not at the initial node {m.initial_node!r}")
-    v = m.initial_vector
-    for e in w.path(m.base):
-        v = multiset_extend(m.matrices[e.id], v)
+    start = a.initial_node
+    if w.start != start:
+        raise ValueError(f"word starts at {w.start!r}, not at the initial node {start!r}")
+    v = multiset_unit(a.fibers[start], a.initial)
+    for e in w.path(a.base):
+        v = multiset_extend(a.matrix(e.id), v)
     return v
-
-
-def mdet_accept_count(m: MDetMachine, w: Word) -> int:
-    """Total number of accepting runs of a word."""
-    if w.start != m.initial_node:
-        return 0
-    v = mdet_run(m, w)
-    return sum(v[q] for q in m.finals if q in v.base)
 
 
 @cache
@@ -374,17 +361,19 @@ class ExpandedMachine(_FiberedAutomaton):
 
 
 def mdet_expand(
-    m: MDetMachine,
+    m: _FiberedAutomaton,
     max_states: int,
     max_len: int,
     extra_seeds: Mapping[str, list[tuple[int, ...]]] | None = None,
 ) -> ExpandedMachine:
     """Breadth-first closure of reachable multiset states, within bounds.
 
-    Stops after ``max_len`` layers or once more than ``max_states`` states
-    appear; hitting either bound just sets the truncation flag (and names
-    the bound in ``truncated_by``).  Frontier order is fixed by the
-    canonical state labels, so the output is deterministic.
+    The machine runs the count rows of ``m``, any span, rel or det
+    automaton.  Stops after ``max_len`` layers or once more than
+    ``max_states`` states appear; hitting either bound just sets the
+    truncation flag (and names the bound in ``truncated_by``).  Frontier
+    order is fixed by the canonical state labels, so the output is
+    deterministic.
 
     The closure runs on count vectors: a state is a tuple of ints in
     fiber order, and each node keeps a dict from its vectors to their

@@ -42,9 +42,9 @@ from .spans import _WORK_BOUND, FinSet, Relation, Span
 from .automata import (
     BaseGraph,
     DetAutomaton,
-    MDetMachine,
     RelAutomaton,
     SpanAutomaton,
+    _FiberedAutomaton,
     _MatrixAutomaton,
 )
 from .determinize import ClassicalNFA, ExpandedMachine, span_automaton_of_classical
@@ -468,10 +468,12 @@ def _fibered_doc(a, kind: str, body, sort_finals: bool = False) -> dict:
     ``text`` maps each state to its JSON text, so a document escapes each
     label once.  It lives only in this call, hence ``body`` is a function
     of it: ``_dump`` can then free it before its join.  Finals come in
-    fiber order, or sorted.
+    fiber order, or sorted.  A stray initial state is a ``ValueError``.
     """
     labels = [q for n in a.base.nodes for q in a.fibers[n].elements]
     text = dict(zip(labels, map(_string, labels)))
+    if a.initial not in text:
+        raise ValueError(f"initial state {a.initial!r} lies in no fiber")
     finals = sorted(a.finals) if sort_finals else filter(a.finals.__contains__, labels)
     base = {"nodes": list(a.base.nodes),
             "edges": [{"id": e.id, "label": e.label, "src": e.src, "dst": e.dst} for e in a.base.edges]}
@@ -546,10 +548,10 @@ def serialize_automaton(a: AnyDocumentAutomaton) -> str:
                                                       "transitions": _transition_entries(a, text)}))
 
 
-def serialize_mdet(m: MDetMachine) -> str:
-    """Matrix machine document, rows and columns in fiber order."""
-    return _dump(_fibered_doc(m, "mdet", lambda text: {
-        "fibers": _fiber_texts(m, text), "matrices": {e.id: m.matrices[e.id].rows() for e in m.base.edges}}))
+def serialize_mdet(a: _FiberedAutomaton) -> str:
+    """The counting machine's document: each edge's counting matrix, rows and columns in fiber order."""
+    return _dump(_fibered_doc(a, "mdet", lambda text: {
+        "fibers": _fiber_texts(a, text), "matrices": {e.id: a.matrix(e.id).rows() for e in a.base.edges}}))
 
 
 def serialize_expanded(x: ExpandedMachine) -> str:
@@ -700,11 +702,12 @@ def to_dot(a: AnyDocumentAutomaton) -> str:
         edge_lines = sum(sum(a.transitions[e.id].counts.values()) for e in a.base.edges)
         if edge_lines > _WORK_BOUND:
             raise ValueError(f"dot would draw {edge_lines} edge lines, more than {_WORK_BOUND}")
-    start = _claim("__start", {q for n in a.base.nodes for q in a.fibers[n]})
+    start = _claim("__start", {q for n in a.base.nodes for q in a.fibers[n]}, {})
     lines = ["digraph {", "  rankdir=LR;", f'  "{start}" [shape=point];']
     clusters: set[str] = set()
+    tried: dict[str, int] = {}
     for n in a.base.nodes:
-        cluster = _claim("".join(c if c.isalnum() else "_" for c in n), clusters)
+        cluster = _claim("".join(c if c.isalnum() else "_" for c in n), clusters, tried)
         lines.append(f"  subgraph cluster_{cluster} {{")
         lines.append(f'    label="{_dot_escape(n)}";')
         for q in a.fibers[n]:
@@ -730,11 +733,17 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _claim(name: str, taken: set[str]) -> str:
-    """The first of ``name``, ``name_2``, ``name_3``, ... not in ``taken``, added to it."""
-    free, i = name, 1
+def _claim(name: str, taken: set[str], tried: dict[str, int]) -> str:
+    """The first of ``name``, ``name_2``, ``name_3``, ... not in ``taken``, added to it.
+
+    ``tried`` keeps the suffix at which each name's last search stopped;
+    ``taken`` only grows, so the next search for that name starts there.
+    """
+    i = tried.get(name, 1)
+    free = f"{name}_{i}" if i > 1 else name
     while free in taken:
         i += 1
         free = f"{name}_{i}"
+    tried[name] = i
     taken.add(free)
     return free

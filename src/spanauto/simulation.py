@@ -73,7 +73,6 @@ from .determinize import (
     _subset_closure,
     _subset_machine,
     expansion_state_label,
-    mdet,
     mdet_expand,
 )
 
@@ -481,7 +480,7 @@ def canonical_mdet_simulation(a: SpanAutomaton, max_len: int) -> Simulation:
     The squares hold with equal matrices (a forward-backward simulation),
     which check_span_simulation('pseudo') verifies on the recorded rows.
     """
-    exp = mdet_expand(mdet(a), _MDET_MAX_STATES, max_len)
+    exp = mdet_expand(a, _MDET_MAX_STATES, max_len)
     components = {n: multiplicity_span(exp, n, a.fibers[n]) for n in a.base.nodes}
     return Simulation(a, exp, components, "pseudo")
 
@@ -682,7 +681,7 @@ def factor_mdet(alpha: Simulation, max_len: int = 4) -> FactorizationResult:
         for (x, q), c in alpha_matrices[n].entries.items():
             rows[x][f.fibers[n].index(q)] = c
     seeds = {n: list(rows.values()) for n, rows in mate_vectors.items()}
-    exp = mdet_expand(mdet(f), _MDET_MAX_STATES, max_len, extra_seeds=seeds)
+    exp = mdet_expand(f, _MDET_MAX_STATES, max_len, extra_seeds=seeds)
 
     multi_node = len(f.base.nodes) > 1
     mate_components = {}

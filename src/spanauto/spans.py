@@ -494,8 +494,12 @@ def _member_text(name: str) -> str:
     A name stands as it is when it has no backslash and its braces pair up
     around all its commas, so labels of labels read as nested sets
     (``{{1,2}}``).  Then the commas outside braces are those that join the
-    members, and no two subsets of nonempty names share a label.
+    members.  The empty name is written ``\\0``: escaping never puts a
+    ``0`` after a backslash and a name left as it is has no backslash, so
+    no other member has that text, and no two subsets share a label.
     """
+    if not name:
+        return "\\0"
     depth = 0
     for c in name:
         if c == "{":

@@ -23,9 +23,10 @@ first fault it words.
 
 The per-word oracles evaluate one word independently of the count rows
 that ``automata.count_paths`` and the language sweep step:
-``brute_force_paths`` walks tokens, and ``run_word_span`` multiplies
-counting matrices.  ``span_automaton_of_rel`` and ``to_det_automaton``
-reread a relational automaton as the other kinds, and ``powerset_table``
+``brute_force_paths`` walks tokens, ``run_word_span`` multiplies
+counting matrices, and ``mdet_run_count`` folds ``mdet_run``'s
+multisets.  ``span_automaton_of_rel`` and ``to_det_automaton`` reread a
+relational automaton as the other kinds, and ``powerset_table``
 tabulates a ``PowersetMap``.
 """
 
@@ -59,7 +60,7 @@ from spanauto.automata import (
     is_deterministic,
     validate,
 )
-from spanauto.determinize import ClassicalNFA, ExpandedMachine, det, subset_state_label
+from spanauto.determinize import ClassicalNFA, ExpandedMachine, det, mdet_run, subset_state_label
 from spanauto.io import DocumentError
 from spanauto.simulation import CheckResult, Simulation, check_bisimulation
 
@@ -262,6 +263,14 @@ def matrix_count_paths(a: SpanAutomaton, w: Word) -> int:
         return 0
     m = run_word_span(a, w)
     return sum(m[a.initial, q] for q in a.finals if q in m.cod)
+
+
+def mdet_run_count(a, w: Word) -> int:
+    """Number of accepting runs over a word by ``mdet_run``'s multiset fold (0 off the initial node)."""
+    if w.start != a.initial_node:
+        return 0
+    v = mdet_run(a, w)
+    return sum(v[q] for q in a.finals if q in v.base)
 
 
 def brute_force_paths(a: SpanAutomaton, w: Word) -> list[tuple[str, ...]]:

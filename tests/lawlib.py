@@ -87,7 +87,9 @@ def _fresh(rng: random.Random, prefix: str) -> str:
 # name is ``{set}.{i}`` between 0-2 of them, or, from the third name on,
 # two earlier names joined by a comma: a subset label's own reading of the
 # pair, so the powerset's labels of ``{x,y}`` and ``{"x,y"}`` meet unless
-# members are escaped.  One span's tokens are ``a``, ``a;a``, ``a;a;a``,
+# members are escaped.  A set's first name is at times the empty name, so
+# the labels of ``{}`` and ``{""}`` meet unless it has a text of its own.
+# One span's tokens are ``a``, ``a;a``, ``a;a;a``,
 # ... in random order, over one drawn separator, so two joined pairs of
 # them often read alike (``a;a`` then ``a``, against ``a`` then ``a;a``).
 _SEPARATORS = ";>,#(){}\\"
@@ -102,6 +104,9 @@ def random_finset(rng: random.Random, max_size: int = MAX_SET_SIZE, min_size: in
     name = _fresh(rng, "S")
     names: list[str] = []
     for i in range(size):
+        if i == 0 and rng.random() < 0.25:
+            names.append("")
+            continue
         x = ",".join(sorted(rng.sample(names, 2))) if len(names) > 1 and rng.random() < 0.5 else ""
         names.append(x if x and x not in names else f"{_separators(rng)}{name}.{i}{_separators(rng)}")
     return FinSet(name, names)

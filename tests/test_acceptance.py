@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from genlib import brute_force_paths, random_classical_nfa, random_span_automaton
+from genlib import brute_force_paths, mdet_run_count, random_classical_nfa, random_span_automaton
 from lawlib import LAWS, run_law
 from spanauto.spans import FinSet, Relation, Span, Token, subsets_of
 from spanauto.automata import (
@@ -26,8 +26,6 @@ from spanauto.automata import (
 from spanauto.determinize import (
     classical_subset_construction,
     det,
-    mdet,
-    mdet_accept_count,
     mdet_expand,
     prune_reachable,
     reachable_iso_check,
@@ -44,7 +42,7 @@ from spanauto.simulation import (
     factor_det,
     factor_mdet,
 )
-from spanauto.spans import multiset_extend
+from spanauto.spans import multiset_extend, multiset_unit
 
 
 class Budget:
@@ -120,10 +118,9 @@ def test_criterion_3_classical_agreement():
 
 def _check_preservation(a, sample_rng, max_len=6):
     d = det(a)
-    machine = mdet(a)
     node = a.initial_node
     sampled = []
-    stack = [(Word(node), node, machine.initial_vector, d.initial)]
+    stack = [(Word(node), node, multiset_unit(a.fibers[node], a.initial), d.initial)]
     while stack:
         w, at, vec, dstate = stack.pop()
         runs = sum(c for q, c in vec.counts.items() if q in a.finals)
@@ -138,14 +135,14 @@ def _check_preservation(a, sample_rng, max_len=6):
                     (
                         w.extend(e),
                         e.dst,
-                        multiset_extend(machine.matrices[e.id], vec),
+                        multiset_extend(a.matrix(e.id), vec),
                         d.transitions[e.id][dstate],
                     )
                 )
     # bind the incremental walk back to the public word-level functions
     for w in sampled[:10]:
         assert accepted(a, w) == accepted(d, w)
-        assert mdet_accept_count(machine, w) == count_paths(a, w) == len(brute_force_paths(a, w))
+        assert mdet_run_count(a, w) == count_paths(a, w) == len(brute_force_paths(a, w))
 
 
 def test_criterion_4_language_and_weight_preservation(generated_automata):
@@ -283,7 +280,7 @@ def test_criterion_7_universal_property():
                 assert result.unique_ok, f"mdet uniqueness failed on instance {i}"
         # the counting machine's own expansion also factors through itself
         for a in (two_state_example(), two_phase_example()):
-            exp = mdet_expand(mdet(a), max_states=256, max_len=8)
+            exp = mdet_expand(a, max_states=256, max_len=8)
             assert not exp.truncated
             g = exp.as_det_automaton()
             sim = canonical_mdet_simulation(a, max_len=8)

@@ -1,5 +1,6 @@
 """Tests for base graphs, words, runs and path counting."""
 
+import json
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from spanauto.automata import (
     BaseGraph,
     DetAutomaton,
     Edge,
-    MDetMachine,
     RelAutomaton,
     SpanAutomaton,
     Word,
@@ -21,8 +21,9 @@ from spanauto.automata import (
     language,
     validate,
 )
-from spanauto.determinize import ExpandedMachine, det, mdet, mdet_expand, mdet_run, rel_of, span_automaton_of_classical
+from spanauto.determinize import ExpandedMachine, det, mdet_expand, mdet_run, rel_of, span_automaton_of_classical
 from spanauto.fixtures import two_phase_example, two_state_example
+from spanauto.io import serialize_mdet
 
 from genlib import (
     ORACLE_MAX_LEN,
@@ -30,6 +31,7 @@ from genlib import (
     factors_uniquely,
     lifts_uniquely,
     matrix_count_paths,
+    mdet_run_count,
     random_span_automaton,
     run_word_span,
     span_automaton_of_rel,
@@ -69,26 +71,33 @@ class TestKinds:
 
     def test_copies_equal_and_other_kinds_differ(self):
         a = two_state_example()
-        for k in (a, rel_of(a), det(a), mdet(a)):
+        for k in (a, rel_of(a), det(a)):
             assert type(k)(*self.fields(k)) == k
             assert repr(k).startswith(type(k).__name__ + "(base=")
             other = (RelAutomaton if k is a else SpanAutomaton)(*self.fields(k))
             assert self.fields(other) == self.fields(k)
             assert other != k and k != other
             assert k != self.fields(k) and self.fields(k) != k  # nor is the tuple of its fields
-        x = mdet_expand(mdet(a), 64, 8)
+        x = mdet_expand(a, 64, 8)
         assert repr(x).startswith("ExpandedMachine(base=")
         d = x.as_det_automaton()
         assert self.fields(d) == self.fields(x) and d != x and x != d
 
-    def test_mdet_matrices_are_its_transitions(self):
-        m = mdet(two_state_example())
-        assert m.matrices is m.transitions
-        with pytest.raises(ValueError, match="initial state"):
-            MDetMachine(m.base, m.fibers, m.transitions, "nowhere", m.finals)
+    def test_counting_machine_runs_every_kind(self):
+        # the counting machine is each kind's own matrices; a stray initial state is refused when it runs
+        a = two_state_example()
+        for k in (a, rel_of(a), det(a)):
+            for w in enumerate_words(k.base, k.initial_node, 3):
+                assert mdet_run_count(k, w) == count_paths(k, w)
+            assert json.loads(serialize_mdet(k))["matrices"] == {e.id: k.matrix(e.id).rows() for e in k.base.edges}
+        stray = SpanAutomaton(a.base, a.fibers, a.transitions, "nowhere", a.finals)
+        runs = (lambda: mdet_run(stray, Word("s")), lambda: mdet_expand(stray, 4, 1), lambda: serialize_mdet(stray))
+        for run in runs:
+            with pytest.raises(ValueError, match="initial state 'nowhere' lies in no fiber"):
+                run()
 
     def test_expansion_built_by_keyword(self):
-        x = mdet_expand(mdet(two_phase_example()), 6, 3)
+        x = mdet_expand(two_phase_example(), 6, 3)
         built = ExpandedMachine(base=x.base, fibers=x.fibers, states=x.states, transitions=x.transitions,
                                 initial=x.initial, finals=x.finals, accept_counts=x.accept_counts,
                                 truncated_by=x.truncated_by)
@@ -100,7 +109,7 @@ class TestKinds:
         rng = random.Random(16)
         for _ in range(20):
             a = random_span_automaton(rng, max_nodes=3, max_states=3)
-            for k in (a, rel_of(a), det(a), mdet(a), mdet_expand(mdet(a), 6, 3)):
+            for k in (a, rel_of(a), det(a), mdet_expand(a, 6, 3)):
                 for e in k.base.edges:
                     rows = k.rows(e.id)
                     want: dict[str, dict[str, int]] = {}
@@ -130,9 +139,6 @@ class TestValidate:
         assert validate(bad) == ["initial state '9' lies in no fiber"]
 
     def test_messages_per_kind(self):
-        from spanauto.automata import MDetMachine
-        from spanauto.spans import NatMatrix
-
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1", "2"])
         other = FinSet("O", ["9"])
@@ -146,10 +152,6 @@ class TestValidate:
             "transition relation of edge 'e' does not match the endpoint fibers"
         ]
         assert validate(SpanAutomaton(base, {"n": q}, {}, "1", set())) == ["edge 'e' has no transition"]
-        machine = MDetMachine(base, {"n": q}, {"e": NatMatrix(q, other)}, "1", set())
-        assert validate(machine) == [
-            "transition matrix of edge 'e' does not match the endpoint fibers",
-        ]
 
 
 class TestEnumerateWords:
@@ -280,10 +282,9 @@ class TestPathCounting:
 
     def test_unknown_edge_is_a_value_error(self):
         a = two_state_example()
-        m = mdet(a)
         for edges in (("zz",), ("a", "zz")):
             w = Word("s", edges)
-            for run in (lambda: count_paths(a, w), lambda: accepted(a, w), lambda: mdet_run(m, w)):
+            for run in (lambda: count_paths(a, w), lambda: accepted(a, w), lambda: mdet_run(a, w)):
                 with pytest.raises(ValueError, match="^word names unknown edge 'zz'$"):
                     run()
 

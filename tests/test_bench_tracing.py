@@ -60,12 +60,12 @@ def test_every_traced_function_resolves():
 
 
 def test_every_count_runs_on_real_return_values(fixtures_dir, tmp_path):
-    from spanauto.determinize import mdet, mdet_expand
+    from spanauto.determinize import mdet_expand
     from spanauto.io import load_automaton, serialize_simulation
     from spanauto.simulation import Simulation, canonical_det_simulation, multiplicity_span
 
     a = load_automaton(fixtures_dir / "two_state.json")
-    exp = mdet_expand(mdet(a), 64, 8)
+    exp = mdet_expand(a, 64, 8)
     components = {n: multiplicity_span(exp, n, a.fibers[n]) for n in a.base.nodes}
     pseudo, lax = tmp_path / "pseudo.json", tmp_path / "lax.json"
     pseudo.write_text(serialize_simulation(Simulation(a, exp.as_det_automaton(), components, "pseudo")))

@@ -3,7 +3,9 @@
 import pytest
 
 from spanauto import determinize
-from spanauto.spans import POWERSET_CAP, FinSet, Multiset, Span, Token, multiset_extend, powerset_map, subsets_of
+from spanauto.spans import (
+    POWERSET_CAP, FinSet, Multiset, Span, Token, multiset_extend, multiset_unit, powerset_map, subsets_of,
+)
 from spanauto.automata import (
     BaseGraph,
     DetAutomaton,
@@ -19,8 +21,6 @@ from spanauto.determinize import (
     ClassicalNFA,
     classical_subset_construction,
     det,
-    mdet,
-    mdet_accept_count,
     mdet_expand,
     mdet_run,
     prune_reachable,
@@ -33,7 +33,7 @@ from spanauto.determinize import (
 )
 from spanauto.fixtures import two_phase_example, two_state_classical, two_state_example
 
-from genlib import lifts_uniquely, nth_letter_from_end, odd_names_example
+from genlib import lifts_uniquely, mdet_run_count, nth_letter_from_end, odd_names_example
 
 
 class TestRelOf:
@@ -125,7 +125,7 @@ class TestDet:
         rng = random.Random(16)
         for _ in range(30):
             a = random_span_automaton(rng, max_nodes=3, max_states=3)
-            for d in (det(a), det(a, prune=True), mdet_expand(mdet(a), 6, 3)):
+            for d in (det(a), det(a, prune=True), mdet_expand(a, 6, 3)):
                 view = _masks(d)
                 bits, masks = view
                 rows = {e.id: d.rows(e.id) for e in d.base.edges}
@@ -143,10 +143,10 @@ class TestDet:
 
 class TestMDet:
     def test_fixture_matrices(self):
-        m = mdet(two_state_example())
-        assert m.matrices["a"].rows() == [[1, 1], [0, 0]]
-        assert m.matrices["b"].rows() == [[0, 1], [0, 1]]
-        assert dict(m.initial_vector.counts) == {"1": 1}
+        a = two_state_example()
+        assert a.matrix("a").rows() == [[1, 1], [0, 0]]
+        assert a.matrix("b").rows() == [[0, 1], [0, 1]]
+        assert dict(mdet_run(a, Word("s")).counts) == {"1": 1}
 
     def test_deterministic_input_gives_permutation_rows(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
@@ -154,59 +154,56 @@ class TestMDet:
         a = SpanAutomaton(
             base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "2"), Token("v", "2", "2")])}, "1", {"2"}
         )
-        rows = mdet(a).matrices["e"].rows()
+        rows = a.matrix("e").rows()
         assert all(sum(row) == 1 and max(row) == 1 for row in rows)
 
     def test_empty_span_zero_matrix(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
         a = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [])}, "1", set())
-        assert mdet(a).matrices["e"].rows() == [[0]]
+        assert a.matrix("e").rows() == [[0]]
 
     def test_run_single_letter(self):
-        m = mdet(two_state_example())
-        assert dict(mdet_run(m, Word("s", ("a",))).counts) == {"1": 1, "2": 1}
+        a = two_state_example()
+        assert dict(mdet_run(a, Word("s", ("a",))).counts) == {"1": 1, "2": 1}
 
     def test_run_empty_word(self):
-        m = mdet(two_state_example())
-        assert mdet_run(m, Word("s")) == m.initial_vector
+        a = two_state_example()
+        assert mdet_run(a, Word("s")) == multiset_unit(a.fibers["s"], a.initial)
 
     def test_run_ab_and_count(self):
-        m = mdet(two_state_example())
-        assert dict(mdet_run(m, Word("s", ("a", "b"))).counts) == {"2": 2}
-        assert mdet_accept_count(m, Word("s", ("a", "b"))) == 2
+        a = two_state_example()
+        assert dict(mdet_run(a, Word("s", ("a", "b"))).counts) == {"2": 2}
+        assert mdet_run_count(a, Word("s", ("a", "b"))) == 2
 
     def test_count_examples(self):
-        m = mdet(two_state_example())
-        assert mdet_accept_count(m, Word("s")) == 0
-        assert mdet_accept_count(m, Word("s", ("b", "b"))) == 1
+        a = two_state_example()
+        assert mdet_run_count(a, Word("s")) == count_paths(a, Word("s")) == 0
+        assert mdet_run_count(a, Word("s", ("b", "b"))) == count_paths(a, Word("s", ("b", "b"))) == 1
 
     def test_counts_match_path_oracle(self):
         a = two_phase_example()
-        m = mdet(a)
         for w in enumerate_words(a.base, "c", 5):
-            assert mdet_accept_count(m, w) == count_paths(a, w)
+            assert mdet_run_count(a, w) == count_paths(a, w)
 
     def test_ill_based_word_rejected(self):
-        m = mdet(two_phase_example())
         with pytest.raises(ValueError):
-            mdet_run(m, Word("d"))
+            mdet_run(two_phase_example(), Word("d"))
 
     def test_run_splits_along_word_concatenation(self):
         from spanauto.spans import multiset_extend
         from genlib import run_word_span
 
         a = two_phase_example()
-        m = mdet(a)
         u = Word("c", ("a", "b"))
         v = Word("c", ("x", "c"))
         uv = Word("c", ("a", "b", "x", "c"))
-        assert mdet_run(m, uv) == multiset_extend(run_word_span(a, v), mdet_run(m, u))
+        assert mdet_run(a, uv) == multiset_extend(run_word_span(a, v), mdet_run(a, u))
 
 
 class TestMDetExpand:
     def test_fixture_reaches_five_states(self):
-        exp = mdet_expand(mdet(two_state_example()), max_states=64, max_len=8)
+        exp = mdet_expand(two_state_example(), max_states=64, max_len=8)
         assert not exp.truncated
         assert set(exp.fibers["s"].elements) == {"(1,0)", "(1,1)", "(0,1)", "(0,0)", "(0,2)"}
         assert exp.initial == "(1,0)"
@@ -216,7 +213,7 @@ class TestMDetExpand:
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
         a = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [])}, "1", set())
-        exp = mdet_expand(mdet(a), max_states=8, max_len=4)
+        exp = mdet_expand(a, max_states=8, max_len=4)
         assert set(exp.fibers["n"].elements) == {"(1)", "(0)"}
 
     def test_truncation_flag(self):
@@ -226,13 +223,13 @@ class TestMDetExpand:
         a = SpanAutomaton(
             base, {"n": q}, {"e": Span(q, q, [Token("u", "1", "1"), Token("v", "1", "1")])}, "1", {"1"}
         )
-        exp = mdet_expand(mdet(a), max_states=3, max_len=10)
+        exp = mdet_expand(a, max_states=3, max_len=10)
         assert exp.truncated
         assert exp.truncated_by == ("max_states",)
 
     def test_state_bound_records_moves_edge_by_edge(self):
         # both states keep their a-move; their b-targets did not fit under the bound
-        exp = mdet_expand(mdet(two_state_example()), max_states=2, max_len=6)
+        exp = mdet_expand(two_state_example(), max_states=2, max_len=6)
         assert exp.truncated_by == ("max_states",)
         assert exp.transitions == {"a": {"(1,0)": "(1,1)", "(1,1)": "(1,1)"}, "b": {}}
 
@@ -249,7 +246,7 @@ class TestMDetExpand:
             "1",
             {"2"},
         )
-        exp = mdet_expand(mdet(a), max_states=16, max_len=12)
+        exp = mdet_expand(a, max_states=16, max_len=12)
         assert not exp.truncated
         from genlib import to_det_automaton
 
@@ -271,7 +268,7 @@ def expand_by_multisets(m, max_states, max_len, extra_seeds=None):
             accept[lbl] = sum(v[q] for q in m.finals if q in v.base)
         return lbl
 
-    frontier = [discover(m.initial_node, m.initial_vector)]
+    frontier = [discover(m.initial_node, multiset_unit(m.fibers[m.initial_node], m.initial))]
     for node, vs in (extra_seeds or {}).items():
         for v in vs:
             lbl = discover(node, v)
@@ -284,7 +281,7 @@ def expand_by_multisets(m, max_states, max_len, extra_seeds=None):
         for lbl in sorted(frontier):
             node, v = states[lbl]
             for e in m.base.out_edges(node):
-                t = multiset_extend(m.matrices[e.id], v)
+                t = multiset_extend(m.matrix(e.id), v)
                 t_lbl = expansion_state_label(e.dst, t.vector(), multi)
                 if t_lbl not in states:
                     if len(states) >= max_states:
@@ -319,7 +316,7 @@ class TestExpansionLabels:
             assert count_vector_text(vec) == self.joined(vec)
 
     def test_node_names_with_colons_and_brackets(self):
-        x = mdet_expand(mdet(odd_names_example()), 12, 6)
+        x = mdet_expand(odd_names_example(), 12, 6)
         assert x.truncated
         assert {len(x.states[q]) for q in x.states} == {0, 1, 2}
         for n in x.base.nodes:
@@ -360,7 +357,6 @@ class TestMDetExpandOracle:
         bounds = [(1, 3), (1, 0), (200, 0), (3, 1), (4, 2), (12, 3), (4, 20), (500, 5)]
         for _ in range(30):
             a = random_span_automaton(rng, max_nodes=3, max_states=3, max_mult=rng.choice([2, 3]))
-            m = mdet(a)
             seeds = {
                 n: [tuple(rng.randint(0, 3) for _ in a.fibers[n]) for _ in range(rng.randint(1, 2))]
                 for n in a.base.nodes
@@ -368,14 +364,13 @@ class TestMDetExpandOracle:
             }
             for max_states, max_len in bounds:
                 for extra in (None, seeds):
-                    seen.add(self.assert_matches_oracle(m, max_states, max_len, extra).truncated_by)
+                    seen.add(self.assert_matches_oracle(a, max_states, max_len, extra).truncated_by)
         assert seen == {(), ("max_states",), ("max_len",), ("max_states", "max_len")}
 
     @staticmethod
     def block_machine():
         """Fibers of widths 3, 1 and 0, an edge with no entries, and a count of 10**18."""
-        from spanauto.automata import MDetMachine
-        from spanauto.spans import NatMatrix
+        from spanauto.spans import NatMatrix, from_matrix
 
         fibers = {"n0": FinSet("A", ["a", "b", "c"]), "n1": FinSet("X", ["x"]), "n2": FinSet("E", [])}
         base = BaseGraph(["n0", "n1", "n2"], [
@@ -388,8 +383,8 @@ class TestMDetExpandOracle:
             "e2": {("x", "a"): 1, ("x", "b"): 1},
             "e3": {}, "e4": {}, "e5": {},
         }
-        matrices = {e.id: NatMatrix(fibers[e.src], fibers[e.dst], entries[e.id]) for e in base.edges}
-        return MDetMachine(base, fibers, matrices, "a", {"c", "x"})
+        spans = {e.id: from_matrix(NatMatrix(fibers[e.src], fibers[e.dst], entries[e.id])) for e in base.edges}
+        return SpanAutomaton(base, fibers, spans, "a", {"c", "x"})
 
     def test_block_step_cases(self):
         m = self.block_machine()
@@ -411,14 +406,14 @@ class TestMDetExpandOracle:
         assert len(exp.states) == 6 and exp.truncated_by == ("max_states", "max_len")
 
     def test_seed_of_wrong_length_rejected(self):
-        m = mdet(two_state_example())
+        a = two_state_example()
         for seed in ((1,), (1, 0, 0), (1, -1), (1, True)):
             with pytest.raises(ValueError):
-                mdet_expand(m, 8, 2, extra_seeds={"s": [seed]})
+                mdet_expand(a, 8, 2, extra_seeds={"s": [seed]})
 
     def test_seed_at_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="'zz'"):
-            mdet_expand(mdet(two_state_example()), 10, 2, extra_seeds={"zz": [(1,)]})
+            mdet_expand(two_state_example(), 10, 2, extra_seeds={"zz": [(1,)]})
 
 
 class TestClassical:
@@ -776,6 +771,5 @@ class TestEmptyFibers:
 
     def test_mdet_handles_empty_fiber(self):
         a = self.automaton()
-        m = mdet(a)
-        assert mdet_accept_count(m, Word("n")) == 1
-        assert mdet_accept_count(m, Word("n", ("e",))) == 0
+        assert mdet_run_count(a, Word("n")) == 1
+        assert mdet_run_count(a, Word("n", ("e",))) == 0

@@ -168,7 +168,7 @@ class TestDump:
 
     def test_function_tables_match_their_dicts(self):
         from genlib import random_classical_nfa, random_odd_names_automaton
-        from spanauto.determinize import classical_subset_construction, det, mdet, mdet_expand
+        from spanauto.determinize import classical_subset_construction, det, mdet_expand
         from spanauto.io import serialize_expanded
 
         rng = random.Random(23)
@@ -182,7 +182,7 @@ class TestDump:
             escaped += any('"' in n and odd.fibers[n] for n in odd.base.nodes)
             for d in (det(odd), det(odd, prune=True)):
                 assert serialize_automaton(d) == json.dumps(self.table_doc(d), indent=2) + "\n"
-            x = mdet_expand(mdet(odd), rng.randint(1, 12), rng.randint(0, 4))
+            x = mdet_expand(odd, rng.randint(1, 12), rng.randint(0, 4))
             assert serialize_expanded(x) == json.dumps(self.expanded_doc(x), indent=2) + "\n"
         assert escaped >= 5
 
@@ -202,12 +202,12 @@ class TestDump:
         }
 
     def test_partial_expansion_matches_its_dict(self):
-        from spanauto.determinize import mdet, mdet_expand
+        from spanauto.determinize import mdet_expand
         from spanauto.fixtures import two_phase_example
         from spanauto.io import serialize_expanded
 
         # the state bound cuts the last layer, so some states have no recorded moves
-        x = mdet_expand(mdet(two_phase_example()), 7, 3)
+        x = mdet_expand(two_phase_example(), 7, 3)
         assert x.truncated
         assert any(all(q not in t for t in x.transitions.values()) for q in x.states)
         assert serialize_expanded(x) == json.dumps(self.expanded_doc(x), indent=2) + "\n"
@@ -215,7 +215,7 @@ class TestDump:
     def test_table_writer_matches_the_row_walk(self):
         # function tables are written straight from the table; the count-row walk is the yardstick
         from genlib import random_odd_names_automaton, row_walk_entries
-        from spanauto.determinize import det, mdet, mdet_expand, rel_of
+        from spanauto.determinize import det, mdet_expand, rel_of
         from spanauto.io import serialize_expanded
 
         rng = random.Random(29)
@@ -230,7 +230,7 @@ class TestDump:
                 parsed = parse_automaton(doc)
                 want = dict(doc, transitions=row_walk_entries(parsed))
                 assert serialize_automaton(parsed) == json.dumps(want, indent=2) + "\n" == text
-            x = mdet_expand(mdet(a), rng.randint(1, 12), rng.randint(0, 4))
+            x = mdet_expand(a, rng.randint(1, 12), rng.randint(0, 4))
             partial += any(len(x.transitions[e.id]) < len(x.fibers[e.src]) for e in x.base.edges)
             want = dict(self.expanded_doc(x), transitions=row_walk_entries(x))
             assert serialize_expanded(x) == json.dumps(want, indent=2) + "\n"
@@ -239,21 +239,21 @@ class TestDump:
     def test_expansion_with_odd_node_names_matches_its_dict(self):
         # counts are written from the labels, which hold node names with ':' and '(' and vectors of widths 0-2
         from genlib import odd_names_example
-        from spanauto.determinize import mdet, mdet_expand
+        from spanauto.determinize import mdet_expand
         from spanauto.io import serialize_expanded
 
         for max_states, max_len in ((12, 6), (200, 4), (1, 1)):
-            x = mdet_expand(mdet(odd_names_example()), max_states, max_len)
+            x = mdet_expand(odd_names_example(), max_states, max_len)
             assert serialize_expanded(x) == json.dumps(self.expanded_doc(x), indent=2) + "\n"
 
     def test_expansion_built_with_other_labels_writes_its_states(self):
         # counts come from the state vectors, not from the text of the labels
         from genlib import odd_names_example
-        from spanauto.determinize import ExpandedMachine, mdet, mdet_expand
+        from spanauto.determinize import ExpandedMachine, mdet_expand
         from spanauto.io import serialize_expanded
         from spanauto.spans import FinSet
 
-        x = mdet_expand(mdet(odd_names_example()), 12, 6)
+        x = mdet_expand(odd_names_example(), 12, 6)
         new = {q: f"q{i}" for i, q in enumerate(x.states)}
         y = ExpandedMachine(
             base=x.base,
@@ -518,7 +518,7 @@ class TestCli:
 
     def test_subset_labels_keep_odd_names_apart(self, tmp_path, capsys):
         # member names holding the label syntax: {a,b} against {"a,b"}, {"{a,b}"} against {"{a", "b}"},
-        # and p:{"q}:{r"} against p:{q}:{r}
+        # and p:{"q}:{r"} against p:{q}:{r}; and the empty name: {""} against {}, and against "0" and "\0"
         comma = {"format_version": "1", "kind": "span",
                  "base": {"nodes": ["n"], "edges": [{"id": "e", "label": "e", "src": "n", "dst": "n"}]},
                  "fibers": {"n": ["a", "b", "a,b"]},
@@ -545,8 +545,15 @@ class TestCli:
                                {"from": "\\", "letter": ",", "to": ["\\,", "{a,b}", "a"]},
                                {"from": "{a,b}", "letter": "{}\\:", "to": [":", "}", "{a", "b}"]}],
                      "initial": "a", "finals": ["b", ":"]}
+        empty = dict(comma, fibers={"n": ["", "x"]}, transitions={"e": [{"from": "x", "to": ""}]},
+                     initial="x", finals=[""])
+        empty_classical = dict(classical, alphabet=["x"], states=["", "0", "\\0", "x"], initial="x", finals=[""],
+                               delta=[{"from": "x", "letter": "x", "to": [""]}, {"from": "", "letter": "x", "to": ["0"]},
+                                      {"from": "0", "letter": "x", "to": ["\\0", ""]}])
         runs = {"comma": (comma, "det"), "comma pruned": (comma, "det", "--prune"), "odd": (odd, "det"),
-                "odd pruned": (odd, "det", "--prune"), "classical": (classical, "classical")}
+                "odd pruned": (odd, "det", "--prune"), "classical": (classical, "classical"),
+                "empty": (empty, "det"), "empty pruned": (empty, "det", "--prune"),
+                "empty classical": (empty_classical, "classical")}
         labels = {}
         for name, (doc, *argv) in runs.items():
             path = tmp_path / "doc.json"
@@ -559,6 +566,10 @@ class TestCli:
         assert {"p:{q\\}:\\{r}", "p:{q}:{r}", "p:{q}:{\\\\\\,}"} <= set(labels["odd pruned"])
         # a name whose braces pair up and hold its commas stands as it is, any other is escaped
         assert {"{a\\,b}", "{a,b}", "{{a,b}}", "{b\\},\\{a}", "{\\}}", "{\\\\}"} <= set(labels["classical"])
+        # the empty name is written \0, a text no other member has
+        assert labels["empty"] == ["{}", "{\\0}", "{x}", "{\\0,x}"]
+        assert labels["empty pruned"] == ["{}", "{\\0}", "{x}"]
+        assert {"{}", "{\\0}", "{0}", "{\\\\0}", "{\\0,0}", "{0,\\\\0}"} <= set(labels["empty classical"])
 
     def test_det_golden(self, fixtures_dir, golden_dir, capsys):
         for name in ("two_state", "two_phase"):
@@ -1336,7 +1347,7 @@ class TestCli:
     def test_count_vector_commands_build_no_multisets(self, fixtures_dir, golden_dir, tmp_path, capsys,
                                                       monkeypatch):
         # an expanded state is its count vector from mdet_expand to the written document
-        from spanauto.determinize import mdet, mdet_expand
+        from spanauto.determinize import mdet_expand
         from spanauto.io import serialize_simulation
         from spanauto.simulation import multiplicity_span
         from spanauto.spans import Multiset
@@ -1344,7 +1355,7 @@ class TestCli:
         sims = {}
         for name in ("two_state", "two_phase"):
             a = parse_automaton((fixtures_dir / f"{name}.json").read_text())
-            exp = mdet_expand(mdet(a), 64, 8)
+            exp = mdet_expand(a, 64, 8)
             components = {n: multiplicity_span(exp, n, a.fibers[n]) for n in a.base.nodes}
             sims[name] = tmp_path / f"{name}_sim.json"
             sims[name].write_text(serialize_simulation(Simulation(a, exp.as_det_automaton(), components, "pseudo")))

@@ -24,7 +24,7 @@ from spanauto.automata import (
     DetAutomaton,
     SpanAutomaton,
 )
-from spanauto.determinize import det, mdet, mdet_expand, rel_of
+from spanauto.determinize import det, mdet_expand, rel_of
 from spanauto.fixtures import two_phase_example, two_state_example
 from spanauto.simulation import (
     Simulation,
@@ -548,7 +548,7 @@ class TestFactorMDet:
     def test_canonical_mdet_simulation_factors_identically(self):
         # uses the counting machine's own expansion as the deterministic target
         a = two_state_example()
-        exp = mdet_expand(mdet(a), max_states=64, max_len=8)
+        exp = mdet_expand(a, max_states=64, max_len=8)
         g = exp.as_det_automaton()
         sim = canonical_mdet_simulation(a, max_len=8)
         alpha = Simulation(a, g, sim.components, "pseudo")
@@ -626,9 +626,7 @@ class TestComposeSimulations:
 
 
 def _counts(x):
-    """Entry counts of a span, relation, det table or matrix, by plain loops."""
-    from spanauto.spans import NatMatrix
-
+    """Entry counts of a span, relation or det table, by plain loops."""
     if isinstance(x, Span):
         out = {}
         for t in x.apex:
@@ -636,17 +634,7 @@ def _counts(x):
         return out
     if isinstance(x, Relation):
         return {p: 1 for p in x.pairs}
-    if isinstance(x, NatMatrix):
-        return dict(x.entries)
     return {(q, t): 1 for q, t in x.items()}
-
-
-def _edge_counts(a, edge_id):
-    from spanauto.automata import MDetMachine
-
-    if isinstance(a, MDetMachine):
-        return _counts(a.matrices[edge_id])
-    return _counts(a.transitions[edge_id])
 
 
 def _product(m, n):
@@ -667,8 +655,8 @@ def oracle_sides(sim, e):
     def keep(m):
         return {k: v for k, v in m.items() if rows is None or k[0] in rows}
 
-    lhs = _product(keep(_counts(sim.components[e.src])), _edge_counts(sim.source, e.id))
-    rhs = _product(keep(_edge_counts(sim.target, e.id)), _counts(sim.components[e.dst]))
+    lhs = _product(keep(_counts(sim.components[e.src])), _counts(sim.source.transitions[e.id]))
+    rhs = _product(keep(_counts(sim.target.transitions[e.id])), _counts(sim.components[e.dst]))
     return lhs, rhs
 
 
@@ -737,7 +725,7 @@ def random_simulations(seed):
 def rel_square_oracle(sim):
     """(ok, failed_edge, detail, differences) from relation composites over every edge."""
     def rel(a, e):
-        return Relation(a.fibers[e.src], a.fibers[e.dst], _edge_counts(a, e.id))
+        return Relation(a.fibers[e.src], a.fibers[e.dst], _counts(a.transitions[e.id]))
 
     for e in sim.source.base.edges:
         comp_src, comp_dst = sim.components[e.src], sim.components[e.dst]
@@ -907,9 +895,9 @@ class TestTransitionMatrix:
     @staticmethod
     def kinds(a):
         d = det(a)
-        closed = mdet_expand(mdet(d), 4096, 200)
+        closed = mdet_expand(d, 4096, 200)
         assert not closed.truncated
-        return (a, rel_of(a), d, mdet(a), closed, mdet_expand(mdet(a), 8, 2))
+        return (a, rel_of(a), d, closed, mdet_expand(a, 8, 2))
 
     def test_agrees_with_token_spans_for_every_kind(self):
         import random
@@ -954,7 +942,7 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError, match="^initial state 'zz' lies in no fiber$"):
             stray.initial_node
         with pytest.raises(ValueError, match="^initial state 'zz' lies in no fiber$"):
-            mdet(stray)
+            mdet_expand(stray, 4, 1)
 
     def test_caches_stay_out_of_equality_and_repr(self):
         from spanauto.determinize import _masks
