@@ -52,7 +52,6 @@ from .automata import (
     enumerate_words,
     is_deterministic,
     language,
-    validate,
 )
 from .determinize import (
     ClassicalNFA,

@@ -14,7 +14,8 @@ and differs only in how it stores a transition:
   state lifts to exactly one run.
 
 The five fields (``base``, ``fibers``, ``transitions``, ``initial`` and
-``finals``) are declared once, on ``_FiberedAutomaton``.  Everything
+``finals``) are declared once, on ``_FiberedAutomaton``, and checked once,
+by its constructor: every automaton that exists is well formed.  Everything
 above the storage reads one view of it: ``rows(edge_id)``, the sparse
 count rows ``{src: {dst: count}}``.  A relation is the support of a span,
 and a function is a span whose rows each hold one entry of count 1, so
@@ -39,7 +40,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .spans import FinSet, NatMatrix, _Record, to_matrix
+from .spans import FinSet, NatMatrix, Relation, Span, _Record, to_matrix
 
 __all__ = [
     "BaseGraph",
@@ -48,7 +49,6 @@ __all__ = [
     "SpanAutomaton",
     "RelAutomaton",
     "DetAutomaton",
-    "validate",
     "enumerate_words",
     "accepted",
     "language",
@@ -158,20 +158,6 @@ class Word(_Record):
 _NO_ROW: Mapping[str, int] = {}
 
 
-def _check_fibers(base: BaseGraph, fibers: Mapping[str, FinSet]) -> list[str]:
-    problems = []
-    for n in base.nodes:
-        if n not in fibers:
-            problems.append(f"node {n!r} has no fiber")
-    seen: dict[str, str] = {}
-    for n in base.nodes:
-        for q in fibers.get(n, ()):
-            if q in seen:
-                problems.append(f"state {q!r} appears in fibers of {seen[q]!r} and {n!r}")
-            seen[q] = n
-    return problems
-
-
 class _FiberedAutomaton(_Record):
     """The one shape behind every automaton kind, and its count-row view.
 
@@ -182,11 +168,17 @@ class _FiberedAutomaton(_Record):
     pairs.  The base stores function tables, each item one transition,
     and builds its count rows straight from the table; kinds that store
     spans or relations derive from ``_MatrixAutomaton`` and read
-    theirs as the counting matrix's rows.  Matrices, rows, the
-    state-to-node index and the support masks of ``determinize._masks``
-    are built on first use and are not record fields, so equality and
-    repr see the five fields only.  Equality holds only between automata
+    theirs as the counting matrix's rows.  Matrices, rows and the support
+    masks of ``determinize._masks`` are built on first use, and the
+    state-to-node index the constructor checks is kept; none is a record
+    field, so equality and repr see the five fields only.  Equality holds only between automata
     of the same kind, and repr names the kind's class.
+
+    The constructor raises ``ValueError`` at the first of: a node without
+    a fiber, a state in two fibers, an initial or final state in no
+    fiber, then per edge a missing transition or one off its endpoint
+    fibers (the kind's ``_check_transition``).  Builders correct by
+    construction (the loader, the powerset machine) use ``_trusted``.
     """
 
     base: BaseGraph
@@ -196,7 +188,39 @@ class _FiberedAutomaton(_Record):
     finals: frozenset[str]
 
     def __init__(self, base, fibers, transitions, initial, finals):
-        _Record.__init__(self, base, dict(fibers), dict(transitions), initial, frozenset(finals))
+        fibers, transitions, finals = dict(fibers), dict(transitions), frozenset(finals)
+        for n in base.nodes:
+            if n not in fibers:
+                raise ValueError(f"node {n!r} has no fiber")
+        nodes: dict[str, str] = {}
+        for n in base.nodes:
+            for q in fibers[n]:
+                if nodes.setdefault(q, n) != n:
+                    raise ValueError(f"state {q!r} appears in fibers of {nodes[q]!r} and {n!r}")
+        if initial not in nodes:
+            raise ValueError(f"initial state {initial!r} lies in no fiber")
+        stray = finals.difference(nodes)
+        if stray:
+            raise ValueError(f"final state {min(stray)!r} lies in no fiber")
+        for e in base.edges:
+            if e.id not in transitions:
+                raise ValueError(f"edge {e.id!r} has no transition")
+            self._check_transition(e.id, transitions[e.id], fibers[e.src], fibers[e.dst])
+        _Record.__init__(self, base, fibers, transitions, initial, finals)
+        self._prime(_state_nodes=nodes)
+
+    def _check_transition(self, edge_id: str, table, src: FinSet, dst: FinSet) -> None:
+        """Refuse a table not total on ``src`` or leaving ``dst``: two set comparisons, then the first fault."""
+        if table.keys() == src._positions.keys() and dst._positions.keys() >= set(table.values()):
+            return
+        for q in src.elements:
+            if q not in table:
+                raise ValueError(f"transition of edge {edge_id!r} is not total: missing {q!r}")
+        for q, target in table.items():
+            if q not in src:
+                raise ValueError(f"transition of edge {edge_id!r} maps foreign state {q!r}")
+            if target not in dst:
+                raise ValueError(f"transition of edge {edge_id!r} sends {q!r} outside the target fiber")
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
         e = self.base.edge(edge_id)
@@ -205,11 +229,7 @@ class _FiberedAutomaton(_Record):
 
     @cached_property
     def _state_nodes(self) -> dict[str, str]:
-        nodes: dict[str, str] = {}
-        for n in self.base.nodes:
-            for q in self.fibers.get(n, ()):
-                nodes.setdefault(q, n)
-        return nodes
+        return {q: n for n in self.base.nodes for q in self.fibers[n]}
 
     @cached_property
     def _views(self) -> dict[object, object]:
@@ -220,10 +240,7 @@ class _FiberedAutomaton(_Record):
 
     @property
     def initial_node(self) -> str:
-        node = self.node_of(self.initial)
-        if node is None:
-            raise ValueError(f"initial state {self.initial!r} lies in no fiber")
-        return node
+        return self._state_nodes[self.initial]
 
     def rows(self, edge_id: str) -> dict[str, dict[str, int]]:
         """Sparse count rows of an edge: ``{src: {dst: count}}``, built once; read-only.
@@ -246,7 +263,12 @@ class _FiberedAutomaton(_Record):
 
 
 class _MatrixAutomaton(_FiberedAutomaton):
-    """A kind whose transitions are not function tables: its rows are those of ``matrix``."""
+    """A kind whose transitions, of the class ``_stores``, are no tables: its rows are those of ``matrix``."""
+
+    def _check_transition(self, edge_id: str, t, src: FinSet, dst: FinSet) -> None:
+        if not isinstance(t, self._stores) or t.dom != src or t.cod != dst:
+            noun = self._stores.__name__.lower()
+            raise ValueError(f"transition {noun} of edge {edge_id!r} does not match the endpoint fibers")
 
     def rows(self, edge_id: str) -> dict[str, dict[str, int]]:
         return self.matrix(edge_id)._by_row
@@ -256,6 +278,7 @@ class SpanAutomaton(_MatrixAutomaton):
     """Transitions are spans; parallel tokens count distinct transitions."""
 
     kind = "span"
+    _stores = Span
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
         return to_matrix(self.transitions[edge_id])
@@ -265,6 +288,7 @@ class RelAutomaton(_MatrixAutomaton):
     """Transitions are relations."""
 
     kind = "rel"
+    _stores = Relation
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
         r = self.transitions[edge_id]
@@ -278,43 +302,6 @@ class DetAutomaton(_FiberedAutomaton):
 
     def __init__(self, base, fibers, transitions, initial, finals):
         super().__init__(base, fibers, {e: dict(m) for e, m in transitions.items()}, initial, finals)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def validate(a) -> list[str]:
-    """Collect invariant violations; an empty list means well formed."""
-    problems = _check_fibers(a.base, a.fibers)
-    if a.node_of(a.initial) is None:
-        problems.append(f"initial state {a.initial!r} lies in no fiber")
-    for q in sorted(a.finals):
-        if a.node_of(q) is None:
-            problems.append(f"final state {q!r} lies in no fiber")
-
-    for e in a.base.edges:
-        if e.id not in a.transitions:
-            problems.append(f"edge {e.id!r} has no transition")
-            continue
-        src_fiber = a.fibers.get(e.src)
-        dst_fiber = a.fibers.get(e.dst)
-        if src_fiber is None or dst_fiber is None:
-            continue
-        t = a.transitions[e.id]
-        if isinstance(t, Mapping):
-            for q in src_fiber:
-                if q not in t:
-                    problems.append(f"transition of edge {e.id!r} is not total: missing {q!r}")
-            for q, target in t.items():
-                if q not in src_fiber:
-                    problems.append(f"transition of edge {e.id!r} maps foreign state {q!r}")
-                elif target not in dst_fiber:
-                    problems.append(f"transition of edge {e.id!r} sends {q!r} outside the target fiber")
-        elif t.dom != src_fiber or t.cod != dst_fiber:
-            noun = {"span": "span", "rel": "relation"}[a.kind]
-            problems.append(f"transition {noun} of edge {e.id!r} does not match the endpoint fibers")
-    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _fibered(a):
 
 
 def cmd_validate(args) -> int:
-    # the loader refuses, as an input error, each violation ``automata.validate`` reports
+    # the loader refuses, as an input error, every document whose automaton its kind's constructor would refuse
     load_automaton(args.file)
     return 0
 

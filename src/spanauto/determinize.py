@@ -279,7 +279,7 @@ def _subset_machine(a, reached: Mapping[str, Mapping[int, list[int]]], steps: Ma
     }
     start = a.initial_node
     initial = labels[start][1 << pos[start][a.initial]]
-    return DetAutomaton(a.base, fibers, tables, initial, finals), labels
+    return DetAutomaton._trusted(a.base, fibers, tables, initial, frozenset(finals)), labels
 
 
 # ---------------------------------------------------------------------------

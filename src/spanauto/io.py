@@ -164,11 +164,11 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
         spans = {
             e.id: Span._counted(fibers[e.src], fibers[e.dst], transitions[e.id]) for e in base.edges
         }
-        return SpanAutomaton(base, fibers, spans, initial, finals)
+        return SpanAutomaton._trusted(base, fibers, spans, initial, frozenset(finals))
     if kind == "rel":
         rels = {e.id: Relation._trusted(fibers[e.src], fibers[e.dst], frozenset(transitions[e.id]))
                 for e in base.edges}
-        return RelAutomaton(base, fibers, rels, initial, finals)
+        return RelAutomaton._trusted(base, fibers, rels, initial, frozenset(finals))
     for e in base.edges:
         if e.id in tables:
             continue
@@ -182,7 +182,7 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
                 seen.add(src)
             q = next(q for q in fibers[e.src] if q not in table)
             raise DocumentError(f"transitions.{e.id}", f"missing image of state {q!r}")
-    return DetAutomaton(base, fibers, {e.id: tables[e.id] for e in base.edges}, initial, finals)
+    return DetAutomaton._trusted(base, fibers, {e.id: tables[e.id] for e in base.edges}, initial, frozenset(finals))
 
 
 _FROM_TO = operator.itemgetter("from", "to")
@@ -468,12 +468,10 @@ def _fibered_doc(a, kind: str, body, sort_finals: bool = False) -> dict:
     ``text`` maps each state to its JSON text, so a document escapes each
     label once.  It lives only in this call, hence ``body`` is a function
     of it: ``_dump`` can then free it before its join.  Finals come in
-    fiber order, or sorted.  A stray initial state is a ``ValueError``.
+    fiber order, or sorted.
     """
     labels = [q for n in a.base.nodes for q in a.fibers[n].elements]
     text = dict(zip(labels, map(_string, labels)))
-    if a.initial not in text:
-        raise ValueError(f"initial state {a.initial!r} lies in no fiber")
     finals = sorted(a.finals) if sort_finals else filter(a.finals.__contains__, labels)
     base = {"nodes": list(a.base.nodes),
             "edges": [{"id": e.id, "label": e.label, "src": e.src, "dst": e.dst} for e in a.base.edges]}
@@ -541,11 +539,16 @@ def serialize_automaton(a: AnyDocumentAutomaton) -> str:
                 "finals": [q for q in a.states if q in a.finals],
             }
         )
+    return _dump(_automaton_doc(a))
+
+
+def _automaton_doc(a) -> dict:
+    """The document of a span, rel or det automaton; any other kind is a ``TypeError``."""
     kind = getattr(a, "kind", None)
     if kind not in ("span", "rel", "det"):
         raise TypeError(f"cannot serialize {type(a).__name__} as an automaton document")
-    return _dump(_fibered_doc(a, kind, lambda text: {"fibers": _fiber_texts(a, text),
-                                                      "transitions": _transition_entries(a, text)}))
+    return _fibered_doc(a, kind, lambda text: {"fibers": _fiber_texts(a, text),
+                                               "transitions": _transition_entries(a, text)})
 
 
 def serialize_mdet(a: _FiberedAutomaton) -> str:
@@ -616,6 +619,9 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
         if strength == "strict" and any(c > 1 for c in counts.values()):
             raise DocumentError(at, "strict components cannot carry counts above one")
         components[n] = Span._counted(target.fibers[n], source.fibers[n], counts)
+    for key in components_doc:
+        if key not in components:
+            raise DocumentError(f"components.{key}", "component for unknown node")
     try:
         return Simulation(source, target, components, strength)
     except ValueError as exc:
@@ -628,17 +634,13 @@ def load_simulation(path: Union[str, Path]) -> Simulation:
     return parse_simulation(text, base_dir=Path(path).parent)
 
 
-def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,
-                         target_ref: Optional[str] = None) -> str:
+def serialize_simulation(sim: Simulation) -> str:
     """Canonical JSON text of a simulation.
 
-    Endpoints are inlined unless a file path is supplied for them; inlined
-    endpoints must be of a document kind (expansions are not).  Component
-    entries carry a ``count`` unless the strength is ``strict``.
+    Endpoints are inlined as their automaton documents, so they must be of
+    a document kind (expansions are not).  Component entries carry a
+    ``count`` unless the strength is ``strict``.
     """
-    def endpoint(ref, automaton):
-        return ref if ref is not None else json.loads(serialize_automaton(automaton))
-
     components = {}
     for n in sim.source.base.nodes:
         src_order = sim.target.fibers[n].index
@@ -649,8 +651,8 @@ def serialize_simulation(sim: Simulation, source_ref: Optional[str] = None,
         {
             "format_version": FORMAT_VERSION,
             "kind": "simulation",
-            "source": endpoint(source_ref, sim.source),
-            "target": endpoint(target_ref, sim.target),
+            "source": _automaton_doc(sim.source),
+            "target": _automaton_doc(sim.target),
             "strength": sim.strength,
             "components": components,
         }

@@ -37,7 +37,6 @@ strict squares from those steps before the closure goes any further.
 from __future__ import annotations
 
 import operator
-from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .spans import (
@@ -127,6 +126,9 @@ class Simulation(_Record):
             c = stored[n]
             if c.dom != target.fibers[n] or c.cod != source.fibers[n]:
                 raise ValueError(f"component at {n!r} does not run from the target fiber to the source fiber")
+        if len(stored) > len(source.base.nodes):
+            stray = next(n for n in stored if n not in source.base.nodes)
+            raise ValueError(f"component at unknown node {stray!r}")
         _Record.__init__(self, source, target, stored, strength)
 
 
@@ -235,7 +237,7 @@ def _square_rows(states: Iterable[str], src_rows: _Rows, tgt_step: Mapping, comp
     row of x, and ``right`` sums the component rows over x's successors
     along e.  ``tgt_step`` is the target's transition at e: when
     ``tabled``, its function table, read as a table, so ``right`` is the
-    component row of x's image (none where x has no image); else its count
+    component row of x's image (x is a state the table maps); else its count
     rows, where a single successor counted once gives its component row
     itself.
     """
@@ -245,7 +247,7 @@ def _square_rows(states: Iterable[str], src_rows: _Rows, tgt_step: Mapping, comp
             for r, c in src_rows.get(q, _NO_ROW).items():
                 left[r] = left.get(r, 0) + u * c
         if tabled:
-            yield x, left, comp_dst.get(tgt_step.get(x), _NO_ROW)
+            yield x, left, comp_dst.get(tgt_step[x], _NO_ROW)
             continue
         step = tgt_step.get(x, _NO_ROW).items()
         if len(step) == 1:
@@ -260,25 +262,25 @@ def _square_rows(states: Iterable[str], src_rows: _Rows, tgt_step: Mapping, comp
         yield x, left, right
 
 
-def _square(sim: Simulation, e: Edge, comps: Mapping[str, _Rows], partial: bool) -> tuple:
-    """The ``_square_rows`` arguments at an edge; a ``partial`` target compares its recorded rows only."""
+def _square(sim: Simulation, e: Edge, comps: Mapping[str, _Rows]) -> tuple:
+    """The ``_square_rows`` arguments at an edge; a tabled target compares the states its table maps."""
     tabled = not isinstance(sim.target, _MatrixAutomaton)
     tgt_step = sim.target.transitions[e.id] if tabled else sim.target.rows(e.id)
-    states = tgt_step if partial else sim.target.fibers[e.src].elements
+    states = tgt_step if tabled else sim.target.fibers[e.src].elements
     return states, sim.source.rows(e.id), tgt_step, comps[e.src], comps[e.dst], tabled
 
 
-def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[Edge]:
+def _support_failure(sim: Simulation, strict: bool) -> Optional[Edge]:
     """The first edge whose square fails on supports, or None.
 
     Supports are int masks over the source's fibers, in its mask view
     (``_masks``).  At an edge e and a target state x, ``left`` is the OR
     of the source's successor masks of e over x's component row, and
     ``right`` the OR of the component masks of x's successors along e,
-    read from a function table as the mask of x's image (0 where x has
-    none).  The support of a product of count matrices is the relation
-    composite of their supports, so these are the supports of the
-    square's two rows at x.  A strict square wants them equal, a lax one
+    read from a function table as the mask of x's image; a tabled target
+    compares the states its table maps.  The support of a product of
+    count matrices is the relation composite of their supports, so these
+    are the supports of the square's two rows at x.  A strict square wants them equal, a lax one
     wants ``left`` inside ``right``.  The view refuses a fiber wider than
     ``POWERSET_CAP``, so the caller keeps this to narrower sources.
     """
@@ -301,12 +303,12 @@ def _support_failure(sim: Simulation, strict: bool, partial: bool) -> Optional[E
     for e in src.base.edges:
         succ, row_bits, masks = succ_of[e.id], comp_bits[e.src], comp_masks[e.dst]
         steps = tgt.transitions[e.id] if tabled else tgt.rows(e.id)
-        for x in steps if partial else tgt.fibers[e.src].elements:
+        for x in steps if tabled else tgt.fibers[e.src].elements:
             left = 0
             for i in row_bits.get(x, ()):
                 left |= succ[i]
             if tabled:
-                right = masks.get(steps.get(x), 0)
+                right = masks.get(steps[x], 0)
             else:
                 right = 0
                 for y in steps.get(x, _NO_ROW):
@@ -324,15 +326,15 @@ def _check_squares(sim: Simulation, mode: str) -> CheckResult:
     (``_support_failure``).  Every other square is walked row by row, the
     rows read from the automata's cached count rows and the components'
     row indexes, and the strength picks how two rows compare (``_HOLDS``);
-    no composite is built.  When the target is a bounded expansion only
-    its recorded rows are compared.  A failing edge alone is walked again
-    by ``_square_rows`` in full, to list its differing entries.
+    no composite is built.  A tabled target compares the states its table
+    maps: every state of a ``det`` target, the recorded ones of a bounded
+    expansion.  A failing edge alone is walked again by ``_square_rows``
+    in full, to list its differing entries.
     """
     base = sim.source.base
-    partial = isinstance(sim.target, ExpandedMachine)
     narrow = all(len(sim.source.fibers[n]) <= POWERSET_CAP for n in base.nodes)
     if mode != "pseudo" and narrow:
-        failed = _support_failure(sim, mode == "strict", partial)
+        failed = _support_failure(sim, mode == "strict")
         if failed is not None:
             comps = {n: to_matrix(sim.components[n])._by_row for n in (failed.src, failed.dst)}
     else:
@@ -340,12 +342,12 @@ def _check_squares(sim: Simulation, mode: str) -> CheckResult:
         comps = {n: to_matrix(sim.components[n])._by_row for n in base.nodes}
         failed = None
         for e in base.edges:
-            if not all(holds(left, right) for _, left, right in _square_rows(*_square(sim, e, comps, partial))):
+            if not all(holds(left, right) for _, left, right in _square_rows(*_square(sim, e, comps))):
                 failed = e
                 break
     if failed is None:
         return CheckResult(True)
-    square = _square(sim, failed, comps, partial)
+    square = _square(sim, failed, comps)
     if mode == "strict":
         differences = tuple(sorted(
             (x, r, int(r in left), int(r in right))
@@ -399,33 +401,34 @@ def square_witnesses(sim: Simulation, mode: str) -> dict[str, SpanMorphism]:
     A failing check, or a witness past 1,000,000 tokens, is a ``ValueError`` naming its edge, before any token.
     """
     _require(check_span_simulation(sim, mode), f"no {mode} witness")
-    partial = isinstance(sim.target, ExpandedMachine)
     for e in sim.source.base.edges:
-        tokens = _witness_tokens(sim, e, partial)
+        tokens = _witness_tokens(sim, e)
         if tokens > _WORK_BOUND:
             raise ValueError(f"witness at edge {e.id!r} would build {tokens} tokens, more than {_WORK_BOUND}")
-    return {e.id: _square_witness(sim, e, partial, mode) for e in sim.source.base.edges}
+    return {e.id: _square_witness(sim, e, mode) for e in sim.source.base.edges}
 
 
-def _witness_tokens(sim: Simulation, e: Edge, partial: bool) -> int:
+def _witness_tokens(sim: Simulation, e: Edge) -> int:
     """The tokens ``_square_witness`` would build at an edge, counted from count rows.
 
     That is both components' apexes, both transitions' apexes and the two
     composites, whose tokens are the entries of the square's two sides.
     """
-    square = _square(sim, e, {n: to_matrix(sim.components[n])._by_row for n in (e.src, e.dst)}, partial)
+    square = _square(sim, e, {n: to_matrix(sim.components[n])._by_row for n in (e.src, e.dst)})
     _, src_rows, _, comp_src, comp_dst, _ = square
     tgt_rows = sim.target.rows(e.id)
     tokens = sum(sum(row.values()) for rows in (comp_src, comp_dst, src_rows, tgt_rows) for row in rows.values())
     return tokens + sum(sum(left.values()) + sum(right.values()) for _, left, right in _square_rows(*square))
 
 
-def _square_witness(sim: Simulation, e: Edge, partial: bool, mode: str) -> SpanMorphism:
-    """The apex map of a passing square, between its token composites."""
+def _square_witness(sim: Simulation, e: Edge, mode: str) -> SpanMorphism:
+    """The apex map of a passing square, between its token composites; a tabled target's covers its table."""
     comp = sim.components[e.src]
-    if partial:
-        recorded = sim.target.rows(e.id)
-        comp = Span(comp.dom, comp.cod, [t for t in comp.apex if t.left in recorded])
+    if not isinstance(sim.target, _MatrixAutomaton):
+        recorded = sim.target.transitions[e.id]
+        kept = [t for t in comp.apex if t.left in recorded]
+        if len(kept) < len(comp.apex):
+            comp = Span(comp.dom, comp.cod, kept)
     lhs = compose_spans(comp, transition_span(sim.source, e.id))
     rhs = compose_spans(transition_span(sim.target, e.id), sim.components[e.dst])
     return span_morphism_search(lhs, rhs, iso_required=(mode == "pseudo"))
@@ -533,7 +536,7 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
             image_of[x] |= one_hot[q]
 
     def decide(steps: Mapping[str, Mapping[int, int]]) -> None:
-        """Refuse alpha unless d_e(S_x) = S_{g_e(x)} at every edge e and target state x (0 without an image).
+        """Refuse alpha unless d_e(S_x) = S_{g_e(x)} at every edge e and target state x.
 
         That is alpha's strict square at (e, x), read off the closure's
         steps of the seeds; ``_require_natural`` words a failure.
@@ -541,7 +544,7 @@ def factor_det(alpha: Simulation) -> FactorizationResult:
         for e in f.base.edges:
             image_of, image_at, table = images[e.src], images[e.dst], g.transitions[e.id]
             stepped = map(steps[e.id].__getitem__, image_of.values())
-            if list(stepped) != list(map(image_at.get, map(table.get, image_of), repeat(0))):
+            if list(stepped) != list(map(image_at.__getitem__, map(table.__getitem__, image_of))):
                 _require_natural(alpha)
 
     start = f.initial_node

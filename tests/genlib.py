@@ -5,8 +5,8 @@ to the probe length would make exhaustive checking slow; everything else
 about the draw is uniform within the stated bounds.  The oracles decide
 unique lifting and unique factorization of runs by enumerating words up
 to a length, independently of the structural checks in ``automata``
-(``lifts_uniquely`` and ``factors_uniquely`` state the theorems that tie
-the two together), and count the factorizations of a simulation by
+(``lifts_uniquely`` states the theorem that ties the two together; every
+automaton the constructors admit factors uniquely), and count the factorizations of a simulation by
 trying every function from target states to candidate states,
 independently of ``factor_det`` and ``factor_mdet``;
 ``full_powerset_bisim`` gives ``factor_det``'s verdicts from the full
@@ -58,7 +58,6 @@ from spanauto.automata import (
     Word,
     enumerate_words,
     is_deterministic,
-    validate,
 )
 from spanauto.determinize import ClassicalNFA, ExpandedMachine, det, mdet_run, subset_state_label
 from spanauto.io import DocumentError
@@ -383,22 +382,6 @@ def lifts_uniquely(a, max_len: int) -> bool:
     return verdict
 
 
-def factors_uniquely(a, max_len: int) -> bool:
-    """Whether every run over w = u.v splits uniquely into runs over u and v: ``not validate(a)``.
-
-    A run is a sequence of transitions, each of which fixes its endpoint
-    states, so the split after the k-th transition is the only split at k:
-    on a well-formed automaton the property holds, and this asserts that
-    the enumeration up to ``max_len`` finds it.  A malformed one has no
-    runs to speak of; the enumeration walks tokens and cannot see a
-    transition whose feet are not its endpoint fibers, so only ``validate``
-    refuses it.
-    """
-    verdict = not validate(a)
-    assert not verdict or enumerated_ulf_factorization(a, max_len), "a run of a well-formed automaton factors twice"
-    return verdict
-
-
 # ---------------------------------------------------------------------------
 # enumerating oracles for the uniqueness of a factorization
 
@@ -570,11 +553,10 @@ def row_walk_verdict(sim: Simulation, mode: str) -> CheckResult:
     """
     from spanauto.simulation import _square, _square_rows
 
-    partial = isinstance(sim.target, ExpandedMachine)
     holds = _ROW_HOLDS[mode]
     comps = {n: to_matrix(sim.components[n])._by_row for n in sim.source.base.nodes}
     for e in sim.source.base.edges:
-        square = _square(sim, e, comps, partial)
+        square = _square(sim, e, comps)
         if all(holds(left, right) for _, left, right in _square_rows(*square)):
             continue
         if mode == "strict":

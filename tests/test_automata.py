@@ -19,7 +19,6 @@ from spanauto.automata import (
     enumerate_words,
     is_deterministic,
     language,
-    validate,
 )
 from spanauto.determinize import ExpandedMachine, det, mdet_expand, mdet_run, rel_of, span_automaton_of_classical
 from spanauto.fixtures import two_phase_example, two_state_example
@@ -28,7 +27,7 @@ from spanauto.io import serialize_mdet
 from genlib import (
     ORACLE_MAX_LEN,
     brute_force_paths,
-    factors_uniquely,
+    enumerated_ulf_factorization,
     lifts_uniquely,
     matrix_count_paths,
     mdet_run_count,
@@ -74,7 +73,8 @@ class TestKinds:
         for k in (a, rel_of(a), det(a)):
             assert type(k)(*self.fields(k)) == k
             assert repr(k).startswith(type(k).__name__ + "(base=")
-            other = (RelAutomaton if k is a else SpanAutomaton)(*self.fields(k))
+            # another kind's constructor refuses these transitions, so they are stored unchecked
+            other = (RelAutomaton if k is a else SpanAutomaton)._trusted(*self.fields(k))
             assert self.fields(other) == self.fields(k)
             assert other != k and k != other
             assert k != self.fields(k) and self.fields(k) != k  # nor is the tuple of its fields
@@ -84,17 +84,14 @@ class TestKinds:
         assert self.fields(d) == self.fields(x) and d != x and x != d
 
     def test_counting_machine_runs_every_kind(self):
-        # the counting machine is each kind's own matrices; a stray initial state is refused when it runs
+        # the counting machine is each kind's own matrices; a stray initial state is refused before it runs
         a = two_state_example()
         for k in (a, rel_of(a), det(a)):
             for w in enumerate_words(k.base, k.initial_node, 3):
                 assert mdet_run_count(k, w) == count_paths(k, w)
             assert json.loads(serialize_mdet(k))["matrices"] == {e.id: k.matrix(e.id).rows() for e in k.base.edges}
-        stray = SpanAutomaton(a.base, a.fibers, a.transitions, "nowhere", a.finals)
-        runs = (lambda: mdet_run(stray, Word("s")), lambda: mdet_expand(stray, 4, 1), lambda: serialize_mdet(stray))
-        for run in runs:
-            with pytest.raises(ValueError, match="initial state 'nowhere' lies in no fiber"):
-                run()
+        with pytest.raises(ValueError, match="initial state 'nowhere' lies in no fiber"):
+            SpanAutomaton(a.base, a.fibers, a.transitions, "nowhere", a.finals)
 
     def test_expansion_built_by_keyword(self):
         x = mdet_expand(two_phase_example(), 6, 3)
@@ -121,37 +118,49 @@ class TestKinds:
 
 
 class TestValidate:
+    """The constructors refuse a malformed automaton, naming its first fault."""
+
     def test_fixture_is_well_formed(self):
-        assert validate(two_state_example()) == []
-        assert validate(two_phase_example()) == []
+        for a in (two_state_example(), two_phase_example()):
+            assert SpanAutomaton(a.base, a.fibers, a.transitions, a.initial, a.finals) == a
 
     def test_foreign_foot(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
         other = FinSet("O", ["9"])
-        bad = SpanAutomaton(base, {"n": q}, {"e": Span(other, other, [])}, "1", set())
-        assert len(validate(bad)) == 1
+        with pytest.raises(ValueError, match="^transition span of edge 'e' does not match the endpoint fibers$"):
+            SpanAutomaton(base, {"n": q}, {"e": Span(other, other, [])}, "1", set())
 
     def test_initial_outside_fibers(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
-        bad = SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [])}, "9", set())
-        assert validate(bad) == ["initial state '9' lies in no fiber"]
+        with pytest.raises(ValueError, match="^initial state '9' lies in no fiber$"):
+            SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [])}, "9", set())
 
     def test_messages_per_kind(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1", "2"])
         other = FinSet("O", ["9"])
-        table = DetAutomaton(base, {"n": q}, {"e": {"1": "7", "8": "1"}}, "1", set())
-        assert validate(table) == [
-            "transition of edge 'e' is not total: missing '2'",
-            "transition of edge 'e' sends '1' outside the target fiber",
-            "transition of edge 'e' maps foreign state '8'",
-        ]
-        assert validate(RelAutomaton(base, {"n": q}, {"e": Relation(other, q)}, "1", set())) == [
-            "transition relation of edge 'e' does not match the endpoint fibers"
-        ]
-        assert validate(SpanAutomaton(base, {"n": q}, {}, "1", set())) == ["edge 'e' has no transition"]
+        # (table, first fault): a missing state first, then in table order a foreign source or a stray target
+        for table, line in (({"1": "7", "8": "1"}, "is not total: missing '2'"),
+                            ({"1": "7", "2": "1", "8": "1"}, "sends '1' outside the target fiber"),
+                            ({"8": "1", "1": "7", "2": "1"}, "maps foreign state '8'")):
+            with pytest.raises(ValueError, match=f"^transition of edge 'e' {line}$"):
+                DetAutomaton(base, {"n": q}, {"e": table}, "1", set())
+        with pytest.raises(ValueError, match="^transition relation of edge 'e' does not match the endpoint fibers$"):
+            RelAutomaton(base, {"n": q}, {"e": Relation(other, q)}, "1", set())
+        with pytest.raises(ValueError, match="^edge 'e' has no transition$"):
+            SpanAutomaton(base, {"n": q}, {}, "1", set())
+
+    def test_fibers_and_finals(self):
+        # in the order checked: a node without a fiber, a state in two fibers, a stray final state
+        base = BaseGraph(["m", "n"], [])
+        one, two = FinSet("A", ["1"]), FinSet("B", ["1", "2"])
+        for fibers, finals, line in (({"m": one}, {"9"}, "node 'n' has no fiber"),
+                                     ({"m": one, "n": two}, {"9"}, "state '1' appears in fibers of 'm' and 'n'"),
+                                     ({"m": one, "n": FinSet("B", ["2"])}, {"9", "8"}, "final state '8' lies in no fiber")):
+            with pytest.raises(ValueError, match=f"^{line}$"):
+                SpanAutomaton(base, fibers, {}, "1", finals)
 
 
 class TestEnumerateWords:
@@ -458,8 +467,11 @@ class TestUniqueLift:
     def test_partial_table_reinterpreted_fails(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1", "2"])
-        # state 2 has no image, as if a non-total relation were reread as a function
-        broken = DetAutomaton(base, {"n": q}, {"e": {"1": "2"}}, "1", {"2"})
+        # state 2 has no image, as if a non-total relation were reread as a function:
+        # the constructor refuses it, and stored unchecked it does not lift uniquely
+        with pytest.raises(ValueError, match="^transition of edge 'e' is not total: missing '2'$"):
+            DetAutomaton(base, {"n": q}, {"e": {"1": "2"}}, "1", {"2"})
+        broken = DetAutomaton._trusted(base, {"n": q}, {"e": {"1": "2"}}, "1", frozenset({"2"}))
         assert not lifts_uniquely(broken, 2)
 
     def test_parallel_transitions_fail(self):
@@ -480,16 +492,18 @@ class TestUniqueLift:
 
 class TestUlfFactorization:
     def test_malformed_automaton_fails(self):
+        # a transition whose feet are not its endpoint fibers has no runs to factor: no such automaton is built
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
         other = FinSet("O", ["9"])
-        assert not factors_uniquely(SpanAutomaton(base, {"n": q}, {"e": Span(other, other, [])}, "1", set()), 3)
+        with pytest.raises(ValueError, match="does not match the endpoint fibers"):
+            SpanAutomaton(base, {"n": q}, {"e": Span(other, other, [])}, "1", set())
 
     def test_fixture(self):
-        assert factors_uniquely(two_state_example(), 3)
+        assert enumerated_ulf_factorization(two_state_example(), 3)
 
     def test_single_edge_words(self):
-        assert factors_uniquely(two_phase_example(), 1)
+        assert enumerated_ulf_factorization(two_phase_example(), 1)
 
     def test_multiplicity_two_span(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
@@ -501,7 +515,7 @@ class TestUlfFactorization:
             "1",
             {"1"},
         )
-        assert factors_uniquely(doubled, 3)
+        assert enumerated_ulf_factorization(doubled, 3)
 
     def test_random_small_automata(self):
         import random
@@ -510,7 +524,7 @@ class TestUlfFactorization:
         rng = random.Random(77)
         for _ in range(10):
             a = random_span_automaton(rng, max_nodes=2, max_states=3, word_cap=150, path_cap=300)
-            assert factors_uniquely(a, 3)
+            assert enumerated_ulf_factorization(a, 3)
 
 
 class TestIsDeterministic:

@@ -587,8 +587,8 @@ class TestPrunedDet:
     def test_cap_checked_before_any_work(self):
         big = FinSet("Q", [f"q{i:02d}" for i in range(POWERSET_CAP + 1)])
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
-        # no transition for "e": any work past the cap check would fail with KeyError
-        a = RelAutomaton(base, {"n": big}, {}, "q00", set())
+        # no transition for "e", built unchecked: any work past the cap check would fail with KeyError
+        a = RelAutomaton._trusted(base, {"n": big}, {}, "q00", frozenset())
         for prune in (False, True):
             with pytest.raises(ValueError, match=f"refusing powerset above {POWERSET_CAP}$"):
                 det(a, prune=prune)

@@ -289,7 +289,7 @@ class TestSchemaErrors:
             parse_automaton(json.dumps(doc))
         assert "fibers.n" in str(err.value)
 
-    def test_keys_for_unknown_nodes_and_edges(self):
+    def test_keys_for_unknown_nodes_and_edges(self, tmp_path, capsys):
         for section, key, line in (("fibers", "m", "fibers.m: fiber for unknown node"),
                                    ("transitions", "f", "transitions.f: transition for unknown edge")):
             doc = self.base_doc()
@@ -297,6 +297,18 @@ class TestSchemaErrors:
             with pytest.raises(DocumentError) as err:
                 parse_automaton(json.dumps(doc))
             assert str(err.value) == line
+        # a simulation's components likewise
+        sim = {"format_version": "1", "kind": "simulation", "source": self.base_doc(), "target": self.base_doc(),
+               "strength": "strict", "components": {"n": [{"from": "1", "to": "1"}, {"from": "2", "to": "2"}]}}
+        assert parse_simulation(json.dumps(sim)).components.keys() == {"n"}
+        sim["components"]["zz"] = []
+        with pytest.raises(DocumentError) as err:
+            parse_simulation(json.dumps(sim))
+        assert str(err.value) == "components.zz: component for unknown node"
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(sim))
+        assert main(["sim-check", str(path), "--mode", "strict"]) == 2
+        assert capsys.readouterr() == ("", "input-error: components.zz: component for unknown node\n")
 
     def test_unknown_state_in_transition_gives_path(self):
         doc = self.base_doc()

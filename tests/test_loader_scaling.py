@@ -3,14 +3,18 @@
 Each probe builds one document at n and at 8n entries, checks that both
 loads, or both refusals, say the same thing of them, and bounds the 8n
 time by 20 times the n time plus 0.5 s: generous for a linear scan on a
-loaded machine, and far below what a quadratic one takes at 8n.
+loaded machine, and far below what a quadratic one takes at 8n.  The
+automaton constructors' refusals are probed the same way, on fields of
+n and 8n states.
 """
 
 import time
 
 import pytest
 
+from spanauto.automata import BaseGraph, DetAutomaton
 from spanauto.io import DocumentError, parse_automaton
+from spanauto.spans import FinSet
 
 N = 2_500
 
@@ -63,3 +67,69 @@ def test_classical_alphabet_read_in_linear_time():
     large, large_s = load(8 * N)
     assert (small, large) == ((N, N), (8 * N, 8 * N))
     assert large_s <= 20 * small_s + 0.5, (small_s, large_s)
+
+
+def states(n: int, prefix: str = "q") -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def loop_doc(kind: str, fibers: dict[str, list[str]], entries: list[tuple[str, str]]) -> dict:
+    """A document whose one edge loops on its first node, with these entries."""
+    node = next(iter(fibers))
+    return {
+        "format_version": "1", "kind": kind,
+        "base": {"nodes": list(fibers), "edges": [{"id": "e", "label": "e", "src": node, "dst": node}]},
+        "fibers": fibers,
+        "transitions": {"e": [{"from": q, "to": t} for q, t in entries]},
+        "initial": fibers[node][0], "finals": [],
+    }
+
+
+def assert_linear(probe, lines) -> None:
+    """``probe(n)`` refuses with ``lines(n)`` at n = N and 8N, and 8N takes at most 20 times N plus 0.5 s."""
+    (small, small_s), (large, large_s) = probe(N), probe(8 * N)
+    assert (small, large) == (lines(N), lines(8 * N))
+    assert large_s <= 20 * small_s + 0.5, (small_s, large_s)
+
+
+@pytest.mark.parametrize("kind, build, line", [
+    # the last state of the second fiber repeats the first fiber's last
+    ("rel", lambda n: ({"m": states(n), "n": states(n - 1, "r") + [f"q{n - 1}"]}, []), lambda n: (
+        f"fibers.n: state 'q{n - 1}' already appears in fiber 'm'")),
+    # every state loops, and the last loop comes twice
+    ("span", lambda n: ({"m": states(n)}, [(q, q) for q in states(n)] + [(f"q{n - 1}", f"q{n - 1}")]), lambda n: (
+        f"transitions.e[{n}]: duplicate pair ('q{n - 1}', 'q{n - 1}')")),
+    # every state loops, and the last one also steps to the first
+    ("det", lambda n: ({"m": states(n)}, [(q, q) for q in states(n)] + [(f"q{n - 1}", "q0")]), lambda n: (
+        f"transitions.e: state 'q{n - 1}' mapped twice")),
+    # every state but the last loops
+    ("det", lambda n: ({"m": states(n)}, [(q, q) for q in states(n - 1)]), lambda n: (
+        f"transitions.e: missing image of state 'q{n - 1}'")),
+], ids=["already appears", "duplicate pair", "mapped twice", "missing image"])
+def test_loader_refusals_in_linear_time(kind, build, line):
+    assert_linear(lambda n: refusal(loop_doc(kind, *build(n))), line)
+
+
+@pytest.mark.parametrize("build, line", [
+    # the last state of the second fiber repeats the first fiber's last
+    (lambda n: ({"m": states(n), "n": states(n - 1, "r") + [f"q{n - 1}"]}, {q: q for q in states(n)}, set()),
+     lambda n: f"state 'q{n - 1}' appears in fibers of 'm' and 'n'"),
+    # every state but the last loops
+    (lambda n: ({"m": states(n), "n": []}, {q: q for q in states(n - 1)}, set()),
+     lambda n: f"transition of edge 'e' is not total: missing 'q{n - 1}'"),
+    # every state is final, and so is one past the fibers
+    (lambda n: ({"m": states(n), "n": []}, {q: q for q in states(n)}, set(states(n + 1))),
+     lambda n: f"final state 'q{n}' lies in no fiber"),
+], ids=["state in two fibers", "table missing its last state", "final outside the fibers"])
+def test_constructor_refusals_in_linear_time(build, line):
+    base = BaseGraph(["m", "n"], [("e", "e", "m", "m")])
+
+    def probe(n):
+        fibers, table, finals = build(n)
+        fibers = {node: FinSet(node, labels) for node, labels in fibers.items()}
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            DetAutomaton(base, fibers, {"e": table}, "q0", finals)
+        return str(info.value), time.perf_counter() - start
+
+    assert_linear(probe, line)

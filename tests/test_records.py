@@ -6,7 +6,8 @@ Each record class has named fields; its repr lists them as
 hashes its fields unless it holds a dict (``FinSet`` and ``Span`` keep
 their own equality and hashing, ``Multiset`` and ``NatMatrix`` their own
 hashing).  Views built on first use are no fields, and only ``_Record``
-writes instance state.
+writes instance state.  Only ``io`` and ``determinize._subset_machine``
+store an automaton through ``_trusted``, past its constructor's checks.
 """
 
 import ast
@@ -135,12 +136,13 @@ class TestEquality:
             assert a != tuple(getattr(a, n) for n in names)
 
     def test_field_equal_kinds_differ(self):
-        # the same five fields under another automaton kind, or a subclass, make another value
+        # the same five fields under another automaton kind, or a subclass, make another value;
+        # the other kinds' constructors refuse tables, so those are stored unchecked
         d = det_automaton()
         fields = (d.base, d.fibers, d.transitions, d.initial, d.finals)
         assert DetAutomaton(*fields) == d
         for kind in (SpanAutomaton, RelAutomaton):
-            assert kind(*fields) != d and d != kind(*fields)
+            assert kind._trusted(*fields) != d and d != kind._trusted(*fields)
 
         class Longer(Word):
             pass
@@ -236,7 +238,10 @@ class TestViews:
              ("apex", "_by_label")),
             (lambda: NatMatrix(Q, Q, {("x", "x"): 2}), lambda r: r._by_row, ("_by_row",)),
             (lambda: Relation(Q, Q, {("x", "x")}), lambda r: r("x"), ("_by_left",)),
-            (det_automaton, lambda r: (r.rows("e"), r.node_of("x")), ("_views", "_state_nodes")),
+            (det_automaton, lambda r: r.rows("e"), ("_views",)),
+            # the constructor keeps the state index it checks; past it, the index is built on first use
+            (lambda: DetAutomaton._trusted(G, {"n": Q}, {"e": {"x": "x"}}, "x", frozenset({"x"})),
+             lambda r: (r.rows("e"), r.node_of("x")), ("_views", "_state_nodes")),
         ]
         for build, use, views in cases:
             record, copy = build(), build()
@@ -255,6 +260,13 @@ class TestViews:
                 with pytest.raises(AttributeError, match=f"cannot delete field '{v}'"):
                     delattr(record, v)
                 assert getattr(record, v) is built
+
+    def test_constructor_keeps_the_state_index_it_checks(self):
+        # the check walks every fiber to find a state in two; the walk's map is the index node_of reads
+        d = det_automaton()
+        assert vars(d)["_state_nodes"] == {"x": "n"} and d.node_of("x") == "n"
+        with pytest.raises(AttributeError, match="cannot assign to field '_state_nodes'"):
+            d._state_nodes = {}
 
 
 def instance_state_writes(text: str, exempt_class: str = "") -> list[int]:
@@ -314,3 +326,49 @@ class TestOneStoragePath:
         )
         assert instance_state_writes(text, "_Record") == [6, 7, 8, 10, 11, 12]
         assert instance_state_writes(text) == [3, 6, 7, 8, 10, 11, 12]
+
+
+# the automaton kinds, whose constructors check what ``_trusted`` stores unchecked
+AUTOMATON_KINDS = frozenset(
+    ("_FiberedAutomaton", "_MatrixAutomaton", "SpanAutomaton", "RelAutomaton", "DetAutomaton", "ExpandedMachine"))
+
+
+def unchecked_automata(text: str) -> list[int]:
+    """Lines that call ``_trusted`` on an automaton kind, named plainly or as a module attribute."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_trusted":
+            owner = node.func.value
+            name = owner.id if isinstance(owner, ast.Name) else owner.attr if isinstance(owner, ast.Attribute) else None
+            if name in AUTOMATON_KINDS:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+class TestUncheckedAutomata:
+    def test_only_the_loader_and_the_powerset_builders_skip_the_checks(self):
+        # io loads after its own checks; in determinize only _subset_machine, the powerset machine of det
+        # and factor_det, skips them, since checking it cost measurable time
+        paths = [p for p in sorted(SRC.glob("*.py")) if p.name not in ("io.py", "determinize.py")]
+        assert paths
+        found = [f"{p.name}:{line}" for p in paths for line in unchecked_automata(p.read_text(encoding="utf-8"))]
+        assert not found, "automata built unchecked outside io and determinize:\n" + "\n".join(found)
+        text = (SRC / "determinize.py").read_text(encoding="utf-8")
+        subset_machine = next(f for f in ast.walk(ast.parse(text))
+                              if isinstance(f, ast.FunctionDef) and f.name == "_subset_machine")
+        outside = [line for line in unchecked_automata(text)
+                   if not subset_machine.lineno <= line <= subset_machine.end_lineno]
+        assert not outside, f"automata built unchecked in determinize outside _subset_machine: lines {outside}"
+
+    def test_the_guard_sees_each_unchecked_build(self):
+        text = (
+            "from . import automata\n"
+            "from .automata import DetAutomaton, SpanAutomaton\n"
+            "def f(a, m):\n"
+            "    Relation._trusted(m.dom, m.cod, frozenset())\n"
+            "    DetAutomaton(a.base, a.fibers, a.transitions, a.initial, a.finals)\n"
+            "    DetAutomaton._trusted(a.base, a.fibers, a.transitions, a.initial, a.finals)\n"
+            "    automata.RelAutomaton._trusted(a.base, a.fibers, {}, a.initial, a.finals)\n"
+            "    return SpanAutomaton._trusted(*a._values(a))\n"
+        )
+        assert unchecked_automata(text) == [6, 7, 8]

@@ -589,6 +589,14 @@ class TestMatrixComponents:
             assert to_matrix(sim.components["s"]) == to_matrix(ident.components["s"])
             assert check_span_simulation(sim, "pseudo").ok
 
+    def test_components_at_the_base_nodes_only(self):
+        a = two_state_example()
+        component = identity_simulation(a).components["s"]
+        with pytest.raises(ValueError, match="^missing component at node 's'$"):
+            Simulation(a, a, {}, "strict")
+        with pytest.raises(ValueError, match="^component at unknown node 'zz'$"):
+            Simulation(a, a, {"s": component, "zz": component}, "strict")
+
 
 class TestComposeSimulations:
     def test_counit_after_identity(self):
@@ -797,7 +805,6 @@ class TestMatrixFirstSquares:
                         assert (_counts(morphism.source), _counts(morphism.target)) == oracle_sides(sim, e)
 
     def test_witness_token_count_matches_the_built_witness(self):
-        from spanauto.determinize import ExpandedMachine
         from spanauto.simulation import _witness_tokens, transition_span
 
         for seed in self.SEEDS:
@@ -805,13 +812,12 @@ class TestMatrixFirstSquares:
                 if not check_span_simulation(sim, "lax").ok:
                     continue
                 witnesses = square_witnesses(sim, "lax")
-                partial = isinstance(sim.target, ExpandedMachine)
                 for e in sim.source.base.edges:
                     morphism = witnesses[e.id]
                     read = [sim.components[e.src], sim.components[e.dst],
                             transition_span(sim.source, e.id), transition_span(sim.target, e.id)]
                     built = [morphism.source, morphism.target]
-                    assert _witness_tokens(sim, e, partial) == sum(len(s.apex) for s in read + built)
+                    assert _witness_tokens(sim, e) == sum(len(s.apex) for s in read + built)
 
     def test_huge_witness_is_refused_before_any_token(self, monkeypatch):
         import spanauto.simulation as simulation
@@ -937,12 +943,10 @@ class TestTransitionMatrix:
                 assert kind.initial_node == kind.node_of(kind.initial)
 
     def test_initial_node_error_unchanged(self):
+        # the error once raised by initial_node is the constructor's, before any automaton exists
         a = two_state_example()
-        stray = SpanAutomaton(a.base, a.fibers, a.transitions, "zz", a.finals)
         with pytest.raises(ValueError, match="^initial state 'zz' lies in no fiber$"):
-            stray.initial_node
-        with pytest.raises(ValueError, match="^initial state 'zz' lies in no fiber$"):
-            mdet_expand(stray, 4, 1)
+            SpanAutomaton(a.base, a.fibers, a.transitions, "zz", a.finals)
 
     def test_caches_stay_out_of_equality_and_repr(self):
         from spanauto.determinize import _masks
