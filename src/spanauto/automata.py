@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .spans import FinSet, NatMatrix, Relation, Span, _Record, to_matrix
+from .spans import DocumentError, FinSet, NatMatrix, Relation, Span, _Record, to_matrix
 
 __all__ = [
     "BaseGraph",
@@ -174,11 +174,15 @@ class _FiberedAutomaton(_Record):
     field, so equality and repr see the five fields only.  Equality holds only between automata
     of the same kind, and repr names the kind's class.
 
-    The constructor raises ``ValueError`` at the first of: a node without
-    a fiber, a state in two fibers, an initial or final state in no
-    fiber, then per edge a missing transition or one off its endpoint
-    fibers (the kind's ``_check_transition``).  Builders correct by
-    construction (the loader, the powerset machine) use ``_trusted``.
+    The constructor is the one place that checks the five fields.  It
+    raises ``DocumentError``, with the path the fault has in a document,
+    at the first of: a node without a fiber (``fibers.<n>: missing
+    fiber``), a fiber for a node the base lacks, a state in two fibers,
+    an initial or final state in no fiber (``initial``, ``finals``), then
+    per edge a missing transition or one off its endpoint fibers (the
+    kind's ``_transition``; a table must also be total), and last a
+    transition for an edge the base lacks.  Only the powerset machine
+    (``determinize._subset_machine``) builds through ``_trusted``.
     """
 
     base: BaseGraph
@@ -187,40 +191,58 @@ class _FiberedAutomaton(_Record):
     initial: str
     finals: frozenset[str]
 
-    def __init__(self, base, fibers, transitions, initial, finals):
-        fibers, transitions, finals = dict(fibers), dict(transitions), frozenset(finals)
+    _total = True  # whether a function table must map every state of its source fiber
+
+    def __init__(self, base, fibers, transitions, initial, finals, *more):  # ``more``: a subclass's own fields
+        fibers, given, finals = dict(fibers), finals, frozenset(finals)
         for n in base.nodes:
             if n not in fibers:
-                raise ValueError(f"node {n!r} has no fiber")
+                raise DocumentError(f"fibers.{n}", "missing fiber")
+        if len(fibers) != len(base.nodes):
+            known = set(base.nodes)
+            raise DocumentError(f"fibers.{next(k for k in fibers if k not in known)}", "fiber for unknown node")
         nodes: dict[str, str] = {}
         for n in base.nodes:
             for q in fibers[n]:
                 if nodes.setdefault(q, n) != n:
-                    raise ValueError(f"state {q!r} appears in fibers of {nodes[q]!r} and {n!r}")
+                    raise DocumentError(f"fibers.{n}", f"state {q!r} already appears in fiber {nodes[q]!r}")
         if initial not in nodes:
-            raise ValueError(f"initial state {initial!r} lies in no fiber")
+            raise DocumentError("initial", f"unknown state {initial!r}")
         stray = finals.difference(nodes)
-        if stray:
-            raise ValueError(f"final state {min(stray)!r} lies in no fiber")
+        if stray:  # the first in list order, or the least
+            q = next(filter(stray.__contains__, given)) if isinstance(given, (list, tuple)) else min(stray)
+            raise DocumentError("finals", f"unknown state {q!r}")
+        stored = {}
         for e in base.edges:
+            at = f"transitions.{e.id}"
             if e.id not in transitions:
-                raise ValueError(f"edge {e.id!r} has no transition")
-            self._check_transition(e.id, transitions[e.id], fibers[e.src], fibers[e.dst])
-        _Record.__init__(self, base, fibers, transitions, initial, finals)
+                raise DocumentError(at, "missing transition list")
+            stored[e.id] = self._transition(at, transitions[e.id], fibers[e.src], fibers[e.dst])
+        if len(transitions) != len(stored):
+            raise DocumentError(f"transitions.{next(k for k in transitions if k not in stored)}",
+                                "transition for unknown edge")
+        _Record.__init__(self, base, fibers, stored, initial, finals, *more)
         self._prime(_state_nodes=nodes)
 
-    def _check_transition(self, edge_id: str, table, src: FinSet, dst: FinSet) -> None:
-        """Refuse a table not total on ``src`` or leaving ``dst``: two set comparisons, then the first fault."""
-        if table.keys() == src._positions.keys() and dst._positions.keys() >= set(table.values()):
-            return
-        for q in src.elements:
-            if q not in table:
-                raise ValueError(f"transition of edge {edge_id!r} is not total: missing {q!r}")
+    def _transition(self, at: str, table, src: FinSet, dst: FinSet) -> dict[str, str]:
+        """A copy of the table given at ``at``; it must map ``src`` (all of it if ``_total``) into ``dst``.
+
+        Two set comparisons, then the first fault: a missing state, then in
+        table order a foreign source or an image outside ``dst``.
+        """
+        table = dict(table)
+        within = table.keys() <= src._positions.keys() and dst._positions.keys() >= set(table.values())
+        if within and (len(table) == len(src) or not self._total):
+            return table
+        if self._total:
+            for q in src.elements:
+                if q not in table:
+                    raise DocumentError(at, f"missing image of state {q!r}")
         for q, target in table.items():
             if q not in src:
-                raise ValueError(f"transition of edge {edge_id!r} maps foreign state {q!r}")
+                raise DocumentError(at, f"maps foreign state {q!r}")
             if target not in dst:
-                raise ValueError(f"transition of edge {edge_id!r} sends {q!r} outside the target fiber")
+                raise DocumentError(at, f"sends {q!r} outside the target fiber")
 
     def _count_matrix(self, edge_id: str) -> NatMatrix:
         e = self.base.edge(edge_id)
@@ -265,10 +287,10 @@ class _FiberedAutomaton(_Record):
 class _MatrixAutomaton(_FiberedAutomaton):
     """A kind whose transitions, of the class ``_stores``, are no tables: its rows are those of ``matrix``."""
 
-    def _check_transition(self, edge_id: str, t, src: FinSet, dst: FinSet) -> None:
+    def _transition(self, at: str, t, src: FinSet, dst: FinSet):
         if not isinstance(t, self._stores) or t.dom != src or t.cod != dst:
-            noun = self._stores.__name__.lower()
-            raise ValueError(f"transition {noun} of edge {edge_id!r} does not match the endpoint fibers")
+            raise DocumentError(at, f"{self._stores.__name__.lower()} does not match the endpoint fibers")
+        return t
 
     def rows(self, edge_id: str) -> dict[str, dict[str, int]]:
         return self.matrix(edge_id)._by_row
@@ -299,9 +321,6 @@ class DetAutomaton(_FiberedAutomaton):
     """Transitions are total single-valued maps ``{src: dst}``."""
 
     kind = "det"
-
-    def __init__(self, base, fibers, transitions, initial, finals):
-        super().__init__(base, fibers, {e: dict(m) for e, m in transitions.items()}, initial, finals)
 
 
 # ---------------------------------------------------------------------------

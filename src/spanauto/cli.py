@@ -44,7 +44,7 @@ def _fibered(a):
 
 
 def cmd_validate(args) -> int:
-    # the loader refuses, as an input error, every document whose automaton its kind's constructor would refuse
+    # the loader builds through the kind's checking constructor, so a document that loads is well formed
     load_automaton(args.file)
     return 0
 

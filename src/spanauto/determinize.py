@@ -333,16 +333,20 @@ class ExpandedMachine(_FiberedAutomaton):
     ``"max_states"``, ``"max_len"``, both, or none.  ``count_texts`` holds
     each state's ``count_vector_text``, which the writer puts out as its
     counts; it is read from ``states``, so labels may be any strings.
+
+    The constructor checks the five fields as every kind's does, but a
+    table need not be total (``_total``); ``mdet_expand`` builds through it.
     """
 
     kind = "mdet-expanded"
+    _total = False
 
     states: Mapping[str, tuple[int, ...]]
     accept_counts: Mapping[str, int]
     truncated_by: tuple[str, ...]
 
     def __init__(self, base, fibers, transitions, initial, finals, states, accept_counts, truncated_by=()):
-        _Record.__init__(self, base, fibers, transitions, initial, finals, states, accept_counts, truncated_by)
+        super().__init__(base, fibers, transitions, initial, finals, states, accept_counts, truncated_by)
 
     @property
     def truncated(self) -> bool:

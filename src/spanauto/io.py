@@ -25,7 +25,10 @@ component lists become counts ``{(from, to): count}`` in one tight loop
 (``_count_entries``), and a span's tokens are built only when asked for.
 Both keep list order.  A list that either refuses is read again entry by
 entry, which words its first fault, so the error text and order are
-those of that reader alone.
+those of that reader alone.  The loaders read only the JSON shape (an
+edge's list only where both its fibers are given); the record's
+constructor then checks and words each structural fault, so a fault of
+shape is named before one of structure.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from collections import Counter
 from pathlib import Path
 from itertools import chain, repeat
 from typing import Optional, Union
 
-from .spans import _WORK_BOUND, FinSet, Relation, Span
+from .spans import _WORK_BOUND, DocumentError, FinSet, Relation, Span, _first_duplicate
 from .automata import (
     BaseGraph,
     DetAutomaton,
@@ -48,7 +50,7 @@ from .automata import (
     _MatrixAutomaton,
 )
 from .determinize import ClassicalNFA, ExpandedMachine, span_automaton_of_classical
-from .simulation import STRENGTHS, Simulation
+from .simulation import Simulation
 
 __all__ = [
     "DocumentError",
@@ -68,15 +70,6 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 AnyDocumentAutomaton = Union[SpanAutomaton, RelAutomaton, DetAutomaton, ClassicalNFA]
-
-
-class DocumentError(ValueError):
-    """A schema violation, qualified by the path of the offending value."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
 
 
 def _need(doc: dict, key: str, kind, where: str = ""):
@@ -111,78 +104,49 @@ def parse_automaton(text: Union[str, dict]) -> AnyDocumentAutomaton:
     kind = _need(doc, "kind", str)
     if kind == "classical-nfa":
         return _parse_classical(doc)
-    if kind not in ("span", "rel", "det"):
+    if kind not in _KINDS:
         raise DocumentError("kind", f"unknown automaton kind {kind!r}")
     _no_unknown_keys(doc, ("format_version", "kind", "base", "fibers", "transitions", "initial", "finals"))
     base = _parse_base(_need(doc, "base", dict))
-    fibers_doc = _need(doc, "fibers", dict)
-    fibers = {}
-    for n in base.nodes:
-        if n not in fibers_doc:
-            raise DocumentError(f"fibers.{n}", "missing fiber")
-        elements = _string_list(fibers_doc[n], f"fibers.{n}")
-        if len(set(elements)) != len(elements):
-            dup = next(x for x, c in Counter(elements).items() if c > 1)
-            raise DocumentError(f"fibers.{n}", f"duplicate state label {dup!r}")
-        fibers[n] = FinSet(n, elements)
-    for key in fibers_doc:
-        if key not in fibers:
-            raise DocumentError(f"fibers.{key}", "fiber for unknown node")
-    state_node = {}
-    for n in base.nodes:
-        for q in fibers[n]:
-            if q in state_node:
-                raise DocumentError(f"fibers.{n}", f"state {q!r} already appears in fiber {state_node[q]!r}")
-            state_node[q] = n
+    fibers = {n: _state_set(n, elements, f"fibers.{n}") for n, elements in _need(doc, "fibers", dict).items()}
     transitions_doc = _need(doc, "transitions", dict)
     initial = _need(doc, "initial", str)
     finals = _string_list(_need(doc, "finals", list), "finals")
-    if initial not in state_node:
-        raise DocumentError("initial", f"unknown state {initial!r}")
-    for q in finals:
-        if q not in state_node:
-            raise DocumentError("finals", f"unknown state {q!r}")
-
-    counted = kind == "span"
-    transitions: dict[str, dict[tuple[str, str], int]] = {}
-    tables: dict[str, dict[str, str]] = {}  # det only: the lists read as tables in one pass
+    # each list read below becomes its transition; the others (an unknown edge's, or one whose fiber is
+    # missing) reach the constructor as they stand, which refuses them unread
+    transitions = dict(transitions_doc)
     for e in base.edges:
-        at = f"transitions.{e.id}"
-        if e.id not in transitions_doc:
-            raise DocumentError(at, "missing transition list")
-        entries = transitions_doc[e.id]
-        table = _function_table(entries, fibers[e.src], fibers[e.dst]) if kind == "det" else None
-        if table is None:
-            transitions[e.id] = _count_entries(entries, at, fibers[e.src], fibers[e.dst], counted, "state", "state")
-        else:
-            tables[e.id] = table
-    for key in transitions_doc:
-        if key not in transitions and key not in tables:
-            raise DocumentError(f"transitions.{key}", "transition for unknown edge")
-
-    if kind == "span":
-        spans = {
-            e.id: Span._counted(fibers[e.src], fibers[e.dst], transitions[e.id]) for e in base.edges
-        }
-        return SpanAutomaton._trusted(base, fibers, spans, initial, frozenset(finals))
-    if kind == "rel":
-        rels = {e.id: Relation._trusted(fibers[e.src], fibers[e.dst], frozenset(transitions[e.id]))
-                for e in base.edges}
-        return RelAutomaton._trusted(base, fibers, rels, initial, frozenset(finals))
-    for e in base.edges:
-        if e.id in tables:
+        src, dst = fibers.get(e.src), fibers.get(e.dst)
+        if e.id not in transitions or src is None or dst is None:
             continue
-        pairs = transitions[e.id]
-        table = tables[e.id] = dict(pairs.keys())
-        if not len(table) == len(pairs) == len(fibers[e.src]):  # word the first fault
-            seen = set()
-            for src, _ in pairs:
-                if src in seen:
-                    raise DocumentError(f"transitions.{e.id}", f"state {src!r} mapped twice")
-                seen.add(src)
-            q = next(q for q in fibers[e.src] if q not in table)
-            raise DocumentError(f"transitions.{e.id}", f"missing image of state {q!r}")
-    return DetAutomaton._trusted(base, fibers, {e.id: tables[e.id] for e in base.edges}, initial, frozenset(finals))
+        at, entries = f"transitions.{e.id}", transitions_doc[e.id]
+        if kind == "det":
+            table = _function_table(entries, src, dst)
+            if table is None:
+                pairs = _count_entries(entries, at, src, dst, False, "state", "state")
+                table = dict(pairs.keys())
+                if len(table) != len(pairs):  # word the first state given two images
+                    seen = set()
+                    q = next(q for q, _ in pairs if q in seen or seen.add(q))
+                    raise DocumentError(at, f"state {q!r} mapped twice")
+            transitions[e.id] = table
+        elif kind == "span":
+            transitions[e.id] = Span._counted(src, dst, _count_entries(entries, at, src, dst, True, "state", "state"))
+        else:
+            transitions[e.id] = Relation(src, dst, _count_entries(entries, at, src, dst, False, "state", "state"))
+    return _KINDS[kind](base, fibers, transitions, initial, finals)
+
+
+_KINDS = {"span": SpanAutomaton, "rel": RelAutomaton, "det": DetAutomaton}
+
+
+def _state_set(name: str, value, at: str) -> FinSet:
+    """A list of state labels as the ``FinSet`` ``name``; a label given twice is refused at ``at``."""
+    labels = _string_list(value, at)
+    try:
+        return FinSet(name, labels)
+    except ValueError:
+        raise DocumentError(at, f"duplicate state label {_first_duplicate(labels)!r}") from None
 
 
 _FROM_TO = operator.itemgetter("from", "to")
@@ -309,10 +273,7 @@ def _parse_classical(doc: dict) -> ClassicalNFA:
     _no_unknown_keys(doc, ("format_version", "kind", "alphabet", "states", "delta", "initial", "finals"))
     alphabet = _string_list(_need(doc, "alphabet", list), "alphabet")
     letters = set(alphabet)
-    states = _string_list(_need(doc, "states", list), "states")
-    if len(set(states)) != len(states):
-        raise DocumentError("states", "duplicate state label")
-    state_set = FinSet("Q", states)
+    state_set = _state_set("Q", _need(doc, "states", list), "states")
     delta_doc = _need(doc, "delta", list)
     delta = {}
     for i, entry in enumerate(delta_doc):
@@ -588,8 +549,6 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
         raise DocumentError("kind", f"expected 'simulation', got {kind!r}")
     _no_unknown_keys(doc, ("format_version", "kind", "source", "target", "strength", "components"))
     strength = _need(doc, "strength", str)
-    if strength not in STRENGTHS:
-        raise DocumentError("strength", f"unknown strength {strength!r}")
 
     def endpoint(key: str):
         value = doc.get(key)
@@ -606,26 +565,19 @@ def parse_simulation(text: Union[str, dict], base_dir: Optional[Path] = None) ->
     target = endpoint("target")
     if isinstance(source, ClassicalNFA) or isinstance(target, ClassicalNFA):
         raise DocumentError("source", "simulation endpoints must be fibered automata")
-    if source.base != target.base:
-        raise DocumentError("target", "simulation endpoints must share the base graph")
-    components_doc = _need(doc, "components", dict)
-    components = {}
+    # each list read below becomes its component; the others (at a node the bases do not share) reach
+    # the constructor as they stand, which refuses them unread
+    components = dict(_need(doc, "components", dict))
     for n in source.base.nodes:
+        if n not in components or n not in target.fibers:
+            continue
         at = f"components.{n}"
-        if n not in components_doc:
-            raise DocumentError(at, "missing component")
-        counts = _count_entries(components_doc[n], at, target.fibers[n], source.fibers[n], True,
+        counts = _count_entries(components[n], at, target.fibers[n], source.fibers[n], True,
                                 "target state", "source state")
         if strength == "strict" and any(c > 1 for c in counts.values()):
             raise DocumentError(at, "strict components cannot carry counts above one")
         components[n] = Span._counted(target.fibers[n], source.fibers[n], counts)
-    for key in components_doc:
-        if key not in components:
-            raise DocumentError(f"components.{key}", "component for unknown node")
-    try:
-        return Simulation(source, target, components, strength)
-    except ValueError as exc:
-        raise DocumentError("components", str(exc)) from None
+    return Simulation(source, target, components, strength)
 
 
 def load_simulation(path: Union[str, Path]) -> Simulation:

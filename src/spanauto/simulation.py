@@ -41,6 +41,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .spans import (
     POWERSET_CAP,
+    DocumentError,
     FinSet,
     NatMatrix,
     Relation,
@@ -106,6 +107,11 @@ class Simulation(_Record):
     each is stored as a counted span (a relation through ``from_relation``,
     a matrix as its canonical span).  Only the strength says whether counts
     matter: strict squares read the supports, ``image(c)``.
+
+    The constructor raises ``DocumentError`` at the first of: an unknown
+    ``strength``, endpoints over different bases (``target``), a node
+    without a component, a component at a node the base lacks, and one
+    off its fibers (``components.<n>``).
     """
 
     source: _FiberedAutomaton
@@ -115,20 +121,24 @@ class Simulation(_Record):
 
     def __init__(self, source, target, components, strength):
         if strength not in STRENGTHS:
-            raise ValueError(f"unknown strength {strength!r}")
+            raise DocumentError("strength", f"unknown strength {strength!r}")
         if source.base.nodes != target.base.nodes or source.base.edges != target.base.edges:
-            raise ValueError("simulation endpoints must share the base graph")
+            raise DocumentError("target", "simulation endpoints must share the base graph")
+        nodes = source.base.nodes
+        for n in nodes:
+            if n not in components:
+                raise DocumentError(f"components.{n}", "missing component")
+        if len(components) != len(nodes):
+            known = set(nodes)
+            raise DocumentError(f"components.{next(k for k in components if k not in known)}",
+                                "component for unknown node")
         stored = {n: from_relation(c) if isinstance(c, Relation) else from_matrix(c) if isinstance(c, NatMatrix) else c
                   for n, c in components.items()}
-        for n in source.base.nodes:
-            if n not in stored:
-                raise ValueError(f"missing component at node {n!r}")
+        for n in nodes:
             c = stored[n]
             if c.dom != target.fibers[n] or c.cod != source.fibers[n]:
-                raise ValueError(f"component at {n!r} does not run from the target fiber to the source fiber")
-        if len(stored) > len(source.base.nodes):
-            stray = next(n for n in stored if n not in source.base.nodes)
-            raise ValueError(f"component at unknown node {stray!r}")
+                raise DocumentError(f"components.{n}",
+                                    "component does not run from the target fiber to the source fiber")
         _Record.__init__(self, source, target, stored, strength)
 
 

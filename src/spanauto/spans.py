@@ -77,6 +77,18 @@ POWERSET_CAP = 20
 _WORK_BOUND = 1_000_000
 
 
+class DocumentError(ValueError):
+    """A malformed document or record, qualified by the document path of the offending value.
+
+    The loaders raise it for a fault of JSON shape, the automaton and simulation constructors for one of structure.
+    """
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}" if path else message)
+
+
 class _Record:
     """A frozen value with named fields: the base of every record class.
 
@@ -135,8 +147,9 @@ class _Record:
 
 
 def _first_duplicate(labels):
-    seen: set[str] = set()
-    return next(x for x in labels if x in seen or seen.add(x))
+    """The first label, in list order, that occurs again later in ``labels``."""
+    last = dict(zip(labels, range(len(labels))))
+    return next(x for i, x in enumerate(labels) if last[x] != i)
 
 
 class FinSet(_Record):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from spanauto.spans import FinSet, Relation, Span, Token
+from spanauto.spans import DocumentError, FinSet, Relation, Span, Token
 from spanauto.automata import (
     BaseGraph,
     DetAutomaton,
@@ -90,7 +90,7 @@ class TestKinds:
             for w in enumerate_words(k.base, k.initial_node, 3):
                 assert mdet_run_count(k, w) == count_paths(k, w)
             assert json.loads(serialize_mdet(k))["matrices"] == {e.id: k.matrix(e.id).rows() for e in k.base.edges}
-        with pytest.raises(ValueError, match="initial state 'nowhere' lies in no fiber"):
+        with pytest.raises(ValueError, match="^initial: unknown state 'nowhere'$"):
             SpanAutomaton(a.base, a.fibers, a.transitions, "nowhere", a.finals)
 
     def test_expansion_built_by_keyword(self):
@@ -128,13 +128,13 @@ class TestValidate:
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
         other = FinSet("O", ["9"])
-        with pytest.raises(ValueError, match="^transition span of edge 'e' does not match the endpoint fibers$"):
+        with pytest.raises(ValueError, match="^transitions.e: span does not match the endpoint fibers$"):
             SpanAutomaton(base, {"n": q}, {"e": Span(other, other, [])}, "1", set())
 
     def test_initial_outside_fibers(self):
         base = BaseGraph(["n"], [("e", "e", "n", "n")])
         q = FinSet("Q", ["1"])
-        with pytest.raises(ValueError, match="^initial state '9' lies in no fiber$"):
+        with pytest.raises(ValueError, match="^initial: unknown state '9'$"):
             SpanAutomaton(base, {"n": q}, {"e": Span(q, q, [])}, "9", set())
 
     def test_messages_per_kind(self):
@@ -142,25 +142,48 @@ class TestValidate:
         q = FinSet("Q", ["1", "2"])
         other = FinSet("O", ["9"])
         # (table, first fault): a missing state first, then in table order a foreign source or a stray target
-        for table, line in (({"1": "7", "8": "1"}, "is not total: missing '2'"),
+        for table, line in (({"1": "7", "8": "1"}, "missing image of state '2'"),
                             ({"1": "7", "2": "1", "8": "1"}, "sends '1' outside the target fiber"),
                             ({"8": "1", "1": "7", "2": "1"}, "maps foreign state '8'")):
-            with pytest.raises(ValueError, match=f"^transition of edge 'e' {line}$"):
+            with pytest.raises(ValueError, match=f"^transitions.e: {line}$"):
                 DetAutomaton(base, {"n": q}, {"e": table}, "1", set())
-        with pytest.raises(ValueError, match="^transition relation of edge 'e' does not match the endpoint fibers$"):
+        with pytest.raises(ValueError, match="^transitions.e: relation does not match the endpoint fibers$"):
             RelAutomaton(base, {"n": q}, {"e": Relation(other, q)}, "1", set())
-        with pytest.raises(ValueError, match="^edge 'e' has no transition$"):
+        with pytest.raises(ValueError, match="^transitions.e: missing transition list$"):
             SpanAutomaton(base, {"n": q}, {}, "1", set())
 
     def test_fibers_and_finals(self):
         # in the order checked: a node without a fiber, a state in two fibers, a stray final state
         base = BaseGraph(["m", "n"], [])
         one, two = FinSet("A", ["1"]), FinSet("B", ["1", "2"])
-        for fibers, finals, line in (({"m": one}, {"9"}, "node 'n' has no fiber"),
-                                     ({"m": one, "n": two}, {"9"}, "state '1' appears in fibers of 'm' and 'n'"),
-                                     ({"m": one, "n": FinSet("B", ["2"])}, {"9", "8"}, "final state '8' lies in no fiber")):
+        for fibers, finals, line in (({"m": one}, {"9"}, "fibers.n: missing fiber"),
+                                     ({"m": one, "n": two}, {"9"}, "fibers.n: state '1' already appears in fiber 'm'"),
+                                     ({"m": one, "n": FinSet("B", ["2"])}, {"9", "8"}, "finals: unknown state '8'")):
             with pytest.raises(ValueError, match=f"^{line}$"):
                 SpanAutomaton(base, fibers, {}, "1", finals)
+
+    def test_keys_the_base_lacks(self):
+        # a fiber or a transition for a node or an edge the base lacks is refused, as the loader refuses it
+        a = two_state_example()
+        with pytest.raises(DocumentError, match="^fibers.zz: fiber for unknown node$"):
+            SpanAutomaton(a.base, {**a.fibers, "zz": FinSet("Z", ["9"])}, a.transitions, a.initial, a.finals)
+        with pytest.raises(DocumentError, match="^transitions.q: transition for unknown edge$"):
+            SpanAutomaton(a.base, a.fibers, {**a.transitions, "q": 1}, a.initial, a.finals)
+
+    def test_expansion_checks_its_fields_but_not_totality(self):
+        x = mdet_expand(two_state_example(), 4, 2)
+        assert x.truncated and any(len(x.transitions[e.id]) < len(x.fibers[e.src]) for e in x.base.edges)
+        fields = {"base": x.base, "fibers": x.fibers, "transitions": x.transitions, "initial": x.initial,
+                  "finals": x.finals, "states": x.states, "accept_counts": x.accept_counts,
+                  "truncated_by": x.truncated_by}
+        assert ExpandedMachine(**fields) == x  # its partial tables are allowed
+        e = x.base.edges[0].id
+        for change, line in (({"initial": "nowhere"}, "initial: unknown state 'nowhere'"),
+                             ({"finals": {"nowhere"}}, "finals: unknown state 'nowhere'"),
+                             ({"transitions": {**x.transitions, e: {"nowhere": x.initial}}},
+                              f"transitions.{e}: maps foreign state 'nowhere'")):
+            with pytest.raises(DocumentError, match=f"^{line}$"):
+                ExpandedMachine(**{**fields, **change})
 
 
 class TestEnumerateWords:
@@ -469,7 +492,7 @@ class TestUniqueLift:
         q = FinSet("Q", ["1", "2"])
         # state 2 has no image, as if a non-total relation were reread as a function:
         # the constructor refuses it, and stored unchecked it does not lift uniquely
-        with pytest.raises(ValueError, match="^transition of edge 'e' is not total: missing '2'$"):
+        with pytest.raises(ValueError, match="^transitions.e: missing image of state '2'$"):
             DetAutomaton(base, {"n": q}, {"e": {"1": "2"}}, "1", {"2"})
         broken = DetAutomaton._trusted(base, {"n": q}, {"e": {"1": "2"}}, "1", frozenset({"2"}))
         assert not lifts_uniquely(broken, 2)

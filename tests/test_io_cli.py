@@ -310,6 +310,20 @@ class TestSchemaErrors:
         assert main(["sim-check", str(path), "--mode", "strict"]) == 2
         assert capsys.readouterr() == ("", "input-error: components.zz: component for unknown node\n")
 
+    def test_a_fault_of_shape_comes_before_one_of_structure(self, tmp_path, capsys):
+        # the loader reads every entry before the constructor checks the initial state
+        doc = self.base_doc()
+        doc["initial"] = "9"
+        doc["transitions"]["e"][0]["from"] = "8"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", "input-error: transitions.e[0].from: unknown state '8' in fiber 'n'\n")
+        doc["transitions"]["e"][0]["from"] = "1"
+        with pytest.raises(DocumentError) as err:
+            parse_automaton(json.dumps(doc))
+        assert str(err.value) == "initial: unknown state '9'"
+
     def test_unknown_state_in_transition_gives_path(self):
         doc = self.base_doc()
         doc["transitions"]["e"][0]["from"] = "9"

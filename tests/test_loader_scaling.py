@@ -5,7 +5,7 @@ loads, or both refusals, say the same thing of them, and bounds the 8n
 time by 20 times the n time plus 0.5 s: generous for a linear scan on a
 loaded machine, and far below what a quadratic one takes at 8n.  The
 automaton constructors' refusals are probed the same way, on fields of
-n and 8n states.
+n and 8n states, and the simulation constructor's on n and 8n nodes.
 """
 
 import time
@@ -13,7 +13,7 @@ import time
 import pytest
 
 from spanauto.automata import BaseGraph, DetAutomaton
-from spanauto.io import DocumentError, parse_automaton
+from spanauto.io import DocumentError, parse_automaton, parse_simulation
 from spanauto.spans import FinSet
 
 N = 2_500
@@ -113,13 +113,13 @@ def test_loader_refusals_in_linear_time(kind, build, line):
 @pytest.mark.parametrize("build, line", [
     # the last state of the second fiber repeats the first fiber's last
     (lambda n: ({"m": states(n), "n": states(n - 1, "r") + [f"q{n - 1}"]}, {q: q for q in states(n)}, set()),
-     lambda n: f"state 'q{n - 1}' appears in fibers of 'm' and 'n'"),
+     lambda n: f"fibers.n: state 'q{n - 1}' already appears in fiber 'm'"),
     # every state but the last loops
     (lambda n: ({"m": states(n), "n": []}, {q: q for q in states(n - 1)}, set()),
-     lambda n: f"transition of edge 'e' is not total: missing 'q{n - 1}'"),
+     lambda n: f"transitions.e: missing image of state 'q{n - 1}'"),
     # every state is final, and so is one past the fibers
     (lambda n: ({"m": states(n), "n": []}, {q: q for q in states(n)}, set(states(n + 1))),
-     lambda n: f"final state 'q{n}' lies in no fiber"),
+     lambda n: f"finals: unknown state 'q{n}'"),
 ], ids=["state in two fibers", "table missing its last state", "final outside the fibers"])
 def test_constructor_refusals_in_linear_time(build, line):
     base = BaseGraph(["m", "n"], [("e", "e", "m", "m")])
@@ -130,6 +130,30 @@ def test_constructor_refusals_in_linear_time(build, line):
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
             DetAutomaton(base, fibers, {"e": table}, "q0", finals)
+        return str(info.value), time.perf_counter() - start
+
+    assert_linear(probe, line)
+
+
+@pytest.mark.parametrize("spoil, line", [
+    # every node but the last has its component
+    (lambda components, n: components.pop(f"n{n - 1}"), lambda n: f"components.n{n - 1}: missing component"),
+    # one more component, last, at a node the base lacks
+    (lambda components, n: components.update(zz=[]), lambda n: "components.zz: component for unknown node"),
+], ids=["missing component", "component for unknown node"])
+def test_simulation_refusals_in_linear_time(spoil, line):
+    def probe(n):
+        # n nodes and no edges, one state at each node, mapped to itself
+        nodes = states(n, "n")
+        end = {"format_version": "1", "kind": "rel", "base": {"nodes": nodes, "edges": []},
+               "fibers": {x: [f"q{i}"] for i, x in enumerate(nodes)}, "transitions": {}, "initial": "q0", "finals": []}
+        components = {x: [{"from": f"q{i}", "to": f"q{i}"}] for i, x in enumerate(nodes)}
+        spoil(components, n)
+        doc = {"format_version": "1", "kind": "simulation", "source": end, "target": end, "strength": "strict",
+               "components": components}
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as info:
+            parse_simulation(doc)
         return str(info.value), time.perf_counter() - start
 
     assert_linear(probe, line)

@@ -60,8 +60,8 @@ class TestFinSet:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             FinSet("X", ["a", "a"])
-        # the first element to repeat is named, not the first with a later copy
-        with pytest.raises(ValueError, match="^duplicate element 'b' in finite set 'X'$"):
+        # the first element that occurs again is named, as the loader names it, not the first repeat met
+        with pytest.raises(ValueError, match="^duplicate element 'a' in finite set 'X'$"):
             FinSet("X", ["a", "b", "b", "a"])
 
 
