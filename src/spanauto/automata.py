@@ -158,6 +158,16 @@ class Word(_Record):
 _NO_ROW: Mapping[str, int] = {}
 
 
+def _check_ends(states, initial, given, finals: frozenset) -> None:
+    """Refuse an initial or final state outside ``states``; of stray finals, the first ``given`` lists, or the least."""
+    if initial not in states:
+        raise DocumentError("initial", f"unknown state {initial!r}")
+    stray = finals.difference(states)
+    if stray:
+        q = next(filter(stray.__contains__, given)) if isinstance(given, (list, tuple)) else min(stray)
+        raise DocumentError("finals", f"unknown state {q!r}")
+
+
 class _FiberedAutomaton(_Record):
     """The one shape behind every automaton kind, and its count-row view.
 
@@ -206,12 +216,7 @@ class _FiberedAutomaton(_Record):
             for q in fibers[n]:
                 if nodes.setdefault(q, n) != n:
                     raise DocumentError(f"fibers.{n}", f"state {q!r} already appears in fiber {nodes[q]!r}")
-        if initial not in nodes:
-            raise DocumentError("initial", f"unknown state {initial!r}")
-        stray = finals.difference(nodes)
-        if stray:  # the first in list order, or the least
-            q = next(filter(stray.__contains__, given)) if isinstance(given, (list, tuple)) else min(stray)
-            raise DocumentError("finals", f"unknown state {q!r}")
+        _check_ends(nodes, initial, given, finals)
         stored = {}
         for e in base.edges:
             at = f"transitions.{e.id}"

@@ -39,6 +39,7 @@ from operator import add, itemgetter, mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from .spans import (
+    DocumentError,
     FinSet,
     POWERSET_CAP,
     Multiset,
@@ -46,6 +47,7 @@ from .spans import (
     Span,
     _WORK_BOUND,
     _Record,
+    _first_duplicate,
     _member_text,
     multiset_extend,
     multiset_unit,
@@ -60,6 +62,7 @@ from .automata import (
     Word,
     _NO_ROW,
     _FiberedAutomaton,
+    _check_ends,
 )
 
 __all__ = [
@@ -84,6 +87,11 @@ class ClassicalNFA(_Record):
     Kept separate from the fibered types on purpose: the subset
     construction on this shape is the independent yardstick the
     categorical pipeline is compared against.
+
+    The constructor is its one check: it reads ``delta`` as entries in
+    order (a mapping's items, or ``((from, letter), to)`` pairs) and raises
+    ``DocumentError`` at the first fault in document order, with its path
+    (``alphabet``, ``delta[i]``, ``initial``, ``finals``).
     """
 
     kind = "classical-nfa"
@@ -95,23 +103,25 @@ class ClassicalNFA(_Record):
     finals: frozenset[str]
 
     def __init__(self, alphabet, states, delta, initial, finals):
-        alphabet, finals = tuple(alphabet), frozenset(finals)
+        alphabet, given, finals = tuple(alphabet), finals, frozenset(finals)
         letters = set(alphabet)
-        delta = {k: frozenset(v) for k, v in delta.items() if v}
         if len(letters) != len(alphabet):
-            raise ValueError("duplicate letters in the alphabet")
-        if initial not in states:
-            raise ValueError(f"initial state {initial!r} not a state")
-        for q in finals:
-            if q not in states:
-                raise ValueError(f"final state {q!r} not a state")
-        for (q, a), targets in delta.items():
-            if q not in states or a not in letters:
-                raise ValueError(f"delta key ({q!r}, {a!r}) out of range")
+            raise DocumentError("alphabet", f"duplicate letter {_first_duplicate(alphabet)!r}")
+        table = {}
+        for i, ((q, a), targets) in enumerate(delta.items() if isinstance(delta, Mapping) else delta):
+            at = f"delta[{i}]"
+            if not isinstance(q, str) or q not in states:  # a document's ``from`` arrives unread
+                raise DocumentError(f"{at}.from", f"unknown state {q!r}")
+            if not isinstance(a, str) or a not in letters:
+                raise DocumentError(f"{at}.letter", f"unknown letter {a!r}")
             for t in targets:
                 if t not in states:
-                    raise ValueError(f"delta target {t!r} not a state")
-        _Record.__init__(self, alphabet, states, delta, initial, finals)
+                    raise DocumentError(f"{at}.to", f"unknown state {t!r}")
+            if (q, a) in table:
+                raise DocumentError(at, f"duplicate entry for ({q!r}, {a!r})")
+            table[q, a] = frozenset(targets)
+        _check_ends(states, initial, given, finals)
+        _Record.__init__(self, alphabet, states, {k: v for k, v in table.items() if v}, initial, finals)
 
     def step(self, q: str, a: str) -> frozenset[str]:
         return self.delta.get((q, a), frozenset())

@@ -592,10 +592,11 @@ def _mate_is_bisimulation(f: _FiberedAutomaton, g: DetAutomaton, images: Mapping
     of a closure that contains every image.  At an edge e: n -> m, with
     d_e the direct image, the mate's squares are the forward legs
     d_e(S_x) = S_{g_e(x)}.  Its converse's squares at an image subset S are
-    {g_e(x) : S_x = S} = {y : S_y = d_e(S)}; the left side lies inside
-    the right one exactly when the forward legs at S hold, so comparing
-    the two sets decides both.  At every other subset S of n's fiber they
-    ask that d_e(S) be no image (``_steps_into``).
+    {g_e(x) : S_x = S} = {y : S_y = d_e(S)}.  Alpha is natural by now
+    (its pseudo check or ``factor_det``'s ``decide`` has passed), so the
+    forward legs hold and the left side lies inside the right one; their
+    sizes alone decide the converse.  At every other subset S of n's fiber
+    they ask that d_e(S) be no image (``_steps_into``).
     """
     succ = _masks(f)[1]
     owners: dict[str, dict[int, list[str]]] = {n: {} for n in images}  # per node: each image's target states
@@ -605,7 +606,7 @@ def _mate_is_bisimulation(f: _FiberedAutomaton, g: DetAutomaton, images: Mapping
     for e in f.base.edges:
         step, table, masks = steps[e.id], g.transitions[e.id], succ[e.id]
         at_src, at_dst = owners[e.src], owners[e.dst]
-        if any({table.get(x) for x in xs} != set(at_dst.get(step[m], ())) for m, xs in at_src.items()):
+        if any(len({table[x] for x in xs}) != len(at_dst.get(step[m], ())) for m, xs in at_src.items()):
             return False
         # when every subset of n's fiber is an image, no other subset is left to step
         if len(at_src) < 1 << len(masks) and any(_steps_into(masks, t, at_src) for t in at_dst):

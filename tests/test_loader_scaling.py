@@ -6,6 +6,7 @@ time by 20 times the n time plus 0.5 s: generous for a linear scan on a
 loaded machine, and far below what a quadratic one takes at 8n.  The
 automaton constructors' refusals are probed the same way, on fields of
 n and 8n states, and the simulation constructor's on n and 8n nodes.
+A refused entry or final state is always the document's last one.
 """
 
 import time
@@ -108,6 +109,64 @@ def assert_linear(probe, lines) -> None:
 ], ids=["already appears", "duplicate pair", "mapped twice", "missing image"])
 def test_loader_refusals_in_linear_time(kind, build, line):
     assert_linear(lambda n: refusal(loop_doc(kind, *build(n))), line)
+
+
+def classical_doc(n: int) -> dict:
+    """n states on one letter, each looping, all final."""
+    qs = states(n)
+    return {"format_version": "1", "kind": "classical-nfa", "alphabet": ["a"], "states": qs,
+            "delta": [{"from": q, "letter": "a", "to": [q]} for q in qs], "initial": "q0", "finals": list(qs)}
+
+
+@pytest.mark.parametrize("spoil, line", [
+    # one more entry, last, from a state the automaton lacks
+    (lambda doc, n: doc["delta"].append({"from": "zz", "letter": "a", "to": []}),
+     lambda n: f"delta[{n}].from: unknown state 'zz'"),
+    # the last entry comes twice
+    (lambda doc, n: doc["delta"].append(doc["delta"][-1]),
+     lambda n: f"delta[{n}]: duplicate entry for ('q{n - 1}', 'a')"),
+    # one more final, last, that is no state
+    (lambda doc, n: doc["finals"].append("zz"), lambda n: "finals: unknown state 'zz'"),
+], ids=["unknown from", "duplicate entry", "unknown final"])
+def test_classical_refusals_in_linear_time(spoil, line):
+    def probe(n):
+        doc = classical_doc(n)
+        spoil(doc, n)
+        return refusal(doc)
+
+    assert_linear(probe, line)
+
+
+@pytest.mark.parametrize("kind, spoil, line", [
+    # the last entry has a key no entry has
+    ("span", lambda last: last.update(weight=2), lambda at: f"{at}: unknown keys ['weight']"),
+    ("component", lambda last: last.update(weight=2), lambda at: f"{at}: unknown keys ['weight']"),
+    # the last entry's count is no positive integer
+    ("span", lambda last: last.update(count=0), lambda at: f"{at}.count: count must be a positive integer, got 0"),
+    ("component", lambda last: last.update(count=0),
+     lambda at: f"{at}.count: count must be a positive integer, got 0"),
+    # the last entry steps to a state the fiber lacks
+    ("span", lambda last: last.update(to="zz"), lambda at: f"{at}.to: unknown state 'zz' in fiber 'm'"),
+    ("component", lambda last: last.update(to="zz"), lambda at: f"{at}.to: unknown source state 'zz' in fiber 'm'"),
+], ids=["span unknown keys", "component unknown keys", "span count", "component count", "span unknown to",
+        "component unknown to"])
+def test_last_entry_refusals_in_linear_time(kind, spoil, line):
+    def probe(n):
+        # every state of the one fiber loops, as a transition or as a component entry
+        doc = loop_doc("span", {"m": states(n)}, [(q, q) for q in states(n)])
+        entries, load = doc["transitions"]["e"], parse_automaton
+        if kind == "component":
+            entries, load = [dict(x) for x in entries], parse_simulation
+            doc = {"format_version": "1", "kind": "simulation", "source": doc, "target": doc, "strength": "pseudo",
+                   "components": {"m": entries}}
+        spoil(entries[-1])
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as info:
+            load(doc)
+        return str(info.value), time.perf_counter() - start
+
+    at = "components.m" if kind == "component" else "transitions.e"
+    assert_linear(probe, lambda n: line(f"{at}[{n - 1}]"))
 
 
 @pytest.mark.parametrize("build, line", [
